@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ChainMismatch, InexactVariant, UnknownMembership
 from .groups import (
@@ -176,8 +176,11 @@ class ToeplitzTable:
     """Coset assignments (level n ≥ 1, representative in F_n, letter).
 
     Assignments at equal level are disjoint; an assignment nested inside a
-    coarser one must agree with it.  Cells covered by no assignment are
-    Unknown, and every aggregate over them is reported as an interval.
+    coarser one must agree with it, so all assignments covering a point
+    carry one letter.  Cells covered by no assignment are Unknown, and every
+    aggregate over them is reported as an interval.  Membership questions
+    read ``_levels``: (q_n, {representative: letter}) per assigned level,
+    coarsest first; a plain attribute, so repr, eq, hash and fields skip it.
     """
 
     chain: SubgroupChain
@@ -200,16 +203,12 @@ class ToeplitzTable:
                 continue
             seen[key] = a
             normalized.append((level, r, a))
-        # nested assignments must agree: a deeper coset inside an assigned
-        # coarser coset carries the coarser letter already.
-        by_level = sorted(normalized)
-        for i, (ln, rn, an) in enumerate(by_level):
-            for lm, rm, am in by_level[:i]:
-                if ln > lm and self.chain.coset_rep(rn, lm) == rm and an != am:
-                    raise ValueError(
-                        f"level-{ln} assignment at {rn} conflicts with level-{lm} at {rm}"
-                    )
-        object.__setattr__(self, "assignments", tuple(by_level))
+        by_level = tuple(sorted(normalized))
+        index = _level_index(self.chain, by_level)
+        object.__setattr__(self, "assignments", by_level)
+        object.__setattr__(
+            self, "_levels", tuple((self.chain.scale(n), reps) for n, reps in index.items())
+        )
 
     @property
     def rank(self) -> int:
@@ -220,13 +219,14 @@ class ToeplitzTable:
         return max((lvl for lvl, _, _ in self.assignments), default=1)
 
     def lookup(self, g) -> Letter | None:
-        """Letter of the deepest assignment whose coset contains g."""
+        """Letter at g, or None; nested assignments agree, so the first hit
+        (coarsest level first) is the answer, at one dict probe per level."""
         g = aselem(g, self.chain.rank)
-        best = None
-        for level, r, a in self.assignments:
-            if self.chain.coset_rep(g, level) == r:
-                best = a  # assignments are sorted by level, deepest wins
-        return best
+        for q, reps in self._levels:
+            a = reps.get(tuple(c % q for c in g))
+            if a is not None:
+                return a
+        return None
 
     def value_table(self, level: int) -> dict[Element, Letter | None]:
         """Values on F_level, one entry per H_level-coset (Unknown = None).
@@ -248,6 +248,22 @@ class ToeplitzTable:
     def fully_resolved(self, level: int | None = None) -> bool:
         level = self.max_level if level is None else level
         return not self.unresolved_set(level).reps
+
+
+def _level_index(chain: SubgroupChain, assignments) -> dict[int, dict[Element, Letter]]:
+    """{level: {rep: letter}} of distinct assignments sorted by level; raises
+    ValueError when one lies inside a coarser one with another letter."""
+    index: dict[int, dict[Element, Letter]] = {}
+    for ln, rn, an in assignments:
+        for lm, reps in index.items():
+            if lm < ln:
+                rm = chain.coset_rep(rn, lm)
+                if reps.get(rm, an) != an:
+                    raise ValueError(
+                        f"level-{ln} assignment at {rn} conflicts with level-{lm} at {rm}"
+                    )
+        index.setdefault(ln, {})[rn] = an
+    return index
 
 
 @dataclass(frozen=True)
@@ -300,6 +316,16 @@ def evaluate(x: Configuration, g) -> Letter | None:
     raise TypeError(f"not a configuration: {x!r}")
 
 
+def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]) -> Iterator:
+    """The scan kernel: for each translate g, [point(f + g) for f in shape].
+
+    Every count over translates F + g reads its windows here.  They come
+    lazily, so a raising point function stops at the first offending cell.
+    """
+    for g in translates:
+        yield [point(add(f, g)) for f in shape]
+
+
 def shift(h, x: Configuration) -> Configuration:
     """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved."""
     if isinstance(x, Periodic):
@@ -337,10 +363,22 @@ def _exact_chain(x: Configuration) -> SubgroupChain:
     return x.chain
 
 
-def _coset_values(x: Periodic | ToeplitzTable, f: Element, n: int, depth: int) -> list:
-    """Values of x on the H_n-coset of f, sampled one per H_depth-subcoset."""
-    chain = x.chain
-    return [evaluate(x, add(f, v)) for v in chain.subgroup_in_domain(n, depth)]
+def _constant_cosets(x: Configuration, n: int) -> dict[Element, Letter]:
+    """{f: a} for each f in F_n whose whole H_n-coset is known and constantly a.
+
+    The coset f + H_n is sampled as the window H_n ∩ F_depth at f, where x
+    is coset-constant at level depth.
+    """
+    chain = _exact_chain(x)
+    chain._check_level(n)
+    depth = max(n, x.level if isinstance(x, Periodic) else x.max_level)
+    reps = chain.domain(n)
+    cosets = _windows(lambda g: evaluate(x, g), chain.subgroup_in_domain(n, depth), reps)
+    found = {}
+    for f, values in zip(reps, map(set, cosets)):
+        if len(values) == 1 and None not in values:
+            found[f] = values.pop()
+    return found
 
 
 def per_set(x: Configuration, n: int) -> CosetSet:
@@ -349,31 +387,14 @@ def per_set(x: Configuration, n: int) -> CosetSet:
     For a partial coset table a coset with Unknown cells is never counted;
     the result is the confirmed periodic part.
     """
-    chain = _exact_chain(x)
-    chain._check_level(n)
-    if isinstance(x, Periodic) and n >= x.level:
-        return CosetSet.full(chain, n)
-    depth = x.level if isinstance(x, Periodic) else max(n, x.max_level)
-    reps = []
-    for f in chain.domain(n):
-        vals = _coset_values(x, f, n, depth)
-        if vals[0] is not None and all(v == vals[0] for v in vals):
-            reps.append(f)
-    return CosetSet(chain, n, frozenset(reps))
+    found = _constant_cosets(x, n)
+    return CosetSet(x.chain, n, frozenset(found))
 
 
 def per_set_letter(x: Configuration, n: int, a: Letter) -> CosetSet:
     """Per_{H_n}(x, a): positions whose whole H_n-coset is constantly a."""
-    chain = _exact_chain(x)
-    chain._check_level(n)
-    depth = x.level if isinstance(x, Periodic) else max(n, x.max_level)
-    depth = max(depth, n)
-    reps = []
-    for f in chain.domain(n):
-        vals = _coset_values(x, f, n, depth)
-        if all(v == a for v in vals):
-            reps.append(f)
-    return CosetSet(chain, n, frozenset(reps))
+    found = _constant_cosets(x, n)
+    return CosetSet(x.chain, n, frozenset(f for f, b in found.items() if b == a))
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +463,18 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
             )
     if window is None:
         raise ValueError("pair admits no exact disagreement set; supply a window")
-    flags: dict[Element, bool | None] = {}
-    for g in window:
+    differs = _differs(x, z)
+    return SampledDisagreement(tuple(window), {g: differs(g) for g in window})
+
+
+def _differs(x: Configuration, z: Configuration) -> Callable[[Element], bool | None]:
+    """The point function g ↦ [x_g ≠ z_g], None where either side is Unknown."""
+
+    def differs(g):
         a, b = evaluate(x, g), evaluate(z, g)
-        flags[g] = None if a is None or b is None else (a != b)
-    return SampledDisagreement(tuple(window), flags)
+        return None if a is None or b is None else a != b
+
+    return differs
 
 
 def require_known(value: Letter | None, g: Element) -> Letter:

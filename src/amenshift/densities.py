@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .configs import CosetSet
+from .configs import CosetSet, _windows
 from .errors import UnknownMembership
-from .groups import Element, FiniteSubset, SubgroupChain, add, ball
+from .groups import Element, FiniteSubset, SubgroupChain, ball
 
 MembershipPredicate = Callable[[Element], "bool | None"]
 
@@ -113,12 +113,14 @@ def banach_density_windowed(
     can exceed it, and the caveat field records that.
     """
     F = chain.domain(n)
-    lower = upper = Fraction(0)
-    for g in ball(chain.rank, radius):
-        lo, hi = density_interval_in(tuple(add(f, g) for f in F), member)
-        lower = max(lower, lo)
-        upper = max(upper, hi)
-    return IntervalEstimate(lower, upper, False, "windowed", WINDOW_CAVEAT)
+    lower = upper = 0
+    for values in _windows(member, F, ball(chain.rank, radius)):
+        hits = sum(map(bool, values))
+        lower = max(lower, hits)
+        upper = max(upper, hits + values.count(None))
+    return IntervalEstimate(
+        Fraction(lower, len(F)), Fraction(upper, len(F)), False, "windowed", WINDOW_CAVEAT
+    )
 
 
 def coset_membership(B: CosetSet) -> MembershipPredicate:

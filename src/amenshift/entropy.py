@@ -19,8 +19,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .configs import Configuration, Oracle, Periodic, ToeplitzTable, evaluate, require_known
+from .configs import _windows
 from .errors import DeltaOutOfRange, SystemTooLarge
-from .groups import FiniteSubset, SubgroupChain, add, ball
+from .groups import FiniteSubset, SubgroupChain, ball
 
 SYSTEM_CAP = 20
 
@@ -64,10 +65,6 @@ def _resolve_chain(x: Configuration, chain: SubgroupChain | None) -> SubgroupCha
     return chain
 
 
-def _window(x: Configuration, shape: FiniteSubset, g) -> Pattern:
-    return tuple(require_known(evaluate(x, add(f, g)), add(f, g)) for f in shape)
-
-
 def pattern_set(
     x: Configuration,
     n: int,
@@ -93,16 +90,16 @@ def pattern_set(
     if period_level is not None:
         # values repeat with period q_{period_level}, so one domain of
         # translates sees every window
-        found = frozenset(
-            tuple(lookup[ch.coset_rep(add(f, g), period_level)] for f in shape)
-            for g in ch.domain(period_level)
-        )
-        return PatternSet(n, found, True, None)
-    if radius is None:
+        point = lambda g: lookup[ch.coset_rep(g, period_level)]
+        translates = ch.domain(period_level)
+    elif radius is None:
         raise ValueError("non-periodic configuration: supply a window radius")
-    rank = x.rank if isinstance(x, Oracle) else ch.rank
-    found = frozenset(_window(x, shape, g) for g in ball(rank, radius))
-    return PatternSet(n, found, False, radius)
+    else:
+        point = lambda g: require_known(evaluate(x, g), g)
+        translates = ball(x.rank if isinstance(x, Oracle) else ch.rank, radius)
+    found = frozenset(map(tuple, _windows(point, shape, translates)))
+    exact = period_level is not None
+    return PatternSet(n, found, exact, None if exact else radius)
 
 
 def entropy_estimate(

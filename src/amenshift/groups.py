@@ -7,9 +7,10 @@ package is deterministic.
 
 A chain with scales q_1 | q_2 | ... | q_N describes the nested finite-index
 subgroups H_n = (q_n Z)^d with fundamental domains F_n = [0, q_n)^d.  Level 0
-is the whole group with F_0 = {e}.  Construction machine-checks the four
-conditions: nesting, nested domains, fundamental-domain property, and the
-tiling F_{i+1} = ⊔_{v ∈ F_{i+1} ∩ H_i} (F_i + v).
+is the whole group with F_0 = {e}.  Construction checks q_i | q_{i+1}, from
+which the four chain conditions follow for box domains: nesting, nested
+domains, the fundamental-domain property, and the tiling
+F_{i+1} = ⊔_{v ∈ F_{i+1} ∩ H_i} (F_i + v).  The tests re-derive all four.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def folner_invariance_ratio(F: Sequence[Element], g: Element) -> Fraction:
 class SubgroupChain:
     """Validated chain H_0 ⊃ H_1 ⊃ ... with box fundamental domains.
 
-    Immutable after construction; use :func:`make_chain` so the chain
-    conditions are actually checked.
+    Immutable after construction; use :func:`make_chain` so the scales are
+    actually checked.
     """
 
     rank: int
@@ -159,43 +160,7 @@ def make_chain(rank: int, scales: Sequence[int]) -> SubgroupChain:
     for a, b in zip((1,) + scales, scales):
         if b % a != 0:
             raise NonDividingScales(f"{a} does not divide {b}")
-
-    chain = SubgroupChain(rank=rank, scales=scales)
-    _verify_chain_conditions(chain)
-    return chain
-
-
-def _verify_chain_conditions(chain: SubgroupChain) -> None:
-    """Exhaustively check the four chain conditions on every level."""
-    # (2) F_0 = {e} and nested domains.
-    assert chain.domain(0) == (identity(chain.rank),)
-    for i in range(chain.depth):
-        lower, upper = set(chain.domain(i)), set(chain.domain(i + 1))
-        if not lower <= upper:
-            raise NonDividingScales(f"F_{i} not contained in F_{i + 1}")
-    for i in range(chain.depth + 1):
-        dom = chain.domain(i)
-        # (3) F_i meets every coset of H_i exactly once.
-        reps = {chain.coset_rep(f, i) for f in dom}
-        if len(reps) != len(dom) or reps != set(dom):
-            raise NonDividingScales(f"F_{i} is not a fundamental domain for H_{i}")
-        if i == 0:
-            continue
-        # (1) H_i within the window is contained in H_{i-1}.
-        for v in chain.subgroup_in_domain(i, i):
-            if not chain.in_subgroup(v, i - 1):
-                raise NonDividingScales(f"H_{i} not contained in H_{i - 1}")
-    # (4) F_{i+1} decomposes as the disjoint union of translates F_i + v.
-    for i in range(chain.depth):
-        tiles: set[Element] = set()
-        block = chain.domain(i)
-        for v in chain.subgroup_in_domain(i, i + 1):
-            piece = set(translate(block, v))
-            if tiles & piece:
-                raise NonDividingScales(f"translates of F_{i} overlap inside F_{i + 1}")
-            tiles |= piece
-        if tiles != set(chain.domain(i + 1)):
-            raise NonDividingScales(f"translates of F_{i} do not exhaust F_{i + 1}")
+    return SubgroupChain(rank=rank, scales=scales)
 
 
 def folner_set(chain: SubgroupChain, n: int) -> FiniteSubset:

@@ -159,22 +159,6 @@ def _looks_rational(s: str) -> bool:
     return bool(digits) and digits.isdigit() and tail.isdigit()
 
 
-def _round_floats(value: Any) -> Any:
-    """Clamp floats to their 12-significant-digit rendering so emitted and
-    in-memory reports agree byte for byte."""
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, tuple):
-        return [_round_floats(v) for v in value]
-    if isinstance(value, list):
-        return [_round_floats(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    return value
-
-
 def from_jsonable(value: Any) -> Any:
     if isinstance(value, str) and _looks_rational(value):
         return Fraction(value)
@@ -235,11 +219,11 @@ def _run_distance(spec: ExperimentSpec) -> tuple[list[dict], bool]:
     level = spec.params.get("level")
     radius = spec.params.get("window")
     if metric == "dstar":
-        rep = dstar_distance(x, z, level, radius)
+        rep = dstar_distance(x, z, level, radius, chain)
         item = {"metric": "dstar", "basis": rep.basis, **interval_item(rep.value)}
         return [item], True
     if metric == "dwprime":
-        rep = dw_prime_estimate(x, z, level, radius)
+        rep = dw_prime_estimate(x, z, level, radius, chain)
         item = {"metric": "dwprime", "basis": rep.basis, **interval_item(rep.value)}
         return [item], True
     if metric == "weyl":
@@ -498,7 +482,8 @@ def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
     return ExperimentReport(
         kind=spec.kind,
         spec=echo,
-        items=tuple(_round_floats(item) for item in items),
+        # the in-memory items equal what the JSON emitter writes, read back
+        items=tuple(from_jsonable(jsonable(item)) for item in items),
         passed=passed,
         wall_time_ms=elapsed if timing else None,
     )

@@ -12,13 +12,14 @@ approximate.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
-from .configs import Configuration, evaluate, require_known
+from .configs import Configuration, _windows, evaluate, require_known
 from .errors import SupportTooLarge
-from .groups import FiniteSubset, add
+from .groups import FiniteSubset
 
 Atom = Hashable
 AtomMetric = Callable[[Atom, Atom], Fraction]
@@ -77,14 +78,9 @@ def empirical_measure(
     """Emp(x, F): frequency over g in F of the letter at g (or the pattern on shape+g)."""
     if not F:
         raise ValueError("F must be nonempty")
-    counts: dict[Atom, int] = {}
-    for g in F:
-        if shape is None:
-            atom: Atom = require_known(evaluate(x, g), g)
-        else:
-            atom = tuple(require_known(evaluate(x, add(s, g)), add(s, g)) for s in shape)
-        counts[atom] = counts.get(atom, 0) + 1
-    return EmpiricalMeasure.from_counts(counts)
+    point = lambda g: require_known(evaluate(x, g), g)
+    atoms = map(point, F) if shape is None else map(tuple, _windows(point, shape, F))
+    return EmpiricalMeasure.from_counts(Counter(atoms))
 
 
 def total_variation(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Fraction:

@@ -21,13 +21,15 @@ from .configs import (
     CosetDisagreement,
     Periodic,
     ToeplitzTable,
+    _differs,
+    _windows,
     disagreement_set,
     evaluate,
     require_known,
 )
-from .densities import IntervalEstimate, WINDOW_CAVEAT
+from .densities import IntervalEstimate, banach_density_windowed
 from .errors import NotAKCover
-from .groups import Element, FiniteSubset, SubgroupChain, add, ball
+from .groups import FiniteSubset, SubgroupChain, ball, identity
 
 
 @dataclass(frozen=True)
@@ -73,30 +75,17 @@ def dstar_distance(
             chain = side.chain
     if chain is None:
         raise ValueError("two boxed oracles: supply the chain for the window shape")
-    F = chain.domain(n)
-    lower = upper = Fraction(0)
-    for g in ball(chain.rank, radius):
-        hits = unknown = 0
-        for f in F:
-            a, b = evaluate(x, add(f, g)), evaluate(z, add(f, g))
-            if a is None or b is None:
-                unknown += 1
-            elif a != b:
-                hits += 1
-        lower = max(lower, Fraction(hits, len(F)))
-        upper = max(upper, Fraction(hits + unknown, len(F)))
-    value = IntervalEstimate(lower, upper, False, "windowed", WINDOW_CAVEAT)
+    value = banach_density_windowed(_differs(x, z), chain, n, radius)
     return PseudometricReport(value, "window-bracket", {"level": n, "radius": radius})
 
 
-def _window_sum(x, z, F: FiniteSubset, g: Element) -> int:
-    total = 0
-    for f in F:
-        h = add(f, g)
-        a = require_known(evaluate(x, h), h)
-        b = require_known(evaluate(z, h), h)
-        total += Alphabet.distance(a, b)
-    return total
+def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
+    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises, x first."""
+
+    def rho(h):
+        return Alphabet.distance(require_known(evaluate(x, h), h), require_known(evaluate(z, h), h))
+
+    return max(map(sum, _windows(rho, F, translates)))
 
 
 def _common_period_level(x: Configuration, z: Configuration) -> int | None:
@@ -114,7 +103,7 @@ def delta_star_exact(x: Periodic, z: Periodic, F: FiniteSubset) -> int:
     p = _common_period_level(x, z)
     if p is None:
         raise ValueError("exact Δ* needs a same-chain periodic pair")
-    return max(_window_sum(x, z, F, g) for g in x.chain.domain(p))
+    return _delta_sup(x, z, F, x.chain.domain(p))
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ def weyl_upper_bound(
     if not F:
         raise ValueError("F must be nonempty")
     rank = len(F[0])
-    proxy_num = max(_window_sum(x, z, F, g) for g in ball(rank, radius))
+    proxy_num = _delta_sup(x, z, F, ball(rank, radius))
     exact = None
     if _common_period_level(x, z) is not None:
         exact = Fraction(delta_star_exact(x, z, F), len(F))
@@ -181,7 +170,7 @@ def besicovitch_estimate(
     averages = []
     for n in levels:
         F = chain.domain(n)
-        averages.append(Fraction(_window_sum(x, z, F, (0,) * chain.rank), len(F)))
+        averages.append(Fraction(_delta_sup(x, z, F, [identity(chain.rank)]), len(F)))
     return BesicovitchTrace(levels, tuple(averages), max(averages))
 
 
@@ -199,16 +188,8 @@ def dw_prime_estimate(
     (including the boundary case density 1, where only ε ≥ 1 qualifies).
     """
     base = dstar_distance(x, z, n, radius, chain)
-    value = IntervalEstimate(
-        base.value.lower,
-        base.value.upper,
-        base.value.exact,
-        base.value.method,
-        base.value.caveat,
-    )
-    params = dict(base.params)
-    params["form"] = "fixed-point inf{eps : d < eps} with discrete letter metric"
-    return PseudometricReport(value, base.basis, params)
+    form = "fixed-point inf{eps : d < eps} with discrete letter metric"
+    return PseudometricReport(base.value, base.basis, {**base.params, "form": form})
 
 
 def validate_k_cover(F: FiniteSubset, cover: Sequence[FiniteSubset], k: int) -> None:
@@ -230,14 +211,11 @@ def shearer_values(
 ) -> tuple[Fraction, list[Fraction]]:
     """H(F) and the H(K_i), exact for periodic pairs, else window proxies at one shared radius."""
     validate_k_cover(F, cover, k)
-    if _common_period_level(x, z) is not None:
-        hf = Fraction(delta_star_exact(x, z, F))
-        hks = [Fraction(delta_star_exact(x, z, tuple(K))) for K in cover]
-    else:
-        rank = len(F[0])
-        window = ball(rank, radius)
-        hf = Fraction(max(_window_sum(x, z, F, g) for g in window))
-        hks = [Fraction(max(_window_sum(x, z, tuple(K), g) for g in window)) for K in cover]
+    p = _common_period_level(x, z)
+    # one full period of translates is exact; otherwise the shared window
+    translates = x.chain.domain(p) if p is not None else ball(len(F[0]), radius)
+    hf = Fraction(_delta_sup(x, z, F, translates))
+    hks = [Fraction(_delta_sup(x, z, tuple(K), translates)) for K in cover]
     return hf, hks
 
 

@@ -66,8 +66,9 @@ def _random_periodic(chain, level, rng, letters=("0", "1")) -> Periodic:
 
 
 def suite_chain(seed: int = 0) -> SuiteResult:
-    """Chain validity for the three stated scale families (exhaustive checks
-    happen inside make_chain; surviving construction is the pass)."""
+    """Chain validity for the three stated scale families: make_chain checks
+    the scales, which imply the four chain conditions for box domains, so
+    surviving construction is the pass."""
     cases = [(1, [2, 4, 8, 16, 32, 64, 128, 256]), (1, [3, 6, 12, 24]), (2, [2, 4])]
     items = []
     ok = True

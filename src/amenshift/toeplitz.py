@@ -33,9 +33,11 @@ from .configs import (
     Oracle,
     Periodic,
     ToeplitzTable,
+    _constant_cosets,
+    _level_index,
+    _windows,
     evaluate,
     per_set,
-    per_set_letter,
 )
 from .entropy import EntropyEstimate, estimate_from_count
 from .errors import ChainMismatch, ChainTooShallow, InconsistentCylinders, UnresolvedCells
@@ -83,8 +85,9 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     failures: list[tuple[int, Element]] = []
     letters = x.alphabet.letters
     for n in range(1, N + 1):
-        nonempty.append(not per_set(x, n).is_empty)
-        by_letter = {a: per_set_letter(x, n, a).reps for a in letters}
+        constant = _constant_cosets(x, n)
+        nonempty.append(bool(constant))
+        by_letter = {a: frozenset(f for f, b in constant.items() if b == a) for a in letters}
         for g in chain.domain(n):
             if g == identity(chain.rank):
                 continue
@@ -181,14 +184,11 @@ def toeplitz_from_table(
         if normalized.get(key, a) != a:
             raise InconsistentCylinders(f"cylinder {key} assigned two letters")
         normalized[key] = a
-    items = sorted(normalized.items())
-    for i, ((k, r), a) in enumerate(items):
-        for (k2, r2), a2 in items[:i]:
-            if k2 <= k and chain.coset_rep(r, k2) == r2 and a2 != a:
-                raise InconsistentCylinders(
-                    f"cylinder ({k}, {r}) lies inside ({k2}, {r2}) with a different letter"
-                )
-    assignments = tuple((k, r, a) for (k, r), a in items)
+    assignments = tuple(sorted((k, r, a) for (k, r), a in normalized.items()))
+    try:
+        _level_index(chain, assignments)
+    except ValueError as exc:
+        raise InconsistentCylinders(str(exc)) from None
     return ToeplitzTable(chain, assignments, alphabet)
 
 
@@ -312,8 +312,12 @@ def psi_path(
 def _select_on_coset(src: ToeplitzTable, level: int, rep: Element):
     """Assignments describing src restricted to the coset rep + H_level."""
     chain = src.chain
-    for lvl, s, a in src.assignments:
-        if lvl <= level and chain.coset_rep(rep, lvl) == s:
+    q = chain.scale(level)
+    for qm, reps in src._levels:
+        if qm > q:
+            break
+        a = reps.get(tuple(c % qm for c in rep))
+        if a is not None:
             # the whole target coset sits inside one assigned coset
             return [(level, rep, a)]
     pieces = []
@@ -470,16 +474,18 @@ def krieger_construct(
 
     rank = chain.rank
     cells: dict[Element, Letter] = {identity(rank): letters[0]}  # arbitrary seed
-    claims: list[tuple[int, Element, Letter]] = []
+    # claimed cosets as {level: {representative: letter}}; claims never overlap
+    claims: dict[int, dict[Element, Letter]] = {}
 
     def value_at(g: Element) -> Letter | None:
-        for lvl, rep, a in claims:
-            if chain.coset_rep(g, lvl) == rep:
+        for lvl, reps in claims.items():
+            a = reps.get(chain.coset_rep(g, lvl))
+            if a is not None:
                 return a
         return cells.get(g)
 
     def in_claimed(g: Element) -> bool:
-        return any(chain.coset_rep(g, lvl) == rep for lvl, rep, _ in claims)
+        return any(chain.coset_rep(g, lvl) in reps for lvl, reps in claims.items())
 
     levels = [0]
     quotas = [0]  # r_0 = floor((1-gamma)·|F_0|) = 0 for gamma in (0,1)
@@ -521,11 +527,7 @@ def krieger_construct(
                 cells[cell] = letter
         planted = len(patterns)
 
-        windows = set()
-        for v in translates:
-            values = tuple(value_at(add(f, v)) for f in dom)
-            if all(x is not None for x in values):
-                windows.add(values)
+        windows = {tuple(w) for w in _windows(value_at, dom, translates) if None not in w}
         window_count = len(windows)
         assert window_count >= want_patterns
 
@@ -543,7 +545,7 @@ def krieger_construct(
                 val = letters[0]
                 arbitrary.append(f)
             cells[f] = val
-            claims.append((k_next, f, val))
+            claims.setdefault(k_next, {})[f] = val
             reserved.append(f)
 
         levels.append(k_next)
@@ -579,7 +581,9 @@ def krieger_construct(
         )
     )
 
-    skeleton = ToeplitzTable(chain, tuple(claims), alphabet)
+    skeleton = ToeplitzTable(
+        chain, tuple((lvl, r, a) for lvl, reps in claims.items() for r, a in reps.items()), alphabet
+    )
     return KriegerResult(
         gamma=gamma,
         chain=chain,

@@ -66,7 +66,7 @@ def report(criterion: str, passed: bool) -> None:
 def test_criterion_01_chain_validity():
     violations = 0
     for rank, scales in [(1, [2, 4, 8, 16, 32, 64, 128, 256]), (1, [3, 6, 12, 24]), (2, [2, 4])]:
-        chain = make_chain(rank, scales)  # construction re-checks everything
+        chain = make_chain(rank, scales)  # construction checks the scales only
         e = (0,) * rank
         # independent re-derivation of the four conditions
         for i in range(chain.depth):

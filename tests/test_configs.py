@@ -21,10 +21,16 @@ from amenshift.configs import (
     geometric_box_lengths,
     per_set,
     per_set_letter,
+    require_known,
     shift,
 )
-from amenshift.errors import ChainMismatch, InexactVariant
-from amenshift.groups import ball, make_chain
+from amenshift.densities import banach_density_windowed
+from amenshift.entropy import pattern_set
+from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
+from amenshift.groups import add, ball, make_chain
+from amenshift.measures import EmpiricalMeasure, empirical_measure
+from amenshift.metrics import dstar_distance, weyl_upper_bound
+from amenshift.toeplitz import regular_table
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
@@ -227,3 +233,139 @@ def test_descriptor_round_trip():
     x = config_from_descriptor(oracle_desc, None)
     assert evaluate(x, 0) == "1"
     assert config_descriptor(x)["rule"] == "block_alternating(1/2)"
+
+
+# ---------------------------------------------------------------------------
+# callers of the window-scan kernel against their former inline loops
+# ---------------------------------------------------------------------------
+
+
+def old_windowed_density(member, chain, n, radius):
+    F = chain.domain(n)
+    lower = upper = Fraction(0)
+    for g in ball(chain.rank, radius):
+        hits = unknown = 0
+        for f in F:
+            m = member(add(f, g))
+            if m is None:
+                unknown += 1
+            else:
+                hits += bool(m)
+        lower = max(lower, Fraction(hits, len(F)))
+        upper = max(upper, Fraction(hits + unknown, len(F)))
+    return lower, upper
+
+
+def old_windowed_dstar(x, z, chain, n, radius):
+    F = chain.domain(n)
+    lower = upper = Fraction(0)
+    for g in ball(chain.rank, radius):
+        hits = unknown = 0
+        for f in F:
+            a, b = evaluate(x, add(f, g)), evaluate(z, add(f, g))
+            if a is None or b is None:
+                unknown += 1
+            elif a != b:
+                hits += 1
+        lower = max(lower, Fraction(hits, len(F)))
+        upper = max(upper, Fraction(hits + unknown, len(F)))
+    return lower, upper
+
+
+def old_window(x, shape, g):
+    return tuple(require_known(evaluate(x, add(f, g)), add(f, g)) for f in shape)
+
+
+def old_window_sum(x, z, F, g):
+    total = 0
+    for f in F:
+        h = add(f, g)
+        a = require_known(evaluate(x, h), h)
+        b = require_known(evaluate(z, h), h)
+        total += Alphabet.distance(a, b)
+    return total
+
+
+def old_empirical_counts(x, F, shape):
+    counts = {}
+    for g in F:
+        atom = tuple(require_known(evaluate(x, add(s, g)), add(s, g)) for s in shape)
+        counts[atom] = counts.get(atom, 0) + 1
+    return counts
+
+
+def outcome(call):
+    """The value of call(), or the message of the UnknownMembership it raised,
+    which names the first Unknown cell hit."""
+    try:
+        return call()
+    except UnknownMembership as exc:
+        return ("unknown", str(exc))
+
+
+def configurations():
+    """Configurations with Unknown cells: boxed oracles (shifted so boxes sit
+    off-centre) and coset tables with an unresolved residual coset."""
+    oracle = st.builds(
+        lambda make, box, h: shift(h, make(box)),
+        st.sampled_from([champernowne_binary, lambda r: block_alternating(Fraction(1, 2), r)]),
+        st.integers(2, 10),
+        st.integers(-6, 6),
+    )
+    table = st.builds(
+        lambda depth, h: shift(h, regular_table(CHAIN, ("0", "1"), depth, resolve_tail=False)),
+        st.integers(1, CHAIN.depth),
+        st.integers(-6, 6),
+    )
+    return st.one_of(oracle, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configurations(), st.integers(0, 2), st.integers(0, 8), st.sampled_from("01"))
+def test_windowed_density_matches_inline_loop(x, n, radius, letter):
+    def member(g):
+        v = evaluate(x, g)
+        return None if v is None else v == letter
+
+    est = banach_density_windowed(member, CHAIN, n, radius)
+    assert (est.lower, est.upper) == old_windowed_density(member, CHAIN, n, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configurations(), configurations(), st.integers(0, 2), st.integers(0, 8))
+def test_windowed_dstar_matches_inline_loop(x, z, n, radius):
+    if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
+        z = champernowne_binary(radius)  # keep the pair on the window branch
+    rep = dstar_distance(x, z, n, radius, CHAIN)
+    assert rep.basis == "window-bracket"
+    assert (rep.value.lower, rep.value.upper) == old_windowed_dstar(x, z, CHAIN, n, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configurations(), st.integers(0, 2), st.integers(0, 8))
+def test_window_pattern_set_matches_inline_loop(x, n, radius):
+    new = outcome(lambda: pattern_set(x, n, radius, CHAIN).patterns)
+    shape = CHAIN.domain(n)
+    old = outcome(lambda: frozenset(old_window(x, shape, g) for g in ball(1, radius)))
+    assert new == old
+
+
+@settings(max_examples=40, deadline=None)
+@given(configurations(), st.integers(0, 2), st.integers(-8, 8), st.integers(1, 12))
+def test_empirical_pattern_measure_matches_inline_loop(x, n, start, length):
+    F = tuple((g,) for g in range(start, start + length))
+    shape = CHAIN.domain(n)
+    new = outcome(lambda: empirical_measure(x, F, shape))
+    old = outcome(lambda: EmpiricalMeasure.from_counts(old_empirical_counts(x, F, shape)))
+    assert new == old
+
+
+@settings(max_examples=40, deadline=None)
+@given(configurations(), configurations(), st.integers(0, 2), st.integers(0, 4))
+def test_weyl_proxy_matches_inline_loop(x, z, n, radius):
+    F = CHAIN.domain(n)
+    new = outcome(lambda: weyl_upper_bound(x, z, F, radius).window_proxy)
+    old = outcome(
+        lambda: Fraction(max(old_window_sum(x, z, F, g) for g in ball(1, radius)), len(F))
+    )
+    assert new == old

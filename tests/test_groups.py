@@ -11,6 +11,7 @@ from amenshift.groups import (
     folner_invariance_ratio,
     folner_set,
     make_chain,
+    sub,
     translate,
 )
 
@@ -41,10 +42,29 @@ def test_scales_must_increase():
 
 
 def test_chain_conditions_exhaustive():
-    # re-derive the tiling condition from scratch: F_{i+1} must be the
-    # disjoint union of the translates F_i + v over v in F_{i+1} ∩ H_i
-    for rank, scales in [(1, [2, 4, 8, 16]), (1, [3, 6, 12, 24]), (2, [2, 4])]:
+    # make_chain checks only the scales; re-derive the four chain conditions
+    # from scratch on every level
+    families = [(1, [2, 4, 8, 16]), (1, [3, 6, 12, 24]), (2, [2, 4]), (2, [2, 4, 8])]
+    for rank, scales in families:
         chain = make_chain(rank, scales)
+        top = set(chain.domain(chain.depth))
+        # (2) F_0 = {e} and the domains nest
+        assert chain.domain(0) == ((0,) * rank,)
+        for i in range(chain.depth):
+            assert set(chain.domain(i)) <= set(chain.domain(i + 1))
+        for i in range(chain.depth + 1):
+            dom = chain.domain(i)
+            # (3) F_i meets every coset of H_i exactly once
+            assert len(set(dom)) == len(dom)
+            assert {chain.coset_rep(g, i) for g in top} == set(dom)
+            assert all(chain.in_subgroup(sub(g, chain.coset_rep(g, i)), i) for g in top)
+            # (1) H_i ⊆ H_{i-1}, seen on H_i ∩ F_depth
+            if i > 0:
+                assert all(
+                    chain.in_subgroup(v, i - 1) for v in chain.subgroup_in_domain(i, chain.depth)
+                )
+        # (4) F_{i+1} is the disjoint union of the translates F_i + v over
+        # v in F_{i+1} ∩ H_i
         for i in range(chain.depth):
             big = set(chain.domain(i + 1))
             vs = [v for v in big if chain.in_subgroup(v, i)]

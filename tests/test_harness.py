@@ -1,17 +1,29 @@
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from amenshift.cli import DEFAULT_SCALES
+from amenshift.configs import block_alternating, champernowne_binary
 from amenshift.errors import SpecError
+from amenshift.groups import make_chain
 from amenshift.harness import (
     ExperimentReport,
+    ExperimentSpec,
     emit,
     report_from_json,
     run,
     spec_from_json,
 )
+from amenshift.metrics import dstar_distance
+
+# sha256 of the JSON report of `amenshift verify --suite all --seed 7`, the
+# byte-identity anchor also recorded in bench/references.json: a change that
+# keeps every report keeps this digest.
+VERIFY_ALL_SEED7_SHA256 = "472456c780366e86cbe7c28d0b55638151645757c6af1bf1617f30ffd96ee880"
 
 
 def make_spec(**overrides):
@@ -115,6 +127,11 @@ def test_determinism_byte_identical():
     assert json.loads(a)["wall_time_ms"] is None
 
 
+def test_verify_all_report_matches_byte_identity_anchor():
+    report = run(ExperimentSpec("verify", params={"suite": "all"}, seed=7))
+    assert hashlib.sha256(emit(report, "json")).hexdigest() == VERIFY_ALL_SEED7_SHA256
+
+
 def test_timing_goes_to_field_only_on_request():
     report = run(make_spec(), timing=True)
     assert report.wall_time_ms is not None
@@ -172,6 +189,30 @@ def test_cli_distance_between_descriptors():
     doc = json.loads(proc.stdout)
     assert doc["items"][0]["lower"] == "1/2"
     assert doc["items"][0]["exact"] is True
+
+
+@pytest.mark.parametrize("metric", ["dstar", "dwprime"])
+def test_cli_window_distance_between_two_oracles(metric):
+    # neither oracle carries a chain, so the window shape comes from the
+    # chain of the spec (here the CLI's default chain)
+    champ = json.dumps({"variant": "oracle", "box": 80, "rule": "champernowne_binary"})
+    blocks = json.dumps({"variant": "oracle", "box": 80, "rule": "block_alternating(1/2)"})
+    proc = run_cli(
+        "distance", "--metric", metric, "--config", champ, "--config", blocks,
+        "--level", "3", "--window", "40",
+    )
+    assert proc.returncode == 0, proc.stderr
+    item = json.loads(proc.stdout)["items"][0]
+    assert item["basis"] == "window-bracket"
+    assert item["exact"] is False
+    expected = dstar_distance(
+        champernowne_binary(80),
+        block_alternating(Fraction(1, 2), 80),
+        3,
+        40,
+        make_chain(1, DEFAULT_SCALES),
+    ).value
+    assert (Fraction(item["lower"]), Fraction(item["upper"])) == (expected.lower, expected.upper)
 
 
 def test_cli_path_csv_format():

@@ -5,12 +5,23 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from amenshift.configs import BINARY, CosetSet, Periodic, evaluate, per_set, shift
+from amenshift.configs import (
+    BINARY,
+    Alphabet,
+    CosetSet,
+    Periodic,
+    ToeplitzTable,
+    evaluate,
+    per_set,
+    per_set_letter,
+    shift,
+)
 from amenshift.densities import banach_density_exact, coset_membership, density_in
+from amenshift.errors import InconsistentCylinders
 from amenshift.groups import make_chain, translate
 from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
 from amenshift.metrics import delta_star_exact, dstar_distance, weyl_upper_bound
-from amenshift.toeplitz import psi_path
+from amenshift.toeplitz import psi_path, regular_table, toeplitz_from_table
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 
@@ -133,3 +144,139 @@ def test_prokhorov_discrete_collapses_to_tv(wa, wb):
     dp = prokhorov_distance(mu, nu)
     assert dp == min(tv, 1) if tv < 1 else dp <= 1
     assert dp == prokhorov_distance(nu, mu)
+
+
+# ---------------------------------------------------------------------------
+# the level-indexed coset table against the linear assignment walk
+# ---------------------------------------------------------------------------
+
+CHAIN2 = make_chain(2, [2, 4, 8])
+LETTERS = Alphabet(("a", "b", "c"))
+
+
+def deepest_assignment_letter(table: ToeplitzTable, g):
+    """Reference lookup: walk every assignment; the deepest match wins."""
+    best = None
+    for level, r, a in table.assignments:
+        if table.chain.coset_rep(g, level) == r:
+            best = a
+    return best
+
+
+def nesting_conflict(chain, assignments) -> bool:
+    """Reference check: two assignments, one inside the other, with different letters."""
+    normalized = {(lvl, chain.coset_rep(r, lvl), a) for lvl, r, a in assignments}
+    return any(
+        l1 <= l2 and chain.coset_rep(r2, l1) == r1 and a1 != a2
+        for l1, r1, a1 in normalized
+        for l2, r2, a2 in normalized
+    )
+
+
+def raw_assignments(chain):
+    element = st.lists(st.integers(-20, 20), min_size=chain.rank, max_size=chain.rank)
+    return st.lists(
+        st.tuples(st.integers(1, chain.depth), element.map(tuple), st.sampled_from("abc")),
+        max_size=12,
+    )
+
+
+@st.composite
+def nested_tables(draw, chain):
+    """Random assignments; a coset inside an earlier, coarser one takes its letter."""
+    kept = []
+    for level, rep, a in sorted(draw(raw_assignments(chain)), key=lambda t: t[0]):
+        rep = chain.coset_rep(rep, level)
+        inherited = [b for lm, rm, b in kept if lm <= level and chain.coset_rep(rep, lm) == rm]
+        kept.append((level, rep, inherited[0] if inherited else a))
+    return ToeplitzTable(chain, tuple(kept), LETTERS)
+
+
+def tables(chain):
+    return st.one_of(
+        nested_tables(chain),
+        st.builds(
+            lambda depth, tail, letters: regular_table(chain, letters, depth, tail),
+            st.integers(1, chain.depth),
+            st.booleans(),
+            st.sampled_from([("a", "b"), ("c", "a", "b")]),
+        ),
+        st.builds(
+            lambda t, depth: psi_path(t, chain, depth).table,
+            rationals_01,
+            st.integers(1, chain.depth),
+        ),
+    )
+
+
+def points(chain):
+    element = st.lists(st.integers(-40, 40), min_size=chain.rank, max_size=chain.rank)
+    return st.lists(element.map(tuple), min_size=1, max_size=24)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lookup_matches_deepest_assignment_walk(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    table = data.draw(tables(chain))
+    for g in data.draw(points(chain)):
+        assert table.lookup(g) == deepest_assignment_letter(table, g)
+        assert evaluate(table, g) == table.lookup(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_nesting_check_matches_pairwise_check(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    raw = data.draw(raw_assignments(chain))
+    conflict = nesting_conflict(chain, raw)
+    try:
+        ToeplitzTable(chain, tuple(raw), LETTERS)
+    except ValueError:
+        assert conflict
+    else:
+        assert not conflict
+    cylinders = {(lvl, r): a for lvl, r, a in raw}
+    try:
+        toeplitz_from_table(chain, cylinders, LETTERS)
+    except InconsistentCylinders:
+        assert nesting_conflict(chain, [(lvl, r, a) for (lvl, r), a in cylinders.items()])
+    else:
+        assert not nesting_conflict(chain, [(lvl, r, a) for (lvl, r), a in cylinders.items()])
+
+
+# ---------------------------------------------------------------------------
+# Per sets in one pass against a brute-force constant-coset check
+# ---------------------------------------------------------------------------
+
+
+def brute_force_per_set(x, n, value):
+    """Reps f of F_n whose coset f + H_n is known and constant on F_depth."""
+    chain = x.chain
+    top = chain.domain(chain.depth)
+    reps = set()
+    for f in chain.domain(n):
+        values = {value(g) for g in top if chain.coset_rep(g, n) == f}
+        if len(values) == 1 and None not in values:
+            reps.add(f)
+    return reps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_per_set_is_disjoint_union_of_letter_sets_and_brute_force(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    if data.draw(st.booleans()):
+        x = data.draw(tables(chain))
+        value = lambda g: deepest_assignment_letter(x, g)
+    else:
+        level = data.draw(st.integers(1, chain.depth))
+        word = {f: data.draw(st.sampled_from("ab")) for f in chain.domain(level)}
+        x = Periodic(chain, level, word, Alphabet(("a", "b")))
+        value = lambda g: x.word[chain.coset_rep(g, level)]
+    n = data.draw(st.integers(1, chain.depth))
+    reps = per_set(x, n).reps
+    by_letter = [per_set_letter(x, n, a).reps for a in x.alphabet.letters]
+    assert sum(len(r) for r in by_letter) == len(reps)
+    assert frozenset().union(*by_letter) == reps
+    assert reps == brute_force_per_set(x, n, value)
