@@ -25,10 +25,6 @@ class UnknownMembership(AmenshiftError):
     """An aggregate hit an Unknown cell; use an interval-reporting variant."""
 
 
-class SupportTooLarge(AmenshiftError):
-    """Combined measure support exceeds the exhaustive-search cap."""
-
-
 class SystemTooLarge(AmenshiftError):
     """Sampled system exceeds the subset brute-force cap."""
 

@@ -1,30 +1,26 @@
 """Finitely supported empirical measures and exact Prokhorov/Hausdorff distances.
 
-The Prokhorov distance
-    D_P(μ,ν) = inf{ε > 0 : μ(B) ≤ ν(B^ε) + ε for every B}
-is computed exactly by exhausting subsets of the joint support: feasibility
-is monotone in ε, the infimum is attained in the limit-from-above form with
-closed ε-expansions, and it always equals either a pairwise atom distance or
-a subset mass difference μ(B) - ν(B^{≤d}) at some distance threshold d.  The
-support is capped so the subset search stays exhaustive rather than
-approximate.
+The Prokhorov distance D_P(μ,ν) = inf{ε > 0 : μ(B) ≤ ν(B^ε) + ε for every B}
+is attained with closed ε-expansions.  By Strassen's theorem the condition at
+ε holds iff a sub-coupling of mass ≥ 1 - ε lives on the atom pairs at distance
+≤ ε, so D_P = min over atom distances t of max(t, 1 - maxflow_t): an exact
+integer max-flow (weights scaled by the lcm of their denominators), polynomial
+in the support size, with no support cap.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Hashable, Sequence
 
 from .configs import Configuration, _windows, evaluate, require_known
-from .errors import SupportTooLarge
 from .groups import FiniteSubset
 
 Atom = Hashable
 AtomMetric = Callable[[Atom, Atom], Fraction]
-
-PROKHOROV_SUPPORT_CAP = 15
 
 
 def discrete_metric(a: Atom, b: Atom) -> Fraction:
@@ -89,38 +85,48 @@ def total_variation(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Fraction:
     return sum((abs(mu.weight(a) - nu.weight(a)) for a in support), Fraction(0)) / 2
 
 
-def _prokhorov_tables(mu, nu, metric):
-    support = sorted(set(mu.support) | set(nu.support), key=repr)
-    if len(support) > PROKHOROV_SUPPORT_CAP:
-        raise SupportTooLarge(f"joint support {len(support)} exceeds {PROKHOROV_SUPPORT_CAP}")
-    n = len(support)
-    mw = [mu.weight(a) for a in support]
-    nw = [nu.weight(a) for a in support]
-    dist = [[Fraction(metric(a, b)) for b in support] for a in support]
-    thresholds = sorted({Fraction(0)} | {dist[i][j] for i in range(n) for j in range(i + 1, n)})
-    # subset masses, indexed by bitmask
-    mu_mass = [Fraction(0)] * (1 << n)
-    nu_mass = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        mu_mass[mask] = mu_mass[mask ^ low] + mw[i]
-        nu_mass[mask] = nu_mass[mask ^ low] + nw[i]
-    # closed expansion of each subset at each threshold, as bitmasks
-    expansions = {}
-    for t in thresholds:
-        near = [0] * n
-        for i in range(n):
-            for j in range(n):
-                if dist[i][j] <= t:
-                    near[i] |= 1 << j
-        exp = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            i = low.bit_length() - 1
-            exp[mask] = exp[mask ^ low] | near[i]
-        expansions[t] = exp
-    return support, thresholds, mu_mass, nu_mass, expansions
+def _augment(near, carried, supply, demand) -> int:
+    """Push flow along shortest augmenting paths until none is left; return the amount.
+
+    Arcs: source → μ-atom i (residual supply[i]) → ν-atom j in near[i]
+    (uncapacitated) → sink (residual demand[j]); carried[j][i] is the flow on
+    i → j and the residual of the backward arc j → i.
+    """
+    pushed = 0
+    while True:
+        back = {i: None for i, s in enumerate(supply) if s}  # μ-atom: ν-atom before it
+        fore, queue, end = {}, deque(back), None  # ν-atom: μ-atom before it
+        while queue and end is None:
+            i = queue.popleft()
+            for j in near[i]:
+                if j in fore:
+                    continue
+                fore[j] = i
+                if demand[j]:
+                    end = j
+                    break
+                for k in carried[j]:
+                    if k not in back:
+                        back[k] = j
+                        queue.append(k)
+        if end is None:
+            return pushed
+        path, j = [], end  # forward arcs (i, j), walked back from the sink side
+        while j is not None:
+            path.append((fore[j], j))
+            j = back[fore[j]]
+        root = path[-1][0]
+        reverse = [(i, j) for (i, _), (_, j) in zip(path, path[1:])]  # backward arcs j → i
+        amount = min(supply[root], demand[end], *(carried[j][i] for i, j in reverse))
+        supply[root] -= amount
+        demand[end] -= amount
+        for i, j in path:
+            carried[j][i] = carried[j].get(i, 0) + amount
+        for i, j in reverse:
+            carried[j][i] -= amount
+            if not carried[j][i]:
+                del carried[j][i]
+        pushed += amount
 
 
 def prokhorov_distance(
@@ -128,45 +134,30 @@ def prokhorov_distance(
     nu: EmpiricalMeasure,
     metric: AtomMetric = discrete_metric,
 ) -> Fraction:
-    """Exact Prokhorov distance over the joint support, symmetrized form.
+    """Exact Prokhorov distance min_t max(t, 1 - maxflow_t), t over the μ-ν atom distances.
 
-    Checks every subset in both directions; candidate values are the atom
-    distances together with all subset mass differences at each distance
-    threshold, and the answer is the least feasible candidate under closed
-    ε-expansions (the limit of the open-expansion condition from above).
+    Strassen: μ(B) ≤ ν(B^t) + ε for every B iff maxflow_t ≥ 1 - ε, where
+    maxflow_t couples μ to ν along the pairs at distance ≤ t; this is
+    symmetric, so one direction suffices.  Ascending thresholds only add
+    edges, so each flow stays feasible and augmenting resumes from it.
     """
-    support, thresholds, mu_mass, nu_mass, expansions = _prokhorov_tables(mu, nu, metric)
-    n = len(support)
-    full = (1 << n) - 1
-
-    def feasible(eps: Fraction) -> bool:
-        t = max((d for d in thresholds if d <= eps), default=Fraction(0))
-        exp = expansions[t]
-        for mask in range(1, full + 1):
-            if mu_mass[mask] > nu_mass[exp[mask]] + eps:
-                return False
-            if nu_mass[mask] > mu_mass[exp[mask]] + eps:
-                return False
-        return True
-
-    candidates = set(thresholds)
-    for t in thresholds:
-        exp = expansions[t]
-        for mask in range(1, full + 1):
-            candidates.add(mu_mass[mask] - nu_mass[exp[mask]])
-            candidates.add(nu_mass[mask] - mu_mass[exp[mask]])
-    ordered = sorted(c for c in candidates if c >= 0)
-    # feasibility is monotone in eps: binary search the boundary
-    lo, hi = 0, len(ordered) - 1
-    if not feasible(ordered[hi]):
-        raise AssertionError("no feasible candidate; candidate set incomplete")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
+    scale = lcm(*(w.denominator for _, w in mu.atoms), *(w.denominator for _, w in nu.atoms))
+    supply = [int(w * scale) for _, w in mu.atoms]
+    demand = [int(w * scale) for _, w in nu.atoms]
+    edges = defaultdict(list)
+    for i, (a, _) in enumerate(mu.atoms):
+        for j, (b, _) in enumerate(nu.atoms):
+            edges[Fraction(metric(a, b))].append((i, j))
+    near, carried = [[] for _ in supply], [{} for _ in demand]
+    flow, best = 0, Fraction(1)
+    for t in sorted(edges):
+        if t >= best:
+            break
+        for i, j in edges[t]:
+            near[i].append(j)
+        flow += _augment(near, carried, supply, demand)
+        best = min(best, max(t, 1 - Fraction(flow, scale)))
+    return best
 
 
 @dataclass(frozen=True)
@@ -185,13 +176,17 @@ def hausdorff_distance(
     B: MeasureSet | Sequence[EmpiricalMeasure],
     metric: AtomMetric = discrete_metric,
 ) -> Fraction:
-    """max of the two directed sup-inf Prokhorov distances, exact on finite sets."""
+    """max of the two directed sup-inf Prokhorov distances, exact on finite sets.
+
+    D_P is symmetric, so both directions read one |A|×|B| matrix.
+    """
     fam_a = A.measures if isinstance(A, MeasureSet) else tuple(A)
     fam_b = B.measures if isinstance(B, MeasureSet) else tuple(B)
     if not fam_a or not fam_b:
         raise ValueError("both families must be nonempty")
-    d_ab = max(min(prokhorov_distance(mu, nu, metric) for nu in fam_b) for mu in fam_a)
-    d_ba = max(min(prokhorov_distance(nu, mu, metric) for mu in fam_a) for nu in fam_b)
+    rows = [[prokhorov_distance(mu, nu, metric) for nu in fam_b] for mu in fam_a]
+    d_ab = max(min(row) for row in rows)
+    d_ba = max(min(col) for col in zip(*rows))
     return max(d_ab, d_ba)
 
 

@@ -511,7 +511,7 @@ def krieger_construct(
                 break
         if k_next is None:
             raise ChainTooShallow(
-                f"no level offers {nletters ** len(dom)} tiling copies of F_{k_n}"
+                f"no level offers {nletters}^{len(dom)} tiling copies of F_{k_n}"
             )
 
         translates = chain.subgroup_in_domain(k_n, k_next)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from amenshift.configs import BINARY, Periodic, block_alternating, geometric_box_lengths
-from amenshift.errors import SupportTooLarge, UnknownMembership
+from amenshift.errors import UnknownMembership
 from amenshift.groups import box, make_chain
 from amenshift.measures import (
     EmpiricalMeasure,
@@ -67,15 +68,76 @@ def prokhorov_oracle(mu, nu, metric=discrete_metric):
     return ordered[lo]
 
 
+def subset_table_oracle(mu, nu, metric=discrete_metric):
+    """The subset-table search the library used before the max-flow: subset
+    masses and closed expansions as bitmask tables at every distance
+    threshold, then a binary search over every subset mass difference for
+    the least ε feasible in both directions.  Exponential in the joint
+    support, so it reaches the mid-size supports the literal oracle cannot."""
+    support = sorted(set(mu.support) | set(nu.support), key=repr)
+    n = len(support)
+    full = (1 << n) - 1
+    mw = [mu.weight(a) for a in support]
+    nw = [nu.weight(a) for a in support]
+    dist = [[Fraction(metric(a, b)) for b in support] for a in support]
+    thresholds = sorted({Fraction(0)} | {dist[i][j] for i in range(n) for j in range(i + 1, n)})
+    mu_mass = [Fraction(0)] * (1 << n)
+    nu_mass = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        mu_mass[mask] = mu_mass[mask ^ low] + mw[i]
+        nu_mass[mask] = nu_mass[mask ^ low] + nw[i]
+    expansions = {}
+    for t in thresholds:
+        near = [sum(1 << j for j in range(n) if dist[i][j] <= t) for i in range(n)]
+        exp = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            exp[mask] = exp[mask ^ low] | near[low.bit_length() - 1]
+        expansions[t] = exp
+
+    def feasible(eps):
+        exp = expansions[max(d for d in thresholds if d <= eps)]
+        return all(
+            mu_mass[m] <= nu_mass[exp[m]] + eps and nu_mass[m] <= mu_mass[exp[m]] + eps
+            for m in range(1, full + 1)
+        )
+
+    candidates = set(thresholds)
+    for exp in expansions.values():
+        for m in range(1, full + 1):
+            candidates.add(mu_mass[m] - nu_mass[exp[m]])
+            candidates.add(nu_mass[m] - mu_mass[exp[m]])
+    ordered = sorted(c for c in candidates if c >= 0)
+    lo, hi = 0, len(ordered) - 1
+    assert feasible(ordered[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ordered[lo]
+
+
+def grid_metric(scale):
+    """L∞ distance between integer grid points, times scale."""
+    return lambda a, b: max(abs(a[0] - b[0]), abs(a[1] - b[1])) * scale
+
+
 def line_metric(points):
     return lambda a, b: abs(points[a] - points[b])
 
 
-def random_measure(rng, atoms):
-    chosen = rng.sample(atoms, rng.randrange(1, len(atoms) + 1))
-    weights = [rng.randrange(1, 7) for _ in chosen]
+def full_measure(rng, atoms):
+    weights = [rng.randrange(1, 7) for _ in atoms]
     total = sum(weights)
-    return EmpiricalMeasure(tuple((a, Fraction(w, total)) for a, w in zip(chosen, weights)))
+    return EmpiricalMeasure(tuple((a, Fraction(w, total)) for a, w in zip(atoms, weights)))
+
+
+def random_measure(rng, atoms):
+    return full_measure(rng, rng.sample(atoms, rng.randrange(1, len(atoms) + 1)))
 
 
 # --- empirical measures ------------------------------------------------------
@@ -184,11 +246,49 @@ def test_prokhorov_bounded_by_total_variation():
             assert dp == tv  # discrete metric: all inter-atom distances are 1
 
 
-def test_prokhorov_support_cap():
+def test_prokhorov_signature_binds_mu_nu_metric():
+    # callers and tracing wrappers bind the arguments by these names
+    assert list(inspect.signature(prokhorov_distance).parameters) == ["mu", "nu", "metric"]
+
+
+def test_prokhorov_matches_subset_tables_mid_size():
+    rng = random.Random(37)
+    for n in range(7, 14):
+        for kind in ("discrete", "line", "grid"):
+            if kind == "grid":
+                atoms = rng.sample([(i, j) for i in range(5) for j in range(5)], n)
+                metric = grid_metric(Fraction(1, rng.choice([3, 5, 10])))
+            else:
+                atoms = list(range(n))
+                points = {a: Fraction(rng.randrange(0, 2 * n), 2 * n) for a in atoms}
+                metric = line_metric(points) if kind == "line" else discrete_metric
+            # full supports overlapping in at least two atoms, n atoms jointly
+            cut = rng.randrange(1, n)
+            mu = full_measure(rng, atoms[: cut + 1])
+            nu = full_measure(rng, atoms[cut - 1 :] if rng.random() < 0.5 else atoms)
+            expected = subset_table_oracle(mu, nu, metric)
+            assert prokhorov_distance(mu, nu, metric) == expected, (n, kind)
+            assert prokhorov_distance(nu, mu, metric) == expected, (n, kind)
+
+
+def test_prokhorov_large_support_uniform_vs_point_mass():
+    # 16 atoms, beyond any subset search: D_P = TV = 15/16 under the discrete metric
     atoms = [f"a{i}" for i in range(16)]
     mu = EmpiricalMeasure(tuple((a, Fraction(1, 16)) for a in atoms))
-    with pytest.raises(SupportTooLarge):
-        prokhorov_distance(mu, EmpiricalMeasure.point_mass("a0"))
+    delta = EmpiricalMeasure.point_mass("a0")
+    assert prokhorov_distance(mu, delta) == Fraction(15, 16) == total_variation(mu, delta)
+    assert prokhorov_distance(delta, mu) == Fraction(15, 16)
+
+
+def test_prokhorov_large_support_shifted_uniform():
+    # uniform on {0..39} against uniform on {1..40} with metric |a - b|·h:
+    # moving everything by one costs h, leaving the mass at 0 costs 1/40
+    mu = EmpiricalMeasure(tuple((a, Fraction(1, 40)) for a in range(40)))
+    nu = EmpiricalMeasure(tuple((a, Fraction(1, 40)) for a in range(1, 41)))
+    for h in (Fraction(1, 100), Fraction(1, 10)):
+        metric = lambda a, b, h=h: abs(a - b) * h
+        assert prokhorov_distance(mu, nu, metric) == min(h, Fraction(1, 40))
+        assert prokhorov_distance(nu, mu, metric) == min(h, Fraction(1, 40))
 
 
 # --- hausdorff ---------------------------------------------------------------
@@ -201,6 +301,19 @@ def test_hausdorff_examples():
     assert hausdorff_distance(A, A) == 0
     assert hausdorff_distance(A, B) == 1
     assert hausdorff_distance((da,), (db,)) == prokhorov_distance(da, db)
+
+
+def test_hausdorff_matches_both_directed_passes():
+    # one matrix read both ways equals the two directed sup-inf passes
+    rng = random.Random(41)
+    atoms = list(range(6))
+    metric = line_metric({a: Fraction(a, 5) for a in atoms})
+    for _ in range(10):
+        A = [random_measure(rng, atoms) for _ in range(rng.randrange(1, 4))]
+        B = [random_measure(rng, atoms) for _ in range(rng.randrange(1, 4))]
+        d_ab = max(min(prokhorov_distance(mu, nu, metric) for nu in B) for mu in A)
+        d_ba = max(min(prokhorov_distance(nu, mu, metric) for mu in A) for nu in B)
+        assert hausdorff_distance(A, B, metric) == max(d_ab, d_ba) == hausdorff_distance(B, A, metric)
 
 
 def test_hausdorff_bounded_by_disagreement_density():

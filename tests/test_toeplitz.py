@@ -398,6 +398,16 @@ def test_krieger_needs_depth():
         krieger_construct(Fraction(1, 2), make_chain(1, [2]), BINARY, stages=2)
 
 
+def test_krieger_too_shallow_message_is_bounded():
+    # the fourth stage on the dyadic-12 chain would need 2^2048 copies of F_11;
+    # the message names the power rather than printing its 617 digits
+    chain = make_chain(1, [2 ** i for i in range(1, 13)])
+    with pytest.raises(ChainTooShallow) as info:
+        krieger_construct(Fraction(1, 2), chain, BINARY, stages=4)
+    message = str(info.value)
+    assert "2^2048" in message and len(message) < 200
+
+
 def test_krieger_regularity_stays_away_from_one():
     result = krieger_construct(Fraction(1, 2), CHAIN8, BINARY, stages=2)
     prof = regularity_profile(result.skeleton, result.levels[-1])
