@@ -17,6 +17,13 @@ from .suites import SUITES
 
 DEFAULT_SCALES = [2, 4, 8, 16, 32, 64, 128, 256]
 
+# flags copied into params under their own names; the order is the order of
+# the params echo in every report
+DIRECT_PARAMS = (
+    "depth", "window", "level", "level_lo", "level_hi", "letter", "metric", "block_level",
+    "boxes", "eps", "gamma", "alphabet_size", "stages", "action", "t", "suite",
+)
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", help="JSON experiment spec file")
@@ -112,25 +119,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.config:
         doc["configs"] = [json.loads(c) for c in args.config]
     params = doc.setdefault("params", {})
-    direct = {
-        "depth": args.depth,
-        "window": args.window,
-        "level": getattr(args, "level", None),
-        "level_lo": getattr(args, "level_lo", None),
-        "level_hi": getattr(args, "level_hi", None),
-        "letter": getattr(args, "letter", None),
-        "metric": getattr(args, "metric", None),
-        "block_level": getattr(args, "block_level", None),
-        "boxes": getattr(args, "boxes", None),
-        "eps": getattr(args, "eps", None),
-        "gamma": getattr(args, "gamma", None),
-        "alphabet_size": getattr(args, "alphabet_size", None),
-        "stages": getattr(args, "stages", None),
-        "action": getattr(args, "action", None),
-        "t": getattr(args, "t", None),
-        "suite": getattr(args, "suite", None),
-    }
-    for key, value in direct.items():
+    for key in DIRECT_PARAMS:
+        value = getattr(args, key, None)
         if value is not None:
             params[key] = value
     if getattr(args, "t_grid", None):

@@ -18,8 +18,10 @@ pattern of x at g+h to g.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ChainMismatch, InexactVariant, UnknownMembership
@@ -170,6 +172,17 @@ class Periodic:
     def rank(self) -> int:
         return self.chain.rank
 
+    @property
+    def max_level(self) -> int:
+        return self.level
+
+    def value_table(self, level: int) -> dict[Element, Letter]:
+        """The word lifted to F_level, one entry per H_level-coset."""
+        if level < self.level:
+            raise ValueError(f"need level >= {self.level} to tabulate")
+        q = self.chain.scale(self.level)
+        return {f: self.word[tuple(c % q for c in f)] for f in self.chain.domain(level)}
+
 
 @dataclass(frozen=True)
 class ToeplitzTable:
@@ -241,13 +254,9 @@ class ToeplitzTable:
                 table[add(r, v)] = a
         return table
 
-    def unresolved_set(self, level: int) -> CosetSet:
-        table = self.value_table(level)
-        return CosetSet(self.chain, level, frozenset(f for f, v in table.items() if v is None))
-
     def fully_resolved(self, level: int | None = None) -> bool:
         level = self.max_level if level is None else level
-        return not self.unresolved_set(level).reps
+        return None not in self.value_table(level).values()
 
 
 def _level_index(chain: SubgroupChain, assignments) -> dict[int, dict[Element, Letter]]:
@@ -366,19 +375,16 @@ def _exact_chain(x: Configuration) -> SubgroupChain:
 def _constant_cosets(x: Configuration, n: int) -> dict[Element, Letter]:
     """{f: a} for each f in F_n whose whole H_n-coset is known and constantly a.
 
-    The coset f + H_n is sampled as the window H_n ∩ F_depth at f, where x
-    is coset-constant at level depth.
+    x is coset-constant at level depth = max(n, max_level), so the coset
+    f + H_n is sampled by the cells of F_depth congruent to f mod q_n.
     """
     chain = _exact_chain(x)
     chain._check_level(n)
-    depth = max(n, x.level if isinstance(x, Periodic) else x.max_level)
-    reps = chain.domain(n)
-    cosets = _windows(lambda g: evaluate(x, g), chain.subgroup_in_domain(n, depth), reps)
-    found = {}
-    for f, values in zip(reps, map(set, cosets)):
-        if len(values) == 1 and None not in values:
-            found[f] = values.pop()
-    return found
+    q = chain.scale(n)
+    values: dict[Element, set] = {}
+    for g, a in x.value_table(max(n, x.max_level)).items():
+        values.setdefault(tuple(c % q for c in g), set()).add(a)
+    return {f: vs.pop() for f, vs in values.items() if len(vs) == 1 and None not in vs}
 
 
 def per_set(x: Configuration, n: int) -> CosetSet:
@@ -427,13 +433,6 @@ class SampledDisagreement:
     flags: Mapping[Element, bool | None]
 
 
-def _full_table(x: Periodic | ToeplitzTable, level: int) -> dict[Element, Letter | None]:
-    if isinstance(x, Periodic):
-        chain = x.chain
-        return {f: x.word[chain.coset_rep(f, x.level)] for f in chain.domain(level)}
-    return x.value_table(level)
-
-
 def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | None = None):
     """Where two configurations differ.
 
@@ -447,9 +446,8 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
             if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
                 raise ChainMismatch("coset tables use different chains")
         else:
-            lev = lambda c: c.level if isinstance(c, Periodic) else c.max_level
-            level = max(lev(x), lev(z))
-            tx, tz = _full_table(x, level), _full_table(z, level)
+            level = max(x.max_level, z.max_level)
+            tx, tz = x.value_table(level), z.value_table(level)
             confirmed, unresolved = [], []
             for f in x.chain.domain(level):
                 a, b = tx[f], tz[f]
@@ -488,8 +486,8 @@ def require_known(value: Letter | None, g: Element) -> Letter:
 # ---------------------------------------------------------------------------
 
 
-def geometric_box_lengths(eps: Fraction, count: int, base: int = 1) -> list[int]:
-    """Box lengths L_n with L_n/L_{n+1} → 1-eps: L_{n+1} = round(L_n/(1-eps)).
+def geometric_box_lengths(eps: Fraction, count: int) -> list[int]:
+    """Box lengths L_0 = 1, L_n with L_n/L_{n+1} → 1-eps: L_{n+1} = round(L_n/(1-eps)).
 
     Rounding is to the nearest integer (ties up) with a floor of L_n + 1 so
     the boxes stay strictly nested.
@@ -498,7 +496,7 @@ def geometric_box_lengths(eps: Fraction, count: int, base: int = 1) -> list[int]
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     ratio = 1 / (1 - eps)
-    lengths = [base]
+    lengths = [1]
     for _ in range(count):
         nxt = lengths[-1] * ratio
         rounded = int(nxt) + (1 if nxt - int(nxt) >= Fraction(1, 2) else 0)
@@ -506,16 +504,16 @@ def geometric_box_lengths(eps: Fraction, count: int, base: int = 1) -> list[int]
     return lengths
 
 
-def block_alternating(eps, radius: int, levels: int = 64) -> Oracle:
+def block_alternating(eps, radius: int) -> Oracle:
     """Ones on F_1 and on the odd shells F_{2n+1} \\ F_{2n} of geometric boxes.
 
-    The boxes are [0, L_n) with geometric lengths of ratio 1/(1-eps); along
+    The boxes are [0, L_n), n ≤ 64, with geometric lengths of ratio 1/(1-eps); along
     that sequence the letter-1 frequency oscillates between 1/(2-eps) (odd
     levels) and (1-eps)/(2-eps) (even levels), so the distribution measures
     split into two separated clusters.
     """
     eps = Fraction(eps)
-    lengths = geometric_box_lengths(eps, levels)
+    lengths = geometric_box_lengths(eps, 64)
 
     def rule(g: Element) -> Letter:
         (n,) = g
@@ -538,14 +536,16 @@ def block_alternating(eps, radius: int, levels: int = 64) -> Oracle:
     )
 
 
-def _champernowne_digit(n: int, _cache: dict = {}) -> str:
+# _BLOCK_STARTS[k - 1] is the index of the first digit of the k-bit numbers,
+# k ≤ 64: the 2^(j-1) numbers of j bits contribute j·2^(j-1) digits
+_BLOCK_STARTS = tuple(accumulate((j << (j - 1) for j in range(1, 64)), initial=0))
+
+
+def _champernowne_digit(n: int) -> str:
     """Digit n (0-based) of the binary concatenation 1 10 11 100 101 ..."""
-    digits = _cache.setdefault("digits", [])
-    nums = _cache.setdefault("next", [1])
-    while n >= len(digits):
-        digits.extend(bin(nums[0])[2:])
-        nums[0] += 1
-    return digits[n]
+    k = bisect_right(_BLOCK_STARTS, n)  # digit n lies among the k-bit numbers
+    i, r = divmod(n - _BLOCK_STARTS[k - 1], k)
+    return bin((1 << (k - 1)) + i)[2 + r]
 
 
 def champernowne_binary(radius: int) -> Oracle:

@@ -80,25 +80,20 @@ def pattern_set(
     """
     ch = _resolve_chain(x, chain)
     shape = ch.domain(n)
-    period_level = None
-    if isinstance(x, Periodic):
-        period_level = x.level
-        lookup = x.word
-    elif isinstance(x, ToeplitzTable) and x.fully_resolved():
-        period_level = x.max_level
-        lookup = x.value_table(period_level)
-    if period_level is not None:
-        # values repeat with period q_{period_level}, so one domain of
+    table = None if isinstance(x, Oracle) else x.value_table(x.max_level)
+    exact = table is not None and None not in table.values()
+    if exact:
+        # values repeat with period q = q_{max_level}, so one domain of
         # translates sees every window
-        point = lambda g: lookup[ch.coset_rep(g, period_level)]
-        translates = ch.domain(period_level)
+        q = ch.scale(x.max_level)
+        point = lambda g: table[tuple(c % q for c in g)]
+        translates = ch.domain(x.max_level)
     elif radius is None:
         raise ValueError("non-periodic configuration: supply a window radius")
     else:
         point = lambda g: require_known(evaluate(x, g), g)
-        translates = ball(x.rank if isinstance(x, Oracle) else ch.rank, radius)
+        translates = ball(x.rank, radius)
     found = frozenset(map(tuple, _windows(point, shape, translates)))
-    exact = period_level is not None
     return PatternSet(n, found, exact, None if exact else radius)
 
 

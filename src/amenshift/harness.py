@@ -26,6 +26,7 @@ from .configs import (
     config_descriptor,
     config_from_descriptor,
     evaluate,
+    geometric_box_lengths,
     per_set,
 )
 from .densities import IntervalEstimate, banach_density_exact, banach_density_windowed
@@ -283,8 +284,6 @@ def _box_sequence_from_params(chain, params) -> list:
     if kind == "linear":
         return [(n, box(1, n + 1)) for n in levels]
     if kind == "geometric":
-        from .configs import geometric_box_lengths
-
         eps = Fraction(str(params.get("eps", "1/2")))
         lengths = geometric_box_lengths(eps, max(levels))
         return [(n, box(1, lengths[n])) for n in levels]
@@ -421,8 +420,6 @@ def _run_toeplitz(spec: ExperimentSpec) -> tuple[list[dict], bool]:
         n = int(spec.params.get("level", N))
         approx = periodic_approximation(x, n)
         rep = dstar_distance(approx, x)
-        from .configs import per_set
-
         bound = 1 - per_set(x, n).density()
         good = rep.value.upper <= bound
         item = {

@@ -90,7 +90,7 @@ def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
 
 def _common_period_level(x: Configuration, z: Configuration) -> int | None:
     if isinstance(x, Periodic) and isinstance(z, Periodic) and x.chain == z.chain:
-        return max(x.level, z.level)
+        return max(x.max_level, z.max_level)
     return None
 
 

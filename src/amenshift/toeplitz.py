@@ -8,10 +8,7 @@ previous level splits into k fresh cosets of H_m (each of Banach density
 1/|F_m|), a maximal prefix of them joins D(t) subject to D*'s budget t, the
 suffix joins E(t), and at most one coset stays undecided.  The quota at
 stage m is q = max{0 ≤ l ≤ k : l/|F_m| ≤ t - D*(D(t))}, i.e. fresh cosets
-are weighted by their own density.  (The variant that weights them by 1/k
-instead is available behind ``literal_quota=True``; on the dyadic chain with
-t = 1/4 it stalls with D(t) empty and the origin in neither side, which is
-why it is not the default.)
+are weighted by their own density.
 
 Enumeration order everywhere is the canonical lexicographic order of the
 translates v in H_{m-1} ∩ F_m applied to the undecided representative, so
@@ -41,7 +38,7 @@ from .configs import (
 )
 from .entropy import EntropyEstimate, estimate_from_count
 from .errors import ChainMismatch, ChainTooShallow, InconsistentCylinders, UnresolvedCells
-from .groups import Element, SubgroupChain, add, aselem, identity, sub
+from .groups import Element, SubgroupChain, add, aselem, identity
 
 
 # ---------------------------------------------------------------------------
@@ -83,19 +80,18 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     chain._check_level(N)
     nonempty = []
     failures: list[tuple[int, Element]] = []
-    letters = x.alphabet.letters
     for n in range(1, N + 1):
-        constant = _constant_cosets(x, n)
-        nonempty.append(bool(constant))
-        by_letter = {a: frozenset(f for f, b in constant.items() if b == a) for a in letters}
-        for g in chain.domain(n):
-            if g == identity(chain.rank):
-                continue
-            shifted_equal = all(
-                frozenset(chain.coset_rep(sub(r, g), n) for r in reps) == reps
-                for reps in by_letter.values()
-            )
-            if shifted_equal:
+        label = _constant_cosets(x, n)
+        nonempty.append(bool(label))
+        q, dom = chain.scale(n), chain.domain(n)
+        # the shift by g fixes every Per_{H_n}(·, a) iff it preserves the
+        # labelling f ↦ letter (None off the periodic part): the shift is a
+        # bijection and the letter classes with the rest partition F_n
+        for g in dom[1:]:  # dom[0] is the identity
+            if all(
+                label.get(tuple((c - d) % q for c, d in zip(f, g))) == label.get(f)
+                for f in dom
+            ):
                 failures.append((n, g))
     coverage = per_set(x, N).density()
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
@@ -249,7 +245,6 @@ def psi_path(
     t,
     chain: SubgroupChain,
     depth: int | None = None,
-    literal_quota: bool = False,
 ) -> PsiPath:
     """Run the D/E split for the parameter t down to the given depth.
 
@@ -275,16 +270,14 @@ def psi_path(
     for m in range(1, depth + 1):
         fresh = [add(v, residual) for v in chain.subgroup_in_domain(m - 1, m)]
         k = len(fresh)
-        # quota_unit is what the budget comparison l·unit ≤ t - D*(D) uses;
-        # the density of each fresh coset is 1/|F_m| regardless.
-        density_unit = Fraction(1, chain.domain_size(m))
-        quota_unit = Fraction(1, k) if literal_quota else density_unit
-        budget = t - d_density
-        q = min(k, int(budget / quota_unit))  # largest l with l·quota_unit ≤ budget
+        # fresh cosets are weighted by their density 1/|F_m|; weighting them
+        # by 1/k instead stalls on the dyadic chain at t = 1/4 with D(t)
+        # empty and the origin in neither side
+        unit = Fraction(1, chain.domain_size(m))
+        q = min(k, int((t - d_density) / unit))  # largest l with l·unit ≤ t - D*(D)
         d_cosets.extend((m, f) for f in fresh[:q])
-        exact_here = d_density + q * quota_unit == t
-        d_density += q * density_unit
-        if exact_here:
+        d_density += q * unit
+        if d_density == t:
             e_cosets.extend((m, f) for f in fresh[q:])
             residual = None
             terminated = True

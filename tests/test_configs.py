@@ -220,6 +220,18 @@ def test_block_alternating_matches_shell_structure():
     assert evaluate(x, -3) == "0"
 
 
+def test_champernowne_digits_are_stateless_and_match_concatenation():
+    from amenshift.configs import _champernowne_digit
+
+    # no default-argument cache: the digit is a pure function of its index
+    assert _champernowne_digit.__defaults__ is None
+    digits = "".join(bin(k)[2:] for k in range(1, 20000))[:200000]
+    assert len(digits) == 200000
+    assert all(_champernowne_digit(n) == d for n, d in enumerate(digits))
+    x = champernowne_binary(64)
+    assert [evaluate(x, g) for g in range(-2, 8)] == list("00" + digits[:8])
+
+
 def test_descriptor_round_trip():
     for x in (
         EVENS,

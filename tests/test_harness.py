@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,31 @@ def test_determinism_byte_identical():
 def test_verify_all_report_matches_byte_identity_anchor():
     report = run(ExperimentSpec("verify", params={"suite": "all"}, seed=7))
     assert hashlib.sha256(emit(report, "json")).hexdigest() == VERIFY_ALL_SEED7_SHA256
+
+
+def verify_bytes(suite: str) -> bytes:
+    return emit(run(ExperimentSpec("verify", params={"suite": suite}, seed=7)), "json")
+
+
+def test_verify_reports_identical_from_a_thread_pool():
+    suites = ["psi", "regular", "entropy-counting"] * 2
+    serial = [verify_bytes(s) for s in suites]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(verify_bytes, suites)) == serial
+
+
+def test_verify_report_independent_of_hash_seed():
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "amenshift.cli", "verify", "--suite", "regular", "--seed", "7"],
+            capture_output=True,
+            timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    assert all(proc.returncode == 0 for proc in outputs)
+    assert outputs[0].stdout == outputs[1].stdout
 
 
 def test_timing_goes_to_field_only_on_request():

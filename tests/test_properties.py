@@ -3,6 +3,7 @@ not just the worked examples."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from amenshift.configs import (
@@ -11,17 +12,19 @@ from amenshift.configs import (
     CosetSet,
     Periodic,
     ToeplitzTable,
+    disagreement_set,
     evaluate,
     per_set,
     per_set_letter,
     shift,
 )
 from amenshift.densities import banach_density_exact, coset_membership, density_in
+from amenshift.entropy import pattern_set
 from amenshift.errors import InconsistentCylinders
-from amenshift.groups import make_chain, translate
+from amenshift.groups import identity, make_chain, sub, translate
 from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
 from amenshift.metrics import delta_star_exact, dstar_distance, weyl_upper_bound
-from amenshift.toeplitz import psi_path, regular_table, toeplitz_from_table
+from amenshift.toeplitz import psi_path, regular_table, toeplitz_from_table, verify_skeleton
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 
@@ -280,3 +283,91 @@ def test_per_set_is_disjoint_union_of_letter_sets_and_brute_force(data):
     assert sum(len(r) for r in by_letter) == len(reps)
     assert frozenset().union(*by_letter) == reps
     assert reps == brute_force_per_set(x, n, value)
+
+
+# ---------------------------------------------------------------------------
+# one period table for Periodic and ToeplitzTable
+# ---------------------------------------------------------------------------
+
+
+def shifted_letter_set_report(x, N, value):
+    """Reference skeleton check: brute-force Per sets per level, and for every
+    nonidentity g a comparison of each letter's Per set with its shift by g."""
+    chain = x.chain
+    nonempty, failures = [], []
+    for n in range(1, N + 1):
+        per = brute_force_per_set(x, n, value)
+        nonempty.append(bool(per))
+        by_letter = {a: frozenset(f for f in per if value(f) == a) for a in x.alphabet.letters}
+        for g in chain.domain(n):
+            if g == identity(chain.rank):
+                continue
+            if all(
+                frozenset(chain.coset_rep(sub(r, g), n) for r in reps) == reps
+                for reps in by_letter.values()
+            ):
+                failures.append((n, g))
+    coverage = Fraction(len(brute_force_per_set(x, N, value)), chain.domain_size(N))
+    return tuple(nonempty), coverage, tuple(failures)
+
+
+@st.composite
+def words(draw, chain, min_level=0):
+    level = draw(st.integers(min_level, chain.depth))
+    alphabet = Alphabet(("a", "b"))
+    if draw(st.booleans()):
+        letter = draw(st.sampled_from(alphabet.letters))
+        word = {f: letter for f in chain.domain(level)}
+    else:
+        word = {f: draw(st.sampled_from(alphabet.letters)) for f in chain.domain(level)}
+    return Periodic(chain, level, word, alphabet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_skeleton_matches_shifted_letter_sets(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    if data.draw(st.booleans()):
+        x = data.draw(tables(chain))
+        value = lambda g: deepest_assignment_letter(x, g)
+    else:
+        x = data.draw(words(chain))
+        value = lambda g: evaluate(x, g)
+    N = data.draw(st.integers(1, chain.depth))
+    report = verify_skeleton(x, N)
+    assert (report.nonempty, report.coverage, report.separation_failures) == (
+        shifted_letter_set_report(x, N, value)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_periodic_value_table_is_the_word_lifted(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x = data.draw(words(chain))
+    assert x.max_level == x.level
+    for level in range(x.level, chain.depth + 1):
+        table = x.value_table(level)
+        assert list(table) == list(chain.domain(level))
+        assert table == {f: evaluate(x, f) for f in chain.domain(level)}
+    for level in range(x.level):
+        with pytest.raises(ValueError):
+            x.value_table(level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_word_and_its_single_level_table_agree(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x = data.draw(words(chain, min_level=1))
+    table = ToeplitzTable(
+        chain, tuple((x.level, f, a) for f, a in x.word.items()), x.alphabet
+    )
+    assert table.fully_resolved()
+    for n in range(1, chain.depth + 1):
+        assert pattern_set(x, n) == pattern_set(table, n)
+        assert per_set(x, n) == per_set(table, n)
+    N = data.draw(st.integers(1, chain.depth))
+    assert verify_skeleton(x, N) == verify_skeleton(table, N)
+    gap = disagreement_set(x, table)
+    assert gap.confirmed.is_empty and gap.exact

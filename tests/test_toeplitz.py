@@ -119,13 +119,9 @@ def test_psi_monotone_nesting():
             assert paths[s].d_repset(n) <= paths[t].d_repset(n)
 
 
-def test_psi_literal_quota_stalls():
-    # the 1/k-weighted quota never fits a fresh coset for t = 1/4 beyond
-    # stage 1, leaving the origin undecided and the one-side empty; the
+def test_psi_density_quota_terminates_at_quarter():
+    # a 1/k-weighted quota would stall here with the one-side empty; the
     # density-weighted quota terminates exactly at depth 2
-    literal = psi_path(Fraction(1, 4), CHAIN8, depth=6, literal_quota=True)
-    assert not literal.d_cosets
-    assert literal.residual is not None
     corrected = psi_path(Fraction(1, 4), CHAIN8, depth=6)
     assert corrected.terminated and corrected.d_density == Fraction(1, 4)
     assert as_int_pairs(corrected.d_cosets) == [(2, 0)]
