@@ -192,8 +192,9 @@ class ToeplitzTable:
     coarser one must agree with it, so all assignments covering a point
     carry one letter.  Cells covered by no assignment are Unknown, and every
     aggregate over them is reported as an interval.  Membership questions
-    read ``_levels``: (q_n, {representative: letter}) per assigned level,
+    read ``_levels``: (n, q_n, {representative: letter}) per assigned level,
     coarsest first; a plain attribute, so repr, eq, hash and fields skip it.
+    No other module reads it: ``lookup`` and ``restrict`` are its interface.
     """
 
     chain: SubgroupChain
@@ -220,7 +221,7 @@ class ToeplitzTable:
         index = _level_index(self.chain, by_level)
         object.__setattr__(self, "assignments", by_level)
         object.__setattr__(
-            self, "_levels", tuple((self.chain.scale(n), reps) for n, reps in index.items())
+            self, "_levels", tuple((n, self.chain.scale(n), reps) for n, reps in index.items())
         )
 
     @property
@@ -235,11 +236,30 @@ class ToeplitzTable:
         """Letter at g, or None; nested assignments agree, so the first hit
         (coarsest level first) is the answer, at one dict probe per level."""
         g = aselem(g, self.chain.rank)
-        for q, reps in self._levels:
+        for _, q, reps in self._levels:
             a = reps.get(tuple(c % q for c in g))
             if a is not None:
                 return a
         return None
+
+    def restrict(self, level: int, rep: Element) -> list[tuple[int, Element, Letter]]:
+        """Assignments describing this table on the coset rep + H_level, rep in F_level.
+
+        An assigned coset at a level no deeper than ``level`` that contains
+        rep covers the whole target coset and is returned as one assignment
+        at ``level``; otherwise the answer is the deeper assignments whose
+        representatives reduce to rep mod q_level.
+        """
+        q = self.chain.scale(level)
+        pieces = []
+        for n, qn, reps in self._levels:
+            if qn <= q:
+                a = reps.get(tuple(c % qn for c in rep))
+                if a is not None:
+                    return [(level, rep, a)]
+            else:
+                pieces.extend((n, s, a) for s, a in reps.items() if tuple(c % q for c in s) == rep)
+        return pieces
 
     def value_table(self, level: int) -> dict[Element, Letter | None]:
         """Values on F_level, one entry per H_level-coset (Unknown = None).
@@ -254,9 +274,8 @@ class ToeplitzTable:
                 table[add(r, v)] = a
         return table
 
-    def fully_resolved(self, level: int | None = None) -> bool:
-        level = self.max_level if level is None else level
-        return None not in self.value_table(level).values()
+    def fully_resolved(self) -> bool:
+        return None not in self.value_table(self.max_level).values()
 
 
 def _level_index(chain: SubgroupChain, assignments) -> dict[int, dict[Element, Letter]]:

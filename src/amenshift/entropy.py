@@ -119,7 +119,7 @@ def entropy_estimate(
 
 
 def estimate_from_count(
-    count: int, level: int, domain_size: int, alphabet_size: int, exact: bool = False
+    count: int, level: int, domain_size: int, alphabet_size: int
 ) -> EntropyEstimate:
     return EntropyEstimate(
         level=level,
@@ -127,7 +127,7 @@ def estimate_from_count(
         pattern_count=count,
         value=math.log(count) / domain_size,
         saturated=count == alphabet_size**domain_size,
-        exact=exact,
+        exact=False,
     )
 
 

@@ -44,10 +44,6 @@ def add(g: Element, h: Element) -> Element:
     return tuple(a + b for a, b in zip(g, h))
 
 
-def neg(g: Element) -> Element:
-    return tuple(-a for a in g)
-
-
 def sub(g: Element, h: Element) -> Element:
     return tuple(a - b for a, b in zip(g, h))
 
@@ -139,9 +135,6 @@ class SubgroupChain:
             raise LevelOutOfRange(f"need n <= m, got {n} > {m}")
         qn, qm = self.scale(n), self.scale(m)
         return tuple(itertools.product(range(0, qm, qn), repeat=self.rank))
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "scales": list(self.scales)}
 
 
 def make_chain(rank: int, scales: Sequence[int]) -> SubgroupChain:

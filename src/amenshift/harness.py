@@ -50,18 +50,6 @@ from .toeplitz import (
     verify_skeleton,
 )
 
-KINDS = (
-    "density",
-    "distance",
-    "entropy",
-    "omega",
-    "path",
-    "krieger",
-    "toeplitz",
-    "verify",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     kind: str
@@ -462,6 +450,7 @@ _RUNNERS: dict[str, Callable[[ExperimentSpec], tuple[list[dict], bool]]] = {
     "toeplitz": _run_toeplitz,
     "verify": _run_verify,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:

@@ -25,7 +25,6 @@ from typing import Mapping, Sequence
 
 from .configs import (
     Alphabet,
-    CosetSet,
     Letter,
     Oracle,
     Periodic,
@@ -197,22 +196,33 @@ def toeplitz_from_table(
 class PsiPath:
     """The two-sided coset split behind Ψ(t), with its exact bookkeeping.
 
-    ``d_cosets``/``e_cosets`` hold (level, representative) pairs in
-    construction order; ``residual`` is the single still-undecided
-    representative at ``depth`` (None once the split terminated, i.e.
-    D(t) ∪ E(t) is everything).  D*(D(t)) ≤ t holds exactly at every level,
-    with t - D*(D_m(t)) < 1/|F_m| after every stage.
+    ``table`` assigns "1" on D(t) and "0" on E(t); ``residual`` is the single
+    still-undecided representative at ``depth`` (None once the split
+    terminated, i.e. D(t) ∪ E(t) is everything).  D*(D(t)) ≤ t holds exactly
+    at every level, with t - D*(D_m(t)) < 1/|F_m| after every stage.
     """
 
     t: Fraction
     chain: SubgroupChain
     depth: int
-    d_cosets: tuple[tuple[int, Element], ...]
-    e_cosets: tuple[tuple[int, Element], ...]
     residual: Element | None
-    terminated: bool
     d_density: Fraction
     table: ToeplitzTable
+
+    # the construction runs level by level and, within a level, in the
+    # lexicographic order of the fresh translates, which is the table's order
+    @property
+    def d_cosets(self) -> tuple[tuple[int, Element], ...]:
+        """D(t) as (level, representative) pairs in construction order."""
+        return tuple((lvl, r) for lvl, r, a in self.table.assignments if a == "1")
+
+    @property
+    def e_cosets(self) -> tuple[tuple[int, Element], ...]:
+        return tuple((lvl, r) for lvl, r, a in self.table.assignments if a == "0")
+
+    @property
+    def terminated(self) -> bool:
+        return self.residual is None
 
     def _repset(self, cosets, level: int) -> frozenset[Element]:
         self.chain._check_level(level)
@@ -229,10 +239,6 @@ class PsiPath:
 
     def e_repset(self, level: int) -> frozenset[Element]:
         return self._repset(self.e_cosets, level)
-
-    def d_coset_set(self, level: int | None = None) -> CosetSet:
-        level = self.depth if level is None else level
-        return CosetSet(self.chain, level, self.d_repset(level))
 
     def d_density_at(self, level: int) -> Fraction:
         return sum(
@@ -261,11 +267,9 @@ def psi_path(
     if depth < 1:
         raise ValueError("need depth at least 1")
 
-    d_cosets: list[tuple[int, Element]] = []
-    e_cosets: list[tuple[int, Element]] = []
+    assignments: list[tuple[int, Element, Letter]] = []
     d_density = Fraction(0)
     residual: Element | None = identity(chain.rank)
-    terminated = False
 
     for m in range(1, depth + 1):
         fresh = [add(v, residual) for v in chain.subgroup_in_domain(m - 1, m)]
@@ -275,49 +279,19 @@ def psi_path(
         # empty and the origin in neither side
         unit = Fraction(1, chain.domain_size(m))
         q = min(k, int((t - d_density) / unit))  # largest l with l·unit ≤ t - D*(D)
-        d_cosets.extend((m, f) for f in fresh[:q])
+        assignments.extend((m, f, "1") for f in fresh[:q])
         d_density += q * unit
         if d_density == t:
-            e_cosets.extend((m, f) for f in fresh[q:])
+            assignments.extend((m, f, "0") for f in fresh[q:])
             residual = None
-            terminated = True
             break
-        e_cosets.extend((m, f) for f in fresh[q + 1 :])
+        assignments.extend((m, f, "0") for f in fresh[q + 1 :])
         residual = fresh[q]
 
-    assignments = tuple((lvl, r, "1") for lvl, r in d_cosets) + tuple(
-        (lvl, r, "0") for lvl, r in e_cosets
-    )
-    table = ToeplitzTable(chain, assignments, Alphabet(("0", "1")))
+    table = ToeplitzTable(chain, tuple(assignments), Alphabet(("0", "1")))
     return PsiPath(
-        t=t,
-        chain=chain,
-        depth=depth,
-        d_cosets=tuple(d_cosets),
-        e_cosets=tuple(e_cosets),
-        residual=residual,
-        terminated=terminated,
-        d_density=d_density,
-        table=table,
+        t=t, chain=chain, depth=depth, residual=residual, d_density=d_density, table=table
     )
-
-
-def _select_on_coset(src: ToeplitzTable, level: int, rep: Element):
-    """Assignments describing src restricted to the coset rep + H_level."""
-    chain = src.chain
-    q = chain.scale(level)
-    for qm, reps in src._levels:
-        if qm > q:
-            break
-        a = reps.get(tuple(c % qm for c in rep))
-        if a is not None:
-            # the whole target coset sits inside one assigned coset
-            return [(level, rep, a)]
-    pieces = []
-    for lvl, s, a in src.assignments:
-        if lvl > level and chain.coset_rep(s, level) == rep:
-            pieces.append((lvl, s, a))
-    return pieces
 
 
 def toeplitz_interpolate(
@@ -337,21 +311,18 @@ def toeplitz_interpolate(
     chain = z.chain
     path = psi_path(t, chain, depth)
     pieces: list[tuple[int, Element, Letter]] = []
-    for lvl, r in path.d_cosets:
-        pieces.extend(_select_on_coset(z, lvl, r))
-    for lvl, r in path.e_cosets:
-        pieces.extend(_select_on_coset(z_prime, lvl, r))
+    for lvl, r, side in path.table.assignments:
+        pieces.extend((z if side == "1" else z_prime).restrict(lvl, r))
     if path.residual is not None:
         # on the undecided coset the mixture is determined wherever the two
-        # sources agree, whichever way the split would have gone
+        # sources agree, whichever way the split would have gone; the cells
+        # residual + v already lie in F_level
         level = max(path.depth, z.max_level, z_prime.max_level)
-        tz = z.value_table(level)
-        tzp = z_prime.value_table(level)
         for v in chain.subgroup_in_domain(path.depth, level):
             f = add(path.residual, v)
-            f = chain.coset_rep(f, level)
-            if tz[f] is not None and tz[f] == tzp[f]:
-                pieces.append((level, f, tz[f]))
+            a = z.lookup(f)
+            if a is not None and a == z_prime.lookup(f):
+                pieces.append((level, f, a))
     letters = tuple(dict.fromkeys(z.alphabet.letters + z_prime.alphabet.letters))
     return ToeplitzTable(chain, tuple(pieces), Alphabet(letters))
 
@@ -395,11 +366,7 @@ class KriegerResult:
     cells: Mapping[Element, Letter]
 
     def value_at(self, g) -> Letter | None:
-        g = aselem(g, self.chain.rank)
-        v = self.skeleton.lookup(g)
-        if v is not None:
-            return v
-        return self.cells.get(g)
+        return _block_value(self.skeleton, self.cells, aselem(g, self.chain.rank))
 
     def as_oracle(self) -> Oracle:
         """The constructed block as a boxed configuration on F_{k_last}."""
@@ -429,8 +396,13 @@ class KriegerResult:
             st.level,
             self.chain.domain_size(st.level),
             len(self.alphabet),
-            exact=False,
         )
+
+
+def _block_value(skeleton: ToeplitzTable, cells: Mapping, g: Element) -> Letter | None:
+    """The built block at g: the claimed coset's letter, else the planted cell."""
+    v = skeleton.lookup(g)
+    return cells.get(g) if v is None else v
 
 
 def meets_power_bound(count: int, exponent: Fraction, base: int) -> bool:
@@ -467,29 +439,15 @@ def krieger_construct(
 
     rank = chain.rank
     cells: dict[Element, Letter] = {identity(rank): letters[0]}  # arbitrary seed
-    # claimed cosets as {level: {representative: letter}}; claims never overlap
-    claims: dict[int, dict[Element, Letter]] = {}
-
-    def value_at(g: Element) -> Letter | None:
-        for lvl, reps in claims.items():
-            a = reps.get(chain.coset_rep(g, lvl))
-            if a is not None:
-                return a
-        return cells.get(g)
-
-    def in_claimed(g: Element) -> bool:
-        return any(chain.coset_rep(g, lvl) in reps for lvl, reps in claims.items())
-
-    levels = [0]
-    quotas = [0]  # r_0 = floor((1-gamma)·|F_0|) = 0 for gamma in (0,1)
-    claimed_per_stage: list[tuple[Element, ...]] = [()]
-    arbitrary_per_stage: list[tuple[Element, ...]] = [()]
+    # the claimed cosets of every finished stage; claims never overlap
+    skeleton = ToeplitzTable(chain, (), alphabet)
+    # the current stage's (level, quota, claimed, arbitrary); r_0 = 0 for gamma in (0,1)
+    k_n, quota, claimed, arbitrary = 0, 0, (), ()
     records: list[BuilderStage] = []
 
     for n in range(stages):
-        k_n = levels[n]
         dom = chain.domain(k_n)
-        free = [f for f in dom if not in_claimed(f)]
+        free = [f for f in dom if skeleton.lookup(f) is None]
         s_n = len(free)
         want_patterns = nletters**s_n
         existing = tuple(cells.get(f) for f in free)
@@ -520,38 +478,18 @@ def krieger_construct(
                 cells[cell] = letter
         planted = len(patterns)
 
-        windows = {tuple(w) for w in _windows(value_at, dom, translates) if None not in w}
+        block = lambda g: _block_value(skeleton, cells, g)
+        windows = {tuple(w) for w in _windows(block, dom, translates) if None not in w}
         window_count = len(windows)
         assert window_count >= want_patterns
 
-        # reserve G_{n+1} inside F_{k_next}: first r cells avoiding older claims
-        r = int((1 - gamma) * chain.domain_size(k_next) / 2 ** (n + 1))
-        reserved: list[Element] = []
-        arbitrary: list[Element] = []
-        for f in chain.domain(k_next):
-            if len(reserved) == r:
-                break
-            if in_claimed(f):
-                continue
-            val = value_at(f)
-            if val is None:
-                val = letters[0]
-                arbitrary.append(f)
-            cells[f] = val
-            claims.setdefault(k_next, {})[f] = val
-            reserved.append(f)
-
-        levels.append(k_next)
-        quotas.append(r)
-        claimed_per_stage.append(tuple(reserved))
-        arbitrary_per_stage.append(tuple(arbitrary))
         records.append(
             BuilderStage(
                 index=n,
                 level=k_n,
-                quota=quotas[n],
-                claimed=claimed_per_stage[n],
-                arbitrary_cells=arbitrary_per_stage[n],
+                quota=quota,
+                claimed=claimed,
+                arbitrary_cells=arbitrary,
                 free_cells=s_n,
                 next_level=k_next,
                 planted=planted,
@@ -559,29 +497,46 @@ def krieger_construct(
             )
         )
 
+        # reserve G_{n+1} inside F_{k_next}: the first r cells avoiding older
+        # claims; the ones reserved here are distinct H_{k_next} cosets, so the
+        # skeleton takes them all at once
+        r = int((1 - gamma) * chain.domain_size(k_next) / 2 ** (n + 1))
+        reserved: list[Element] = []
+        unset: list[Element] = []
+        for f in chain.domain(k_next):
+            if len(reserved) == r:
+                break
+            if skeleton.lookup(f) is not None:
+                continue
+            if f not in cells:
+                cells[f] = letters[0]
+                unset.append(f)
+            reserved.append(f)
+        skeleton = ToeplitzTable(
+            chain, skeleton.assignments + tuple((k_next, f, cells[f]) for f in reserved), alphabet
+        )
+        k_n, quota, claimed, arbitrary = k_next, r, tuple(reserved), tuple(unset)
+
     # terminal record for the last reached level (no planting beyond it)
     records.append(
         BuilderStage(
             index=stages,
-            level=levels[-1],
-            quota=quotas[-1],
-            claimed=claimed_per_stage[-1],
-            arbitrary_cells=arbitrary_per_stage[-1],
-            free_cells=sum(1 for f in chain.domain(levels[-1]) if not in_claimed(f)),
+            level=k_n,
+            quota=quota,
+            claimed=claimed,
+            arbitrary_cells=arbitrary,
+            free_cells=sum(1 for f in chain.domain(k_n) if skeleton.lookup(f) is None),
             next_level=None,
             planted=0,
             window_count=0,
         )
     )
 
-    skeleton = ToeplitzTable(
-        chain, tuple((lvl, r, a) for lvl, reps in claims.items() for r, a in reps.items()), alphabet
-    )
     return KriegerResult(
         gamma=gamma,
         chain=chain,
         alphabet=alphabet,
-        levels=tuple(levels),
+        levels=tuple(st.level for st in records),
         stages=tuple(records),
         skeleton=skeleton,
         cells=dict(cells),

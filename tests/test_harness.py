@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -142,6 +142,13 @@ def test_verify_reports_identical_from_a_thread_pool():
     suites = ["psi", "regular", "entropy-counting"] * 2
     serial = [verify_bytes(s) for s in suites]
     with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(verify_bytes, suites)) == serial
+
+
+def test_verify_reports_identical_from_a_process_pool():
+    suites = ["psi", "regular", "entropy-counting"]
+    serial = [verify_bytes(s) for s in suites]
+    with ProcessPoolExecutor(max_workers=2) as pool:
         assert list(pool.map(verify_bytes, suites)) == serial
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from amenshift.configs import (
     BINARY,
+    _differs,
     Alphabet,
     CosetSet,
     Periodic,
@@ -18,13 +19,25 @@ from amenshift.configs import (
     per_set_letter,
     shift,
 )
-from amenshift.densities import banach_density_exact, coset_membership, density_in
+from amenshift.densities import (
+    banach_density_exact,
+    banach_density_windowed,
+    coset_membership,
+    density_in,
+)
 from amenshift.entropy import pattern_set
 from amenshift.errors import InconsistentCylinders
 from amenshift.groups import identity, make_chain, sub, translate
 from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
 from amenshift.metrics import delta_star_exact, dstar_distance, weyl_upper_bound
-from amenshift.toeplitz import psi_path, regular_table, toeplitz_from_table, verify_skeleton
+from amenshift.toeplitz import (
+    krieger_construct,
+    psi_path,
+    regular_table,
+    toeplitz_from_table,
+    toeplitz_interpolate,
+    verify_skeleton,
+)
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 
@@ -371,3 +384,136 @@ def test_word_and_its_single_level_table_agree(data):
     assert verify_skeleton(x, N) == verify_skeleton(table, N)
     gap = disagreement_set(x, table)
     assert gap.confirmed.is_empty and gap.exact
+
+
+# ---------------------------------------------------------------------------
+# the coset index as the only one: restrict, interpolation, Ψ, the builder
+# ---------------------------------------------------------------------------
+
+
+def select_on_coset_oracle(src: ToeplitzTable, level: int, rep):
+    """The former toeplitz._select_on_coset, its first loop over the assignment list."""
+    chain = src.chain
+    for lvl, r, a in src.assignments:
+        if lvl <= level and chain.coset_rep(rep, lvl) == r:
+            # the whole target coset sits inside one assigned coset
+            return [(level, rep, a)]
+    pieces = []
+    for lvl, s, a in src.assignments:
+        if lvl > level and chain.coset_rep(s, level) == rep:
+            pieces.append((lvl, s, a))
+    return pieces
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_restrict_matches_select_on_coset_oracle(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    table = data.draw(tables(chain))
+    for level in range(1, chain.depth + 1):
+        for rep in chain.domain(level):
+            assert table.restrict(level, rep) == select_on_coset_oracle(table, level, rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interpolation_is_the_pointwise_mixture(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    z, z_prime = data.draw(tables(chain)), data.draw(tables(chain))
+    t = data.draw(rationals_01)
+    depth = data.draw(st.integers(1, chain.depth))
+    mixed = toeplitz_interpolate(z, z_prime, t, depth)
+    side = psi_path(t, chain, depth).table
+    for g in chain.domain(chain.depth):
+        a, b = z.lookup(g), z_prime.lookup(g)
+        want = {"1": a, "0": b, None: a if a == b else None}[side.lookup(g)]
+        assert mixed.lookup(g) == want
+
+
+def psi_reference(t, chain, depth):
+    """The Ψ recursion with its own side lists, as it ran before the table
+    became the record: (d_cosets, e_cosets, residual, terminated, d_density)."""
+    d_cosets, e_cosets = [], []
+    d_density = Fraction(0)
+    residual, terminated = identity(chain.rank), False
+    for m in range(1, depth + 1):
+        fresh = [tuple(a + b for a, b in zip(v, residual)) for v in chain.subgroup_in_domain(m - 1, m)]
+        unit = Fraction(1, chain.domain_size(m))
+        q = min(len(fresh), int((t - d_density) / unit))
+        d_cosets.extend((m, f) for f in fresh[:q])
+        d_density += q * unit
+        if d_density == t:
+            e_cosets.extend((m, f) for f in fresh[q:])
+            residual, terminated = None, True
+            break
+        e_cosets.extend((m, f) for f in fresh[q + 1 :])
+        residual = fresh[q]
+    return tuple(d_cosets), tuple(e_cosets), residual, terminated, d_density
+
+
+TRIPLING = make_chain(1, [3, 6, 12, 24, 48])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([CHAIN, CHAIN2, TRIPLING]), rationals_01, st.data())
+def test_psi_sides_match_reference_recursion(chain, t, data):
+    depth = data.draw(st.integers(1, chain.depth))
+    p = psi_path(t, chain, depth)
+    assert (p.d_cosets, p.e_cosets, p.residual, p.terminated, p.d_density) == psi_reference(
+        t, chain, depth
+    )
+
+
+@pytest.mark.parametrize(
+    "gamma, scales, stages",
+    [
+        ("1/2", [2**k for k in range(1, 13)], 3),
+        ("1/3", [2**k for k in range(1, 13)], 2),
+        ("3/4", [3 * 2**k for k in range(0, 10)], 2),
+    ],
+)
+def test_krieger_skeleton_is_every_stage_claim(gamma, scales, stages):
+    chain = make_chain(1, scales)
+    result = krieger_construct(gamma, chain, Alphabet(("0", "1")), stages)
+    want = sorted((st_.level, f, result.cells[f]) for st_ in result.stages for f in st_.claimed)
+    assert list(result.skeleton.assignments) == want
+    assert result.levels == tuple(st_.level for st_ in result.stages)
+
+
+# ---------------------------------------------------------------------------
+# shift equivariance and the windowed D* collapse
+# ---------------------------------------------------------------------------
+
+
+def configurations(chain):
+    return st.one_of(tables(chain), words(chain))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dstar_and_exact_patterns_are_shift_equivariant(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x, z = data.draw(configurations(chain)), data.draw(configurations(chain))
+    h = tuple(data.draw(st.integers(-20, 20)) for _ in range(chain.rank))
+    hx, hz = shift(h, x), shift(h, z)
+    assert dstar_distance(hx, hz).value == dstar_distance(x, z).value
+    if isinstance(x, Periodic) or x.fully_resolved():
+        for n in range(1, chain.depth + 1):
+            ps = pattern_set(x, n)
+            assert ps.exact
+            assert pattern_set(hx, n) == ps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_windowed_dstar_collapses_to_exact_above_both_periods(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x, z = data.draw(configurations(chain)), data.draw(configurations(chain))
+    n = data.draw(st.integers(max(1, x.max_level, z.max_level), chain.depth))
+    radius = data.draw(st.integers(0, 3 if chain.rank == 1 else 1))
+    # every translate of F_n is a union of whole periods of both sides
+    windowed = banach_density_windowed(_differs(x, z), chain, n, radius)
+    exact = dstar_distance(x, z).value
+    assert (windowed.lower, windowed.upper) == (exact.lower, exact.upper)
+    if isinstance(x, Periodic) and isinstance(z, Periodic):
+        assert windowed.lower == windowed.upper
