@@ -1,5 +1,11 @@
-"""Pattern-counting entropy, the binary-entropy tail bound, and
-density-relaxed separated/spanning brute force on tiny sampled systems.
+"""Pattern-counting entropy, the binary-entropy tail bound, and exact
+density-relaxed separated/spanning numbers of small sampled systems.
+
+The separated and spanning numbers come from branch-and-bound searches over
+bitmask graphs of at most ``SYSTEM_CAP`` points: a maximum clique bounded by
+size plus remaining candidates, and a minimum dominating set that branches on
+the uncovered point with the fewest covers, bounded by chosen points plus
+⌈uncovered / widest cover⌉.
 
 Log conventions: topological entropy estimates are reported in nats
 (natural log of the pattern count over the window size), while the binary
@@ -15,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .configs import Configuration, Oracle, Periodic, ToeplitzTable, evaluate, require_known
@@ -203,7 +208,7 @@ def entropy_continuity_bound(delta, alphabet_size: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# density-relaxed separated / spanning sets, exhaustive on tiny systems
+# density-relaxed separated / spanning sets, branch and bound up to the cap
 # ---------------------------------------------------------------------------
 
 
@@ -277,7 +282,13 @@ def _check_params(sys: SampledSystem, eps, delta) -> Fraction:
 
 
 def separated_max(sys: SampledSystem, eps, delta) -> int:
-    """Largest subset in which every pair differs on more than δ|F| positions."""
+    """Largest subset in which every pair differs on more than δ|F| positions.
+
+    A maximum clique in the "differ on more than δ|F| cells" graph, found by
+    branch and bound: candidates are expanded lowest bit first, and a branch
+    stops once its size plus every remaining candidate cannot beat the best
+    clique so far (Carraghan and Pardalos, Oper. Res. Lett. 1990).
+    """
     delta = _check_params(sys, eps, delta)
     counts = _effective_counts(sys, eps)
     threshold = delta * sys.window_size
@@ -290,39 +301,63 @@ def separated_max(sys: SampledSystem, eps, delta) -> int:
 
     best = 1  # a singleton is vacuously separated
 
-    def grow(chosen_size: int, allowed: int, start: int) -> None:
+    def grow(size: int, cand: int) -> None:
+        # cand holds only points above every chosen one, so each clique is
+        # reached once, in increasing order
         nonlocal best
-        best = max(best, chosen_size)
-        i = start
-        rest = allowed >> start
-        while rest:
-            if rest & 1:
-                grow(chosen_size + 1, allowed & adj[i], i + 1)
-            rest >>= 1
-            i += 1
+        best = max(best, size)
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            cand ^= low
+            grow(size + 1, cand & adj[low.bit_length() - 1])
 
-    grow(0, (1 << m) - 1, 0)
+    grow(0, (1 << m) - 1)
     return best
 
 
 def spanning_min(sys: SampledSystem, eps, delta) -> int:
     """Smallest subset Z such that every point agrees with some z ∈ Z on more
-    than (1-δ)|F| positions."""
+    than (1-δ)|F| positions.
+
+    A minimum dominating set in the "differ on fewer than δ|F| cells" graph,
+    found by branch and bound from the whole sample (every point covers
+    itself): each step branches over the covers of the uncovered point with
+    the fewest covers (Fomin, Grandoni and Kratsch, J. ACM 2009), and a
+    branch stops once its size plus ⌈|uncovered| / widest cover⌉ cannot beat
+    the best so far.
+    """
     delta = _check_params(sys, eps, delta)
     counts = _effective_counts(sys, eps)
     threshold = delta * sys.window_size
+    if threshold == 0:
+        raise ValueError("an empty window admits no spanning set")
     m = len(sys)
+    # the diff table is symmetric, so covers[i] is both the set of points
+    # that i covers and the set of points covering i
     covers = [0] * m
     for z in range(m):
         for i in range(m):
             if counts[z][i] < threshold:
                 covers[z] |= 1 << i
-    full = (1 << m) - 1
-    for size in range(1, m + 1):
-        for subset in combinations(range(m), size):
-            mask = 0
-            for z in subset:
-                mask |= covers[z]
-            if mask == full:
-                return size
-    raise AssertionError("the whole sample always spans itself")
+    fewest = sorted(range(m), key=lambda i: covers[i].bit_count())
+    widest = max(c.bit_count() for c in covers)
+    best = m
+
+    def cover(chosen: int, uncovered: int) -> None:
+        nonlocal best
+        if not uncovered:
+            best = min(best, chosen)
+            return
+        if chosen - (-uncovered.bit_count() // widest) >= best:
+            return
+        i = next(i for i in fewest if uncovered >> i & 1)
+        options = covers[i]
+        while options:
+            low = options & -options
+            options ^= low
+            cover(chosen + 1, uncovered & ~covers[low.bit_length() - 1])
+
+    cover(0, (1 << m) - 1)
+    return best

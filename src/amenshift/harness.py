@@ -77,6 +77,11 @@ def _fail(pointer: str, message: str) -> SpecError:
     return SpecError(f"{pointer}: {message}")
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def spec_from_json(doc: Any) -> ExperimentSpec:
     """Validate a JSON experiment document; errors carry JSON-pointer paths."""
     if not isinstance(doc, dict):
@@ -89,13 +94,13 @@ def spec_from_json(doc: Any) -> ExperimentSpec:
         if not isinstance(chain, dict):
             raise _fail("/chain", "must be an object")
         rank = chain.get("rank")
-        if not isinstance(rank, int) or rank < 1:
+        if not _is_int(rank) or rank < 1:
             raise _fail("/chain/rank", "must be a positive integer")
         scales = chain.get("scales")
         if not isinstance(scales, list) or not scales:
             raise _fail("/chain/scales", "must be a nonempty array")
         for i, q in enumerate(scales):
-            if not isinstance(q, int) or q < 1:
+            if not _is_int(q) or q < 1:
                 raise _fail(f"/chain/scales/{i}", "must be a positive integer")
     configs = doc.get("configs", [])
     if not isinstance(configs, list):
@@ -107,10 +112,10 @@ def spec_from_json(doc: Any) -> ExperimentSpec:
     if not isinstance(params, dict):
         raise _fail("/params", "must be an object")
     for key in ("depth", "window", "level"):
-        if key in params and (not isinstance(params[key], int) or params[key] < 0):
+        if key in params and (not _is_int(params[key]) or params[key] < 0):
             raise _fail(f"/params/{key}", "must be a nonnegative integer")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise _fail("/seed", "must be an integer")
     return ExperimentSpec(
         kind=kind,

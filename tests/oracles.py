@@ -1,0 +1,107 @@
+"""Exhaustive reference implementations that the tests compare the library
+against.  Each one is structurally unlike the library computation it checks
+and is exponential in its input, so it only runs on small instances."""
+
+import itertools
+from fractions import Fraction
+
+from amenshift.entropy import _check_params, _effective_counts
+from amenshift.measures import discrete_metric
+
+
+# --- separated / spanning sets: plain 2^m enumeration -------------------------
+
+
+def separated_max_oracle(sys, eps, delta) -> int:
+    """Largest subset in which every pair differs on more than δ|F| positions,
+    by growing every clique of the separation graph with no bound."""
+    delta = _check_params(sys, eps, delta)
+    counts = _effective_counts(sys, eps)
+    threshold = delta * sys.window_size
+    m = len(sys)
+    adj = [0] * m
+    for i in range(m):
+        for j in range(m):
+            if i != j and counts[i][j] > threshold:
+                adj[i] |= 1 << j
+
+    best = 1  # a singleton is vacuously separated
+
+    def grow(chosen_size: int, allowed: int, start: int) -> None:
+        nonlocal best
+        best = max(best, chosen_size)
+        i = start
+        rest = allowed >> start
+        while rest:
+            if rest & 1:
+                grow(chosen_size + 1, allowed & adj[i], i + 1)
+            rest >>= 1
+            i += 1
+
+    grow(0, (1 << m) - 1, 0)
+    return best
+
+
+def spanning_min_oracle(sys, eps, delta) -> int:
+    """Smallest subset Z such that every point agrees with some z ∈ Z on more
+    than (1-δ)|F| positions, by trying every subset in size order."""
+    delta = _check_params(sys, eps, delta)
+    counts = _effective_counts(sys, eps)
+    threshold = delta * sys.window_size
+    m = len(sys)
+    covers = [0] * m
+    for z in range(m):
+        for i in range(m):
+            if counts[z][i] < threshold:
+                covers[z] |= 1 << i
+    full = (1 << m) - 1
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            mask = 0
+            for z in subset:
+                mask |= covers[z]
+            if mask == full:
+                return size
+    raise AssertionError("the whole sample always spans itself")
+
+
+# --- Prokhorov distance: literal definition over a candidate superset ---------
+
+
+def prokhorov_oracle(mu, nu, metric=discrete_metric):
+    """Least candidate ε satisfying the closed-expansion feasibility
+    μ(B) ≤ ν(B^ε) + ε and ν(B) ≤ μ(B^ε) + ε for every subset B of the joint
+    support, where the candidates are every pairwise distance and every
+    difference of a μ-subset mass and a ν-subset mass.  Each measure's 2^n
+    subset masses are summed once; structurally unlike the library's
+    max-flow."""
+    atoms = sorted(set(mu.support) | set(nu.support), key=repr)
+    subsets = [
+        c for r in range(len(atoms) + 1) for c in itertools.combinations(atoms, r)
+    ]
+    # combinations keep the atoms' order, so a closed expansion built by
+    # filtering `atoms` is itself a key of these tables
+    mu_mass = {B: sum((mu.weight(a) for a in B), Fraction(0)) for B in subsets}
+    nu_mass = {B: sum((nu.weight(a) for a in B), Fraction(0)) for B in subsets}
+
+    def feasible(eps):
+        for B in subsets:
+            grown = tuple(y for y in atoms if any(metric(a, y) <= eps for a in B))
+            if mu_mass[B] > nu_mass[grown] + eps or nu_mass[B] > mu_mass[grown] + eps:
+                return False
+        return True
+
+    mu_values, nu_values = set(mu_mass.values()), set(nu_mass.values())
+    candidates = {Fraction(0)} | {metric(a, b) for a in atoms for b in atoms}
+    candidates.update(a - b for a in mu_values for b in nu_values)
+    candidates.update(b - a for a in mu_values for b in nu_values)
+    ordered = sorted(c for c in candidates if c >= 0)
+    lo, hi = 0, len(ordered) - 1
+    assert feasible(ordered[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(ordered[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return ordered[lo]

@@ -1,9 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Expected values tagged as derived in the module docstrings come from
-independent oracles implemented here (hand recursion for the path, literal
-subset brute force for the Prokhorov metric, direct set arithmetic for the
-chain conditions); nothing asserts a number that was not recomputed.
+independent oracles implemented here or in `oracles.py` (hand recursion for
+the path, literal subset brute force for the Prokhorov metric, direct set
+arithmetic for the chain conditions); nothing asserts a number that was not
+recomputed.
 """
 
 import itertools
@@ -51,6 +52,7 @@ from amenshift.toeplitz import (
     regular_table,
     toeplitz_interpolate,
 )
+from oracles import prokhorov_oracle
 
 DYADIC8 = make_chain(1, [2, 4, 8, 16, 32, 64, 128, 256])
 
@@ -244,39 +246,6 @@ def test_criterion_08_binary_entropy_tail_bound():
 
 
 # -- criterion 9 ---------------------------------------------------------------
-
-
-def prokhorov_oracle(mu, nu, metric=discrete_metric):
-    """Exhaustive-subset brute force straight from the definition."""
-    atoms = sorted(set(mu.support) | set(nu.support), key=repr)
-    subsets = [
-        c for r in range(len(atoms) + 1) for c in itertools.combinations(atoms, r)
-    ]
-
-    def mass(measure, subset):
-        return sum((measure.weight(a) for a in subset), Fraction(0))
-
-    def feasible(eps):
-        for B in subsets:
-            grown = tuple(y for y in atoms if any(metric(a, y) <= eps for a in B))
-            if mass(mu, B) > mass(nu, grown) + eps or mass(nu, B) > mass(mu, grown) + eps:
-                return False
-        return True
-
-    candidates = {Fraction(0)} | {metric(a, b) for a in atoms for b in atoms}
-    for B in subsets:
-        for S in subsets:
-            candidates.add(mass(mu, B) - mass(nu, S))
-            candidates.add(mass(nu, B) - mass(mu, S))
-    ordered = sorted(c for c in candidates if c >= 0)
-    lo, hi = 0, len(ordered) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
 
 
 def _random_measure(rng, atoms):

@@ -19,6 +19,7 @@ from amenshift.entropy import (
 )
 from amenshift.errors import DeltaOutOfRange, SystemTooLarge, UnknownMembership
 from amenshift.groups import make_chain
+from oracles import separated_max_oracle, spanning_min_oracle
 
 CHAIN = make_chain(1, [2, 4, 8, 16, 32, 64])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
@@ -192,3 +193,53 @@ def test_system_cap():
     sys = SampledSystem.from_points(pts)
     with pytest.raises(SystemTooLarge):
         separated_max(sys, Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(SystemTooLarge):
+        spanning_min(sys, Fraction(1, 2), Fraction(1, 3))
+    # the cap itself still runs: two classes, each within itself identical
+    at_cap = SampledSystem.from_points(pts[:20])
+    assert separated_max(at_cap, Fraction(1, 2), Fraction(1, 3)) == 2
+    assert spanning_min(at_cap, Fraction(1, 2), Fraction(1, 3)) == 2
+
+
+def test_spanning_empty_window_has_no_spanning_set():
+    # no point agrees with any other on more than (1 - δ)·0 = 0 positions
+    sys = SampledSystem.from_points([(), ()])
+    assert separated_max(sys, Fraction(1, 2), Fraction(1, 2)) == 1
+    with pytest.raises(ValueError):
+        spanning_min(sys, Fraction(1, 2), Fraction(1, 2))
+
+
+def _search_cases():
+    """(label, system) pairs: random systems and the structured shapes."""
+    rng = random.Random(29)
+    for t in range(160):
+        m = rng.randrange(1, 15)
+        size = rng.randrange(1, 11)
+        letters = "01" if t % 3 else "012"
+        pts = [tuple(rng.choice(letters) for _ in range(size)) for _ in range(m)]
+        yield f"random {t}", SampledSystem.from_points(pts)
+    for m in (2, 9, 14):
+        # distinct points: at δ|F| = 1/2 every pair is separated (the bench shape)
+        words = rng.sample(range(2**8), m)
+        yield f"complete m={m}", SampledSystem.from_points([format(w, "08b") for w in words])
+        yield f"identical m={m}", SampledSystem.from_points(["0110"] * m)
+        dup = [tuple(rng.choice("01") for _ in range(6)) for _ in range((m + 1) // 2)]
+        yield f"duplicated m={m}", SampledSystem.from_points((dup * 2)[:m])
+    yield "single", SampledSystem.from_points(["101"])
+    # every pair differs on exactly two cells: no edges in the separation
+    # graph once δ|F| >= 2, and one point covers all once δ|F| > 2
+    yield "one-hot", SampledSystem.from_points(
+        [tuple("1" if i == j else "0" for i in range(10)) for j in range(10)]
+    )
+
+
+def test_searches_match_exhaustive_oracles():
+    for label, sys in _search_cases():
+        size = sys.window_size
+        # the half-integer grid (2j+1)/(2|F|), the integer grid j/|F| and δ = 1
+        deltas = [Fraction(k, 2 * size) for k in range(1, 2 * size + 1)]
+        for eps in (Fraction(1, 2), Fraction(3, 2)):
+            for delta in deltas:
+                case = (label, eps, delta)
+                assert separated_max(sys, eps, delta) == separated_max_oracle(sys, eps, delta), case
+                assert spanning_min(sys, eps, delta) == spanning_min_oracle(sys, eps, delta), case

@@ -182,6 +182,24 @@ def test_schema_errors_carry_json_pointers():
         spec_from_json({"kind": "path", "seed": "x"})
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"chain": {"rank": true, "scales": [2]}}', "/chain/rank: must be a positive integer"),
+        ('{"chain": {"rank": 1, "scales": [2, true]}}', "/chain/scales/1: must be a positive integer"),
+        ('{"params": {"depth": true}}', "/params/depth: must be a nonnegative integer"),
+        ('{"params": {"window": false}}', "/params/window: must be a nonnegative integer"),
+        ('{"params": {"level": true}}', "/params/level: must be a nonnegative integer"),
+        ('{"seed": true}', "/seed: must be an integer"),
+    ],
+)
+def test_schema_rejects_json_booleans_as_integers(doc, message):
+    spec = {"kind": "verify", **json.loads(doc)}
+    with pytest.raises(SpecError) as caught:
+        spec_from_json(spec)
+    assert str(caught.value) == message
+
+
 def test_verify_kind_runs_named_suite():
     spec = spec_from_json({"kind": "verify", "params": {"suite": "es-binomial"}, "seed": 1})
     report = run(spec)

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import random
 from fractions import Fraction
 
@@ -19,53 +18,13 @@ from amenshift.measures import (
     total_variation,
 )
 from amenshift.metrics import dstar_distance
+from oracles import prokhorov_oracle
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
 
 
-# --- independent oracle: literal definition over a candidate superset -------
-
-
-def prokhorov_oracle(mu, nu, metric=discrete_metric):
-    """Least candidate satisfying the closed-expansion feasibility, where the
-    candidates are all subset mass differences against all subsets plus all
-    pairwise distances.  Structurally unlike the library computation."""
-    atoms = sorted(set(mu.support) | set(nu.support), key=repr)
-    subsets = []
-    for r in range(len(atoms) + 1):
-        subsets.extend(itertools.combinations(atoms, r))
-
-    def mass(measure, subset):
-        return sum((measure.weight(a) for a in subset), Fraction(0))
-
-    def feasible(eps):
-        for B in subsets:
-            expanded = tuple(
-                y for y in atoms if any(metric(x, y) <= eps for x in B)
-            )
-            if mass(mu, B) > mass(nu, expanded) + eps:
-                return False
-            if mass(nu, B) > mass(mu, expanded) + eps:
-                return False
-        return True
-
-    candidates = {Fraction(0)}
-    candidates.update(metric(a, b) for a in atoms for b in atoms)
-    for B in subsets:
-        for S in subsets:
-            candidates.add(mass(mu, B) - mass(nu, S))
-            candidates.add(mass(nu, B) - mass(mu, S))
-    ordered = sorted(c for c in candidates if c >= 0)
-    lo, hi = 0, len(ordered) - 1
-    assert feasible(ordered[hi])
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(ordered[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return ordered[lo]
+# --- independent oracle: the subset tables the library used to build -------
 
 
 def subset_table_oracle(mu, nu, metric=discrete_metric):
