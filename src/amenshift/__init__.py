@@ -52,7 +52,6 @@ from .groups import (
     SubgroupChain,
     ball,
     box,
-    box_sequence,
     folner_invariance_ratio,
     folner_set,
     make_chain,

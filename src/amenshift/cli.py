@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 One subcommand per experiment kind; specs may come from a JSON file
-(--spec) or entirely from flags, flags winning on conflict.  Exit code 0
+(--spec) or entirely from flags, flags winning on conflict; a flag's
+default fills only a key the spec file leaves out.  Exit code 0
 iff every assertion in the report passed.
 """
 
@@ -23,6 +24,12 @@ DIRECT_PARAMS = (
     "depth", "window", "level", "level_lo", "level_hi", "letter", "metric", "block_level",
     "boxes", "eps", "gamma", "alphabet_size", "stages", "action", "t", "suite",
 )
+
+# defaults of direct flags; one fills its key only when neither the flag nor
+# the spec file sets it
+FLAG_DEFAULTS = {
+    "metric": "dstar", "boxes": "chain", "alphabet_size": 2, "stages": 2, "suite": "all",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -54,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="pseudometric between two configurations")
     _add_common(p)
-    p.add_argument("--metric", choices=("dstar", "weyl", "besicovitch", "dwprime"), default="dstar")
+    p.add_argument("--metric", choices=("dstar", "weyl", "besicovitch", "dwprime"))
     p.add_argument("--level", type=int)
     p.add_argument("--level-lo", type=int)
     p.add_argument("--level-hi", type=int)
@@ -68,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega", help="empirical-measure trace along nested boxes")
     _add_common(p)
-    p.add_argument("--boxes", choices=("chain", "linear", "geometric"), default="chain")
+    p.add_argument("--boxes", choices=("chain", "linear", "geometric"))
     p.add_argument("--eps", help="geometric ratio parameter (rational)")
     p.add_argument("--level-lo", type=int)
     p.add_argument("--level-hi", type=int)
@@ -80,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("krieger", help="positive-entropy table construction")
     _add_common(p)
     p.add_argument("--gamma", help="entropy fraction in (0,1), rational")
-    p.add_argument("--alphabet-size", type=int, default=2)
-    p.add_argument("--stages", type=int, default=2)
+    p.add_argument("--alphabet-size", type=int)
+    p.add_argument("--stages", type=int)
 
     p = sub.add_parser("toeplitz", help="skeleton / regularity / approximation on a table")
     _add_common(p)
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="bundled verification suites")
     _add_common(p)
-    p.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)} or all")
+    p.add_argument("--suite", help=f"one of {', '.join(SUITES)} or all")
 
     return parser
 
@@ -121,6 +128,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     params = doc.setdefault("params", {})
     for key in DIRECT_PARAMS:
         value = getattr(args, key, None)
+        if value is None and key not in params and hasattr(args, key):
+            value = FLAG_DEFAULTS.get(key)
         if value is not None:
             params[key] = value
     if getattr(args, "t_grid", None):

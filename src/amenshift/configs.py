@@ -24,16 +24,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import ChainMismatch, InexactVariant, UnknownMembership
-from .groups import (
-    Element,
-    FiniteSubset,
-    SubgroupChain,
-    add,
-    aselem,
-    rect,
-    sub,
-)
+from .errors import ChainMismatch, InconsistentCylinders, InexactVariant, UnknownMembership
+from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, sub
 
 UNKNOWN = None
 
@@ -131,10 +123,6 @@ class CosetSet:
         a, b = self._aligned(other)
         return CosetSet(a.chain, a.level, a.reps | b.reps)
 
-    def intersect(self, other: "CosetSet") -> "CosetSet":
-        a, b = self._aligned(other)
-        return CosetSet(a.chain, a.level, a.reps & b.reps)
-
     def difference(self, other: "CosetSet") -> "CosetSet":
         a, b = self._aligned(other)
         return CosetSet(a.chain, a.level, a.reps - b.reps)
@@ -188,13 +176,14 @@ class Periodic:
 class ToeplitzTable:
     """Coset assignments (level n ≥ 1, representative in F_n, letter).
 
-    Assignments at equal level are disjoint; an assignment nested inside a
-    coarser one must agree with it, so all assignments covering a point
-    carry one letter.  Cells covered by no assignment are Unknown, and every
-    aggregate over them is reported as an interval.  Membership questions
-    read ``_levels``: (n, q_n, {representative: letter}) per assigned level,
-    coarsest first; a plain attribute, so repr, eq, hash and fields skip it.
-    No other module reads it: ``lookup`` and ``restrict`` are its interface.
+    An assignment inside a coarser or equal one must agree with it, so all
+    assignments covering a point carry one letter; a conflict raises
+    ``InconsistentCylinders``.  Cells covered by no assignment are Unknown,
+    and every aggregate over them is reported as an interval.  Membership
+    questions read ``_levels``: (n, q_n, {representative: letter}) per
+    assigned level, coarsest first; a plain attribute, so repr, eq, hash and
+    fields skip it.  No other module reads it: ``lookup`` and ``restrict``
+    are its interface.
     """
 
     chain: SubgroupChain
@@ -202,27 +191,31 @@ class ToeplitzTable:
     alphabet: Alphabet
 
     def __post_init__(self):
-        seen: dict[tuple[int, Element], Letter] = {}
-        normalized = []
+        distinct = set()
         for level, r, a in self.assignments:
             if not 1 <= level <= self.chain.depth:
                 raise ValueError(f"assignment level {level} outside 1..{self.chain.depth}")
             r = self.chain.coset_rep(r, level)
             if a not in self.alphabet:
                 raise ValueError(f"letter {a!r} not in alphabet")
-            key = (level, r)
-            if key in seen:
-                if seen[key] != a:
-                    raise ValueError(f"conflicting letters on coset {key}")
-                continue
-            seen[key] = a
-            normalized.append((level, r, a))
-        by_level = tuple(sorted(normalized))
-        index = _level_index(self.chain, by_level)
+            distinct.add((level, r, a))
+        by_level = tuple(sorted(distinct))
+        # coarsest first, each assignment is checked against every coarser or
+        # equal level already indexed, so one coset given two letters is
+        # caught like a nested conflict
+        levels: list[tuple[int, int, dict[Element, Letter]]] = []
+        for n, r, a in by_level:
+            if not levels or levels[-1][0] != n:
+                levels.append((n, self.chain.scale(n), {}))
+            for m, q, reps in levels:
+                rm = tuple(c % q for c in r)
+                if reps.get(rm, a) != a:
+                    raise InconsistentCylinders(
+                        f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
+                    )
+            levels[-1][2][r] = a
         object.__setattr__(self, "assignments", by_level)
-        object.__setattr__(
-            self, "_levels", tuple((n, self.chain.scale(n), reps) for n, reps in index.items())
-        )
+        object.__setattr__(self, "_levels", tuple(levels))
 
     @property
     def rank(self) -> int:
@@ -278,29 +271,14 @@ class ToeplitzTable:
         return None not in self.value_table(self.max_level).values()
 
 
-def _level_index(chain: SubgroupChain, assignments) -> dict[int, dict[Element, Letter]]:
-    """{level: {rep: letter}} of distinct assignments sorted by level; raises
-    ValueError when one lies inside a coarser one with another letter."""
-    index: dict[int, dict[Element, Letter]] = {}
-    for ln, rn, an in assignments:
-        for lm, reps in index.items():
-            if lm < ln:
-                rm = chain.coset_rep(rn, lm)
-                if reps.get(rm, an) != an:
-                    raise ValueError(
-                        f"level-{ln} assignment at {rn} conflicts with level-{lm} at {rm}"
-                    )
-        index.setdefault(ln, {})[rn] = an
-    return index
-
-
 @dataclass(frozen=True)
 class Oracle:
     """A rule on a declared box [lo, hi]; Unknown outside, never a guess.
 
     Exists to express hand-built counterexample configurations; exact Per
     sets and densities are undecidable from a bounded window, so the exact
-    operations reject this variant.
+    operations reject this variant.  Its ``chain`` is None: the one test by
+    which every exact operation tells coset-structured configurations apart.
     """
 
     rank: int
@@ -319,11 +297,13 @@ class Oracle:
         if any(a > b for a, b in zip(self.lo, self.hi)):
             raise ValueError("declared box is empty")
 
+    @property
+    def chain(self) -> None:
+        """No subgroup chain: a property, so repr, eq, hash and fields skip it."""
+        return None
+
     def in_box(self, g: Element) -> bool:
         return all(a <= c <= b for a, c, b in zip(self.lo, g, self.hi))
-
-    def box_elements(self) -> FiniteSubset:
-        return rect(self.lo, self.hi)
 
 
 Configuration = Periodic | ToeplitzTable | Oracle
@@ -386,7 +366,7 @@ def shift(h, x: Configuration) -> Configuration:
 
 
 def _exact_chain(x: Configuration) -> SubgroupChain:
-    if isinstance(x, Oracle):
+    if x.chain is None:
         raise InexactVariant("exact Per sets are undecidable from a bounded window")
     return x.chain
 
@@ -459,25 +439,22 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
     coset tables over the same chain; otherwise a window must be supplied and
     a :class:`SampledDisagreement` over it is returned.
     """
-    exact_kinds = (Periodic, ToeplitzTable)
-    if isinstance(x, exact_kinds) and isinstance(z, exact_kinds):
-        if x.chain != z.chain:
-            if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
-                raise ChainMismatch("coset tables use different chains")
-        else:
-            level = max(x.max_level, z.max_level)
-            tx, tz = x.value_table(level), z.value_table(level)
-            confirmed, unresolved = [], []
-            for f in x.chain.domain(level):
-                a, b = tx[f], tz[f]
-                if a is None or b is None:
-                    unresolved.append(f)
-                elif a != b:
-                    confirmed.append(f)
-            return CosetDisagreement(
-                CosetSet(x.chain, level, frozenset(confirmed)),
-                CosetSet(x.chain, level, frozenset(unresolved)),
-            )
+    if x.chain is not None and x.chain == z.chain:
+        level = max(x.max_level, z.max_level)
+        tx, tz = x.value_table(level), z.value_table(level)
+        confirmed, unresolved = [], []
+        for f in x.chain.domain(level):
+            a, b = tx[f], tz[f]
+            if a is None or b is None:
+                unresolved.append(f)
+            elif a != b:
+                confirmed.append(f)
+        return CosetDisagreement(
+            CosetSet(x.chain, level, frozenset(confirmed)),
+            CosetSet(x.chain, level, frozenset(unresolved)),
+        )
+    if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
+        raise ChainMismatch("coset tables use different chains")
     if window is None:
         raise ValueError("pair admits no exact disagreement set; supply a window")
     differs = _differs(x, z)
@@ -536,14 +513,10 @@ def block_alternating(eps, radius: int) -> Oracle:
 
     def rule(g: Element) -> Letter:
         (n,) = g
-        if n < 0:
-            return "0"
-        if n < lengths[1]:  # F_1
-            return "1"
-        for k in range(2, len(lengths) - 1):
-            if lengths[k] <= n < lengths[k + 1]:
-                return "1" if (k % 2 == 0) else "0"  # shell F_{k+1} \ F_k, odd k+1
-        return "0"
+        # L_{i-1} ≤ n < L_i: F_1 for i ≤ 1, the shell F_i \ F_{i-1} for i ≥ 2
+        # (ones for odd i), and 0 past the last box (i = len)
+        i = bisect_right(lengths, n)
+        return "1" if n >= 0 and (i == 0 or (i % 2 == 1 and i < len(lengths))) else "0"
 
     return Oracle(
         rank=1,

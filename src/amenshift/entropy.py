@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .configs import Configuration, Oracle, Periodic, ToeplitzTable, evaluate, require_known
-from .configs import _windows
+from .configs import Configuration, _windows, evaluate, require_known
 from .errors import DeltaOutOfRange, SystemTooLarge
 from .groups import FiniteSubset, SubgroupChain, ball
 
@@ -63,7 +62,7 @@ class EntropyEstimate:
 
 
 def _resolve_chain(x: Configuration, chain: SubgroupChain | None) -> SubgroupChain:
-    if isinstance(x, (Periodic, ToeplitzTable)):
+    if x.chain is not None:
         return x.chain
     if chain is None:
         raise ValueError("oracle configurations need an explicit chain for the shape")
@@ -85,7 +84,7 @@ def pattern_set(
     """
     ch = _resolve_chain(x, chain)
     shape = ch.domain(n)
-    table = None if isinstance(x, Oracle) else x.value_table(x.max_level)
+    table = None if x.chain is None else x.value_table(x.max_level)
     exact = table is not None and None not in table.values()
     if exact:
         # values repeat with period q = q_{max_level}, so one domain of

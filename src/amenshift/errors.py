@@ -41,8 +41,8 @@ class UnresolvedCells(AmenshiftError):
     """A coset table has Unknown cells where a total word is required."""
 
 
-class InconsistentCylinders(AmenshiftError):
-    """Overlapping odometer cylinders were assigned conflicting letters."""
+class InconsistentCylinders(AmenshiftError, ValueError):
+    """Overlapping cosets or odometer cylinders were assigned conflicting letters."""
 
 
 class ChainTooShallow(AmenshiftError):

@@ -159,13 +159,3 @@ def make_chain(rank: int, scales: Sequence[int]) -> SubgroupChain:
 def folner_set(chain: SubgroupChain, n: int) -> FiniteSubset:
     """The level-n Følner box of the chain."""
     return chain.domain(n)
-
-
-def box_sequence(rank: int, lengths: Sequence[int]) -> list[FiniteSubset]:
-    """Nested boxes [0, L)^rank for a nondecreasing length sequence."""
-    lengths = [int(L) for L in lengths]
-    if any(L <= 0 for L in lengths):
-        raise ValueError("box lengths must be positive")
-    if any(b < a for a, b in zip(lengths, lengths[1:])):
-        raise ValueError("box lengths must be nondecreasing")
-    return [box(rank, L) for L in lengths]

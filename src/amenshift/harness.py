@@ -82,6 +82,12 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# params the runners read as counts or levels
+INT_PARAMS = (
+    "depth", "window", "level", "level_lo", "level_hi", "block_level", "stages", "alphabet_size",
+)
+
+
 def spec_from_json(doc: Any) -> ExperimentSpec:
     """Validate a JSON experiment document; errors carry JSON-pointer paths."""
     if not isinstance(doc, dict):
@@ -111,7 +117,7 @@ def spec_from_json(doc: Any) -> ExperimentSpec:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise _fail("/params", "must be an object")
-    for key in ("depth", "window", "level"):
+    for key in INT_PARAMS:
         if key in params and (not _is_int(params[key]) or params[key] < 0):
             raise _fail(f"/params/{key}", "must be a nonnegative integer")
     seed = doc.get("seed", 0)

@@ -209,20 +209,15 @@ class OmegaProfile:
         return MeasureSet(self.measures)
 
 
-def omega_profile(
-    x: Configuration,
-    sets: Sequence[FiniteSubset],
-    shape: FiniteSubset | None = None,
-    metric: AtomMetric = discrete_metric,
-) -> OmegaProfile:
+def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfile:
     """Emp(x, F) along the given sets plus consecutive D_P and their nesting bounds."""
     if len(sets) < 1:
         raise ValueError("need at least one set")
-    measures = tuple(empirical_measure(x, F, shape) for F in sets)
+    measures = tuple(empirical_measure(x, F) for F in sets)
     steps = []
     bounds = []
     for prev, nxt, mp, mn in zip(sets, sets[1:], measures, measures[1:]):
-        steps.append(prokhorov_distance(mn, mp, metric))
+        steps.append(prokhorov_distance(mn, mp))
         bounds.append(Fraction(len(nxt) - len(prev), len(nxt)))
     return OmegaProfile(
         tuple(len(F) for F in sets), measures, tuple(steps), tuple(bounds)

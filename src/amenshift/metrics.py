@@ -20,7 +20,6 @@ from .configs import (
     Configuration,
     CosetDisagreement,
     Periodic,
-    ToeplitzTable,
     _differs,
     _windows,
     disagreement_set,
@@ -39,14 +38,6 @@ class PseudometricReport:
     params: dict
 
 
-def _exact_pair(x: Configuration, z: Configuration) -> bool:
-    return (
-        isinstance(x, (Periodic, ToeplitzTable))
-        and isinstance(z, (Periodic, ToeplitzTable))
-        and x.chain == z.chain
-    )
-
-
 def dstar_distance(
     x: Configuration,
     z: Configuration,
@@ -61,7 +52,7 @@ def dstar_distance(
     translate radius must be supplied (and a chain, when neither side
     carries one).
     """
-    if _exact_pair(x, z):
+    if x.chain is not None and x.chain == z.chain:
         dis = disagreement_set(x, z)
         assert isinstance(dis, CosetDisagreement)
         lower = dis.confirmed.density()
@@ -70,9 +61,7 @@ def dstar_distance(
         return PseudometricReport(value, "exact-coset", {"level": dis.confirmed.level})
     if n is None or radius is None:
         raise ValueError("non-coset pair: supply level n and window radius")
-    for side in (x, z):
-        if chain is None and isinstance(side, (Periodic, ToeplitzTable)):
-            chain = side.chain
+    chain = chain or x.chain or z.chain
     if chain is None:
         raise ValueError("two boxed oracles: supply the chain for the window shape")
     value = banach_density_windowed(_differs(x, z), chain, n, radius)

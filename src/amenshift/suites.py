@@ -128,13 +128,13 @@ def suite_psi(seed: int = 0) -> SuiteResult:
     worst = Fraction(0)
     lipschitz_ok = True
     nesting_ok = True
+    one_sides = {t: [p.d_repset(n) for n in range(1, depth + 1)] for t, p in paths.items()}
     for s, t in combinations(grid, 2):
         d = dstar_distance(paths[s].table, paths[t].table).value.upper
         lipschitz_ok = lipschitz_ok and d <= (t - s) + slack
         worst = max(worst, d - (t - s))
-        for n in range(1, depth + 1):
-            if not paths[s].d_repset(n) <= paths[t].d_repset(n):
-                nesting_ok = False
+        if not all(ds <= dt for ds, dt in zip(one_sides[s], one_sides[t])):
+            nesting_ok = False
     items.append({"check": "lipschitz-grid", "worst_excess": worst, "passed": lipschitz_ok})
     items.append({"check": "monotone-nesting", "passed": nesting_ok})
     ok = ok and lipschitz_ok and nesting_ok

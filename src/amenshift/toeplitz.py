@@ -26,14 +26,13 @@ from typing import Mapping, Sequence
 from .configs import (
     Alphabet,
     Letter,
-    Oracle,
     Periodic,
     ToeplitzTable,
     _constant_cosets,
-    _level_index,
     _windows,
     evaluate,
     per_set,
+    per_set_letter,
 )
 from .entropy import EntropyEstimate, estimate_from_count
 from .errors import ChainMismatch, ChainTooShallow, InconsistentCylinders, UnresolvedCells
@@ -96,6 +95,10 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
 
 
+# the default reading of "regular": the confirmed periodic part reaches 1 - this
+REGULARITY_TOLERANCE = Fraction(1, 1024)
+
+
 @dataclass(frozen=True)
 class RegularityProfile:
     """Exact densities of the confirmed periodic part, level by level."""
@@ -106,17 +109,14 @@ class RegularityProfile:
     regular: bool
 
 
-def regularity_profile(
-    x: Periodic | ToeplitzTable,
-    N: int,
-    tolerance: Fraction = Fraction(1, 1024),
-) -> RegularityProfile:
+def regularity_profile(x: Periodic | ToeplitzTable, N: int) -> RegularityProfile:
     """D*(Per_{H_n}(x)) for n = 1..N; flagged regular when the profile
-    reaches 1 - tolerance.  The raw profile is always returned: regularity at
-    finite depth is a judgment call and the flag is only a default reading."""
+    reaches 1 - REGULARITY_TOLERANCE.  The raw profile is always returned:
+    regularity at finite depth is a judgment call and the flag is only a
+    default reading."""
     densities = tuple(per_set(x, n).density() for n in range(1, N + 1))
-    regular = bool(densities) and densities[-1] >= 1 - tolerance
-    return RegularityProfile(tuple(range(1, N + 1)), densities, Fraction(tolerance), regular)
+    regular = bool(densities) and densities[-1] >= 1 - REGULARITY_TOLERANCE
+    return RegularityProfile(tuple(range(1, N + 1)), densities, REGULARITY_TOLERANCE, regular)
 
 
 def periodic_approximation(x: Periodic | ToeplitzTable, n: int) -> Periodic:
@@ -168,22 +168,14 @@ def toeplitz_from_table(
     """The configuration η(g) = f(φ(g)) for f constant on the given cylinders.
 
     A cylinder is named by (level k, residue in F_k).  Nested cylinders must
-    agree; overlapping cylinders of the same name are deduplicated.
+    agree; overlapping cylinders of the same name are deduplicated.  The
+    table raises InconsistentCylinders for conflicting letters.
     """
-    normalized: dict[tuple[int, Element], Letter] = {}
-    for (k, r), a in cylinder_letters.items():
+    for k, _ in cylinder_letters:
         chain._check_level(k)
         if k < 1:
             raise InconsistentCylinders("cylinder levels start at 1")
-        key = (k, chain.coset_rep(r, k))
-        if normalized.get(key, a) != a:
-            raise InconsistentCylinders(f"cylinder {key} assigned two letters")
-        normalized[key] = a
-    assignments = tuple(sorted((k, r, a) for (k, r), a in normalized.items()))
-    try:
-        _level_index(chain, assignments)
-    except ValueError as exc:
-        raise InconsistentCylinders(str(exc)) from None
+    assignments = tuple((k, r, a) for (k, r), a in cylinder_letters.items())
     return ToeplitzTable(chain, assignments, alphabet)
 
 
@@ -224,27 +216,19 @@ class PsiPath:
     def terminated(self) -> bool:
         return self.residual is None
 
-    def _repset(self, cosets, level: int) -> frozenset[Element]:
-        self.chain._check_level(level)
-        reps = set()
-        for lvl, r in cosets:
-            if lvl <= level:
-                for v in self.chain.subgroup_in_domain(lvl, level):
-                    reps.add(add(r, v))
-        return frozenset(reps)
-
+    # at every level n ≥ 1 each side is the table's Per set of its letter:
+    # stage n + 1 keeps part of the level-n residual undecided, or ends with
+    # a quota 0 < q < k that gives it cosets of both letters, so deeper
+    # cosets of one letter never make up a whole H_n-coset
     def d_repset(self, level: int) -> frozenset[Element]:
         """D_level(t) as a set of level-`level` representatives."""
-        return self._repset(self.d_cosets, level)
+        return per_set_letter(self.table, level, "1").reps
 
     def e_repset(self, level: int) -> frozenset[Element]:
-        return self._repset(self.e_cosets, level)
+        return per_set_letter(self.table, level, "0").reps
 
     def d_density_at(self, level: int) -> Fraction:
-        return sum(
-            (Fraction(1, self.chain.domain_size(lvl)) for lvl, _ in self.d_cosets if lvl <= level),
-            Fraction(0),
-        )
+        return per_set_letter(self.table, level, "1").density()
 
 
 def psi_path(
@@ -367,18 +351,6 @@ class KriegerResult:
 
     def value_at(self, g) -> Letter | None:
         return _block_value(self.skeleton, self.cells, aselem(g, self.chain.rank))
-
-    def as_oracle(self) -> Oracle:
-        """The constructed block as a boxed configuration on F_{k_last}."""
-        side = self.chain.scale(self.levels[-1])
-        return Oracle(
-            rank=self.chain.rank,
-            lo=(0,) * self.chain.rank,
-            hi=(side - 1,) * self.chain.rank,
-            rule=lambda g: self.value_at(g),
-            alphabet=self.alphabet,
-            name=f"krieger(gamma={self.gamma})",
-        )
 
     def claimed_cells_within(self, n: int) -> int:
         """Σ_{i≤n} r_i · |F_{k_n}| / |F_{k_i}|: skeleton cells inside F_{k_n}."""

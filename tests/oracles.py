@@ -1,6 +1,7 @@
-"""Exhaustive reference implementations that the tests compare the library
-against.  Each one is structurally unlike the library computation it checks
-and is exponential in its input, so it only runs on small instances."""
+"""Reference implementations that the tests compare the library against.
+Each one is structurally unlike the library computation it checks; the
+exhaustive searches are exponential in their input, so they only run on
+small instances."""
 
 import itertools
 from fractions import Fraction
@@ -105,3 +106,33 @@ def prokhorov_oracle(mu, nu, metric=discrete_metric):
         else:
             lo = mid + 1
     return ordered[lo]
+
+
+# --- Ψ's sides: the coset expansion the path kept before it read Per sets ----
+
+
+def psi_side_oracle(path, letter, level) -> frozenset:
+    """The level-`level` representatives of Ψ's `letter` side, by expanding
+    every side coset at a level no deeper than `level` to that level."""
+    reps = set()
+    for lvl, r, a in path.table.assignments:
+        if a == letter and lvl <= level:
+            for v in path.chain.subgroup_in_domain(lvl, level):
+                reps.add(tuple(c + d for c, d in zip(r, v)))
+    return frozenset(reps)
+
+
+# --- block_alternating: the per-shell scan it made before bisecting ----------
+
+
+def block_alternating_letter_oracle(lengths, n) -> str:
+    """Ones on F_1 = [0, L_1) and on the shells [L_k, L_{k+1}) with even k,
+    found by scanning the box lengths."""
+    if n < 0:
+        return "0"
+    if n < lengths[1]:
+        return "1"
+    for k in range(2, len(lengths) - 1):
+        if lengths[k] <= n < lengths[k + 1]:
+            return "1" if k % 2 == 0 else "0"
+    return "0"

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from amenshift.groups import add, ball, make_chain
 from amenshift.measures import EmpiricalMeasure, empirical_measure
 from amenshift.metrics import dstar_distance, weyl_upper_bound
 from amenshift.toeplitz import regular_table
+from oracles import block_alternating_letter_oracle
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
@@ -175,6 +177,48 @@ def test_disagreement_chain_mismatch():
         disagreement_set(t1, t2)
 
 
+def test_oracle_chain_is_none_and_not_a_field():
+    x = champernowne_binary(8)
+    assert x.chain is None
+    assert "chain" not in {f.name for f in dataclasses.fields(Oracle)}
+    assert "chain" not in repr(x)
+
+
+OTHER = make_chain(1, [3, 6])
+TABLE = regular_table(CHAIN, ("0", "1"), resolve_tail=False)
+GATE_PAIRS = {
+    "periodic/periodic": (EVENS, ZEROS, "exact"),
+    "periodic/table": (EVENS, TABLE, "exact"),
+    "table/table": (TABLE, regular_table(CHAIN, ("1", "0")), "exact"),
+    "table/table other chain": (TABLE, regular_table(OTHER, ("0", "1")), ChainMismatch),
+    "periodic/table other chain": (Periodic(OTHER, 1, dict.fromkeys(OTHER.domain(1), "0"), BINARY), TABLE, "window"),
+    "oracle/periodic": (champernowne_binary(8), EVENS, "window"),
+    "table/oracle": (TABLE, block_alternating(Fraction(1, 2), 8), "window"),
+    "oracle/oracle": (champernowne_binary(8), champernowne_binary(8), "window"),
+}
+
+
+@pytest.mark.parametrize("pair", list(GATE_PAIRS))
+def test_exactness_gate_matrix(pair):
+    # exact iff both sides carry the same chain; two tables on different
+    # chains are an error; every other pair needs a window
+    x, z, want = GATE_PAIRS[pair]
+    for a, b in ((x, z), (z, x)):
+        if want == "exact":
+            assert isinstance(disagreement_set(a, b), CosetDisagreement)
+            assert dstar_distance(a, b).basis == "exact-coset"
+        elif want == "window":
+            with pytest.raises(ValueError, match="supply a window"):
+                disagreement_set(a, b)
+            assert isinstance(disagreement_set(a, b, ball(1, 2)), SampledDisagreement)
+            with pytest.raises(ValueError, match="supply level n"):
+                dstar_distance(a, b)
+            assert dstar_distance(a, b, 1, 2, CHAIN).basis == "window-bracket"
+        else:
+            with pytest.raises(want):
+                disagreement_set(a, b)
+
+
 def test_disagreement_sampled_for_oracles():
     x = champernowne_binary(8)
     result = disagreement_set(x, ZEROS, window=ball(1, 4))
@@ -218,6 +262,15 @@ def test_block_alternating_matches_shell_structure():
     for g in range(0, 33):
         assert evaluate(x, g) == ("1" if g in expected_ones else "0")
     assert evaluate(x, -3) == "0"
+
+
+@pytest.mark.parametrize("eps", ["1/10", "1/3", "1/2", "2/3", "9/10"])
+def test_block_alternating_bisect_matches_shell_scan(eps):
+    x = block_alternating(Fraction(eps), radius=1)
+    lengths = geometric_box_lengths(Fraction(eps), 64)
+    cells = set(range(-50, 20001)) | {L + d for L in lengths for d in (-1, 0, 1)}
+    for n in sorted(cells):
+        assert x.rule((n,)) == block_alternating_letter_oracle(lengths, n), n
 
 
 def test_champernowne_digits_are_stateless_and_match_concatenation():

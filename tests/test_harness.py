@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from amenshift.cli import DEFAULT_SCALES
+from amenshift.cli import DEFAULT_SCALES, main
 from amenshift.configs import block_alternating, champernowne_binary
 from amenshift.errors import SpecError
 from amenshift.groups import make_chain
@@ -200,6 +200,15 @@ def test_schema_rejects_json_booleans_as_integers(doc, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("key", ["level_lo", "level_hi", "block_level", "stages", "alphabet_size"])
+@pytest.mark.parametrize("value", [True, 1.9, "3", -1])
+def test_schema_checks_every_integer_param(key, value):
+    with pytest.raises(SpecError) as caught:
+        spec_from_json({"kind": "verify", "params": {key: value}})
+    assert str(caught.value) == f"/params/{key}: must be a nonnegative integer"
+    spec_from_json({"kind": "verify", "params": {key: 3}})
+
+
 def test_verify_kind_runs_named_suite():
     spec = spec_from_json({"kind": "verify", "params": {"suite": "es-binomial"}, "seed": 1})
     report = run(spec)
@@ -325,6 +334,62 @@ def test_cli_malformed_spec_is_schema_error():
 def test_cli_verify_suite():
     proc = run_cli("verify", "--suite", "chain", "--seed", "0")
     assert proc.returncode == 0
+
+
+EVENS_DESC = {"variant": "periodic", "level": 1, "word": {"0": "1", "1": "0"}}
+ZEROS_DESC = {"variant": "periodic", "level": 1, "word": {"0": "0", "1": "0"}}
+DEEP_SCALES = ",".join(str(2**k) for k in range(1, 13))
+
+
+@pytest.mark.parametrize(
+    "argv, spec, check",
+    [
+        (
+            ["distance"],
+            {"configs": [EVENS_DESC, ZEROS_DESC], "params": {"metric": "besicovitch"}},
+            lambda doc: doc["items"][0]["metric"] == "besicovitch",
+        ),
+        (
+            ["omega", "--level-lo", "1", "--level-hi", "3"],
+            {"configs": [EVENS_DESC], "params": {"boxes": "linear"}},
+            lambda doc: [item["size"] for item in doc["items"]] == [2, 3, 4],
+        ),
+        (
+            ["krieger", "--stages", "1"],
+            {"params": {"alphabet_size": 3}},
+            lambda doc: doc["items"][0]["planted"] == 3**1 - 1,
+        ),
+        (
+            ["krieger", "--scales", DEEP_SCALES],
+            {"params": {"stages": 3}},
+            lambda doc: [item["stage"] for item in doc["items"]] == [0, 1, 2, 3],
+        ),
+        (
+            ["verify"],
+            {"params": {"suite": "chain"}},
+            lambda doc: {item["suite"] for item in doc["items"]} == {"chain"},
+        ),
+    ],
+    ids=["metric", "boxes", "alphabet_size", "stages", "suite"],
+)
+def test_cli_flag_defaults_leave_spec_values(tmp_path, capsys, argv, spec, check):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([*argv, "--spec", str(path)]) == 0
+    assert check(json.loads(capsys.readouterr().out))
+
+
+def test_cli_flags_win_over_spec_and_defaults_fill_in_flag_order(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"params": {"suite": "es-binomial"}}))
+    assert main(["verify", "--spec", str(path), "--suite", "chain"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert {item["suite"] for item in doc["items"]} == {"chain"}
+    # with flags alone a default takes its DIRECT_PARAMS place in the echo
+    zeros = json.dumps(ZEROS_DESC)
+    assert main(["distance", "--config", zeros, "--config", zeros, "--level", "2"]) == 0
+    params = json.loads(capsys.readouterr().out)["spec"]["params"]
+    assert list(params.items()) == [("level", 2), ("metric", "dstar")]
 
 
 def test_cli_out_file(tmp_path):

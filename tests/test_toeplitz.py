@@ -1,11 +1,18 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from amenshift.configs import Alphabet, BINARY, Periodic, ToeplitzTable, evaluate, per_set
-from amenshift.errors import ChainTooShallow, InconsistentCylinders, UnresolvedCells
+from amenshift.errors import (
+    AmenshiftError,
+    ChainTooShallow,
+    InconsistentCylinders,
+    LevelOutOfRange,
+    UnresolvedCells,
+)
 from amenshift.groups import make_chain
 from amenshift.metrics import dstar_distance
 from amenshift.toeplitz import (
@@ -21,6 +28,7 @@ from amenshift.toeplitz import (
     toeplitz_interpolate,
     verify_skeleton,
 )
+from oracles import psi_side_oracle
 
 CHAIN8 = make_chain(1, [2, 4, 8, 16, 32, 64, 128, 256])
 CHAIN4 = make_chain(1, [2, 4, 8, 16])
@@ -141,6 +149,39 @@ def test_psi_sides_exhaust_up_to_one_residual_coset():
         d_density = p.d_density
         e_density = Fraction(len(p.e_repset(8)), 256)
         assert d_density + e_density + Fraction(1, 256) >= 1
+
+
+@pytest.mark.parametrize(
+    "rank, scales",
+    [(1, [2, 4, 8, 16, 32, 64, 128, 256]), (2, [2, 4, 8, 16]), (1, [3, 6, 12, 24, 48])],
+)
+def test_psi_sides_are_per_sets_of_the_table(rank, scales):
+    # the sides read as Per sets equal the expansion of the side cosets at
+    # every level n >= 1, also below the path's depth and one level past it
+    chain = make_chain(rank, scales)
+    depth = chain.depth - 1
+    rng = random.Random(5)
+    grid = [Fraction(k, 16) for k in range(17)]
+    grid += [Fraction(rng.randrange(1, 1000), 1000) for _ in range(12)]
+    for t in grid:
+        p = psi_path(t, chain, depth)
+        for n in range(1, depth + 2):
+            d, e = psi_side_oracle(p, "1", n), psi_side_oracle(p, "0", n)
+            assert p.d_repset(n) == d
+            assert p.e_repset(n) == e
+            assert p.d_density_at(n) == Fraction(len(d), chain.domain_size(n))
+
+
+def test_psi_sides_at_level_zero():
+    # level 0 answers like every other level: at t = 1 the one side is the
+    # whole group F_0 (the expansion of level >= 1 cosets saw nothing there)
+    one, zero = psi_path(Fraction(1), CHAIN8), psi_path(Fraction(0), CHAIN8)
+    assert psi_side_oracle(one, "1", 0) == frozenset() == one.e_repset(0)
+    assert one.d_repset(0) == frozenset({(0,)}) and one.d_density_at(0) == 1
+    assert zero.d_repset(0) == frozenset() and zero.d_density_at(0) == 0
+    assert zero.e_repset(0) == frozenset({(0,)})
+    half = psi_path(Fraction(1, 2), CHAIN8)
+    assert half.d_repset(0) == half.e_repset(0) == frozenset()
 
 
 def test_psi_lipschitz_with_residual_slack():
@@ -342,6 +383,30 @@ def test_toeplitz_from_table_round_trip():
 def test_conflicting_cylinders_rejected():
     with pytest.raises(InconsistentCylinders):
         toeplitz_from_table(CHAIN4, {(1, (0,)): "a", (2, (0,)): "b"}, AB)
+
+
+@pytest.mark.parametrize(
+    "cylinders, table_error, cylinder_error",
+    [
+        ({(5, (0,)): "a"}, ValueError, LevelOutOfRange),  # level above depth 4
+        ({(0, (0,)): "a"}, ValueError, InconsistentCylinders),
+        ({(1, (0,)): "c"}, ValueError, ValueError),  # letter not in the alphabet
+        ({(1, (0,)): "a", (1, (2,)): "b"}, InconsistentCylinders, InconsistentCylinders),
+        ({(1, (0,)): "a", (2, (2,)): "b"}, InconsistentCylinders, InconsistentCylinders),
+    ],
+    ids=["above-depth", "level-0", "unknown-letter", "same-coset", "nested"],
+)
+def test_table_error_types(cylinders, table_error, cylinder_error):
+    assignments = tuple((k, r, a) for (k, r), a in cylinders.items())
+    with pytest.raises(ValueError) as table_exc:
+        ToeplitzTable(CHAIN4, assignments, AB)
+    assert table_exc.type is table_error
+    with pytest.raises((ValueError, AmenshiftError)) as cylinder_exc:
+        toeplitz_from_table(CHAIN4, cylinders, AB)
+    assert cylinder_exc.type is cylinder_error
+    # callers catching either base class keep working
+    assert issubclass(InconsistentCylinders, ValueError)
+    assert issubclass(InconsistentCylinders, AmenshiftError)
 
 
 # --- positive-entropy builder ----------------------------------------------------
