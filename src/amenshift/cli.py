@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import AmenshiftError, SpecError
-from .harness import ExperimentSpec, emit, run, spec_from_json
+from .harness import ExperimentSpec, check_document, emit, run, spec_from_json
 from .suites import SUITES
 
 DEFAULT_SCALES = [2, 4, 8, 16, 32, 64, 128, 256]
@@ -104,24 +104,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    doc: dict = {"kind": args.kind}
+    doc: dict = {}
     if args.spec:
         with open(args.spec, encoding="utf-8") as fh:
-            doc.update(json.load(fh))
-        doc["kind"] = args.kind
+            doc = json.load(fh)
+        # flags are merged into a well-formed file only
+        check_document(doc)
+    doc["kind"] = args.kind
     # flags win on conflict
     if args.chain:
         with open(args.chain, encoding="utf-8") as fh:
             doc["chain"] = json.load(fh)
     if args.rank is not None or args.scales is not None:
-        rank = args.rank if args.rank is not None else doc.get("chain", {}).get("rank", 1)
+        rank = args.rank if args.rank is not None else (doc.get("chain") or {}).get("rank", 1)
         scales = (
             [int(q) for q in args.scales.split(",")]
             if args.scales is not None
-            else doc.get("chain", {}).get("scales", DEFAULT_SCALES)
+            else (doc.get("chain") or {}).get("scales", DEFAULT_SCALES)
         )
         doc["chain"] = {"rank": rank, "scales": scales}
-    if "chain" not in doc and args.kind not in ("verify",):
+    if doc.get("chain") is None and args.kind != "verify":
         doc["chain"] = {"rank": 1, "scales": DEFAULT_SCALES}
     if args.config:
         doc["configs"] = [json.loads(c) for c in args.config]

@@ -137,24 +137,13 @@ class CosetSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Periodic:
-    """x(g) = word(g mod q_k): a total word on F_k repeated on H_k-cosets."""
+class _CosetTable:
+    """The coset index of Periodic and ToeplitzTable: ``_levels`` holds
+    (n, q_n, {representative: letter}) per assigned level, coarsest first,
+    nested entries agreeing.  A plain attribute (repr, eq, hash and fields
+    skip it) that no other module reads."""
 
-    chain: SubgroupChain
-    level: int
-    word: Mapping[Element, Letter]
-    alphabet: Alphabet
-
-    def __post_init__(self):
-        dom = self.chain.domain(self.level)
-        normalized = {aselem(k, self.chain.rank): v for k, v in self.word.items()}
-        if set(normalized) != set(dom):
-            raise ValueError(f"word must be total on the level-{self.level} domain")
-        bad = [v for v in normalized.values() if v not in self.alphabet]
-        if bad:
-            raise ValueError(f"letters {bad} not in alphabet")
-        object.__setattr__(self, "word", normalized)
+    _levels: tuple[tuple[int, int, dict[Element, Letter]], ...]
 
     @property
     def rank(self) -> int:
@@ -162,68 +151,7 @@ class Periodic:
 
     @property
     def max_level(self) -> int:
-        return self.level
-
-    def value_table(self, level: int) -> dict[Element, Letter]:
-        """The word lifted to F_level, one entry per H_level-coset."""
-        if level < self.level:
-            raise ValueError(f"need level >= {self.level} to tabulate")
-        q = self.chain.scale(self.level)
-        return {f: self.word[tuple(c % q for c in f)] for f in self.chain.domain(level)}
-
-
-@dataclass(frozen=True)
-class ToeplitzTable:
-    """Coset assignments (level n ≥ 1, representative in F_n, letter).
-
-    An assignment inside a coarser or equal one must agree with it, so all
-    assignments covering a point carry one letter; a conflict raises
-    ``InconsistentCylinders``.  Cells covered by no assignment are Unknown,
-    and every aggregate over them is reported as an interval.  Membership
-    questions read ``_levels``: (n, q_n, {representative: letter}) per
-    assigned level, coarsest first; a plain attribute, so repr, eq, hash and
-    fields skip it.  No other module reads it: ``lookup`` and ``restrict``
-    are its interface.
-    """
-
-    chain: SubgroupChain
-    assignments: tuple[tuple[int, Element, Letter], ...]
-    alphabet: Alphabet
-
-    def __post_init__(self):
-        distinct = set()
-        for level, r, a in self.assignments:
-            if not 1 <= level <= self.chain.depth:
-                raise ValueError(f"assignment level {level} outside 1..{self.chain.depth}")
-            r = self.chain.coset_rep(r, level)
-            if a not in self.alphabet:
-                raise ValueError(f"letter {a!r} not in alphabet")
-            distinct.add((level, r, a))
-        by_level = tuple(sorted(distinct))
-        # coarsest first, each assignment is checked against every coarser or
-        # equal level already indexed, so one coset given two letters is
-        # caught like a nested conflict
-        levels: list[tuple[int, int, dict[Element, Letter]]] = []
-        for n, r, a in by_level:
-            if not levels or levels[-1][0] != n:
-                levels.append((n, self.chain.scale(n), {}))
-            for m, q, reps in levels:
-                rm = tuple(c % q for c in r)
-                if reps.get(rm, a) != a:
-                    raise InconsistentCylinders(
-                        f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
-                    )
-            levels[-1][2][r] = a
-        object.__setattr__(self, "assignments", by_level)
-        object.__setattr__(self, "_levels", tuple(levels))
-
-    @property
-    def rank(self) -> int:
-        return self.chain.rank
-
-    @property
-    def max_level(self) -> int:
-        return max((lvl for lvl, _, _ in self.assignments), default=1)
+        return self._levels[-1][0] if self._levels else 1
 
     def lookup(self, g) -> Letter | None:
         """Letter at g, or None; nested assignments agree, so the first hit
@@ -257,18 +185,87 @@ class ToeplitzTable:
     def value_table(self, level: int) -> dict[Element, Letter | None]:
         """Values on F_level, one entry per H_level-coset (Unknown = None).
 
-        Requires level ≥ max assignment level so the table is coset-constant.
+        Requires level ≥ max_level so the table is coset-constant.
         """
         if level < self.max_level:
             raise ValueError(f"need level >= {self.max_level} to tabulate")
-        table: dict[Element, Letter | None] = {f: None for f in self.chain.domain(level)}
-        for lvl, r, a in self.assignments:  # by level, deepest written last
-            for v in self.chain.subgroup_in_domain(lvl, level):
-                table[add(r, v)] = a
+        table: dict[Element, Letter | None] = dict.fromkeys(self.chain.domain(level))
+        for n, _, reps in self._levels:
+            shifts = self.chain.subgroup_in_domain(n, level)
+            for r, a in reps.items():
+                for v in shifts:
+                    table[add(r, v)] = a
         return table
 
     def fully_resolved(self) -> bool:
-        return None not in self.value_table(self.max_level).values()
+        """Whether every cell is known, so x repeats with period q_max_level:
+        the one periodicity test."""
+        return all(self.lookup(f) is not None for f in self.chain.domain(self.max_level))
+
+
+@dataclass(frozen=True)
+class Periodic(_CosetTable):
+    """x(g) = word(g mod q_k): a total word on F_k repeated on H_k-cosets,
+    the coset table of one fully assigned level k (k = 0 allowed)."""
+
+    chain: SubgroupChain
+    level: int
+    word: Mapping[Element, Letter]
+    alphabet: Alphabet
+
+    def __post_init__(self):
+        dom = self.chain.domain(self.level)
+        normalized = {aselem(k, self.chain.rank): v for k, v in self.word.items()}
+        if set(normalized) != set(dom):
+            raise ValueError(f"word must be total on the level-{self.level} domain")
+        bad = [v for v in normalized.values() if v not in self.alphabet]
+        if bad:
+            raise ValueError(f"letters {bad} not in alphabet")
+        object.__setattr__(self, "word", normalized)
+        levels = ((self.level, self.chain.scale(self.level), normalized),)
+        object.__setattr__(self, "_levels", levels)
+
+
+@dataclass(frozen=True)
+class ToeplitzTable(_CosetTable):
+    """Coset assignments (level n ≥ 1, representative in F_n, letter).
+
+    An assignment inside a coarser or equal one must agree with it, so all
+    assignments covering a point carry one letter; a conflict raises
+    ``InconsistentCylinders``.  Cells covered by no assignment are Unknown,
+    and every aggregate over them is reported as an interval.
+    """
+
+    chain: SubgroupChain
+    assignments: tuple[tuple[int, Element, Letter], ...]
+    alphabet: Alphabet
+
+    def __post_init__(self):
+        distinct = set()
+        for level, r, a in self.assignments:
+            if not 1 <= level <= self.chain.depth:
+                raise ValueError(f"assignment level {level} outside 1..{self.chain.depth}")
+            r = self.chain.coset_rep(r, level)
+            if a not in self.alphabet:
+                raise ValueError(f"letter {a!r} not in alphabet")
+            distinct.add((level, r, a))
+        by_level = tuple(sorted(distinct))
+        # coarsest first, each assignment is checked against every coarser or
+        # equal level already indexed, so one coset given two letters is
+        # caught like a nested conflict
+        levels: list[tuple[int, int, dict[Element, Letter]]] = []
+        for n, r, a in by_level:
+            if not levels or levels[-1][0] != n:
+                levels.append((n, self.chain.scale(n), {}))
+            for m, q, reps in levels:
+                rm = tuple(c % q for c in r)
+                if reps.get(rm, a) != a:
+                    raise InconsistentCylinders(
+                        f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
+                    )
+            levels[-1][2][r] = a
+        object.__setattr__(self, "assignments", by_level)
+        object.__setattr__(self, "_levels", tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -311,10 +308,7 @@ Configuration = Periodic | ToeplitzTable | Oracle
 
 def evaluate(x: Configuration, g) -> Letter | None:
     """Point evaluation; returns None (Unknown) where x is undetermined."""
-    if isinstance(x, Periodic):
-        g = aselem(g, x.chain.rank)
-        return x.word[x.chain.coset_rep(g, x.level)]
-    if isinstance(x, ToeplitzTable):
+    if isinstance(x, _CosetTable):
         return x.lookup(g)
     if isinstance(x, Oracle):
         g = aselem(g, x.rank)
@@ -337,14 +331,12 @@ def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]
 def shift(h, x: Configuration) -> Configuration:
     """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved."""
     if isinstance(x, Periodic):
-        h = aselem(h, x.chain.rank)
-        word = {f: x.word[x.chain.coset_rep(add(f, h), x.level)] for f in x.word}
-        return Periodic(x.chain, x.level, word, x.alphabet)
+        h = aselem(h, x.rank)
+        return Periodic(x.chain, x.level, {f: x.lookup(add(f, h)) for f in x.word}, x.alphabet)
     if isinstance(x, ToeplitzTable):
-        h = aselem(h, x.chain.rank)
-        moved = tuple(
-            (lvl, x.chain.coset_rep(sub(r, h), lvl), a) for lvl, r, a in x.assignments
-        )
+        h = aselem(h, x.rank)
+        # the table reduces each moved representative into its F_n
+        moved = tuple((lvl, sub(r, h), a) for lvl, r, a in x.assignments)
         return ToeplitzTable(x.chain, moved, x.alphabet)
     if isinstance(x, Oracle):
         h = aselem(h, x.rank)
@@ -592,17 +584,15 @@ def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Config
     Word keys and representatives are ints or comma-joined coordinates.
     """
     variant = desc.get("variant")
+    if variant in ("periodic", "toeplitz") and chain is None:
+        raise ValueError(f"{variant} descriptor needs a chain")
     if variant == "periodic":
-        if chain is None:
-            raise ValueError("periodic descriptor needs a chain")
         word = {
             _parse_element(k, chain.rank): str(v) for k, v in desc["word"].items()
         }
         letters = tuple(sorted(set(word.values())))
         return Periodic(chain, int(desc["level"]), word, Alphabet(letters))
     if variant == "toeplitz":
-        if chain is None:
-            raise ValueError("toeplitz descriptor needs a chain")
         assignments = tuple(
             (int(n), _parse_element(rep, chain.rank), str(a))
             for n, rep, a in desc["assignments"]

@@ -77,18 +77,17 @@ def pattern_set(
 ) -> PatternSet:
     """All distinct restrictions of x to translates of the level-n box.
 
-    Periodic configurations (and fully resolved coset tables, which are
-    periodic at their deepest level) are scanned over one full period, giving
-    the complete pattern set; otherwise translates range over ball(radius)
-    and the count is a certified lower bound only.
+    Periodic (fully resolved) configurations are scanned over one full
+    period, giving the complete pattern set; otherwise translates range over
+    ball(radius) and the count is a certified lower bound only.
     """
     ch = _resolve_chain(x, chain)
     shape = ch.domain(n)
-    table = None if x.chain is None else x.value_table(x.max_level)
-    exact = table is not None and None not in table.values()
+    exact = x.chain is not None and x.fully_resolved()
     if exact:
         # values repeat with period q = q_{max_level}, so one domain of
         # translates sees every window
+        table = x.value_table(x.max_level)
         q = ch.scale(x.max_level)
         point = lambda g: table[tuple(c % q for c in g)]
         translates = ch.domain(x.max_level)

@@ -88,13 +88,11 @@ INT_PARAMS = (
 )
 
 
-def spec_from_json(doc: Any) -> ExperimentSpec:
-    """Validate a JSON experiment document; errors carry JSON-pointer paths."""
+def check_document(doc: Any) -> None:
+    """Raise SpecError, at a JSON pointer, where a document is malformed;
+    whether its kind is known and its chain present is left to spec_from_json."""
     if not isinstance(doc, dict):
         raise _fail("", "spec must be an object")
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise _fail("/kind", f"must be one of {', '.join(KINDS)}")
     chain = doc.get("chain")
     if chain is not None:
         if not isinstance(chain, dict):
@@ -120,15 +118,24 @@ def spec_from_json(doc: Any) -> ExperimentSpec:
     for key in INT_PARAMS:
         if key in params and (not _is_int(params[key]) or params[key] < 0):
             raise _fail(f"/params/{key}", "must be a nonnegative integer")
-    seed = doc.get("seed", 0)
-    if not _is_int(seed):
+    if not _is_int(doc.get("seed", 0)):
         raise _fail("/seed", "must be an integer")
+
+
+def spec_from_json(doc: Any) -> ExperimentSpec:
+    """Validate a JSON experiment document; errors carry JSON-pointer paths."""
+    check_document(doc)
+    kind = doc.get("kind")
+    if kind not in KINDS:
+        raise _fail("/kind", f"must be one of {', '.join(KINDS)}")
+    if doc.get("chain") is None and kind != "verify":
+        raise _fail("/chain", "required for every kind but verify")
     return ExperimentSpec(
         kind=kind,
-        chain=chain,
-        configs=tuple(configs),
-        params=dict(params),
-        seed=seed,
+        chain=doc.get("chain"),
+        configs=tuple(doc.get("configs", [])),
+        params=dict(doc.get("params", {})),
+        seed=doc.get("seed", 0),
     )
 
 

@@ -19,7 +19,6 @@ from .configs import (
     Alphabet,
     Configuration,
     CosetDisagreement,
-    Periodic,
     _differs,
     _windows,
     disagreement_set,
@@ -78,20 +77,21 @@ def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
 
 
 def _common_period_level(x: Configuration, z: Configuration) -> int | None:
-    if isinstance(x, Periodic) and isinstance(z, Periodic) and x.chain == z.chain:
+    if x.chain is not None and x.chain == z.chain and x.fully_resolved() and z.fully_resolved():
         return max(x.max_level, z.max_level)
     return None
 
 
-def delta_star_exact(x: Periodic, z: Periodic, F: FiniteSubset) -> int:
+def delta_star_exact(x: Configuration, z: Configuration, F: FiniteSubset) -> int:
     """Δ*_F(x,z) = sup_g Σ_{f∈F} ρ(x_{f+g}, z_{f+g}), exact by one full period scan.
 
-    The summand is periodic in g with period q_p, so the sup over the whole
+    Both sides must be fully resolved over one chain (every Periodic is); the
+    summand is then periodic in g with period q_p, so the sup over the whole
     group is attained on F_p.
     """
     p = _common_period_level(x, z)
     if p is None:
-        raise ValueError("exact Δ* needs a same-chain periodic pair")
+        raise ValueError("exact Δ* needs two fully resolved configurations over one chain")
     return _delta_sup(x, z, F, x.chain.domain(p))
 
 
@@ -101,7 +101,7 @@ class WeylBound:
 
     ``window_proxy`` is a lower bound for sup_g Δ_{F+g}/|F| (which itself
     bounds the Weyl pseudometric from above); ``exact`` is the true
-    sup, available for same-chain periodic pairs via a full period scan.
+    sup, available for same-chain fully resolved pairs via a full period scan.
     """
 
     window_proxy: Fraction
@@ -120,9 +120,8 @@ def weyl_upper_bound(
         raise ValueError("F must be nonempty")
     rank = len(F[0])
     proxy_num = _delta_sup(x, z, F, ball(rank, radius))
-    exact = None
-    if _common_period_level(x, z) is not None:
-        exact = Fraction(delta_star_exact(x, z, F), len(F))
+    p = _common_period_level(x, z)
+    exact = None if p is None else Fraction(_delta_sup(x, z, F, x.chain.domain(p)), len(F))
     return WeylBound(Fraction(proxy_num, len(F)), exact, {"radius": radius, "F_size": len(F)})
 
 

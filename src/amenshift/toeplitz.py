@@ -29,6 +29,7 @@ from .configs import (
     Periodic,
     ToeplitzTable,
     _constant_cosets,
+    _exact_chain,
     _windows,
     evaluate,
     per_set,
@@ -74,7 +75,7 @@ class SkeletonReport:
 
 def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     """Check the three skeleton conditions for levels 1..N, exactly."""
-    chain = x.chain
+    chain = _exact_chain(x)
     chain._check_level(N)
     nonempty = []
     failures: list[tuple[int, Element]] = []
@@ -125,7 +126,7 @@ def periodic_approximation(x: Periodic | ToeplitzTable, n: int) -> Periodic:
     Its disagreement with x is contained in the complement of Per_{H_n}(x),
     so D*(x^{(n)}, x) ≤ 1 - D*(Per_{H_n}(x)) with both sides exact.
     """
-    chain = x.chain
+    chain = _exact_chain(x)
     chain._check_level(n)
     word = {}
     for f in chain.domain(n):
@@ -279,8 +280,8 @@ def psi_path(
 
 
 def toeplitz_interpolate(
-    z: ToeplitzTable,
-    z_prime: ToeplitzTable,
+    z: Periodic | ToeplitzTable,
+    z_prime: Periodic | ToeplitzTable,
     t,
     depth: int | None = None,
 ) -> ToeplitzTable:
@@ -290,9 +291,9 @@ def toeplitz_interpolate(
     cell keeps a finite period (the intersection of the Ψ-coset with the
     source assignment), and its disagreement stays dominated by that of Ψ.
     """
-    if z.chain != z_prime.chain:
+    chain = _exact_chain(z)
+    if _exact_chain(z_prime) != chain:
         raise ChainMismatch("interpolation endpoints use different chains")
-    chain = z.chain
     path = psi_path(t, chain, depth)
     pieces: list[tuple[int, Element, Letter]] = []
     for lvl, r, side in path.table.assignments:

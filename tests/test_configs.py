@@ -31,7 +31,13 @@ from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
 from amenshift.groups import add, ball, make_chain
 from amenshift.measures import EmpiricalMeasure, empirical_measure
 from amenshift.metrics import dstar_distance, weyl_upper_bound
-from amenshift.toeplitz import regular_table
+from amenshift.toeplitz import (
+    periodic_approximation,
+    regular_table,
+    regularity_profile,
+    toeplitz_interpolate,
+    verify_skeleton,
+)
 from oracles import block_alternating_letter_oracle
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
@@ -144,8 +150,18 @@ def test_per_set_monotone_in_level():
 
 
 def test_per_set_rejects_oracle():
-    with pytest.raises(InexactVariant):
-        per_set(champernowne_binary(16), 1)
+    x = champernowne_binary(16)
+    calls = [
+        lambda: per_set(x, 1),
+        lambda: verify_skeleton(x, 1),
+        lambda: regularity_profile(x, 1),
+        lambda: periodic_approximation(x, 1),
+        lambda: toeplitz_interpolate(x, EVENS, Fraction(1, 2)),
+        lambda: toeplitz_interpolate(EVENS, x, Fraction(1, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(InexactVariant):
+            call()
 
 
 def test_disagreement_periodic_pairs():

@@ -13,6 +13,7 @@ from amenshift.configs import block_alternating, champernowne_binary
 from amenshift.errors import SpecError
 from amenshift.groups import make_chain
 from amenshift.harness import (
+    KINDS,
     ExperimentReport,
     ExperimentSpec,
     emit,
@@ -180,6 +181,13 @@ def test_schema_errors_carry_json_pointers():
         spec_from_json({"kind": "path", "params": {"depth": -3}})
     with pytest.raises(SpecError, match="/seed"):
         spec_from_json({"kind": "path", "seed": "x"})
+    # every runner but verify reads the chain, so a document without one is
+    # refused here rather than failing inside the runner
+    for kind in KINDS:
+        if kind != "verify":
+            with pytest.raises(SpecError, match="^/chain: required"):
+                spec_from_json({"kind": kind})
+    assert spec_from_json({"kind": "verify"}).chain is None
 
 
 @pytest.mark.parametrize(
@@ -324,11 +332,43 @@ def test_cli_toeplitz_profile():
     assert doc["items"][0]["per_density"] == "1/2"
 
 
-def test_cli_malformed_spec_is_schema_error():
+def test_cli_malformed_spec_is_schema_error(tmp_path, capsys):
     proc = run_cli("path", "--depth", "-2")
     assert proc.returncode == 2
     assert "spec error" in proc.stderr
     assert "/params/depth" in proc.stderr
+    # a malformed --spec file is refused before any flag is merged into it
+    for argv, doc, message in [
+        (["verify"], {"params": ["x"]}, "/params: must be an object"),
+        (["path", "--rank", "1"], {"chain": [1]}, "/chain: must be an object"),
+        (["verify"], [1, 2], ": spec must be an object"),
+    ]:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert main([*argv, "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
+TOEPLITZ_DESC = {"variant": "toeplitz", "assignments": [[1, 0, "a"], [2, 1, "b"]]}
+ORACLE_DESC = {"variant": "oracle", "box": 16, "rule": "champernowne_binary"}
+
+
+def test_cli_toeplitz_interpolate_takes_a_periodic_endpoint(capsys):
+    evens = json.dumps({"variant": "periodic", "level": 1, "word": {"0": "1", "1": "0"}})
+    argv = ["toeplitz", "interpolate", "--scales", "2,4,8", "--t", "1/2"]
+    assert main([*argv, "--config", evens, "--config", json.dumps(TOEPLITZ_DESC)]) == 0
+    table = json.loads(capsys.readouterr().out)["items"][0]["table"]
+    # Ψ(1/2) puts coset 0 of H_1 on the one-side (the word's "1") and coset 1
+    # on the zero-side, where the table knows only 1 + H_2
+    assert table["assignments"] == [[1, "0", "1"], [2, "1", "b"]]
+
+
+@pytest.mark.parametrize("action", ["verify", "profile", "approx", "interpolate"])
+def test_cli_toeplitz_rejects_an_oracle_config(action, capsys):
+    configs = [json.dumps(ORACLE_DESC), json.dumps(TOEPLITZ_DESC)]
+    argv = ["toeplitz", action, "--scales", "2,4,8", "--depth", "2"]
+    assert main([*argv, "--config", configs[0], "--config", configs[1]]) == 2
+    assert capsys.readouterr().err.startswith("error: InexactVariant:")
 
 
 def test_cli_verify_suite():

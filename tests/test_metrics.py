@@ -15,6 +15,7 @@ from amenshift.metrics import (
     shearer_values,
     weyl_upper_bound,
 )
+from amenshift.toeplitz import psi_path, regular_table
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
@@ -63,22 +64,42 @@ def test_weyl_zero_for_equal_configurations():
         assert bound.window_proxy == 0 and bound.exact == 0
 
 
+RESOLVED_TABLES = [
+    regular_table(CHAIN, ("0", "1")),
+    psi_path(Fraction(3, 8), CHAIN).table,
+    ToeplitzTable(CHAIN, ((1, (0,), "1"), (2, (1,), "0"), (2, (3,), "1"), (3, (3,), "1")), BINARY),
+]
+
+
+def letter_at(x, g):
+    """The letter at g read off the word or the assignment list; every
+    assignment covering g carries the same letter."""
+    if isinstance(x, Periodic):
+        return x.word[CHAIN.coset_rep(g, x.level)]
+    return next(a for lvl, r, a in x.assignments if CHAIN.coset_rep(g, lvl) == r)
+
+
+def brute_force_sup(x, z, F):
+    """max over one full period of translates (q_4 = 16 is a multiple of every
+    period on CHAIN) of the disagreement count on F + g."""
+    return max(
+        sum(letter_at(x, f[0] + g) != letter_at(z, f[0] + g) for f in F) for g in range(16)
+    )
+
+
 def test_delta_star_matches_brute_force_window():
-    x = word_config("0110", 2)
-    z = word_config("0011", 2)
+    pairs = [(word_config("0110", 2), word_config("0011", 2))]
+    pairs += list(itertools.combinations(RESOLVED_TABLES, 2))
+    pairs += [(word_config("0110", 2), table) for table in RESOLVED_TABLES]
     F = ((0,), (1,), (2,))
-    # independent brute force over one full period of translates
-    best = 0
-    for g in range(16):
-        best = max(
-            best,
-            sum(
-                1
-                for f in F
-                if x.word[CHAIN.coset_rep(f[0] + g, 2)] != z.word[CHAIN.coset_rep(f[0] + g, 2)]
-            ),
-        )
-    assert delta_star_exact(x, z, F) == best
+    cover = [((0,), (1,)), ((1,), (2,)), ((0,), (2,))]  # each cell twice
+    for x, z in pairs:
+        assert x.fully_resolved() and z.fully_resolved()
+        best = brute_force_sup(x, z, F)
+        assert delta_star_exact(x, z, F) == best
+        assert weyl_upper_bound(x, z, F).exact == Fraction(best, len(F))
+        hf, hks = shearer_values(x, z, F, cover, 2)
+        assert (hf, hks) == (best, [brute_force_sup(x, z, K) for K in cover])
 
 
 def test_besicovitch_examples():

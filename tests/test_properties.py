@@ -238,6 +238,9 @@ def test_lookup_matches_deepest_assignment_walk(data):
     for g in data.draw(points(chain)):
         assert table.lookup(g) == deepest_assignment_letter(table, g)
         assert evaluate(table, g) == table.lookup(g)
+    # the deepest level is a multiple of every period
+    known = [deepest_assignment_letter(table, g) is not None for g in chain.domain(chain.depth)]
+    assert table.fully_resolved() == all(known)
 
 
 @settings(max_examples=80, deadline=None)
@@ -359,6 +362,7 @@ def test_periodic_value_table_is_the_word_lifted(data):
     chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
     x = data.draw(words(chain))
     assert x.max_level == x.level
+    assert x.fully_resolved()
     for level in range(x.level, chain.depth + 1):
         table = x.value_table(level)
         assert list(table) == list(chain.domain(level))
@@ -419,7 +423,7 @@ def test_restrict_matches_select_on_coset_oracle(data):
 @given(st.data())
 def test_interpolation_is_the_pointwise_mixture(data):
     chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
-    z, z_prime = data.draw(tables(chain)), data.draw(tables(chain))
+    z, z_prime = data.draw(configurations(chain)), data.draw(configurations(chain))
     t = data.draw(rationals_01)
     depth = data.draw(st.integers(1, chain.depth))
     mixed = toeplitz_interpolate(z, z_prime, t, depth)
@@ -497,7 +501,7 @@ def test_dstar_and_exact_patterns_are_shift_equivariant(data):
     h = tuple(data.draw(st.integers(-20, 20)) for _ in range(chain.rank))
     hx, hz = shift(h, x), shift(h, z)
     assert dstar_distance(hx, hz).value == dstar_distance(x, z).value
-    if isinstance(x, Periodic) or x.fully_resolved():
+    if x.fully_resolved():
         for n in range(1, chain.depth + 1):
             ps = pattern_set(x, n)
             assert ps.exact
@@ -515,5 +519,5 @@ def test_windowed_dstar_collapses_to_exact_above_both_periods(data):
     windowed = banach_density_windowed(_differs(x, z), chain, n, radius)
     exact = dstar_distance(x, z).value
     assert (windowed.lower, windowed.upper) == (exact.lower, exact.upper)
-    if isinstance(x, Periodic) and isinstance(z, Periodic):
+    if x.fully_resolved() and z.fully_resolved():
         assert windowed.lower == windowed.upper
