@@ -2,8 +2,10 @@
 
 One subcommand per experiment kind; specs may come from a JSON file
 (--spec) or entirely from flags, flags winning on conflict; a flag's
-default fills only a key the spec file leaves out.  Exit code 0
-iff every assertion in the report passed.
+default (``harness.PARAM_DEFAULTS``) fills only a key the spec file leaves
+out.  Exit code 0 iff the report passed, 1 iff some verdict field of an
+item is false, and 2 for every malformed spec or descriptor and every
+other refused input.
 """
 
 from __future__ import annotations
@@ -13,23 +15,18 @@ import json
 import sys
 
 from .errors import AmenshiftError, SpecError
-from .harness import ExperimentSpec, check_document, emit, run, spec_from_json
+from .harness import PARAM_DEFAULTS, ExperimentSpec, check_document, emit, run, spec_from_json
 from .suites import SUITES
 
 DEFAULT_SCALES = [2, 4, 8, 16, 32, 64, 128, 256]
 
 # flags copied into params under their own names; the order is the order of
-# the params echo in every report
+# the params echo in every report, and a default takes its key's place when
+# neither the flag nor the spec file sets it
 DIRECT_PARAMS = (
     "depth", "window", "level", "level_lo", "level_hi", "letter", "metric", "block_level",
     "boxes", "eps", "gamma", "alphabet_size", "stages", "action", "t", "suite",
 )
-
-# defaults of direct flags; one fills its key only when neither the flag nor
-# the spec file sets it
-FLAG_DEFAULTS = {
-    "metric": "dstar", "boxes": "chain", "alphabet_size": 2, "stages": 2, "suite": "all",
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -131,7 +128,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     for key in DIRECT_PARAMS:
         value = getattr(args, key, None)
         if value is None and key not in params and hasattr(args, key):
-            value = FLAG_DEFAULTS.get(key)
+            value = PARAM_DEFAULTS.get(key)
         if value is not None:
             params[key] = value
     if getattr(args, "t_grid", None):

@@ -359,7 +359,7 @@ def shift(h, x: Configuration) -> Configuration:
 
 def _exact_chain(x: Configuration) -> SubgroupChain:
     if x.chain is None:
-        raise InexactVariant("exact Per sets are undecidable from a bounded window")
+        raise InexactVariant("needs a subgroup chain: a Periodic or ToeplitzTable configuration")
     return x.chain
 
 
@@ -574,6 +574,42 @@ def _element_key(g: Element) -> str:
     return ",".join(str(c) for c in g)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_element(value) -> bool:
+    return _is_int(value) or isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+def _is_assignment(value) -> bool:
+    # [level, rep, letter], the rep an element or its comma-joined key
+    triple = isinstance(value, list) and len(value) == 3 and _is_int(value[0])
+    return triple and (isinstance(value[1], str) or _is_element(value[1]))
+
+
+# descriptor fields: the test each value must pass, and what errors call it
+_DESCRIPTOR_FIELDS = {
+    "level": (_is_int, "an integer"),
+    "word": (lambda v: isinstance(v, dict), "an object"),
+    "assignments": (
+        lambda v: isinstance(v, list) and all(map(_is_assignment, v)),
+        "an array of [level, rep, letter] triples",
+    ),
+    "box": (_is_int, "an integer"),
+    "rule": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _descriptor_field(desc: Mapping, variant: str, key: str):
+    valid, kind = _DESCRIPTOR_FIELDS[key]
+    value = desc.get(key)
+    if not valid(value):
+        raise ValueError(f"{variant} descriptor: {key!r} must be {kind}")
+    return value
+
+
 def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Configuration:
     """Build a configuration from its JSON descriptor.
 
@@ -582,26 +618,30 @@ def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Config
     Oracle:   {"variant":"oracle","box":R,"rule":"champernowne_binary"}
               or rule "block_alternating(1/2)"
     Word keys and representatives are ints or comma-joined coordinates.
+    A missing or mistyped field raises ValueError naming the variant and
+    the field.
     """
     variant = desc.get("variant")
     if variant in ("periodic", "toeplitz") and chain is None:
         raise ValueError(f"{variant} descriptor needs a chain")
     if variant == "periodic":
+        level = _descriptor_field(desc, variant, "level")
         word = {
-            _parse_element(k, chain.rank): str(v) for k, v in desc["word"].items()
+            _parse_element(k, chain.rank): str(v)
+            for k, v in _descriptor_field(desc, variant, "word").items()
         }
         letters = tuple(sorted(set(word.values())))
-        return Periodic(chain, int(desc["level"]), word, Alphabet(letters))
+        return Periodic(chain, level, word, Alphabet(letters))
     if variant == "toeplitz":
         assignments = tuple(
-            (int(n), _parse_element(rep, chain.rank), str(a))
-            for n, rep, a in desc["assignments"]
+            (n, _parse_element(rep, chain.rank), str(a))
+            for n, rep, a in _descriptor_field(desc, variant, "assignments")
         )
         letters = tuple(sorted({a for _, _, a in assignments}))
         return ToeplitzTable(chain, assignments, Alphabet(letters))
     if variant == "oracle":
-        radius = int(desc["box"])
-        rule = str(desc["rule"])
+        radius = _descriptor_field(desc, variant, "box")
+        rule = _descriptor_field(desc, variant, "rule")
         if rule == "champernowne_binary":
             return champernowne_binary(radius)
         if rule.startswith("block_alternating(") and rule.endswith(")"):

@@ -1,8 +1,11 @@
 """Experiment specs, runners, and deterministic JSON/CSV emitters.
 
 A spec names an experiment kind, a chain, configuration descriptors and
-parameters.  Reports echo their inputs, list one item per result, and carry
-a pass flag for every asserted inequality together with both sides' values.
+parameters, and checks itself when built; errors carry JSON-pointer paths.
+Runners return only their items.  An item records each asserted inequality
+with both sides' values and a flag named in ``VERDICTS``, and ``run``
+decides the verdict: a report passes iff every such flag is true.
+
 Identical specs (including the seed) produce byte-identical documents:
 rationals are serialized as "p/q" strings in JSON and never as floats; CSV
 uses 12-significant-digit decimals plus a serialization-exactness column;
@@ -23,6 +26,8 @@ from . import suites
 from .configs import (
     Alphabet,
     CosetSet,
+    _is_element,
+    _is_int,
     config_descriptor,
     config_from_descriptor,
     evaluate,
@@ -50,18 +55,98 @@ from .toeplitz import (
     verify_skeleton,
 )
 
+
+def _fail(pointer: str, message: str) -> SpecError:
+    return SpecError(f"{pointer}: {message}")
+
+
+def _is_array(value: Any) -> bool:
+    # JSON arrays decode to lists; a spec built in Python may hold tuples
+    return isinstance(value, (list, tuple))
+
+
+# params the runners read as counts or levels
+INT_PARAMS = (
+    "depth", "window", "level", "level_lo", "level_hi", "block_level", "stages", "alphabet_size",
+)
+
+# params with a default that both the runners and the CLI fill in
+PARAM_DEFAULTS = {
+    "metric": "dstar", "boxes": "chain", "alphabet_size": 2, "stages": 2, "suite": "all",
+}
+
+# item fields that record an asserted inequality
+VERDICTS = ("passed", "within_bound", "gamma_certificate")
+
+
+def check_document(doc: Any) -> None:
+    """Raise SpecError, at a JSON pointer, where a document is malformed;
+    whether its kind is known and its chain present is left to ExperimentSpec."""
+    if not isinstance(doc, dict):
+        raise _fail("", "spec must be an object")
+    chain = doc.get("chain")
+    if chain is not None:
+        if not isinstance(chain, dict):
+            raise _fail("/chain", "must be an object")
+        rank = chain.get("rank")
+        if not _is_int(rank) or rank < 1:
+            raise _fail("/chain/rank", "must be a positive integer")
+        scales = chain.get("scales")
+        if not _is_array(scales) or not scales:
+            raise _fail("/chain/scales", "must be a nonempty array")
+        for i, q in enumerate(scales):
+            if not _is_int(q) or q < 1:
+                raise _fail(f"/chain/scales/{i}", "must be a positive integer")
+    configs = doc.get("configs", [])
+    if not _is_array(configs):
+        raise _fail("/configs", "must be an array")
+    for i, c in enumerate(configs):
+        if not isinstance(c, dict) or "variant" not in c:
+            raise _fail(f"/configs/{i}", "must be an object with a variant")
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise _fail("/params", "must be an object")
+    for key in INT_PARAMS:
+        if key in params and (not _is_int(params[key]) or params[key] < 0):
+            raise _fail(f"/params/{key}", "must be a nonnegative integer")
+    if "cosets" in params:
+        cosets = params["cosets"]
+        if not isinstance(cosets, dict):
+            raise _fail("/params/cosets", "must be an object with a level and reps")
+        if not _is_int(cosets.get("level")) or cosets["level"] < 0:
+            raise _fail("/params/cosets/level", "must be a nonnegative integer")
+        reps = cosets.get("reps")
+        if not _is_array(reps) or not all(map(_is_element, reps)):
+            raise _fail("/params/cosets/reps", "must be an array of integers or integer arrays")
+    if "t_grid" in params and not _is_array(params["t_grid"]):
+        raise _fail("/params/t_grid", "must be an array")
+    if not _is_int(doc.get("seed", 0)):
+        raise _fail("/seed", "must be an integer")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """An experiment request; building one validates it (see check_document)."""
+
     kind: str
     chain: dict | None = None
     configs: tuple[dict, ...] = ()
     params: dict = field(default_factory=dict)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_document(vars(self))
+        if self.kind not in KINDS:
+            raise _fail("/kind", f"must be one of {', '.join(KINDS)}")
+        if self.chain is None and self.kind != "verify":
+            raise _fail("/chain", "required for every kind but verify")
+        object.__setattr__(self, "configs", tuple(self.configs))
+        object.__setattr__(self, "params", dict(self.params))
+
     def resolve_chain(self) -> SubgroupChain | None:
         if self.chain is None:
             return None
-        return make_chain(int(self.chain["rank"]), list(self.chain["scales"]))
+        return make_chain(self.chain["rank"], self.chain["scales"])
 
 
 @dataclass(frozen=True)
@@ -73,70 +158,12 @@ class ExperimentReport:
     wall_time_ms: float | None = None
 
 
-def _fail(pointer: str, message: str) -> SpecError:
-    return SpecError(f"{pointer}: {message}")
-
-
-def _is_int(value: Any) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# params the runners read as counts or levels
-INT_PARAMS = (
-    "depth", "window", "level", "level_lo", "level_hi", "block_level", "stages", "alphabet_size",
-)
-
-
-def check_document(doc: Any) -> None:
-    """Raise SpecError, at a JSON pointer, where a document is malformed;
-    whether its kind is known and its chain present is left to spec_from_json."""
+def spec_from_json(doc: Any) -> ExperimentSpec:
+    """The spec of a JSON experiment document, which checks itself."""
     if not isinstance(doc, dict):
         raise _fail("", "spec must be an object")
-    chain = doc.get("chain")
-    if chain is not None:
-        if not isinstance(chain, dict):
-            raise _fail("/chain", "must be an object")
-        rank = chain.get("rank")
-        if not _is_int(rank) or rank < 1:
-            raise _fail("/chain/rank", "must be a positive integer")
-        scales = chain.get("scales")
-        if not isinstance(scales, list) or not scales:
-            raise _fail("/chain/scales", "must be a nonempty array")
-        for i, q in enumerate(scales):
-            if not _is_int(q) or q < 1:
-                raise _fail(f"/chain/scales/{i}", "must be a positive integer")
-    configs = doc.get("configs", [])
-    if not isinstance(configs, list):
-        raise _fail("/configs", "must be an array")
-    for i, c in enumerate(configs):
-        if not isinstance(c, dict) or "variant" not in c:
-            raise _fail(f"/configs/{i}", "must be an object with a variant")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise _fail("/params", "must be an object")
-    for key in INT_PARAMS:
-        if key in params and (not _is_int(params[key]) or params[key] < 0):
-            raise _fail(f"/params/{key}", "must be a nonnegative integer")
-    if not _is_int(doc.get("seed", 0)):
-        raise _fail("/seed", "must be an integer")
-
-
-def spec_from_json(doc: Any) -> ExperimentSpec:
-    """Validate a JSON experiment document; errors carry JSON-pointer paths."""
-    check_document(doc)
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise _fail("/kind", f"must be one of {', '.join(KINDS)}")
-    if doc.get("chain") is None and kind != "verify":
-        raise _fail("/chain", "required for every kind but verify")
-    return ExperimentSpec(
-        kind=kind,
-        chain=doc.get("chain"),
-        configs=tuple(doc.get("configs", [])),
-        params=dict(doc.get("params", {})),
-        seed=doc.get("seed", 0),
-    )
+    fields = ("chain", "configs", "params", "seed")
+    return ExperimentSpec(doc.get("kind"), **{key: doc[key] for key in fields if key in doc})
 
 
 # ---------------------------------------------------------------------------
@@ -193,49 +220,48 @@ def interval_item(estimate: IntervalEstimate) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_density(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_density(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     params = spec.params
     if "cosets" in params:
-        level = int(params["cosets"]["level"])
-        cs = CosetSet.make(chain, level, params["cosets"]["reps"])
+        cs = CosetSet.make(chain, params["cosets"]["level"], params["cosets"]["reps"])
         est = banach_density_exact(cs)
-        return [interval_item(est)], True
+        return [interval_item(est)]
     if not spec.configs:
         raise _fail("/configs", "density needs a configuration or a coset set")
     x = config_from_descriptor(spec.configs[0], chain)
     letter = str(params.get("letter", "1"))
-    level = int(params.get("level", 1))
-    radius = int(params.get("window", chain.scale(level)))
+    level = params.get("level", 1)
+    radius = params.get("window", chain.scale(level))
 
     def member(g):
         v = evaluate(x, g)
         return None if v is None else v == letter
 
     est = banach_density_windowed(member, chain, level, radius)
-    return [interval_item(est)], True
+    return [interval_item(est)]
 
 
-def _run_distance(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_distance(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     if len(spec.configs) < 2:
         raise _fail("/configs", "distance needs two configurations")
     x = config_from_descriptor(spec.configs[0], chain)
     z = config_from_descriptor(spec.configs[1], chain)
-    metric = spec.params.get("metric", "dstar")
+    metric = spec.params.get("metric", PARAM_DEFAULTS["metric"])
     level = spec.params.get("level")
     radius = spec.params.get("window")
     if metric == "dstar":
         rep = dstar_distance(x, z, level, radius, chain)
         item = {"metric": "dstar", "basis": rep.basis, **interval_item(rep.value)}
-        return [item], True
+        return [item]
     if metric == "dwprime":
         rep = dw_prime_estimate(x, z, level, radius, chain)
         item = {"metric": "dwprime", "basis": rep.basis, **interval_item(rep.value)}
-        return [item], True
+        return [item]
     if metric == "weyl":
-        n = int(spec.params.get("block_level", 1))
-        bound = weyl_upper_bound(x, z, chain.domain(n), int(radius or 0))
+        n = spec.params.get("block_level", 1)
+        bound = weyl_upper_bound(x, z, chain.domain(n), radius or 0)
         item = {
             "metric": "weyl",
             "window_proxy": bound.window_proxy,
@@ -243,10 +269,10 @@ def _run_distance(spec: ExperimentSpec) -> tuple[list[dict], bool]:
         }
         if bound.exact is not None:
             item["exact"] = bound.exact
-        return [item], True
+        return [item]
     if metric == "besicovitch":
-        lo = int(spec.params.get("level_lo", 1))
-        hi = int(spec.params.get("level_hi", chain.depth))
+        lo = spec.params.get("level_lo", 1)
+        hi = spec.params.get("level_hi", chain.depth)
         trace = besicovitch_estimate(x, z, chain, lo, hi)
         items = [
             {"metric": "besicovitch", "level": n, "average": avg}
@@ -255,17 +281,17 @@ def _run_distance(spec: ExperimentSpec) -> tuple[list[dict], bool]:
         items.append(
             {"metric": "besicovitch", "level": "limsup-proxy", "average": trace.running_max}
         )
-        return items, True
+        return items
     raise _fail("/params/metric", "must be dstar|weyl|besicovitch|dwprime")
 
 
-def _run_entropy(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_entropy(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     if not spec.configs:
         raise _fail("/configs", "entropy needs a configuration")
     x = config_from_descriptor(spec.configs[0], chain)
-    lo = int(spec.params.get("level_lo", 1))
-    hi = int(spec.params.get("level_hi", spec.params.get("level", 1)))
+    lo = spec.params.get("level_lo", 1)
+    hi = spec.params.get("level_hi", spec.params.get("level", 1))
     radius = spec.params.get("window")
     items = []
     for n in range(lo, hi + 1):
@@ -279,12 +305,12 @@ def _run_entropy(spec: ExperimentSpec) -> tuple[list[dict], bool]:
                 "exactness": "exact" if est.exact else "window-lower-bound",
             }
         )
-    return items, True
+    return items
 
 
 def _box_sequence_from_params(chain, params) -> list:
-    kind = params.get("boxes", "chain")
-    levels = range(int(params.get("level_lo", 1)), int(params.get("level_hi", 1)) + 1)
+    kind = params.get("boxes", PARAM_DEFAULTS["boxes"])
+    levels = range(params.get("level_lo", 1), params.get("level_hi", 1) + 1)
     if kind == "chain":
         return [(n, chain.domain(n)) for n in levels]
     if kind == "linear":
@@ -296,7 +322,7 @@ def _box_sequence_from_params(chain, params) -> list:
     raise _fail("/params/boxes", "must be chain|linear|geometric")
 
 
-def _run_omega(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_omega(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     if not spec.configs:
         raise _fail("/configs", "omega needs a configuration")
@@ -304,7 +330,6 @@ def _run_omega(spec: ExperimentSpec) -> tuple[list[dict], bool]:
     pairs = _box_sequence_from_params(chain, spec.params)
     profile = omega_profile(x, [F for _, F in pairs])
     items = []
-    ok = True
     for i, (n, _) in enumerate(pairs):
         item = {"level": n, "size": profile.sizes[i]}
         for atom, w in profile.measures[i].atoms:
@@ -313,18 +338,16 @@ def _run_omega(spec: ExperimentSpec) -> tuple[list[dict], bool]:
             item["consecutive_dp"] = profile.steps[i - 1]
             item["nesting_bound"] = profile.step_bounds[i - 1]
             item["within_bound"] = profile.steps[i - 1] <= profile.step_bounds[i - 1]
-            ok = ok and item["within_bound"]
         items.append(item)
-    return items, ok
+    return items
 
 
-def _run_path(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_path(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
-    depth = int(spec.params.get("depth", chain.depth))
+    depth = spec.params.get("depth", chain.depth)
     grid = [Fraction(str(t)) for t in spec.params.get("t_grid", ["0", "1/2", "1"])]
     paths = [psi_path(t, chain, depth) for t in grid]
     items = []
-    ok = True
     for t, p in zip(grid, paths):
         est = entropy_estimate(p.table, 1) if p.table.fully_resolved() else None
         item = {
@@ -341,7 +364,6 @@ def _run_path(spec: ExperimentSpec) -> tuple[list[dict], bool]:
             rep = dstar_distance(ps.table, pt.table)
             bound = abs(t - s) + slack
             good = rep.value.upper <= bound
-            ok = ok and good
             items.append(
                 {
                     "s": min(s, t),
@@ -351,23 +373,22 @@ def _run_path(spec: ExperimentSpec) -> tuple[list[dict], bool]:
                     "passed": good,
                 }
             )
-    return items, ok
+    return items
 
 
-def _run_krieger(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_krieger(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     if "depth" in spec.params:
-        depth = int(spec.params["depth"])
+        depth = spec.params["depth"]
         if depth < 1 or depth > chain.depth:
             raise _fail("/params/depth", f"must lie in 1..{chain.depth}")
         chain = make_chain(chain.rank, chain.scales[:depth])
     gamma = Fraction(str(spec.params.get("gamma", "1/2")))
-    letters = spec.params.get("alphabet_size", 2)
-    alphabet = Alphabet(tuple(chr(ord("a") + i) for i in range(int(letters))))
-    stages = int(spec.params.get("stages", 2))
+    letters = spec.params.get("alphabet_size", PARAM_DEFAULTS["alphabet_size"])
+    alphabet = Alphabet(tuple(chr(ord("a") + i) for i in range(letters)))
+    stages = spec.params.get("stages", PARAM_DEFAULTS["stages"])
     result = krieger_construct(gamma, chain, alphabet, stages)
     items = []
-    ok = True
     for st in result.stages:
         item = {
             "stage": st.index,
@@ -384,12 +405,11 @@ def _run_krieger(spec: ExperimentSpec) -> tuple[list[dict], bool]:
             item["certificate_floor"] = float(len(alphabet)) ** float(gamma * size)
             item["gamma_certificate"] = cert
             item["entropy_nats"] = est.value
-            ok = ok and cert
         items.append(item)
-    return items, ok
+    return items
 
 
-def _run_toeplitz(spec: ExperimentSpec) -> tuple[list[dict], bool]:
+def _run_toeplitz(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     action = spec.params.get("action", "profile")
     if action == "interpolate":
@@ -399,11 +419,11 @@ def _run_toeplitz(spec: ExperimentSpec) -> tuple[list[dict], bool]:
         zp = config_from_descriptor(spec.configs[1], chain)
         t = Fraction(str(spec.params.get("t", "1/2")))
         u = toeplitz_interpolate(z, zp, t, spec.params.get("depth"))
-        return [{"t": t, "table": config_descriptor(u)}], True
+        return [{"t": t, "table": config_descriptor(u)}]
     if not spec.configs:
         raise _fail("/configs", "toeplitz needs a configuration")
     x = config_from_descriptor(spec.configs[0], chain)
-    N = int(spec.params.get("depth", chain.depth))
+    N = spec.params.get("depth", chain.depth)
     if action == "verify":
         rep = verify_skeleton(x, N)
         item = {
@@ -413,7 +433,7 @@ def _run_toeplitz(spec: ExperimentSpec) -> tuple[list[dict], bool]:
             "separation_failures": [[n, list(g)] for n, g in rep.separation_failures],
             "passed": rep.all_nonempty and rep.separation_ok,
         }
-        return [item], bool(item["passed"])
+        return [item]
     if action == "profile":
         prof = regularity_profile(x, N)
         items = [
@@ -421,9 +441,9 @@ def _run_toeplitz(spec: ExperimentSpec) -> tuple[list[dict], bool]:
             for n, d in zip(prof.levels, prof.densities)
         ]
         items.append({"regular": prof.regular, "tolerance": prof.tolerance})
-        return items, True
+        return items
     if action == "approx":
-        n = int(spec.params.get("level", N))
+        n = spec.params.get("level", N)
         approx = periodic_approximation(x, n)
         rep = dstar_distance(approx, x)
         bound = 1 - per_set(x, n).density()
@@ -435,30 +455,25 @@ def _run_toeplitz(spec: ExperimentSpec) -> tuple[list[dict], bool]:
             "passed": good,
             "word": config_descriptor(approx)["word"],
         }
-        return [item], good
+        return [item]
     raise _fail("/params/action", "must be verify|profile|approx|interpolate")
 
 
-def _run_verify(spec: ExperimentSpec) -> tuple[list[dict], bool]:
-    name = spec.params.get("suite", "all")
+def _run_verify(spec: ExperimentSpec) -> list[dict]:
+    name = spec.params.get("suite", PARAM_DEFAULTS["suite"])
     available = suites.SUITES
-    if name == "all":
-        chosen = list(available)
-    elif name in available:
-        chosen = [name]
-    else:
+    # a tuple test compares by ==, so an unhashable value is refused, not raised on
+    if name not in ("all", *available):
         raise _fail("/params/suite", f"must be one of {', '.join(available)} or all")
-    items = []
-    ok = True
-    for suite_name in chosen:
-        result = available[suite_name](seed=spec.seed)
-        for item in result.items:
-            items.append({"suite": suite_name, **item})
-        ok = ok and result.passed
-    return items, ok
+    chosen = list(available) if name == "all" else [name]
+    return [
+        {"suite": suite_name, **item}
+        for suite_name in chosen
+        for item in available[suite_name](seed=spec.seed)
+    ]
 
 
-_RUNNERS: dict[str, Callable[[ExperimentSpec], tuple[list[dict], bool]]] = {
+_RUNNERS: dict[str, Callable[[ExperimentSpec], list[dict]]] = {
     "density": _run_density,
     "distance": _run_distance,
     "entropy": _run_entropy,
@@ -472,23 +487,19 @@ KINDS = tuple(_RUNNERS)
 
 
 def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
-    """Dispatch a spec to its runner; deterministic for a fixed spec."""
+    """Dispatch a spec to its runner and decide the verdict; deterministic
+    for a fixed spec.  The report passes iff every VERDICTS field of every
+    item is true."""
     start = time.monotonic()
-    items, passed = _RUNNERS[spec.kind](spec)
+    raw = _RUNNERS[spec.kind](spec)
     elapsed = (time.monotonic() - start) * 1000.0
-    echo = {
-        "kind": spec.kind,
-        "chain": spec.chain,
-        "configs": list(spec.configs),
-        "params": jsonable(spec.params),
-        "seed": spec.seed,
-    }
+    # the in-memory items equal what the JSON emitter writes, read back
+    items = tuple(from_jsonable(jsonable(item)) for item in raw)
     return ExperimentReport(
         kind=spec.kind,
-        spec=echo,
-        # the in-memory items equal what the JSON emitter writes, read back
-        items=tuple(from_jsonable(jsonable(item)) for item in items),
-        passed=passed,
+        spec=jsonable(vars(spec)),
+        items=items,
+        passed=all(item[key] for item in items for key in VERDICTS if key in item),
         wall_time_ms=elapsed if timing else None,
     )
 

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from amenshift import suites
 from amenshift.cli import DEFAULT_SCALES, main
 from amenshift.configs import block_alternating, champernowne_binary
 from amenshift.errors import SpecError
 from amenshift.groups import make_chain
 from amenshift.harness import (
     KINDS,
+    VERDICTS,
     ExperimentReport,
     ExperimentSpec,
     emit,
@@ -368,7 +370,50 @@ def test_cli_toeplitz_rejects_an_oracle_config(action, capsys):
     configs = [json.dumps(ORACLE_DESC), json.dumps(TOEPLITZ_DESC)]
     argv = ["toeplitz", action, "--scales", "2,4,8", "--depth", "2"]
     assert main([*argv, "--config", configs[0], "--config", configs[1]]) == 2
-    assert capsys.readouterr().err.startswith("error: InexactVariant:")
+    # one message, true for every caller: none of them can use an oracle
+    assert capsys.readouterr().err == (
+        "error: InexactVariant: needs a subgroup chain: a Periodic or ToeplitzTable configuration\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "desc, variant, field",
+    [
+        ({"variant": "periodic", "level": 1}, "periodic", "word"),
+        ({"variant": "periodic", "word": {"0": "a", "1": "b"}}, "periodic", "level"),
+        ({"variant": "periodic", "level": "1", "word": {"0": "a", "1": "b"}}, "periodic", "level"),
+        ({"variant": "periodic", "level": 1, "word": ["a", "b"]}, "periodic", "word"),
+        ({"variant": "toeplitz"}, "toeplitz", "assignments"),
+        ({"variant": "toeplitz", "assignments": [5]}, "toeplitz", "assignments"),
+        ({"variant": "toeplitz", "assignments": [[1, 0.5, "a"]]}, "toeplitz", "assignments"),
+        ({"variant": "oracle", "rule": "champernowne_binary"}, "oracle", "box"),
+        ({"variant": "oracle", "box": 16}, "oracle", "rule"),
+        ({"variant": "oracle", "box": True, "rule": "champernowne_binary"}, "oracle", "box"),
+    ],
+)
+def test_cli_malformed_descriptor_exits_2(desc, variant, field, capsys):
+    good = json.dumps(TOEPLITZ_DESC)
+    assert main(["distance", "--config", json.dumps(desc), "--config", good]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {variant} descriptor: {field!r} must be"), err
+
+
+@pytest.mark.parametrize(
+    "argv, params, message",
+    [
+        (["density"], {"cosets": 5}, "/params/cosets: must be an object with a level and reps"),
+        (["density"], {"cosets": {"level": 1}}, "/params/cosets/reps: must be an array"),
+        (["density"], {"cosets": {"reps": [0]}}, "/params/cosets/level: must be a nonnegative"),
+        (["density"], {"cosets": {"level": 1, "reps": [[0, [1]]]}}, "/params/cosets/reps: "),
+        (["path"], {"t_grid": "1/2"}, "/params/t_grid: must be an array"),
+        (["verify"], {"suite": ["chain"]}, "/params/suite: must be one of"),
+    ],
+)
+def test_cli_malformed_params_exit_2(tmp_path, capsys, argv, params, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"params": params}))
+    assert main([*argv, "--scales", "2,4", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"spec error: {message}")
 
 
 def test_cli_verify_suite():
@@ -439,3 +484,70 @@ def test_cli_out_file(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule: a report passes iff every VERDICTS field of its items holds
+# ---------------------------------------------------------------------------
+
+CONSTANT_WORD = {"variant": "periodic", "level": 1, "word": {"0": "a", "1": "a"}}
+
+
+def test_cli_failing_skeleton_report_exits_1(capsys):
+    # a constant word has no separated skeleton: one item, passed false
+    argv = ["toeplitz", "verify", "--config", json.dumps(CONSTANT_WORD), "--depth", "1"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [item["passed"] for item in doc["items"]] == [False]
+    assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("key", VERDICTS)
+def test_verify_exits_1_when_a_suite_item_fails(monkeypatch, capsys, key):
+    monkeypatch.setitem(
+        suites.SUITES, "chain", lambda seed=0: [{"check": "ok", key: True}, {key: False}]
+    )
+    assert main(["verify", "--suite", "chain"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert [item["suite"] for item in doc["items"]] == ["chain", "chain"]
+    # the same items with every verdict true pass
+    monkeypatch.setitem(suites.SUITES, "chain", lambda seed=0: [{"check": "ok", key: True}])
+    assert main(["verify", "--suite", "chain"]) == 0
+
+
+VERDICT_SPECS = [
+    {"kind": "density", "params": {"cosets": {"level": 2, "reps": [0, 1]}}},
+    {"kind": "distance", "configs": [EVENS_DESC, ZEROS_DESC], "params": {"metric": "weyl"}},
+    {"kind": "entropy", "configs": [EVENS_DESC], "params": {"level_hi": 2}},
+    {"kind": "omega", "configs": [EVENS_DESC], "params": {"boxes": "linear", "level_hi": 4}},
+    {"kind": "path", "params": {"depth": 4, "t_grid": ["0", "1/3", "1"]}},
+    {"kind": "krieger", "params": {"stages": 1}},
+    {"kind": "toeplitz", "configs": [TOEPLITZ_DESC], "params": {"action": "approx", "level": 1}},
+    {"kind": "toeplitz", "configs": [CONSTANT_WORD], "params": {"action": "verify", "depth": 1}},
+    {"kind": "toeplitz", "configs": [TOEPLITZ_DESC], "params": {"action": "profile"}},
+    {"kind": "verify", "params": {"suite": "psi"}},
+    {"kind": "verify", "params": {"suite": "sandwich"}, "seed": 3},
+]
+
+
+@pytest.mark.parametrize("doc", VERDICT_SPECS, ids=lambda doc: doc["kind"])
+def test_report_passes_iff_every_verdict_field_holds(doc):
+    chain = {"rank": 1, "scales": [2, 4, 8, 16]}
+    report = run(spec_from_json({"chain": chain, **doc}))
+    flags = [item[key] for item in report.items for key in VERDICTS if key in item]
+    assert report.passed == all(flags)
+    assert json.loads(emit(report, "json"))["passed"] is all(flags)
+    if doc["kind"] in ("path", "krieger", "omega", "verify"):
+        assert flags
+
+
+def test_direct_specs_are_checked_where_they_are_built():
+    with pytest.raises(SpecError, match="^/chain: required"):
+        run(ExperimentSpec(kind="path"))
+    with pytest.raises(SpecError, match="^/params/level: must be a nonnegative integer"):
+        ExperimentSpec("verify", params={"level": "3"})
+    with pytest.raises(SpecError, match="^/kind: must be one of"):
+        ExperimentSpec("nope")
+    with pytest.raises(SpecError, match="^/configs/0: must be an object with a variant"):
+        ExperimentSpec("entropy", {"rank": 1, "scales": [2]}, configs=("x",))

@@ -521,3 +521,32 @@ def test_windowed_dstar_collapses_to_exact_above_both_periods(data):
     assert (windowed.lower, windowed.upper) == (exact.lower, exact.upper)
     if x.fully_resolved() and z.fully_resolved():
         assert windowed.lower == windowed.upper
+
+
+def random_word(chain, level):
+    size = chain.domain_size(level)
+    return st.lists(st.sampled_from("ab"), min_size=size, max_size=size).map(
+        lambda letters: Periodic(
+            chain, level, dict(zip(chain.domain(level), letters)), Alphabet(("a", "b"))
+        )
+    )
+
+
+@settings(max_examples=45, deadline=None)
+@given(st.sampled_from([CHAIN, TRIPLING, CHAIN2]), st.data())
+def test_windowed_dstar_brackets_exact_below_both_periods(chain, data):
+    p = data.draw(st.integers(1, chain.depth))
+    other = data.draw(st.integers(0, p))
+    levels = (p, other) if data.draw(st.booleans()) else (other, p)
+    x, z = (data.draw(random_word(chain, level)) for level in levels)
+    q = chain.scale(p)
+    for n in range(p):
+        exact = Fraction(delta_star_exact(x, z, chain.domain(n)), chain.domain_size(n))
+        # a window of 2r + 1 >= q_p translates per axis meets every residue
+        # mod q_p, so it sees the sup; a narrower one sees at most the sup
+        for radius in (data.draw(st.integers(0, q // 2)), q // 2):
+            windowed = banach_density_windowed(_differs(x, z), chain, n, radius)
+            # both sides are known everywhere, so the bracket is collapsed
+            assert windowed.lower == windowed.upper <= exact
+            if 2 * radius + 1 >= q:
+                assert windowed.lower == exact
