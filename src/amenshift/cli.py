@@ -15,7 +15,9 @@ import json
 import sys
 
 from .errors import AmenshiftError, SpecError
-from .harness import PARAM_DEFAULTS, ExperimentSpec, check_document, emit, run, spec_from_json
+from .harness import (
+    CHAINLESS_KINDS, PARAM_DEFAULTS, ExperimentSpec, check_document, emit, run, spec_from_json,
+)
 from .suites import SUITES
 
 DEFAULT_SCALES = [2, 4, 8, 16, 32, 64, 128, 256]
@@ -120,7 +122,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             else (doc.get("chain") or {}).get("scales", DEFAULT_SCALES)
         )
         doc["chain"] = {"rank": rank, "scales": scales}
-    if doc.get("chain") is None and args.kind != "verify":
+    if doc.get("chain") is None and args.kind not in CHAINLESS_KINDS:
         doc["chain"] = {"rank": 1, "scales": DEFAULT_SCALES}
     if args.config:
         doc["configs"] = [json.loads(c) for c in args.config]

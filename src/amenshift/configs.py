@@ -123,10 +123,6 @@ class CosetSet:
         a, b = self._aligned(other)
         return CosetSet(a.chain, a.level, a.reps | b.reps)
 
-    def difference(self, other: "CosetSet") -> "CosetSet":
-        a, b = self._aligned(other)
-        return CosetSet(a.chain, a.level, a.reps - b.reps)
-
     def contains_set(self, other: "CosetSet") -> bool:
         a, b = self._aligned(other)
         return b.reps <= a.reps
@@ -553,12 +549,6 @@ def champernowne_binary(radius: int) -> Oracle:
     )
 
 
-BUILTIN_ORACLES = {
-    "champernowne_binary": champernowne_binary,
-    "block_alternating": block_alternating,
-}
-
-
 # ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
@@ -641,18 +631,23 @@ def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Config
         return ToeplitzTable(chain, assignments, Alphabet(letters))
     if variant == "oracle":
         radius = _descriptor_field(desc, variant, "box")
-        rule = _descriptor_field(desc, variant, "rule")
-        if rule == "champernowne_binary":
-            return champernowne_binary(radius)
-        if rule.startswith("block_alternating(") and rule.endswith(")"):
-            eps = Fraction(rule[len("block_alternating(") : -1])
-            return block_alternating(eps, radius)
-        raise ValueError(f"unknown oracle rule {rule!r}")
+        return _oracle_rule(_descriptor_field(desc, variant, "rule"))(radius)
     raise ValueError(f"unknown configuration variant {variant!r}")
 
 
+def _oracle_rule(rule: str) -> Callable[[int], Oracle]:
+    """The builtin oracle a descriptor's rule names, as a function of the box radius."""
+    if rule == "champernowne_binary":
+        return champernowne_binary
+    if rule.startswith("block_alternating(") and rule.endswith(")"):
+        eps = Fraction(rule[len("block_alternating(") : -1])
+        return lambda radius: block_alternating(eps, radius)
+    raise ValueError(f"unknown oracle rule {rule!r}")
+
+
 def config_descriptor(x: Configuration) -> dict:
-    """The JSON descriptor of a configuration (inverse of config_from_descriptor)."""
+    """The JSON descriptor of a configuration (inverse of config_from_descriptor);
+    ValueError for an oracle that is shifted, off [-R, R]^d or of an unknown rule."""
     if isinstance(x, Periodic):
         return {
             "variant": "periodic",
@@ -665,6 +660,9 @@ def config_descriptor(x: Configuration) -> dict:
             "assignments": [[n, _element_key(r), a] for n, r, a in x.assignments],
         }
     if isinstance(x, Oracle):
-        radius = max(max(abs(c) for c in x.lo), max(abs(c) for c in x.hi))
+        radius = x.hi[0]
+        if any(x.offset) or (x.lo, x.hi) != ((-radius,) * x.rank, (radius,) * x.rank):
+            raise ValueError("only an unshifted oracle on a centered box has a descriptor")
+        _oracle_rule(x.name)  # raises for a rule the descriptor parser does not know
         return {"variant": "oracle", "box": radius, "rule": x.name}
     raise TypeError(f"not a configuration: {x!r}")

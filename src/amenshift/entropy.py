@@ -19,7 +19,7 @@ big-integer comparators so tests never trust floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -107,18 +107,10 @@ def entropy_estimate(
     chain: SubgroupChain | None = None,
 ) -> EntropyEstimate:
     """ln(pattern count) / |F_n| in nats; a lower bound unless the scan was exact."""
-    ch = _resolve_chain(x, chain)
     ps = pattern_set(x, n, radius, chain)
-    size = ch.domain_size(n)
-    count = len(ps)
-    return EntropyEstimate(
-        level=n,
-        window_radius=ps.window_radius,
-        pattern_count=count,
-        value=math.log(count) / size,
-        saturated=count == len(x.alphabet) ** size,
-        exact=ps.exact,
-    )
+    size = _resolve_chain(x, chain).domain_size(n)
+    est = estimate_from_count(len(ps), n, size, len(x.alphabet))
+    return replace(est, window_radius=ps.window_radius, exact=ps.exact)
 
 
 def estimate_from_count(

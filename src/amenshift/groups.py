@@ -89,12 +89,26 @@ def folner_invariance_ratio(F: Sequence[Element], g: Element) -> Fraction:
 class SubgroupChain:
     """Validated chain H_0 ⊃ H_1 ⊃ ... with box fundamental domains.
 
-    Immutable after construction; use :func:`make_chain` so the scales are
-    actually checked.
+    Construction checks the scales q_1 | q_2 | ... | q_N and raises
+    NonDividingScales when some q_i does not divide q_{i+1}; that is exactly
+    the situation in which the tiling condition (4) must fail.
     """
 
     rank: int
     scales: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be a positive integer")
+        scales = tuple(int(q) for q in self.scales)
+        if not scales or any(q < 1 for q in scales):
+            raise ValueError("scales must be positive integers")
+        if any(b <= a for a, b in zip(scales, scales[1:])):
+            raise ValueError(f"scales must be strictly increasing: {scales}")
+        for a, b in zip((1,) + scales, scales):
+            if b % a != 0:
+                raise NonDividingScales(f"{a} does not divide {b}")
+        object.__setattr__(self, "scales", scales)
 
     @property
     def depth(self) -> int:
@@ -138,22 +152,8 @@ class SubgroupChain:
 
 
 def make_chain(rank: int, scales: Sequence[int]) -> SubgroupChain:
-    """Build and validate a chain from scales q_1 | q_2 | ... | q_N.
-
-    Raises NonDividingScales when some q_i does not divide q_{i+1}; that is
-    exactly the situation in which the tiling condition (4) must fail.
-    """
-    if rank < 1:
-        raise ValueError("rank must be a positive integer")
-    scales = tuple(int(q) for q in scales)
-    if not scales or any(q < 1 for q in scales):
-        raise ValueError("scales must be positive integers")
-    if any(b <= a for a, b in zip(scales, scales[1:])):
-        raise ValueError(f"scales must be strictly increasing: {scales}")
-    for a, b in zip((1,) + scales, scales):
-        if b % a != 0:
-            raise NonDividingScales(f"{a} does not divide {b}")
-    return SubgroupChain(rank=rank, scales=scales)
+    """The chain with scales q_1 | q_2 | ... | q_N, checked as it is built."""
+    return SubgroupChain(rank, scales)
 
 
 def folner_set(chain: SubgroupChain, n: int) -> FiniteSubset:

@@ -1,7 +1,8 @@
 """Experiment specs, runners, and deterministic JSON/CSV emitters.
 
 A spec names an experiment kind, a chain, configuration descriptors and
-parameters, and checks itself when built; errors carry JSON-pointer paths.
+parameters, and is checked when built and again when run; errors carry
+JSON-pointer paths.
 Runners return only their items.  An item records each asserted inequality
 with both sides' values and a flag named in ``VERDICTS``, and ``run``
 decides the verdict: a report passes iff every such flag is true.
@@ -14,6 +15,7 @@ wall time is reported as null unless timing is explicitly requested.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -39,12 +41,7 @@ from .entropy import entropy_estimate
 from .errors import SpecError
 from .groups import SubgroupChain, box, make_chain
 from .measures import omega_profile
-from .metrics import (
-    besicovitch_estimate,
-    dstar_distance,
-    dw_prime_estimate,
-    weyl_upper_bound,
-)
+from .metrics import besicovitch_estimate, dstar_distance, weyl_upper_bound
 from .toeplitz import (
     krieger_construct,
     meets_power_bound,
@@ -74,6 +71,9 @@ INT_PARAMS = (
 PARAM_DEFAULTS = {
     "metric": "dstar", "boxes": "chain", "alphabet_size": 2, "stages": 2, "suite": "all",
 }
+
+# the kinds whose spec needs no chain
+CHAINLESS_KINDS = ("verify",)
 
 # item fields that record an asserted inequality
 VERDICTS = ("passed", "within_bound", "gamma_certificate")
@@ -126,7 +126,8 @@ def check_document(doc: Any) -> None:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """An experiment request; building one validates it (see check_document)."""
+    """An experiment request; building one validates it (see check), and run
+    checks it again, so a spec changed after it was built is refused."""
 
     kind: str
     chain: dict | None = None
@@ -135,13 +136,19 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # its own copies: changing the caller's dicts leaves the spec as checked
+        for key in ("chain", "configs", "params"):
+            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
+        self.check()
+        object.__setattr__(self, "configs", tuple(self.configs))
+
+    def check(self) -> None:
+        """Raise SpecError, at a JSON pointer, where this spec breaks a rule."""
         check_document(vars(self))
         if self.kind not in KINDS:
             raise _fail("/kind", f"must be one of {', '.join(KINDS)}")
-        if self.chain is None and self.kind != "verify":
-            raise _fail("/chain", "required for every kind but verify")
-        object.__setattr__(self, "configs", tuple(self.configs))
-        object.__setattr__(self, "params", dict(self.params))
+        if self.chain is None and self.kind not in CHAINLESS_KINDS:
+            raise _fail("/chain", f"required for every kind but {', '.join(CHAINLESS_KINDS)}")
 
     def resolve_chain(self) -> SubgroupChain | None:
         if self.chain is None:
@@ -251,14 +258,10 @@ def _run_distance(spec: ExperimentSpec) -> list[dict]:
     metric = spec.params.get("metric", PARAM_DEFAULTS["metric"])
     level = spec.params.get("level")
     radius = spec.params.get("window")
-    if metric == "dstar":
+    if metric in ("dstar", "dwprime"):
+        # with the discrete letter metric D_W' is D*; the item names which was asked for
         rep = dstar_distance(x, z, level, radius, chain)
-        item = {"metric": "dstar", "basis": rep.basis, **interval_item(rep.value)}
-        return [item]
-    if metric == "dwprime":
-        rep = dw_prime_estimate(x, z, level, radius, chain)
-        item = {"metric": "dwprime", "basis": rep.basis, **interval_item(rep.value)}
-        return [item]
+        return [{"metric": metric, "basis": rep.basis, **interval_item(rep.value)}]
     if metric == "weyl":
         n = spec.params.get("block_level", 1)
         bound = weyl_upper_bound(x, z, chain.domain(n), radius or 0)
@@ -487,9 +490,10 @@ KINDS = tuple(_RUNNERS)
 
 
 def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
-    """Dispatch a spec to its runner and decide the verdict; deterministic
-    for a fixed spec.  The report passes iff every VERDICTS field of every
+    """Check a spec, dispatch it to its runner and decide the verdict;
+    deterministic for a fixed spec.  The report passes iff every VERDICTS field of every
     item is true."""
+    spec.check()
     start = time.monotonic()
     raw = _RUNNERS[spec.kind](spec)
     elapsed = (time.monotonic() - start) * 1000.0

@@ -16,13 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .configs import (
-    Alphabet,
     Configuration,
     CosetDisagreement,
     _differs,
     _windows,
     disagreement_set,
-    evaluate,
     require_known,
 )
 from .densities import IntervalEstimate, banach_density_windowed
@@ -34,7 +32,6 @@ from .groups import FiniteSubset, SubgroupChain, ball, identity
 class PseudometricReport:
     value: IntervalEstimate
     basis: str
-    params: dict
 
 
 def dstar_distance(
@@ -57,22 +54,20 @@ def dstar_distance(
         lower = dis.confirmed.density()
         upper = lower + dis.unresolved.density()
         value = IntervalEstimate(lower, upper, dis.exact, "exact-coset")
-        return PseudometricReport(value, "exact-coset", {"level": dis.confirmed.level})
+        return PseudometricReport(value, "exact-coset")
     if n is None or radius is None:
         raise ValueError("non-coset pair: supply level n and window radius")
     chain = chain or x.chain or z.chain
     if chain is None:
         raise ValueError("two boxed oracles: supply the chain for the window shape")
     value = banach_density_windowed(_differs(x, z), chain, n, radius)
-    return PseudometricReport(value, "window-bracket", {"level": n, "radius": radius})
+    return PseudometricReport(value, "window-bracket")
 
 
 def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
-    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises, x first."""
-
-    def rho(h):
-        return Alphabet.distance(require_known(evaluate(x, h), h), require_known(evaluate(z, h), h))
-
+    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises."""
+    differs = _differs(x, z)
+    rho = lambda h: require_known(differs(h), h)
     return max(map(sum, _windows(rho, F, translates)))
 
 
@@ -106,7 +101,6 @@ class WeylBound:
 
     window_proxy: Fraction
     exact: Fraction | None
-    params: dict
 
 
 def weyl_upper_bound(
@@ -122,7 +116,7 @@ def weyl_upper_bound(
     proxy_num = _delta_sup(x, z, F, ball(rank, radius))
     p = _common_period_level(x, z)
     exact = None if p is None else Fraction(_delta_sup(x, z, F, x.chain.domain(p)), len(F))
-    return WeylBound(Fraction(proxy_num, len(F)), exact, {"radius": radius, "F_size": len(F)})
+    return WeylBound(Fraction(proxy_num, len(F)), exact)
 
 
 @dataclass(frozen=True)
@@ -132,16 +126,6 @@ class BesicovitchTrace:
     levels: tuple[int, ...]
     averages: tuple[Fraction, ...]
     running_max: Fraction
-
-    def report(self) -> PseudometricReport:
-        value = IntervalEstimate(
-            Fraction(0),
-            self.running_max if self.running_max <= 1 else Fraction(1),
-            False,
-            "windowed",
-            "running max of finitely many Følner averages proxies the limsup",
-        )
-        return PseudometricReport(value, "window-bracket", {"levels": self.levels})
 
 
 def besicovitch_estimate(
@@ -169,15 +153,14 @@ def dw_prime_estimate(
     radius: int | None = None,
     chain: SubgroupChain | None = None,
 ) -> PseudometricReport:
-    """inf{ε > 0 : D*({g : ρ(x_g, z_g) > ε}) < ε}.
+    """inf{ε > 0 : D*({g : ρ(x_g, z_g) > ε}) < ε}, returned as the D* report.
 
     With the discrete letter metric the inner set is the disagreement set for
     every ε in (0,1), so the infimum is the disagreement density itself
-    (including the boundary case density 1, where only ε ≥ 1 qualifies).
+    (including the boundary case density 1, where only ε ≥ 1 qualifies):
+    the report is ``dstar_distance(x, z, n, radius, chain)`` unchanged.
     """
-    base = dstar_distance(x, z, n, radius, chain)
-    form = "fixed-point inf{eps : d < eps} with discrete letter metric"
-    return PseudometricReport(base.value, base.basis, {**base.params, "form": form})
+    return dstar_distance(x, z, n, radius, chain)
 
 
 def validate_k_cover(F: FiniteSubset, cover: Sequence[FiniteSubset], k: int) -> None:

@@ -143,13 +143,14 @@ def suite_path_connect(seed: int = 0) -> list[dict]:
     zp = regular_table(chain, ("b", "a"))
     grid = [Fraction(k, 16) for k in range(17)]
     tables = {t: toeplitz_interpolate(z, zp, t) for t in grid}
+    psis = {t: psi_path(t, chain).table for t in grid}
     ends = (
         dstar_distance(tables[Fraction(1)], z).value.value == 0
         and dstar_distance(tables[Fraction(0)], zp).value.value == 0
     )
     dominated = all(
         dstar_distance(tables[s], tables[t]).value.upper
-        <= dstar_distance(psi_path(s, chain).table, psi_path(t, chain).table).value.upper
+        <= dstar_distance(psis[s], psis[t]).value.upper
         for s, t in combinations(grid, 2)
     )
     return [

@@ -68,10 +68,6 @@ class SkeletonReport:
     def separation_ok(self) -> bool:
         return not self.separation_failures
 
-    @property
-    def covers(self) -> bool:
-        return self.coverage == 1
-
 
 def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     """Check the three skeleton conditions for levels 1..N, exactly."""
@@ -418,43 +414,45 @@ def krieger_construct(
     k_n, quota, claimed, arbitrary = 0, 0, (), ()
     records: list[BuilderStage] = []
 
-    for n in range(stages):
+    for n in range(stages + 1):
         dom = chain.domain(k_n)
         free = [f for f in dom if skeleton.lookup(f) is None]
         s_n = len(free)
-        want_patterns = nletters**s_n
-        existing = tuple(cells.get(f) for f in free)
-        have_existing = all(v is not None for v in existing)
-        needed_fresh = want_patterns - (1 if have_existing else 0)
+        # the last pass records the last reached level and plants nothing beyond it
+        k_next, planted, window_count = None, 0, 0
+        if n < stages:
+            want_patterns = nletters**s_n
+            existing = tuple(cells.get(f) for f in free)
+            have_existing = all(v is not None for v in existing)
+            needed_fresh = want_patterns - (1 if have_existing else 0)
 
-        k_next = None
-        for m in range(k_n + 1, chain.depth + 1):
-            copies = chain.domain_size(m) // chain.domain_size(k_n)
-            if copies >= nletters ** len(dom) and copies - 1 >= needed_fresh:
-                k_next = m
-                break
-        if k_next is None:
-            raise ChainTooShallow(
-                f"no level offers {nletters}^{len(dom)} tiling copies of F_{k_n}"
-            )
+            for m in range(k_n + 1, chain.depth + 1):
+                copies = chain.domain_size(m) // chain.domain_size(k_n)
+                if copies >= nletters ** len(dom) and copies - 1 >= needed_fresh:
+                    k_next = m
+                    break
+            if k_next is None:
+                raise ChainTooShallow(
+                    f"no level offers {nletters}^{len(dom)} tiling copies of F_{k_n}"
+                )
 
-        translates = chain.subgroup_in_domain(k_n, k_next)
-        fresh_translates = [v for v in translates if v != identity(rank)]
-        patterns = [
-            p for p in itertools.product(letters, repeat=s_n) if p != existing
-        ]
-        assert len(patterns) == needed_fresh <= len(fresh_translates)
-        for v, pattern in zip(fresh_translates, patterns):
-            for f, letter in zip(free, pattern):
-                cell = add(f, v)
-                assert cell not in cells, "planting would overwrite a defined cell"
-                cells[cell] = letter
-        planted = len(patterns)
+            translates = chain.subgroup_in_domain(k_n, k_next)
+            fresh_translates = translates[1:]  # translates[0] is the identity
+            patterns = [
+                p for p in itertools.product(letters, repeat=s_n) if p != existing
+            ]
+            assert len(patterns) == needed_fresh <= len(fresh_translates)
+            for v, pattern in zip(fresh_translates, patterns):
+                for f, letter in zip(free, pattern):
+                    cell = add(f, v)
+                    assert cell not in cells, "planting would overwrite a defined cell"
+                    cells[cell] = letter
+            planted = len(patterns)
 
-        block = lambda g: _block_value(skeleton, cells, g)
-        windows = {tuple(w) for w in _windows(block, dom, translates) if None not in w}
-        window_count = len(windows)
-        assert window_count >= want_patterns
+            block = lambda g: _block_value(skeleton, cells, g)
+            windows = {tuple(w) for w in _windows(block, dom, translates) if None not in w}
+            window_count = len(windows)
+            assert window_count >= want_patterns
 
         records.append(
             BuilderStage(
@@ -469,6 +467,8 @@ def krieger_construct(
                 window_count=window_count,
             )
         )
+        if k_next is None:
+            break
 
         # reserve G_{n+1} inside F_{k_next}: the first r cells avoiding older
         # claims; the ones reserved here are distinct H_{k_next} cosets, so the
@@ -489,21 +489,6 @@ def krieger_construct(
             chain, skeleton.assignments + tuple((k_next, f, cells[f]) for f in reserved), alphabet
         )
         k_n, quota, claimed, arbitrary = k_next, r, tuple(reserved), tuple(unset)
-
-    # terminal record for the last reached level (no planting beyond it)
-    records.append(
-        BuilderStage(
-            index=stages,
-            level=k_n,
-            quota=quota,
-            claimed=claimed,
-            arbitrary_cells=arbitrary,
-            free_cells=sum(1 for f in chain.domain(k_n) if skeleton.lookup(f) is None),
-            next_level=None,
-            planted=0,
-            window_count=0,
-        )
-    )
 
     return KriegerResult(
         gamma=gamma,

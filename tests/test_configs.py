@@ -301,6 +301,17 @@ def test_champernowne_digits_are_stateless_and_match_concatenation():
     assert [evaluate(x, g) for g in range(-2, 8)] == list("00" + digits[:8])
 
 
+def test_descriptor_refuses_oracles_it_cannot_rebuild():
+    with pytest.raises(ValueError, match="unshifted oracle on a centered box"):
+        config_descriptor(shift(3, champernowne_binary(10)))
+    off_center = Oracle(1, (0,), (10,), champernowne_binary(10).rule, BINARY, "champernowne_binary")
+    with pytest.raises(ValueError, match="unshifted oracle on a centered box"):
+        config_descriptor(off_center)
+    custom = Oracle(1, (-4,), (4,), lambda g: "0", BINARY, name="custom")
+    with pytest.raises(ValueError, match="unknown oracle rule 'custom'"):
+        config_descriptor(custom)
+
+
 def test_descriptor_round_trip():
     for x in (
         EVENS,

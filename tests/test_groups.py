@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from amenshift.errors import LevelOutOfRange, NonDividingScales
 from amenshift.groups import (
+    SubgroupChain,
     ball,
     box,
     canonical,
@@ -39,6 +40,19 @@ def test_non_dividing_scales_rejected():
 def test_scales_must_increase():
     with pytest.raises(ValueError):
         make_chain(1, [4, 4])
+
+
+def test_directly_built_chain_is_checked():
+    with pytest.raises(NonDividingScales, match="^3 does not divide 4$"):
+        SubgroupChain(1, (3, 4))
+    with pytest.raises(ValueError, match="^scales must be strictly increasing"):
+        SubgroupChain(1, (4, 4))
+    with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+        SubgroupChain(0, (2,))
+    with pytest.raises(ValueError, match="^scales must be positive integers$"):
+        SubgroupChain(1, ())
+    assert SubgroupChain(1, [2, 4]) == make_chain(1, (2, 4))
+    assert SubgroupChain(1, [2, 4]).scales == (2, 4)
 
 
 def test_chain_conditions_exhaustive():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -540,6 +541,30 @@ def test_report_passes_iff_every_verdict_field_holds(doc):
     assert json.loads(emit(report, "json"))["passed"] is all(flags)
     if doc["kind"] in ("path", "krieger", "omega", "verify"):
         assert flags
+
+
+def test_spec_changed_after_it_is_built_is_refused_or_unchanged():
+    chain = {"rank": 1, "scales": [2, 4]}
+    params = {"t_grid": ["0", "1"]}
+    spec = ExperimentSpec("path", chain, params=params)
+    # the caller's dicts are not the spec's
+    chain["rank"] = "x"
+    params["depth"] = "2"
+    assert spec.chain == {"rank": 1, "scales": [2, 4]} and "depth" not in spec.params
+    assert run(spec).passed
+    spec.params["depth"] = "2"
+    with pytest.raises(SpecError, match="^/params/depth: must be a nonnegative integer"):
+        run(spec)
+    spec = ExperimentSpec("path", {"rank": 1, "scales": [2, 4]})
+    spec.chain["rank"] = "x"
+    with pytest.raises(SpecError, match="^/chain/rank: must be a positive integer"):
+        run(spec)
+
+
+def test_spec_is_picklable():
+    spec = make_spec()
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and emit(run(back), "json") == emit(run(spec), "json")
 
 
 def test_direct_specs_are_checked_where_they_are_built():
