@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ChainMismatch, InconsistentCylinders, InexactVariant, UnknownMembership
@@ -134,12 +134,42 @@ class CosetSet:
 
 
 class _CosetTable:
-    """The coset index of Periodic and ToeplitzTable: ``_levels`` holds
-    (n, q_n, {representative: letter}) per assigned level, coarsest first,
-    nested entries agreeing.  A plain attribute (repr, eq, hash and fields
-    skip it) that no other module reads."""
+    """The coset table of Periodic and ToeplitzTable: ``_assigned`` holds the
+    distinct (level, rep, letter) triples, coarsest first, and ``_cells`` the
+    period array, the letter or None of each cell of F_max_level in row-major
+    order, ``_period`` = q_max_level.  Plain attributes that no other module reads."""
 
-    _levels: tuple[tuple[int, int, dict[Element, Letter]], ...]
+    _assigned: tuple[tuple[int, Element, Letter], ...]
+    _cells: tuple[Letter | None, ...]
+    _period: int
+
+    def _fill(self, assigned: Iterable[tuple[int, Element, Letter]]) -> None:
+        """Store the triples and fill the period array coarsest first; filling
+        is the one conflict check."""
+        # cosets of nested subgroups are nested or disjoint, so a coset whose
+        # representative's cell is filled lies inside an earlier coset and
+        # agrees with it iff that cell holds its letter
+        object.__setattr__(self, "_assigned", tuple(sorted(assigned)))
+        chain = self.chain
+        Q = chain.scale(self.max_level)
+        cells: list[Letter | None] = [None] * Q**chain.rank
+        for n, r, a in self._assigned:
+            b = cells[_index(r, Q)]
+            if b is None:
+                q = chain.scale(n)
+                # the coset r + H_n meets each row of F_max_level it crosses
+                # in one stride-q_n slice of the row-major array
+                for row in product(*(range(c, Q, q) for c in r[:-1])):
+                    start = _index(row, Q) * Q
+                    cells[start + r[-1] : start + Q : q] = [a] * (Q // q)
+            elif b != a:
+                # the first triple covering r holds b: nested ones agree
+                m, rm = next((m, rm) for m, rm, _ in self._assigned if chain.coset_rep(r, m) == rm)
+                raise InconsistentCylinders(
+                    f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
+                )
+        object.__setattr__(self, "_cells", tuple(cells))
+        object.__setattr__(self, "_period", Q)
 
     @property
     def rank(self) -> int:
@@ -147,17 +177,15 @@ class _CosetTable:
 
     @property
     def max_level(self) -> int:
-        return self._levels[-1][0] if self._levels else 1
+        return self._assigned[-1][0] if self._assigned else 1
+
+    def _at(self, g: Element) -> Letter | None:
+        """Letter at g, or None, for g of the chain's rank (unchecked)."""
+        return self._cells[_index(g, self._period)]
 
     def lookup(self, g) -> Letter | None:
-        """Letter at g, or None; nested assignments agree, so the first hit
-        (coarsest level first) is the answer, at one dict probe per level."""
-        g = aselem(g, self.chain.rank)
-        for _, q, reps in self._levels:
-            a = reps.get(tuple(c % q for c in g))
-            if a is not None:
-                return a
-        return None
+        """Letter at g, or None."""
+        return self._at(aselem(g, self.chain.rank))
 
     def restrict(self, level: int, rep: Element) -> list[tuple[int, Element, Letter]]:
         """Assignments describing this table on the coset rep + H_level, rep in F_level.
@@ -167,36 +195,27 @@ class _CosetTable:
         at ``level``; otherwise the answer is the deeper assignments whose
         representatives reduce to rep mod q_level.
         """
-        q = self.chain.scale(level)
         pieces = []
-        for n, qn, reps in self._levels:
-            if qn <= q:
-                a = reps.get(tuple(c % qn for c in rep))
-                if a is not None:
+        for n, s, a in self._assigned:
+            if n <= level:
+                if self.chain.coset_rep(rep, n) == s:
                     return [(level, rep, a)]
-            else:
-                pieces.extend((n, s, a) for s, a in reps.items() if tuple(c % q for c in s) == rep)
+            elif self.chain.coset_rep(s, level) == rep:
+                pieces.append((n, s, a))
         return pieces
-
-    def value_table(self, level: int) -> dict[Element, Letter | None]:
-        """Values on F_level, one entry per H_level-coset (Unknown = None).
-
-        Requires level ≥ max_level so the table is coset-constant.
-        """
-        if level < self.max_level:
-            raise ValueError(f"need level >= {self.max_level} to tabulate")
-        table: dict[Element, Letter | None] = dict.fromkeys(self.chain.domain(level))
-        for n, _, reps in self._levels:
-            shifts = self.chain.subgroup_in_domain(n, level)
-            for r, a in reps.items():
-                for v in shifts:
-                    table[add(r, v)] = a
-        return table
 
     def fully_resolved(self) -> bool:
         """Whether every cell is known, so x repeats with period q_max_level:
         the one periodicity test."""
-        return all(self.lookup(f) is not None for f in self.chain.domain(self.max_level))
+        return None not in self._cells
+
+
+def _index(g: Element, q: int) -> int:
+    """The row-major index in the box [0, q)^d of the cell of g mod q."""
+    i = 0
+    for c in g:
+        i = i * q + c % q
+    return i
 
 
 @dataclass(frozen=True)
@@ -218,8 +237,7 @@ class Periodic(_CosetTable):
         if bad:
             raise ValueError(f"letters {bad} not in alphabet")
         object.__setattr__(self, "word", normalized)
-        levels = ((self.level, self.chain.scale(self.level), normalized),)
-        object.__setattr__(self, "_levels", levels)
+        self._fill((self.level, f, a) for f, a in normalized.items())
 
 
 @dataclass(frozen=True)
@@ -245,23 +263,8 @@ class ToeplitzTable(_CosetTable):
             if a not in self.alphabet:
                 raise ValueError(f"letter {a!r} not in alphabet")
             distinct.add((level, r, a))
-        by_level = tuple(sorted(distinct))
-        # coarsest first, each assignment is checked against every coarser or
-        # equal level already indexed, so one coset given two letters is
-        # caught like a nested conflict
-        levels: list[tuple[int, int, dict[Element, Letter]]] = []
-        for n, r, a in by_level:
-            if not levels or levels[-1][0] != n:
-                levels.append((n, self.chain.scale(n), {}))
-            for m, q, reps in levels:
-                rm = tuple(c % q for c in r)
-                if reps.get(rm, a) != a:
-                    raise InconsistentCylinders(
-                        f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
-                    )
-            levels[-1][2][r] = a
-        object.__setattr__(self, "assignments", by_level)
-        object.__setattr__(self, "_levels", tuple(levels))
+        self._fill(distinct)
+        object.__setattr__(self, "assignments", self._assigned)
 
 
 @dataclass(frozen=True)
@@ -366,11 +369,10 @@ def _constant_cosets(x: Configuration, n: int) -> dict[Element, Letter]:
     f + H_n is sampled by the cells of F_depth congruent to f mod q_n.
     """
     chain = _exact_chain(x)
-    chain._check_level(n)
     q = chain.scale(n)
     values: dict[Element, set] = {}
-    for g, a in x.value_table(max(n, x.max_level)).items():
-        values.setdefault(tuple(c % q for c in g), set()).add(a)
+    for g in chain.domain(max(n, x.max_level)):
+        values.setdefault(tuple(c % q for c in g), set()).add(x._at(g))
     return {f: vs.pop() for f, vs in values.items() if len(vs) == 1 and None not in vs}
 
 
@@ -429,10 +431,9 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
     """
     if x.chain is not None and x.chain == z.chain:
         level = max(x.max_level, z.max_level)
-        tx, tz = x.value_table(level), z.value_table(level)
         confirmed, unresolved = [], []
         for f in x.chain.domain(level):
-            a, b = tx[f], tz[f]
+            a, b = x._at(f), z._at(f)
             if a is None or b is None:
                 unresolved.append(f)
             elif a != b:
@@ -576,16 +577,20 @@ def _is_element(value) -> bool:
 def _is_assignment(value) -> bool:
     # [level, rep, letter], the rep an element or its comma-joined key
     triple = isinstance(value, list) and len(value) == 3 and _is_int(value[0])
-    return triple and (isinstance(value[1], str) or _is_element(value[1]))
+    rep_ok = triple and (isinstance(value[1], str) or _is_element(value[1]))
+    return rep_ok and isinstance(value[2], str)
 
 
 # descriptor fields: the test each value must pass, and what errors call it
 _DESCRIPTOR_FIELDS = {
     "level": (_is_int, "an integer"),
-    "word": (lambda v: isinstance(v, dict), "an object"),
+    "word": (
+        lambda v: isinstance(v, dict) and all(isinstance(a, str) for a in v.values()),
+        "an object of string letters",
+    ),
     "assignments": (
         lambda v: isinstance(v, list) and all(map(_is_assignment, v)),
-        "an array of [level, rep, letter] triples",
+        "an array of [level, rep, letter] triples, letters strings",
     ),
     "box": (_is_int, "an integer"),
     "rule": (lambda v: isinstance(v, str), "a string"),
@@ -617,14 +622,14 @@ def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Config
     if variant == "periodic":
         level = _descriptor_field(desc, variant, "level")
         word = {
-            _parse_element(k, chain.rank): str(v)
+            _parse_element(k, chain.rank): v
             for k, v in _descriptor_field(desc, variant, "word").items()
         }
         letters = tuple(sorted(set(word.values())))
         return Periodic(chain, level, word, Alphabet(letters))
     if variant == "toeplitz":
         assignments = tuple(
-            (n, _parse_element(rep, chain.rank), str(a))
+            (n, _parse_element(rep, chain.rank), a)
             for n, rep, a in _descriptor_field(desc, variant, "assignments")
         )
         letters = tuple(sorted({a for _, _, a in assignments}))

@@ -66,6 +66,8 @@ def _resolve_chain(x: Configuration, chain: SubgroupChain | None) -> SubgroupCha
         return x.chain
     if chain is None:
         raise ValueError("oracle configurations need an explicit chain for the shape")
+    if chain.rank != x.rank:
+        raise ValueError(f"chain rank {chain.rank} differs from the configuration's rank {x.rank}")
     return chain
 
 
@@ -85,11 +87,9 @@ def pattern_set(
     shape = ch.domain(n)
     exact = x.chain is not None and x.fully_resolved()
     if exact:
-        # values repeat with period q = q_{max_level}, so one domain of
+        # values repeat with period q_{max_level}, so one domain of
         # translates sees every window
-        table = x.value_table(x.max_level)
-        q = ch.scale(x.max_level)
-        point = lambda g: table[tuple(c % q for c in g)]
+        point = x._at
         translates = ch.domain(x.max_level)
     elif radius is None:
         raise ValueError("non-periodic configuration: supply a window radius")

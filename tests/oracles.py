@@ -136,3 +136,21 @@ def block_alternating_letter_oracle(lengths, n) -> str:
         if lengths[k] <= n < lengths[k + 1]:
             return "1" if k % 2 == 0 else "0"
     return "0"
+
+
+# --- coset tables: the per-level dict walk the period array replaced ----------
+
+
+def period_table_oracle(x, level) -> dict:
+    """{f: letter or None} over F_level for level >= x.max_level, by writing
+    each assignment's letter on every cell of its coset in F_level."""
+    chain = x.chain
+    if hasattr(x, "assignments"):
+        triples = x.assignments
+    else:
+        triples = [(x.level, f, a) for f, a in x.word.items()]
+    table = dict.fromkeys(chain.domain(level))
+    for n, r, a in triples:
+        for v in chain.subgroup_in_domain(n, level):
+            table[tuple(c + d for c, d in zip(r, v))] = a
+    return table

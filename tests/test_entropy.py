@@ -40,6 +40,15 @@ def test_even_indicator_two_patterns_at_level_two():
     assert ps.patterns == {("1", "0", "1", "0"), ("0", "1", "0", "1")}
 
 
+def test_oracle_chain_of_another_rank_is_refused():
+    # the shape would come from the chain and the translates from the oracle
+    square = make_chain(2, [2, 4])
+    with pytest.raises(ValueError, match="^chain rank 2 differs from the configuration's rank 1$"):
+        pattern_set(champernowne_binary(8), 1, 2, square)
+    with pytest.raises(ValueError, match="^chain rank 2 differs"):
+        entropy_estimate(champernowne_binary(8), 1, 2, square)
+
+
 def test_champernowne_saturates_level_two():
     x = champernowne_binary(256)
     ps = pattern_set(x, 2, radius=200, chain=CHAIN)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import amenshift
 from amenshift import suites
 from amenshift.cli import DEFAULT_SCALES, main
 from amenshift.configs import block_alternating, champernowne_binary
@@ -30,6 +31,14 @@ from amenshift.metrics import dstar_distance
 # byte-identity anchor also recorded in bench/references.json: a change that
 # keeps every report keeps this digest.
 VERIFY_ALL_SEED7_SHA256 = "472456c780366e86cbe7c28d0b55638151645757c6af1bf1617f30ffd96ee880"
+
+# CLI subprocesses import the same amenshift as these tests, installed or not
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.dirname(amenshift.__path__[0]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def make_spec(**overrides):
@@ -162,7 +171,7 @@ def test_verify_report_independent_of_hash_seed():
             [sys.executable, "-m", "amenshift.cli", "verify", "--suite", "regular", "--seed", "7"],
             capture_output=True,
             timeout=300,
-            env={**os.environ, "PYTHONHASHSEED": seed},
+            env={**CLI_ENV, "PYTHONHASHSEED": seed},
         )
         for seed in ("0", "1")
     ]
@@ -243,6 +252,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=300,
+        env=CLI_ENV,
     )
 
 
@@ -390,6 +400,11 @@ def test_cli_toeplitz_rejects_an_oracle_config(action, capsys):
         ({"variant": "oracle", "rule": "champernowne_binary"}, "oracle", "box"),
         ({"variant": "oracle", "box": 16}, "oracle", "rule"),
         ({"variant": "oracle", "box": True, "rule": "champernowne_binary"}, "oracle", "box"),
+        # letters are strings: JSON null is no letter, and a number is not coerced
+        ({"variant": "periodic", "level": 1, "word": {"0": None, "1": "0"}}, "periodic", "word"),
+        ({"variant": "periodic", "level": 1, "word": {"0": 1, "1": "0"}}, "periodic", "word"),
+        ({"variant": "toeplitz", "assignments": [[1, 0, None]]}, "toeplitz", "assignments"),
+        ({"variant": "toeplitz", "assignments": [[1, 0, ["a"]]]}, "toeplitz", "assignments"),
     ],
 )
 def test_cli_malformed_descriptor_exits_2(desc, variant, field, capsys):
@@ -397,6 +412,15 @@ def test_cli_malformed_descriptor_exits_2(desc, variant, field, capsys):
     assert main(["distance", "--config", json.dumps(desc), "--config", good]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {variant} descriptor: {field!r} must be"), err
+
+
+def test_cli_entropy_refuses_a_chain_of_another_rank(capsys):
+    oracle = json.dumps({"variant": "oracle", "box": 8, "rule": "champernowne_binary"})
+    argv = ["--rank", "2", "--scales", "2,4", "--config", oracle, "--window", "2", "--level", "1"]
+    assert main(["entropy", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: chain rank 2 differs from the configuration's rank 1\n"
+    assert main(["density", *argv]) == 2
 
 
 @pytest.mark.parametrize(

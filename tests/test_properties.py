@@ -38,6 +38,7 @@ from amenshift.toeplitz import (
     toeplitz_interpolate,
     verify_skeleton,
 )
+from oracles import period_table_oracle
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 
@@ -363,13 +364,83 @@ def test_periodic_value_table_is_the_word_lifted(data):
     x = data.draw(words(chain))
     assert x.max_level == x.level
     assert x.fully_resolved()
+    q = chain.scale(x.level)
     for level in range(x.level, chain.depth + 1):
-        table = x.value_table(level)
-        assert list(table) == list(chain.domain(level))
-        assert table == {f: evaluate(x, f) for f in chain.domain(level)}
-    for level in range(x.level):
-        with pytest.raises(ValueError):
-            x.value_table(level)
+        table = period_table_oracle(x, level)
+        assert table == {f: x.lookup(f) for f in chain.domain(level)}
+        for f in chain.domain(level):
+            assert x.lookup(f) == x.word[tuple(c % q for c in f)]
+
+
+# ---------------------------------------------------------------------------
+# the period array against the per-level dict walk, in rank 1 and rank 2
+# ---------------------------------------------------------------------------
+
+
+def oracle_per_sets(x, n):
+    """{f: letter or None} over F_n: the letter of each H_n-coset that is
+    known and constant on the period table at the chain's depth, None for
+    every other coset."""
+    chain = x.chain
+    q = chain.scale(n)
+    seen = {f: set() for f in chain.domain(n)}
+    for g, a in period_table_oracle(x, chain.depth).items():
+        seen[tuple(c % q for c in g)].add(a)
+    return {f: vs.pop() if len(vs) == 1 else None for f, vs in seen.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_period_array_matches_the_period_table_oracle(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x = data.draw(configurations(chain))
+    table = period_table_oracle(x, x.max_level)
+    assert x._cells == tuple(table.values())
+    assert x.fully_resolved() == (None not in table.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_per_sets_match_the_period_table_oracle(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x = data.draw(configurations(chain))
+    n = data.draw(st.integers(0, chain.depth))
+    want = oracle_per_sets(x, n)
+    assert per_set(x, n).reps == {f for f, a in want.items() if a is not None}
+    for a in x.alphabet.letters:
+        assert per_set_letter(x, n, a).reps == {f for f, b in want.items() if b == a}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_disagreement_matches_the_period_table_oracle(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    # Periodic and table on either side, their max levels drawn independently
+    x, z = data.draw(configurations(chain)), data.draw(configurations(chain))
+    level = max(x.max_level, z.max_level)
+    tx, tz = period_table_oracle(x, level), period_table_oracle(z, level)
+    gap = disagreement_set(x, z)
+    assert gap.confirmed.level == gap.unresolved.level == level
+    assert gap.unresolved.reps == {f for f in tx if tx[f] is None or tz[f] is None}
+    assert gap.confirmed.reps == {
+        f for f in tx if None not in (tx[f], tz[f]) and tx[f] != tz[f]
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_complete_pattern_set_matches_the_period_table_oracle(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    x = data.draw(configurations(chain).filter(lambda x: x.fully_resolved()))
+    n = data.draw(st.integers(0, chain.depth))
+    table, q = period_table_oracle(x, chain.depth), chain.scale(chain.depth)
+    # every translate in F_depth, the shape wrapped around the deepest period
+    want = {
+        tuple(table[tuple((c + d) % q for c, d in zip(f, g))] for f in chain.domain(n))
+        for g in chain.domain(chain.depth)
+    }
+    ps = pattern_set(x, n)
+    assert ps.exact and ps.patterns == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -383,6 +383,10 @@ def test_toeplitz_from_table_round_trip():
 def test_conflicting_cylinders_rejected():
     with pytest.raises(InconsistentCylinders):
         toeplitz_from_table(CHAIN4, {(1, (0,)): "a", (2, (0,)): "b"}, AB)
+    # the message names the coarsest assignment covering the conflict
+    message = r"^level-3 assignment at \(5,\) conflicts with level-1 at \(1,\)$"
+    with pytest.raises(InconsistentCylinders, match=message):
+        ToeplitzTable(CHAIN4, ((1, (1,), "a"), (2, (1,), "a"), (3, (13,), "b")), AB)
 
 
 @pytest.mark.parametrize(
