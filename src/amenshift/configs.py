@@ -18,14 +18,18 @@ pattern of x at g+h to g.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, product
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import chain as concat
+from math import prod
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ChainMismatch, InconsistentCylinders, InexactVariant, UnknownMembership
-from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, sub
+from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, rect, sub
 
 UNKNOWN = None
 
@@ -318,13 +322,116 @@ def evaluate(x: Configuration, g) -> Letter | None:
 
 
 def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]) -> Iterator:
-    """The scan kernel: for each translate g, [point(f + g) for f in shape].
+    """The lazy scan: for each translate g, [point(f + g) for f in shape].
 
-    Every count over translates F + g reads its windows here.  They come
-    lazily, so a raising point function stops at the first offending cell.
+    Only a shape or translate set that is not a box reads its windows here
+    (Shearer's cover sets, other sets F of the Weyl proxy and of pattern
+    measures, the Krieger builder's strided translates); every box pair goes
+    through :class:`_BoxScan`.  The windows come lazily, so a raising point
+    function stops at the first offending cell.
     """
     for g in translates:
         yield [point(add(f, g)) for f in shape]
+
+
+def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
+    """(corner, sides) when S is a box listed in canonical order, else None."""
+    if not S:
+        return None
+    lo, hi = S[0], S[-1]
+    sides = tuple(b - a + 1 for a, b in zip(lo, hi))
+    if min(sides) < 1 or prod(sides) != len(S) or tuple(S) != rect(lo, hi):
+        return None
+    return lo, sides
+
+
+class _BoxScan:
+    """The union-box kernel for windows shape + g, g over translates, when
+    both are boxes: the point function is called once per cell of the
+    Minkowski-sum box, in row-major order, and ``values`` keeps the results
+    in that order.  Windows are read back as joined row slices and window
+    counts from separable prefix sums (Crow's summed-area table); the
+    translates come in row-major order, which is their canonical order."""
+
+    def __init__(self, point: Callable, shape_box: tuple, translate_box: tuple):
+        (s_lo, self.shape_sides), (t_lo, self.translate_sides) = shape_box, translate_box
+        self.corner = add(s_lo, t_lo)
+        self.sides = tuple(s + t - 1 for s, t in zip(self.shape_sides, self.translate_sides))
+        cells = product(*(range(c, c + n) for c, n in zip(self.corner, self.sides)))
+        self.values = list(map(point, cells))
+
+    def window_sums(self, cells: list) -> list[int]:
+        """Σ cells over each window, translates in row-major order, from the
+        cells of the union box in row-major order; one sliding pass per axis."""
+        sides = self.sides
+        for axis, width in enumerate(self.shape_sides):
+            cells = _along(cells, sides, axis, partial(_sliding_sums, width))
+            sides = sides[:axis] + (self.translate_sides[axis],) + sides[axis + 1 :]
+        return cells
+
+    def windows(self) -> Iterator[tuple]:
+        """Each window's values in shape order, translates in row-major order."""
+        values, sides, width = self.values, self.sides, self.shape_sides[-1]
+        rows = [_offset(r + (0,), sides) for r in product(*map(range, self.shape_sides[:-1]))]
+        for t in product(*map(range, self.translate_sides)):
+            o = _offset(t, sides)
+            yield tuple(concat.from_iterable(values[o + r : o + r + width] for r in rows))
+
+    def check_known(self) -> None:
+        """Raise UnknownMembership where the lazy walk would: at the first
+        None, in shape order, of the first window holding one."""
+        if None in self.values:
+            unknown = self.window_sums([v is None for v in self.values])
+            translates = product(*map(range, self.translate_sides))
+            t = next(t for t, count in zip(translates, unknown) if count)
+            cell = _first_none(self.values, self.sides, t, self.shape_sides)
+            require_known(None, add(self.corner, cell))
+
+
+def _box_scan(point: Callable, shape: Sequence[Element], translates: Sequence[Element]):
+    """The :class:`_BoxScan` of shape and translates, or None unless both are boxes."""
+    s, t = _box(shape), _box(translates)
+    return None if s is None or t is None else _BoxScan(point, s, t)
+
+
+def _offset(g: Element, sides: tuple[int, ...]) -> int:
+    """The row-major index of g in the box [0, sides)."""
+    i = 0
+    for c, n in zip(g, sides):
+        i = i * n + c
+    return i
+
+
+def _first_none(values: list, sides: tuple[int, ...], corner: Element, window: tuple[int, ...]) -> Element:
+    """The first cell, in row-major order, of the box corner + [0, window)
+    inside the row-major array ``values`` over [0, sides) that holds None."""
+    cells = (add(corner, f) for f in product(*map(range, window)))
+    return next(c for c in cells if values[_offset(c, sides)] is None)
+
+
+def _along(cells: list, sides: tuple[int, ...], axis: int, f: Callable[[list], list]) -> list:
+    """Apply f to every line along one axis of the row-major array ``cells``
+    over [0, sides); f maps the sides[axis] cells of a line to its output line."""
+    n, inner = sides[axis], prod(sides[axis + 1 :])
+    out: list = []
+    for start in range(0, len(cells), n * inner):
+        block = cells[start : start + n * inner]
+        out += concat.from_iterable(zip(*[f(block[r::inner]) for r in range(inner)]))
+    return out
+
+
+def _sliding_sums(width: int, line: list) -> list[int]:
+    """The sums of every run of ``width`` consecutive cells of line."""
+    p = [0, *accumulate(line)]
+    return list(map(operator.sub, p[width:], p[: len(p) - width]))
+
+
+def _prefix_sums(cells: list, sides: tuple[int, ...]) -> list[int]:
+    """The summed-area table of the row-major array ``cells`` over [0, sides):
+    entry g holds Σ cells over [0, g], one accumulate pass per axis."""
+    for axis in range(len(sides)):
+        cells = _along(cells, sides, axis, lambda line: list(accumulate(line)))
+    return cells
 
 
 def shift(h, x: Configuration) -> Configuration:

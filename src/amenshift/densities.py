@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .configs import CosetSet, _windows
+from .configs import CosetSet, _box_scan
 from .errors import UnknownMembership
 from .groups import Element, FiniteSubset, SubgroupChain, ball
 
@@ -111,13 +111,15 @@ def banach_density_windowed(
     lower counts confirmed members only; upper additionally counts Unknown
     cells as members.  The finite max is one-sided: the true translate-sup
     can exceed it, and the caveat field records that.
+
+    member is called once per cell of the union box F_n + ball(radius), in
+    row-major order; the window counts come from prefix sums over those
+    values.
     """
     F = chain.domain(n)
-    lower = upper = 0
-    for values in _windows(member, F, ball(chain.rank, radius)):
-        hits = sum(map(bool, values))
-        lower = max(lower, hits)
-        upper = max(upper, hits + values.count(None))
+    scan = _box_scan(member, F, ball(chain.rank, radius))
+    lower = max(scan.window_sums(list(map(bool, scan.values))))
+    upper = max(scan.window_sums([v is None or bool(v) for v in scan.values]))
     return IntervalEstimate(
         Fraction(lower, len(F)), Fraction(upper, len(F)), False, "windowed", WINDOW_CAVEAT
     )

@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
-from .configs import Configuration, _windows, evaluate, require_known
+from .configs import Configuration, _box_scan, evaluate, require_known
 from .errors import DeltaOutOfRange, SystemTooLarge
 from .groups import FiniteSubset, SubgroupChain, ball
 
@@ -84,7 +85,6 @@ def pattern_set(
     ball(radius) and the count is a certified lower bound only.
     """
     ch = _resolve_chain(x, chain)
-    shape = ch.domain(n)
     exact = x.chain is not None and x.fully_resolved()
     if exact:
         # values repeat with period q_{max_level}, so one domain of
@@ -94,10 +94,11 @@ def pattern_set(
     elif radius is None:
         raise ValueError("non-periodic configuration: supply a window radius")
     else:
-        point = lambda g: require_known(evaluate(x, g), g)
+        point = partial(evaluate, x)
         translates = ball(x.rank, radius)
-    found = frozenset(map(tuple, _windows(point, shape, translates)))
-    return PatternSet(n, found, exact, None if exact else radius)
+    scan = _box_scan(point, ch.domain(n), translates)
+    scan.check_known()
+    return PatternSet(n, frozenset(scan.windows()), exact, None if exact else radius)
 
 
 def entropy_estimate(

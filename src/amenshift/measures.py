@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Hashable, Sequence
 
-from .configs import Configuration, _windows, evaluate, require_known
+from .configs import Configuration, _box_scan, _windows, evaluate, require_known
 from .groups import FiniteSubset
 
 Atom = Hashable
@@ -71,11 +72,22 @@ def empirical_measure(
     F: FiniteSubset,
     shape: FiniteSubset | None = None,
 ) -> EmpiricalMeasure:
-    """Emp(x, F): frequency over g in F of the letter at g (or the pattern on shape+g)."""
+    """Emp(x, F): frequency over g in F of the letter at g (or the pattern on shape+g).
+
+    Unknown raises at the first Unknown cell met walking F (for patterns, the
+    first window holding one, in shape order).  Patterns on a box shape over
+    a box F are slices of one union-box scan.
+    """
     if not F:
         raise ValueError("F must be nonempty")
     point = lambda g: require_known(evaluate(x, g), g)
-    atoms = map(point, F) if shape is None else map(tuple, _windows(point, shape, F))
+    if shape is None:
+        atoms = map(point, F)
+    elif (scan := _box_scan(partial(evaluate, x), shape, F)) is None:
+        atoms = map(tuple, _windows(point, shape, F))
+    else:
+        scan.check_known()
+        atoms = scan.windows()
     return EmpiricalMeasure.from_counts(Counter(atoms))
 
 
@@ -210,15 +222,33 @@ class OmegaProfile:
 
 
 def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfile:
-    """Emp(x, F) along the given sets plus consecutive D_P and their nesting bounds."""
+    """Emp(x, F) along the given sets plus consecutive D_P and their nesting bounds.
+
+    A set holding every cell of the previous one (and no cell twice) adds
+    only its new shell to the running letter counts, walking F in its own
+    order; any other set starts a fresh count.  Cells counted before were
+    known, so Unknown raises at the cell ``empirical_measure(x, F)`` names.
+    """
     if len(sets) < 1:
         raise ValueError("need at least one set")
-    measures = tuple(empirical_measure(x, F) for F in sets)
+    point = lambda g: require_known(evaluate(x, g), g)
+    measures = []
+    counts, counted = Counter(), set()
+    for F in sets:
+        if not F:
+            raise ValueError("F must be nonempty")
+        cells = set(F)
+        if counted is None or len(cells) < len(F) or not counted <= cells:
+            counts, counted = Counter(), set()
+        counts.update(point(g) for g in F if g not in counted)
+        measures.append(EmpiricalMeasure.from_counts(counts))
+        # counts over a set with repeated cells are not a base for the next set
+        counted = cells if len(cells) == len(F) else None
     steps = []
     bounds = []
     for prev, nxt, mp, mn in zip(sets, sets[1:], measures, measures[1:]):
         steps.append(prokhorov_distance(mn, mp))
         bounds.append(Fraction(len(nxt) - len(prev), len(nxt)))
     return OmegaProfile(
-        tuple(len(F) for F in sets), measures, tuple(steps), tuple(bounds)
+        tuple(len(F) for F in sets), tuple(measures), tuple(steps), tuple(bounds)
     )

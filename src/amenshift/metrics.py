@@ -18,7 +18,11 @@ from typing import Sequence
 from .configs import (
     Configuration,
     CosetDisagreement,
+    _box_scan,
     _differs,
+    _first_none,
+    _offset,
+    _prefix_sums,
     _windows,
     disagreement_set,
     require_known,
@@ -65,10 +69,16 @@ def dstar_distance(
 
 
 def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
-    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises."""
+    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises
+    at the first Unknown cell of the first window holding one.  Box pairs
+    read the union-box kernel; other shapes walk their windows lazily."""
     differs = _differs(x, z)
-    rho = lambda h: require_known(differs(h), h)
-    return max(map(sum, _windows(rho, F, translates)))
+    scan = _box_scan(differs, F, translates)
+    if scan is None:
+        rho = lambda h: require_known(differs(h), h)
+        return max(map(sum, _windows(rho, F, translates)))
+    scan.check_known()
+    return max(scan.window_sums(scan.values))
 
 
 def _common_period_level(x: Configuration, z: Configuration) -> int | None:
@@ -135,14 +145,26 @@ def besicovitch_estimate(
     n_lo: int,
     n_hi: int,
 ) -> BesicovitchTrace:
-    """Averages (1/|F_n|) Σ_{g∈F_n} ρ(x_g, z_g) for n in [n_lo, n_hi]."""
+    """Averages (1/|F_n|) Σ_{g∈F_n} ρ(x_g, z_g) for n in [n_lo, n_hi].
+
+    The boxes F_n = [0, q_n)^d are nested, so ρ is read once on F_{n_hi} and
+    every average is one entry of its summed-area table; Unknown raises at
+    the first Unknown cell of the first F_n holding one.
+    """
     if not 0 <= n_lo <= n_hi <= chain.depth:
         raise ValueError("bad level range")
     levels = tuple(range(n_lo, n_hi + 1))
+    values = list(map(_differs(x, z), chain.domain(n_hi)))
+    sides = (chain.scale(n_hi),) * chain.rank
+    unknown = _prefix_sums([v is None for v in values], sides)
+    hits = _prefix_sums([1 if v else 0 for v in values], sides)
     averages = []
     for n in levels:
-        F = chain.domain(n)
-        averages.append(Fraction(_delta_sup(x, z, F, [identity(chain.rank)]), len(F)))
+        window = (chain.scale(n),) * chain.rank
+        corner = _offset(tuple(q - 1 for q in window), sides)
+        if unknown[corner]:
+            require_known(None, _first_none(values, sides, identity(chain.rank), window))
+        averages.append(Fraction(hits[corner], chain.domain_size(n)))
     return BesicovitchTrace(levels, tuple(averages), max(averages))
 
 

@@ -6,6 +6,7 @@ small instances."""
 import itertools
 from fractions import Fraction
 
+from amenshift.configs import evaluate, require_known
 from amenshift.entropy import _check_params, _effective_counts
 from amenshift.measures import discrete_metric
 
@@ -154,3 +155,28 @@ def period_table_oracle(x, level) -> dict:
         for v in chain.subgroup_in_domain(n, level):
             table[tuple(c + d for c, d in zip(r, v))] = a
     return table
+
+
+# --- window scans: the lazy walk the union-box kernel replaced -----------------
+
+
+def window_walk(point, shape, translates):
+    """For each translate g in order, [point(f + g) for f in shape], lazily,
+    so a raising point function stops at the first offending cell."""
+    for g in translates:
+        yield [point(tuple(a + b for a, b in zip(f, g))) for f in shape]
+
+
+def known_letter(x):
+    """g ↦ the letter of x at g, raising UnknownMembership at an Unknown cell."""
+    return lambda g: require_known(evaluate(x, g), g)
+
+
+def known_difference(x, z):
+    """g ↦ [x_g ≠ z_g], raising UnknownMembership where either side is Unknown."""
+
+    def rho(g):
+        a, b = evaluate(x, g), evaluate(z, g)
+        return require_known(None if a is None or b is None else a != b, g)
+
+    return rho

@@ -22,23 +22,34 @@ from amenshift.configs import (
     geometric_box_lengths,
     per_set,
     per_set_letter,
-    require_known,
     shift,
 )
 from amenshift.densities import banach_density_windowed
 from amenshift.entropy import pattern_set
 from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
-from amenshift.groups import add, ball, make_chain
-from amenshift.measures import EmpiricalMeasure, empirical_measure
-from amenshift.metrics import dstar_distance, weyl_upper_bound
+from amenshift.groups import ball, make_chain, rect
+from amenshift.measures import EmpiricalMeasure, empirical_measure, omega_profile
+from amenshift.metrics import (
+    besicovitch_estimate,
+    delta_star_exact,
+    dstar_distance,
+    shearer_values,
+    weyl_upper_bound,
+)
 from amenshift.toeplitz import (
+    krieger_construct,
     periodic_approximation,
     regular_table,
     regularity_profile,
     toeplitz_interpolate,
     verify_skeleton,
 )
-from oracles import block_alternating_letter_oracle
+from oracles import (
+    block_alternating_letter_oracle,
+    known_difference,
+    known_letter,
+    window_walk,
+)
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
@@ -328,62 +339,11 @@ def test_descriptor_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# callers of the window-scan kernel against their former inline loops
+# callers of the window-scan kernel against the lazy window walk, in rank 1
+# and rank 2, with Unknown cells
 # ---------------------------------------------------------------------------
 
-
-def old_windowed_density(member, chain, n, radius):
-    F = chain.domain(n)
-    lower = upper = Fraction(0)
-    for g in ball(chain.rank, radius):
-        hits = unknown = 0
-        for f in F:
-            m = member(add(f, g))
-            if m is None:
-                unknown += 1
-            else:
-                hits += bool(m)
-        lower = max(lower, Fraction(hits, len(F)))
-        upper = max(upper, Fraction(hits + unknown, len(F)))
-    return lower, upper
-
-
-def old_windowed_dstar(x, z, chain, n, radius):
-    F = chain.domain(n)
-    lower = upper = Fraction(0)
-    for g in ball(chain.rank, radius):
-        hits = unknown = 0
-        for f in F:
-            a, b = evaluate(x, add(f, g)), evaluate(z, add(f, g))
-            if a is None or b is None:
-                unknown += 1
-            elif a != b:
-                hits += 1
-        lower = max(lower, Fraction(hits, len(F)))
-        upper = max(upper, Fraction(hits + unknown, len(F)))
-    return lower, upper
-
-
-def old_window(x, shape, g):
-    return tuple(require_known(evaluate(x, add(f, g)), add(f, g)) for f in shape)
-
-
-def old_window_sum(x, z, F, g):
-    total = 0
-    for f in F:
-        h = add(f, g)
-        a = require_known(evaluate(x, h), h)
-        b = require_known(evaluate(z, h), h)
-        total += Alphabet.distance(a, b)
-    return total
-
-
-def old_empirical_counts(x, F, shape):
-    counts = {}
-    for g in F:
-        atom = tuple(require_known(evaluate(x, add(s, g)), add(s, g)) for s in shape)
-        counts[atom] = counts.get(atom, 0) + 1
-    return counts
+CHAIN2 = make_chain(2, [2, 4, 8])
 
 
 def outcome(call):
@@ -395,69 +355,286 @@ def outcome(call):
         return ("unknown", str(exc))
 
 
-def configurations():
-    """Configurations with Unknown cells: boxed oracles (shifted so boxes sit
-    off-centre) and coset tables with an unresolved residual coset."""
-    oracle = st.builds(
+def walk_counts(member, shape, translates):
+    """(max hits, max hits + Unknown) over the windows, as Fractions of |shape|."""
+    lower = upper = 0
+    for values in window_walk(member, shape, translates):
+        hits = sum(1 for v in values if v)
+        lower = max(lower, hits)
+        upper = max(upper, hits + values.count(None))
+    return Fraction(lower, len(shape)), Fraction(upper, len(shape))
+
+
+def walk_delta_sup(x, z, shape, translates):
+    return max(map(sum, window_walk(known_difference(x, z), shape, translates)))
+
+
+def quadratic_oracle(radius, h):
+    """A rank-2 oracle on [-radius, radius]^2, shifted by h so its box sits off-centre."""
+    rule = lambda g: "1" if (g[0] * g[0] + 3 * g[1]) % 5 < 2 else "0"
+    return shift(h, Oracle(2, (-radius,) * 2, (radius,) * 2, rule, BINARY, "quadratic"))
+
+
+def elements(chain, bound=6):
+    return st.tuples(*[st.integers(-bound, bound)] * chain.rank)
+
+
+def oracles(chain):
+    if chain.rank == 2:
+        return st.builds(quadratic_oracle, st.integers(1, 5), elements(chain))
+    return st.builds(
         lambda make, box, h: shift(h, make(box)),
         st.sampled_from([champernowne_binary, lambda r: block_alternating(Fraction(1, 2), r)]),
         st.integers(2, 10),
-        st.integers(-6, 6),
+        elements(chain),
+    )
+
+
+def configurations(chain):
+    """Configurations with Unknown cells: boxed oracles (shifted so boxes sit
+    off-centre) and coset tables with an unresolved residual coset."""
+    table = st.builds(
+        lambda depth, h: shift(h, regular_table(chain, ("0", "1"), depth, resolve_tail=False)),
+        st.integers(1, chain.depth),
+        elements(chain),
+    )
+    return st.one_of(oracles(chain), table)
+
+
+def resolved(chain):
+    """Fully resolved configurations over chain: regular tables and random words."""
+    word = st.integers(0, 2).flatmap(
+        lambda level: st.lists(
+            st.sampled_from("01"),
+            min_size=chain.domain_size(level),
+            max_size=chain.domain_size(level),
+        ).map(lambda w: Periodic(chain, level, dict(zip(chain.domain(level), w)), BINARY))
     )
     table = st.builds(
-        lambda depth, h: shift(h, regular_table(CHAIN, ("0", "1"), depth, resolve_tail=False)),
-        st.integers(1, CHAIN.depth),
-        st.integers(-6, 6),
+        lambda depth, h: shift(h, regular_table(chain, ("0", "1"), depth)),
+        st.integers(1, chain.depth),
+        elements(chain),
     )
-    return st.one_of(oracle, table)
+    return st.one_of(word, table)
 
 
-@settings(max_examples=40, deadline=None)
-@given(configurations(), st.integers(0, 2), st.integers(0, 8), st.sampled_from("01"))
-def test_windowed_density_matches_inline_loop(x, n, radius, letter):
+def radii(chain):
+    return st.integers(0, 8 if chain.rank == 1 else 3)
+
+
+def subsets(data, chain, level):
+    """A box, or a nonempty subset of the level domain in canonical order."""
+    dom = chain.domain(level)
+    if data.draw(st.booleans()):
+        return dom
+    return tuple(sorted(data.draw(st.sets(st.sampled_from(dom), min_size=1))))
+
+
+def spans(data, chain):
+    """A box of translates, or the same cells in another order, with a gap
+    or with one cell twice."""
+    lo = data.draw(elements(chain, 8))
+    hi = tuple(c + data.draw(st.integers(0, 4 if chain.rank == 1 else 2)) for c in lo)
+    F = rect(lo, hi)
+    kind = data.draw(st.sampled_from(["box", "reversed", "gapped", "repeated"]))
+    if kind == "reversed":
+        return F[::-1]
+    if kind == "gapped" and len(F) > 1:
+        return F[:1] + F[2:]
+    if kind == "repeated":
+        return F + F[-1:]
+    return F
+
+
+CHAINS = st.sampled_from([CHAIN, CHAIN2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_windowed_density_matches_inline_loop(data):
+    chain = data.draw(CHAINS)
+    x = data.draw(configurations(chain))
+    n, radius, letter = data.draw(st.integers(0, 2)), data.draw(radii(chain)), data.draw(st.sampled_from("01"))
+
     def member(g):
         v = evaluate(x, g)
         return None if v is None else v == letter
 
-    est = banach_density_windowed(member, CHAIN, n, radius)
-    assert (est.lower, est.upper) == old_windowed_density(member, CHAIN, n, radius)
+    est = banach_density_windowed(member, chain, n, radius)
+    want = walk_counts(member, chain.domain(n), ball(chain.rank, radius))
+    assert (est.lower, est.upper) == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(configurations(), configurations(), st.integers(0, 2), st.integers(0, 8))
-def test_windowed_dstar_matches_inline_loop(x, z, n, radius):
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_windowed_dstar_matches_inline_loop(data):
+    chain = data.draw(CHAINS)
+    x, z = data.draw(configurations(chain)), data.draw(configurations(chain))
     if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
-        z = champernowne_binary(radius)  # keep the pair on the window branch
-    rep = dstar_distance(x, z, n, radius, CHAIN)
+        z = data.draw(oracles(chain))  # keep the pair on the window branch
+    n, radius = data.draw(st.integers(0, 2)), data.draw(radii(chain))
+    rep = dstar_distance(x, z, n, radius, chain)
     assert rep.basis == "window-bracket"
-    assert (rep.value.lower, rep.value.upper) == old_windowed_dstar(x, z, CHAIN, n, radius)
+
+    def member(g):
+        a, b = evaluate(x, g), evaluate(z, g)
+        return None if a is None or b is None else a != b
+
+    want = walk_counts(member, chain.domain(n), ball(chain.rank, radius))
+    assert (rep.value.lower, rep.value.upper) == want
 
 
-@settings(max_examples=40, deadline=None)
-@given(configurations(), st.integers(0, 2), st.integers(0, 8))
-def test_window_pattern_set_matches_inline_loop(x, n, radius):
-    new = outcome(lambda: pattern_set(x, n, radius, CHAIN).patterns)
-    shape = CHAIN.domain(n)
-    old = outcome(lambda: frozenset(old_window(x, shape, g) for g in ball(1, radius)))
-    assert new == old
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_window_pattern_set_matches_inline_loop(data):
+    chain = data.draw(CHAINS)
+    x = data.draw(configurations(chain))
+    n, radius = data.draw(st.integers(0, 2)), data.draw(radii(chain))
+    new = outcome(lambda: pattern_set(x, n, radius, chain).patterns)
+    walk = window_walk(known_letter(x), chain.domain(n), ball(chain.rank, radius))
+    assert new == outcome(lambda: frozenset(map(tuple, walk)))
 
 
-@settings(max_examples=40, deadline=None)
-@given(configurations(), st.integers(0, 2), st.integers(-8, 8), st.integers(1, 12))
-def test_empirical_pattern_measure_matches_inline_loop(x, n, start, length):
-    F = tuple((g,) for g in range(start, start + length))
-    shape = CHAIN.domain(n)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_empirical_pattern_measure_matches_inline_loop(data):
+    chain = data.draw(CHAINS)
+    x = data.draw(configurations(chain))
+    F, shape = spans(data, chain), chain.domain(data.draw(st.integers(0, 2)))
     new = outcome(lambda: empirical_measure(x, F, shape))
-    old = outcome(lambda: EmpiricalMeasure.from_counts(old_empirical_counts(x, F, shape)))
-    assert new == old
+
+    def old():
+        counts = {}
+        for atom in map(tuple, window_walk(known_letter(x), shape, F)):
+            counts[atom] = counts.get(atom, 0) + 1
+        return EmpiricalMeasure.from_counts(counts)
+
+    assert new == outcome(old)
 
 
-@settings(max_examples=40, deadline=None)
-@given(configurations(), configurations(), st.integers(0, 2), st.integers(0, 4))
-def test_weyl_proxy_matches_inline_loop(x, z, n, radius):
-    F = CHAIN.domain(n)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_weyl_proxy_matches_inline_loop(data):
+    chain = data.draw(CHAINS)
+    x, z = data.draw(configurations(chain)), data.draw(configurations(chain))
+    F, radius = subsets(data, chain, data.draw(st.integers(0, 2))), data.draw(radii(chain))
     new = outcome(lambda: weyl_upper_bound(x, z, F, radius).window_proxy)
-    old = outcome(
-        lambda: Fraction(max(old_window_sum(x, z, F, g) for g in ball(1, radius)), len(F))
+    translates = ball(chain.rank, radius)
+    assert new == outcome(lambda: Fraction(walk_delta_sup(x, z, F, translates), len(F)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_besicovitch_averages_match_the_lazy_walk(data):
+    chain = data.draw(CHAINS)
+    x, z = data.draw(configurations(chain)), data.draw(configurations(chain))
+    lo = data.draw(st.integers(0, chain.depth))
+    hi = data.draw(st.integers(lo, chain.depth))
+    new = outcome(lambda: besicovitch_estimate(x, z, chain, lo, hi).averages)
+    e = ((0,) * chain.rank,)
+
+    def old():
+        return tuple(
+            Fraction(walk_delta_sup(x, z, chain.domain(n), e), chain.domain_size(n))
+            for n in range(lo, hi + 1)
+        )
+
+    assert new == outcome(old)
+
+
+def test_besicovitch_raises_in_the_first_level_holding_an_unknown():
+    # rows [-6, 0], columns [0, 6]: F_1 first meets Unknown at (1, 0), while
+    # the first Unknown of F_3 in row-major order is (0, 7)
+    x = quadratic_oracle(3, (3, -3))
+    z = regular_table(CHAIN2, ("0", "1"))
+    with pytest.raises(UnknownMembership, match=r"at \(1, 0\)$"):
+        besicovitch_estimate(x, z, CHAIN2, 1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_period_scans_match_the_lazy_walk(data):
+    # exact Δ*, the weyl exact field and shearer_values scan one full period
+    chain = data.draw(CHAINS)
+    x, z = data.draw(resolved(chain)), data.draw(resolved(chain))
+    period = chain.domain(max(x.max_level, z.max_level))
+    F = subsets(data, chain, data.draw(st.integers(0, chain.depth)))
+    cover = [subsets(data, chain, data.draw(st.integers(0, 2))) for _ in range(2)] + [F]
+    assert delta_star_exact(x, z, F) == walk_delta_sup(x, z, F, period)
+    assert weyl_upper_bound(x, z, F).exact == Fraction(walk_delta_sup(x, z, F, period), len(F))
+    hf, hks = shearer_values(x, z, F, cover, 1)
+    assert [hf, *hks] == [walk_delta_sup(x, z, K, period) for K in [F, *cover]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_omega_profile_matches_per_set_empirical_measures(data):
+    chain = data.draw(CHAINS)
+    x = data.draw(configurations(chain))
+    # nested boxes, interrupted now and then by a set that is not nested
+    sets = [
+        rect((0,) * chain.rank, (n,) * chain.rank) if data.draw(st.integers(0, 3)) else spans(data, chain)
+        for n in range(data.draw(st.integers(1, 6)))
+    ]
+    new = outcome(lambda: omega_profile(x, sets).measures)
+    assert new == outcome(lambda: tuple(empirical_measure(x, F) for F in sets))
+
+
+def test_omega_profile_recounts_after_a_set_with_a_repeated_cell():
+    x = regular_table(CHAIN, ("0", "1"))
+    sets = [((0,), (1,), (1,)), ((0,), (1,), (2,)), ((0,), (1,), (2,), (3,))]
+    assert omega_profile(x, sets).measures == tuple(empirical_measure(x, F) for F in sets)
+
+
+# ---------------------------------------------------------------------------
+# cost guards: the union-box kernel calls its point function once per cell
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chain, n, radius", [(CHAIN, 3, 5), (CHAIN2, 2, 2)])
+def test_windowed_density_calls_member_once_per_union_cell(chain, n, radius):
+    calls = []
+
+    def member(g):
+        calls.append(g)
+        return sum(g) % 3 == 0
+
+    banach_density_windowed(member, chain, n, radius)
+    d = chain.rank
+    # F_n + ball(radius) is the box [-radius, q_n - 1 + radius]^d, row-major
+    assert calls == list(rect((-radius,) * d, (chain.scale(n) - 1 + radius,) * d))
+
+
+@pytest.mark.parametrize("chain, n, radius", [(CHAIN, 3, 5), (CHAIN2, 2, 2)])
+def test_window_pattern_set_evaluates_each_union_cell_once(chain, n, radius):
+    calls = []
+
+    def rule(g):
+        calls.append(g)
+        return "1" if sum(g) % 3 == 0 else "0"
+
+    d = chain.rank
+    x = Oracle(d, (-20,) * d, (20,) * d, rule, BINARY, "counting")
+    pattern_set(x, n, radius, chain)
+    assert calls == list(rect((-radius,) * d, (chain.scale(n) - 1 + radius,) * d))
+
+
+def test_shearer_covers_and_krieger_keep_their_outputs():
+    # values of the lazy walk these callers keep, for covers that are not boxes
+    x = regular_table(CHAIN, ("0", "1"))
+    z = Periodic(CHAIN, 2, {(0,): "1", (1,): "0", (2,): "0", (3,): "1"}, BINARY)
+    F = tuple((g,) for g in range(6))
+    cover = [F[0::2], F[1::2], F[:3], F[3:]]
+    assert shearer_values(x, z, F, cover, 2) == (5, [3, 3, 3, 3])
+    assert shearer_values(x, champernowne_binary(40), F, cover, 2, radius=9) == (6, [3, 3, 3, 3])
+    x2 = regular_table(CHAIN2, ("0", "1"))
+    z2 = Periodic(CHAIN2, 1, {(0, 0): "1", (0, 1): "0", (1, 0): "0", (1, 1): "0"}, BINARY)
+    assert shearer_values(x2, z2, CHAIN2.domain(1), [((0, 0), (1, 1)), ((0, 1), (1, 0))], 1) == (
+        2,
+        [2, 2],
     )
-    assert new == old
+    dyadic12 = make_chain(1, [2**k for k in range(1, 13)])
+    result = krieger_construct(Fraction(1, 2), dyadic12, BINARY, 3)
+    assert [s.window_count for s in result.stages] == [2, 4, 128, 0]
+    result = krieger_construct(Fraction(1, 2), make_chain(2, [2, 4, 8, 16]), BINARY, 2)
+    assert [s.window_count for s in result.stages] == [2, 8, 0]
