@@ -4,8 +4,9 @@ One subcommand per experiment kind; specs may come from a JSON file
 (--spec) or entirely from flags, flags winning on conflict; a flag's
 default (``harness.PARAM_DEFAULTS``) fills only a key the spec file leaves
 out.  Exit code 0 iff the report passed, 1 iff some verdict field of an
-item is false, and 2 for every malformed spec or descriptor and every
-other refused input.
+item is false, and 2 for every malformed spec or descriptor, every
+other refused input and a report that could not be written.  The parser
+is built once per process and shared, so ``main`` is reentrant.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 
 from .errors import AmenshiftError, SpecError
 from .harness import (
@@ -146,12 +148,32 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return spec_from_json(doc)
 
 
+# the process's one parser, built by the first main() call through the module
+# name build_parser: parsing leaves a parser as it was (an append flag copies
+# its default list), so every call and every thread shares it
+_parser: argparse.ArgumentParser | None = None
+_parser_lock = threading.Lock()
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    global _parser
+    with _parser_lock:
+        if _parser is None:
+            _parser = build_parser()
+    return _parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
         report = run(spec, timing=args.timing)
+        payload = emit(report, args.format or "json")
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload.decode())
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
@@ -161,13 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = args.format or "json"
-    payload = emit(report, fmt)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload.decode())
     return 0 if report.passed else 1
 
 

@@ -23,13 +23,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from itertools import chain as concat
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ChainMismatch, InconsistentCylinders, InexactVariant, UnknownMembership
-from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, rect, sub
+from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, sub
 
 UNKNOWN = None
 
@@ -302,23 +302,42 @@ class Oracle:
         """No subgroup chain: a property, so repr, eq, hash and fields skip it."""
         return None
 
-    def in_box(self, g: Element) -> bool:
-        return all(a <= c <= b for a, c, b in zip(self.lo, g, self.hi))
+    def _at(self, g: Element) -> Letter | None:
+        """rule(g + offset) inside the box, None outside, for g of this rank (unchecked)."""
+        if all(map(operator.le, self.lo, g)) and all(map(operator.le, g, self.hi)):
+            return self.rule(add(g, self.offset))
+        return UNKNOWN
 
 
 Configuration = Periodic | ToeplitzTable | Oracle
 
 
 def evaluate(x: Configuration, g) -> Letter | None:
-    """Point evaluation; returns None (Unknown) where x is undetermined."""
-    if isinstance(x, _CosetTable):
-        return x.lookup(g)
-    if isinstance(x, Oracle):
-        g = aselem(g, x.rank)
-        if not x.in_box(g):
-            return UNKNOWN
-        return x.rule(add(g, x.offset))
-    raise TypeError(f"not a configuration: {x!r}")
+    """Point evaluation; returns None (Unknown) where x is undetermined.
+
+    The one checked entry: g is normalized to x's rank (a bare int in rank
+    1), ValueError otherwise, before x's unchecked reader ``_at`` sees it.
+    """
+    if not isinstance(x, (_CosetTable, Oracle)):
+        raise TypeError(f"not a configuration: {x!r}")
+    return x._at(aselem(g, x.rank))
+
+
+def _check_cell(g: Element, *xs: Configuration) -> None:
+    """evaluate's checks at g for each x in turn.  A scan whose cells all
+    share g's length makes them once, at its first cell, and reads every
+    cell through ``_at``: a mismatch raises what the per-cell check would."""
+    for x in xs:
+        evaluate(x, g)
+
+
+def _set_reader(x: Configuration, S: Sequence[Element]) -> Callable[[Element], Letter | None]:
+    """g ↦ x's letter at g, for the cells g of S: ``x._at`` after one check
+    at S[0] when S is a box (its cells then share one length), else evaluate."""
+    if _box(S) is None:
+        return partial(evaluate, x)
+    _check_cell(S[0], x)
+    return x._at
 
 
 def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]) -> Iterator:
@@ -335,14 +354,19 @@ def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]
 
 
 def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
-    """(corner, sides) when S is a box listed in canonical order, else None."""
-    if not S:
+    """(corner, sides) when S is a box of int tuples listed in canonical
+    order, else None."""
+    if not S or not all(isinstance(g, tuple) and all(map(_is_int, g)) for g in (S[0], S[-1])):
         return None
     lo, hi = S[0], S[-1]
     sides = tuple(b - a + 1 for a, b in zip(lo, hi))
-    if min(sides) < 1 or prod(sides) != len(S) or tuple(S) != rect(lo, hi):
+    if min(sides) < 1 or prod(sides) != len(S):
         return None
-    return lo, sides
+    # compared cell by cell, row by row, with no copy of S, of the box or of a row
+    *outer, (a, b) = zip(lo, hi)
+    rows = product(*(range(c, d + 1) for c, d in outer))
+    cells = concat.from_iterable(map(operator.add, repeat(row), zip(range(a, b + 1))) for row in rows)
+    return (lo, sides) if all(map(operator.eq, S, cells)) else None
 
 
 class _BoxScan:
@@ -351,12 +375,15 @@ class _BoxScan:
     Minkowski-sum box, in row-major order, and ``values`` keeps the results
     in that order.  Windows are read back as joined row slices and window
     counts from separable prefix sums (Crow's summed-area table); the
-    translates come in row-major order, which is their canonical order."""
+    translates come in row-major order, which is their canonical order.
+    The configurations ``checked`` that the point function reads unchecked
+    are checked once, at the corner (see :func:`_check_cell`)."""
 
-    def __init__(self, point: Callable, shape_box: tuple, translate_box: tuple):
+    def __init__(self, point: Callable, shape_box: tuple, translate_box: tuple, checked: tuple):
         (s_lo, self.shape_sides), (t_lo, self.translate_sides) = shape_box, translate_box
         self.corner = add(s_lo, t_lo)
         self.sides = tuple(s + t - 1 for s, t in zip(self.shape_sides, self.translate_sides))
+        _check_cell(self.corner, *checked)
         cells = product(*(range(c, c + n) for c, n in zip(self.corner, self.sides)))
         self.values = list(map(point, cells))
 
@@ -388,10 +415,10 @@ class _BoxScan:
             require_known(None, add(self.corner, cell))
 
 
-def _box_scan(point: Callable, shape: Sequence[Element], translates: Sequence[Element]):
+def _box_scan(point: Callable, shape: Sequence[Element], translates: Sequence[Element], *checked):
     """The :class:`_BoxScan` of shape and translates, or None unless both are boxes."""
     s, t = _box(shape), _box(translates)
-    return None if s is None or t is None else _BoxScan(point, s, t)
+    return None if s is None or t is None else _BoxScan(point, s, t, checked)
 
 
 def _offset(g: Element, sides: tuple[int, ...]) -> int:
@@ -557,11 +584,16 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
     return SampledDisagreement(tuple(window), {g: differs(g) for g in window})
 
 
-def _differs(x: Configuration, z: Configuration) -> Callable[[Element], bool | None]:
-    """The point function g ↦ [x_g ≠ z_g], None where either side is Unknown."""
+def _differs(x: Configuration, z: Configuration, unchecked: bool = False) -> Callable[[Element], bool | None]:
+    """The point function g ↦ [x_g ≠ z_g], None where either side is Unknown.
+
+    Each cell goes through evaluate, or, ``unchecked``, through ``_at`` for
+    a scan that checks both sides once, at its first cell (:func:`_check_cell`).
+    """
+    at_x, at_z = (x._at, z._at) if unchecked else (partial(evaluate, x), partial(evaluate, z))
 
     def differs(g):
-        a, b = evaluate(x, g), evaluate(z, g)
+        a, b = at_x(g), at_z(g)
         return None if a is None or b is None else a != b
 
     return differs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .configs import CosetSet, _box_scan
+from .configs import Configuration, CosetSet, _box_scan
 from .errors import UnknownMembership
 from .groups import Element, FiniteSubset, SubgroupChain, ball
 
@@ -105,6 +105,7 @@ def banach_density_windowed(
     chain: SubgroupChain,
     n: int,
     radius: int,
+    *checked: Configuration,
 ) -> IntervalEstimate:
     """Windowed proxy for D*_{F_n}: max over translates g in ball(radius).
 
@@ -114,10 +115,11 @@ def banach_density_windowed(
 
     member is called once per cell of the union box F_n + ball(radius), in
     row-major order; the window counts come from prefix sums over those
-    values.
+    values.  The configurations ``checked``, which member reads unchecked
+    (through ``_at``), pass evaluate's checks at the box's first cell first.
     """
     F = chain.domain(n)
-    scan = _box_scan(member, F, ball(chain.rank, radius))
+    scan = _box_scan(member, F, ball(chain.rank, radius), *checked)
     lower = max(scan.window_sums(list(map(bool, scan.values))))
     upper = max(scan.window_sums([v is None or bool(v) for v in scan.values]))
     return IntervalEstimate(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 from .configs import Configuration, _box_scan, evaluate, require_known
@@ -89,14 +88,13 @@ def pattern_set(
     if exact:
         # values repeat with period q_{max_level}, so one domain of
         # translates sees every window
-        point = x._at
         translates = ch.domain(x.max_level)
     elif radius is None:
         raise ValueError("non-periodic configuration: supply a window radius")
     else:
-        point = partial(evaluate, x)
         translates = ball(x.rank, radius)
-    scan = _box_scan(point, ch.domain(n), translates)
+    # ch has x's rank (_resolve_chain checks an oracle's), so x is read unchecked
+    scan = _box_scan(x._at, ch.domain(n), translates)
     scan.check_known()
     return PatternSet(n, frozenset(scan.windows()), exact, None if exact else radius)
 

@@ -16,6 +16,7 @@ F_{i+1} = ⊔_{v ∈ F_{i+1} ∩ H_i} (F_i + v).  The tests re-derive all four.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,11 +42,11 @@ def identity(rank: int) -> Element:
 
 
 def add(g: Element, h: Element) -> Element:
-    return tuple(a + b for a, b in zip(g, h))
+    return tuple(map(operator.add, g, h))
 
 
 def sub(g: Element, h: Element) -> Element:
-    return tuple(a - b for a, b in zip(g, h))
+    return tuple(map(operator.sub, g, h))
 
 
 def canonical(elements: Iterable[Element]) -> FiniteSubset:

@@ -32,7 +32,6 @@ from .configs import (
     _is_int,
     config_descriptor,
     config_from_descriptor,
-    evaluate,
     geometric_box_lengths,
     per_set,
 )
@@ -120,6 +119,9 @@ def check_document(doc: Any) -> None:
             raise _fail("/params/cosets/reps", "must be an array of integers or integer arrays")
     if "t_grid" in params and not _is_array(params["t_grid"]):
         raise _fail("/params/t_grid", "must be an array")
+    # letters are strings, as in descriptors: a number is refused, not coerced
+    if "letter" in params and not isinstance(params["letter"], str):
+        raise _fail("/params/letter", "must be a string")
     if not _is_int(doc.get("seed", 0)):
         raise _fail("/seed", "must be an integer")
 
@@ -237,15 +239,15 @@ def _run_density(spec: ExperimentSpec) -> list[dict]:
     if not spec.configs:
         raise _fail("/configs", "density needs a configuration or a coset set")
     x = config_from_descriptor(spec.configs[0], chain)
-    letter = str(params.get("letter", "1"))
+    letter = params.get("letter", "1")
     level = params.get("level", 1)
     radius = params.get("window", chain.scale(level))
 
     def member(g):
-        v = evaluate(x, g)
+        v = x._at(g)
         return None if v is None else v == letter
 
-    est = banach_density_windowed(member, chain, level, radius)
+    est = banach_density_windowed(member, chain, level, radius, x)
     return [interval_item(est)]
 
 

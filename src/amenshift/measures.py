@@ -13,11 +13,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Callable, Hashable, Sequence
 
-from .configs import Configuration, _box_scan, _windows, evaluate, require_known
+from .configs import Configuration, _box_scan, _set_reader, _windows, evaluate, require_known
 from .groups import FiniteSubset
 
 Atom = Hashable
@@ -80,11 +79,11 @@ def empirical_measure(
     """
     if not F:
         raise ValueError("F must be nonempty")
-    point = lambda g: require_known(evaluate(x, g), g)
     if shape is None:
-        atoms = map(point, F)
-    elif (scan := _box_scan(partial(evaluate, x), shape, F)) is None:
-        atoms = map(tuple, _windows(point, shape, F))
+        read = _set_reader(x, F)
+        atoms = (require_known(read(g), g) for g in F)
+    elif (scan := _box_scan(x._at, shape, F, x)) is None:
+        atoms = map(tuple, _windows(lambda g: require_known(evaluate(x, g), g), shape, F))
     else:
         scan.check_known()
         atoms = scan.windows()
@@ -231,7 +230,6 @@ def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfil
     """
     if len(sets) < 1:
         raise ValueError("need at least one set")
-    point = lambda g: require_known(evaluate(x, g), g)
     measures = []
     counts, counted = Counter(), set()
     for F in sets:
@@ -240,7 +238,8 @@ def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfil
         cells = set(F)
         if counted is None or len(cells) < len(F) or not counted <= cells:
             counts, counted = Counter(), set()
-        counts.update(point(g) for g in F if g not in counted)
+        read = _set_reader(x, F)
+        counts.update(require_known(read(g), g) for g in F if g not in counted)
         measures.append(EmpiricalMeasure.from_counts(counts))
         # counts over a set with repeated cells are not a base for the next set
         counted = cells if len(cells) == len(F) else None

@@ -19,6 +19,7 @@ from .configs import (
     Configuration,
     CosetDisagreement,
     _box_scan,
+    _check_cell,
     _differs,
     _first_none,
     _offset,
@@ -64,7 +65,7 @@ def dstar_distance(
     chain = chain or x.chain or z.chain
     if chain is None:
         raise ValueError("two boxed oracles: supply the chain for the window shape")
-    value = banach_density_windowed(_differs(x, z), chain, n, radius)
+    value = banach_density_windowed(_differs(x, z, unchecked=True), chain, n, radius, x, z)
     return PseudometricReport(value, "window-bracket")
 
 
@@ -72,9 +73,9 @@ def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
     """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises
     at the first Unknown cell of the first window holding one.  Box pairs
     read the union-box kernel; other shapes walk their windows lazily."""
-    differs = _differs(x, z)
-    scan = _box_scan(differs, F, translates)
+    scan = _box_scan(_differs(x, z, unchecked=True), F, translates, x, z)
     if scan is None:
+        differs = _differs(x, z)
         rho = lambda h: require_known(differs(h), h)
         return max(map(sum, _windows(rho, F, translates)))
     scan.check_known()
@@ -154,7 +155,9 @@ def besicovitch_estimate(
     if not 0 <= n_lo <= n_hi <= chain.depth:
         raise ValueError("bad level range")
     levels = tuple(range(n_lo, n_hi + 1))
-    values = list(map(_differs(x, z), chain.domain(n_hi)))
+    # F_{n_hi} starts at the identity; both sides are checked there once
+    _check_cell(identity(chain.rank), x, z)
+    values = list(map(_differs(x, z, unchecked=True), chain.domain(n_hi)))
     sides = (chain.scale(n_hi),) * chain.rank
     unknown = _prefix_sums([v is None for v in values], sides)
     hits = _prefix_sums([1 if v else 0 for v in values], sides)

@@ -48,6 +48,7 @@ from oracles import (
     block_alternating_letter_oracle,
     known_difference,
     known_letter,
+    period_table_oracle,
     window_walk,
 )
 
@@ -447,6 +448,44 @@ def spans(data, chain):
 
 
 CHAINS = st.sampled_from([CHAIN, CHAIN2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
+    # every scan reads x._at after one check; on cells of x's rank it must
+    # read what evaluate reads, Unknown cells included
+    chain = data.draw(CHAINS)
+    x = data.draw(st.one_of(configurations(chain), resolved(chain)))
+    side = 30 if chain.rank == 1 else 10
+    lo = data.draw(elements(chain, 12))
+    if x.chain is None:
+        inside = lambda g: all(a <= c <= b for a, c, b in zip(x.lo, g, x.hi))
+        want = lambda g: x.rule(tuple(c + h for c, h in zip(g, x.offset))) if inside(g) else None
+    else:
+        table, q = period_table_oracle(x, x.max_level), chain.scale(x.max_level)
+        want = lambda g: table[tuple(c % q for c in g)]
+    for g in rect(lo, tuple(c + side - 1 for c in lo)):
+        assert x._at(g) == evaluate(x, g) == want(g)
+
+
+def test_evaluate_is_the_checked_entry():
+    x = champernowne_binary(4)
+    assert evaluate(x, 3) == evaluate(x, [3]) == x._at((3,))
+    with pytest.raises(ValueError, match=r"^element \(0, 0\) has rank 2, expected 1$"):
+        evaluate(x, (0, 0))
+    with pytest.raises(ValueError, match="rank 2, expected 1"):
+        evaluate(EVENS, (0, 0))
+    with pytest.raises(TypeError, match="not a configuration"):
+        evaluate({"variant": "oracle"}, (0,))
+
+
+def test_sets_of_bare_ints_are_read_through_evaluate():
+    # a rank-1 set may list bare ints: not a box of elements, so each cell is
+    # normalized as evaluate normalizes it
+    x = champernowne_binary(16)
+    assert empirical_measure(x, (0, 1, 2, 3)) == empirical_measure(x, rect((0,), (3,)))
+    assert omega_profile(x, [(0, 1), (0, 1, 2)]).measures == omega_profile(x, [rect((0,), (1,)), rect((0,), (2,))]).measures
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import amenshift
-from amenshift import suites
+from amenshift import cli, suites
 from amenshift.cli import DEFAULT_SCALES, main
 from amenshift.configs import block_alternating, champernowne_binary
 from amenshift.errors import SpecError
@@ -432,6 +432,9 @@ def test_cli_entropy_refuses_a_chain_of_another_rank(capsys):
         (["density"], {"cosets": {"level": 1, "reps": [[0, [1]]]}}, "/params/cosets/reps: "),
         (["path"], {"t_grid": "1/2"}, "/params/t_grid: must be an array"),
         (["verify"], {"suite": ["chain"]}, "/params/suite: must be one of"),
+        # letters are strings, as in descriptors: neither a list nor a number is coerced
+        (["density"], {"letter": ["1"]}, "/params/letter: must be a string"),
+        (["density"], {"letter": 1}, "/params/letter: must be a string"),
     ],
 )
 def test_cli_malformed_params_exit_2(tmp_path, capsys, argv, params, message):
@@ -509,6 +512,92 @@ def test_cli_out_file(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_cli_out_into_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    proc = run_cli("density", "--scales", "2,4", "--level", "1", "--reps", "0", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not out.parent.exists()
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process and shared by every main() call
+# ---------------------------------------------------------------------------
+
+CHAMP_DESC = json.dumps({"variant": "oracle", "box": 40, "rule": "champernowne_binary"})
+
+
+def count_parser_builds(monkeypatch) -> list:
+    """Forget the shared parser and record each build_parser call from now on."""
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    return built
+
+
+def test_cli_builds_its_parser_once_per_process(monkeypatch, capsys):
+    built = count_parser_builds(monkeypatch)
+    for _ in range(3):
+        assert main(["density", "--scales", "2,4", "--level", "1", "--reps", "0"]) == 0
+    assert main(["verify", "--suite", "nope"]) == 2
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_cli_call_after_one_with_config_behaves_like_a_fresh_process(capsys):
+    # an append flag's default list is shared by every parse and must stay empty
+    assert main(["density", "--config", CHAMP_DESC, "--level", "1", "--window", "2"]) == 0
+    capsys.readouterr()
+    assert main(["density", "--scales", "2,4"]) == 2
+    fresh = run_cli("density", "--scales", "2,4")
+    assert (fresh.returncode, fresh.stderr) == (2, capsys.readouterr().err)
+    assert fresh.stderr == "spec error: /configs: density needs a configuration or a coset set\n"
+
+
+def test_cli_main_from_four_threads_writes_the_serial_bytes(monkeypatch, tmp_path):
+    argvs = [
+        ["density", "--config", CHAMP_DESC, "--level", "2", "--window", "8"],
+        ["distance", "--config", CHAMP_DESC, "--config", json.dumps(EVENS_DESC), "--level", "1", "--window", "6"],
+        ["entropy", "--config", CHAMP_DESC, "--level-hi", "2", "--window", "6"],
+        ["omega", "--config", CHAMP_DESC, "--boxes", "linear", "--level-hi", "6", "--format", "csv"],
+    ]
+
+    def write(argv, name):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    serial = [write(argv, f"serial-{i}") for i, argv in enumerate(argvs)]
+    # four first calls race to build the parser, the threads switching often
+    built = count_parser_builds(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(write, argvs, [f"thread-{i}" for i in range(4)], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert len(built) == 1
+
+
+# rank mismatches: each scan checks its configurations once, at its first
+# cell, and names that cell as the per-cell check named it
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        (["density"], "(-2, -2)"),
+        (["distance", "--metric", "dstar", "--config", CHAMP_DESC, "--level", "1", "--window", "2"], "(-2, -2)"),
+        (["omega", "--boxes", "chain"], "(0, 0)"),
+    ],
+    ids=["density", "dstar", "omega"],
+)
+def test_cli_rank_mismatch_names_the_first_cell(capsys, argv, cell):
+    assert main([*argv, "--rank", "2", "--scales", "2,4", "--config", CHAMP_DESC]) == 2
+    assert capsys.readouterr().err == f"error: element {cell} has rank 2, expected 1\n"
 
 
 # ---------------------------------------------------------------------------
