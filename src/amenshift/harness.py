@@ -22,7 +22,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import suites
 from .configs import (
@@ -61,14 +61,93 @@ def _is_array(value: Any) -> bool:
     return isinstance(value, (list, tuple))
 
 
-# params the runners read as counts or levels
-INT_PARAMS = (
-    "depth", "window", "level", "level_lo", "level_hi", "block_level", "stages", "alphabet_size",
-)
+def _rational(value: Any) -> Fraction | None:
+    """The rational a param value spells (an integer, a decimal or "p/q"), else None."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        return None
 
-# params with a default that both the runners and the CLI fill in
-PARAM_DEFAULTS = {
-    "metric": "dstar", "boxes": "chain", "alphabet_size": 2, "stages": 2, "suite": "all",
+
+# each param type's test of a value, and what a value failing it must be
+_TYPES = {
+    "int": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "rational": (lambda v: _rational(v) is not None, 'a rational, an integer or a "p/q" string'),
+    "unit": (lambda v: _rational(v) is not None and 0 <= _rational(v) <= 1, "a rational in [0, 1]"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "unit array": (_is_array, "an array"),
+    "cosets": (lambda v: isinstance(v, dict), "an object with a level and reps"),
+}
+
+
+class Param(NamedTuple):
+    """One row of the param table: its type (enum or a key of _TYPES), the
+    kinds whose runners read it, its flag's help, its constant default and its
+    enum choices.  The CLI writes an ``echoed`` default into the spec it builds,
+    and ``flag`` replaces the flag named after the key."""
+
+    type: str
+    kinds: tuple[str, ...]
+    help: str
+    default: Any = None
+    choices: tuple[str, ...] = ()
+    echoed: bool = False
+    flag: str | None = None
+
+    def check(self, value: Any, pointer: str) -> None:
+        """Raise SpecError at the pointer unless the value has this param's type."""
+        if self.type == "enum":
+            # a tuple test compares by ==, so an unhashable value is refused, not raised on
+            valid, kind = self.choices.__contains__, f"one of {', '.join(self.choices)}"
+        else:
+            valid, kind = _TYPES[self.type]
+        if not valid(value):
+            raise _fail(pointer, f"must be {kind}")
+        if self.type == "unit array":
+            for i, t in enumerate(value):
+                Param("unit", (), "").check(t, f"{pointer}/{i}")
+        if self.type == "cosets":
+            Param("int", (), "").check(value.get("level"), f"{pointer}/level")
+            reps = value.get("reps")
+            if not _is_array(reps) or not all(map(_is_element, reps)):
+                raise _fail(f"{pointer}/reps", "must be an array of integers or integer arrays")
+
+
+# every param a spec may hold, in the order of the params echo of a spec the
+# CLI builds from flags; a default the runner derives from the chain (a window
+# of q_level, a depth or level_hi of the chain's depth) is stated in the runner
+PARAMS = {
+    "depth": Param("int", ("path", "krieger", "toeplitz"), "construction / verification depth"),
+    "window": Param("int", ("density", "distance", "entropy"), "translate window radius", 0),
+    "level": Param("int", ("density", "distance", "entropy", "toeplitz"), "Følner level n", 1),
+    "level_lo": Param("int", ("distance", "entropy", "omega"), "first Følner level", 1),
+    "level_hi": Param("int", ("distance", "entropy", "omega"), "last Følner level", 1),
+    "letter": Param("string", ("density",), "letter whose positions form the set A", "1"),
+    "metric": Param(
+        "enum", ("distance",), "pseudometric", "dstar", ("dstar", "weyl", "besicovitch", "dwprime"),
+        echoed=True,
+    ),
+    "block_level": Param("int", ("distance",), "level of the averaging block F for weyl", 1),
+    "boxes": Param(
+        "enum", ("omega",), "nested box sequence", "chain", ("chain", "linear", "geometric"),
+        echoed=True,
+    ),
+    "eps": Param("rational", ("omega",), "geometric ratio parameter (rational)", "1/2"),
+    "gamma": Param("rational", ("krieger",), "entropy fraction in (0,1), rational", "1/2"),
+    "alphabet_size": Param("int", ("krieger",), "number of letters", 2, echoed=True),
+    "stages": Param("int", ("krieger",), "number of construction stages", 2, echoed=True),
+    "action": Param(
+        "enum", ("toeplitz",), "table diagnostic", "profile",
+        ("verify", "profile", "approx", "interpolate"), flag="action",
+    ),
+    "t": Param("unit", ("toeplitz",), "interpolation parameter (rational)", "1/2"),
+    "suite": Param("enum", ("verify",), "suite", "all", (*suites.SUITES, "all"), echoed=True),
+    "t_grid": Param(
+        "unit array", ("path",), "comma-separated rationals in [0,1]", ("0", "1/2", "1")
+    ),
+    "cosets": Param(
+        "cosets", ("density",), "comma-separated coset representatives (exact mode)", flag="--reps"
+    ),
 }
 
 # the kinds whose spec needs no chain
@@ -78,9 +157,10 @@ CHAINLESS_KINDS = ("verify",)
 VERDICTS = ("passed", "within_bound", "gamma_certificate")
 
 
-def check_document(doc: Any) -> None:
-    """Raise SpecError, at a JSON pointer, where a document is malformed;
-    whether its kind is known and its chain present is left to ExperimentSpec."""
+def check_document(doc: Any, kind: Any = None) -> None:
+    """Raise SpecError, at a JSON pointer, where a document is malformed; its
+    params are checked for the given kind, by default its own.  Whether the
+    kind is known and the chain present is left to ExperimentSpec."""
     if not isinstance(doc, dict):
         raise _fail("", "spec must be an object")
     chain = doc.get("chain")
@@ -105,23 +185,15 @@ def check_document(doc: Any) -> None:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise _fail("/params", "must be an object")
-    for key in INT_PARAMS:
-        if key in params and (not _is_int(params[key]) or params[key] < 0):
-            raise _fail(f"/params/{key}", "must be a nonnegative integer")
-    if "cosets" in params:
-        cosets = params["cosets"]
-        if not isinstance(cosets, dict):
-            raise _fail("/params/cosets", "must be an object with a level and reps")
-        if not _is_int(cosets.get("level")) or cosets["level"] < 0:
-            raise _fail("/params/cosets/level", "must be a nonnegative integer")
-        reps = cosets.get("reps")
-        if not _is_array(reps) or not all(map(_is_element, reps)):
-            raise _fail("/params/cosets/reps", "must be an array of integers or integer arrays")
-    if "t_grid" in params and not _is_array(params["t_grid"]):
-        raise _fail("/params/t_grid", "must be an array")
-    # letters are strings, as in descriptors: a number is refused, not coerced
-    if "letter" in params and not isinstance(params["letter"], str):
-        raise _fail("/params/letter", "must be a string")
+    kind = doc.get("kind") if kind is None else kind
+    for key, value in params.items():
+        pointer = "/params/" + str(key).replace("~", "~0").replace("/", "~1")
+        row = PARAMS.get(key)
+        if row is None:
+            raise _fail(pointer, "unknown param")
+        row.check(value, pointer)
+        if kind in KINDS and kind not in row.kinds:
+            raise _fail(pointer, f"not read by {kind}, only by {', '.join(row.kinds)}")
     if not _is_int(doc.get("seed", 0)):
         raise _fail("/seed", "must be an integer")
 
@@ -152,10 +224,19 @@ class ExperimentSpec:
         if self.chain is None and self.kind not in CHAINLESS_KINDS:
             raise _fail("/chain", f"required for every kind but {', '.join(CHAINLESS_KINDS)}")
 
+    def param(self, key: str, default: Any = None) -> Any:
+        """A param's value: the spec's own, else the given default (one the
+        runner derives from the chain), else the table's; rationals as Fractions."""
+        row = PARAMS[key]
+        value = self.params.get(key, row.default if default is None else default)
+        if row.type in ("rational", "unit"):
+            return Fraction(str(value))
+        if row.type == "unit array":
+            return [Fraction(str(t)) for t in value]
+        return value
+
     def resolve_chain(self) -> SubgroupChain | None:
-        if self.chain is None:
-            return None
-        return make_chain(self.chain["rank"], self.chain["scales"])
+        return None if self.chain is None else make_chain(self.chain["rank"], self.chain["scales"])
 
 
 @dataclass(frozen=True)
@@ -229,19 +310,26 @@ def interval_item(estimate: IntervalEstimate) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _configs(spec: ExperimentSpec, chain, needs: str, count: int = 1) -> list:
+    """A spec's first count configurations over the chain; SpecError if it has fewer."""
+    if len(spec.configs) < count:
+        raise _fail("/configs", needs)
+    return [config_from_descriptor(desc, chain) for desc in spec.configs[:count]]
+
+
 def _run_density(spec: ExperimentSpec) -> list[dict]:
+    """Banach density of a coset set or a letter set"""
     chain = spec.resolve_chain()
-    params = spec.params
-    if "cosets" in params:
-        cs = CosetSet.make(chain, params["cosets"]["level"], params["cosets"]["reps"])
-        est = banach_density_exact(cs)
-        return [interval_item(est)]
-    if not spec.configs:
-        raise _fail("/configs", "density needs a configuration or a coset set")
-    x = config_from_descriptor(spec.configs[0], chain)
-    letter = params.get("letter", "1")
-    level = params.get("level", 1)
-    radius = params.get("window", chain.scale(level))
+    if "cosets" in spec.params:
+        cosets = CosetSet.make(chain, spec.params["cosets"]["level"], spec.params["cosets"]["reps"])
+        return [interval_item(banach_density_exact(cosets))]
+    [x] = _configs(spec, chain, "density needs a configuration or a coset set")
+    letter = spec.param("letter")
+    if letter not in x.alphabet:
+        letters = ", ".join(map(repr, x.alphabet.letters))
+        raise _fail("/params/letter", f"{letter!r} is not a letter of the configuration: {letters}")
+    level = spec.param("level")
+    radius = spec.param("window", chain.scale(level))
 
     def member(g):
         v = x._at(g)
@@ -252,21 +340,18 @@ def _run_density(spec: ExperimentSpec) -> list[dict]:
 
 
 def _run_distance(spec: ExperimentSpec) -> list[dict]:
+    """pseudometric between two configurations"""
     chain = spec.resolve_chain()
-    if len(spec.configs) < 2:
-        raise _fail("/configs", "distance needs two configurations")
-    x = config_from_descriptor(spec.configs[0], chain)
-    z = config_from_descriptor(spec.configs[1], chain)
-    metric = spec.params.get("metric", PARAM_DEFAULTS["metric"])
-    level = spec.params.get("level")
-    radius = spec.params.get("window")
+    x, z = _configs(spec, chain, "distance needs two configurations", 2)
+    metric = spec.param("metric")
     if metric in ("dstar", "dwprime"):
-        # with the discrete letter metric D_W' is D*; the item names which was asked for
-        rep = dstar_distance(x, z, level, radius, chain)
+        # with the discrete letter metric D_W' is D*; the item names which was asked for;
+        # a coset pair needs no level or window, and another pair needs both
+        rep = dstar_distance(x, z, spec.params.get("level"), spec.params.get("window"), chain)
         return [{"metric": metric, "basis": rep.basis, **interval_item(rep.value)}]
     if metric == "weyl":
-        n = spec.params.get("block_level", 1)
-        bound = weyl_upper_bound(x, z, chain.domain(n), radius or 0)
+        n = spec.param("block_level")
+        bound = weyl_upper_bound(x, z, chain.domain(n), spec.param("window"))
         item = {
             "metric": "weyl",
             "window_proxy": bound.window_proxy,
@@ -275,31 +360,24 @@ def _run_distance(spec: ExperimentSpec) -> list[dict]:
         if bound.exact is not None:
             item["exact"] = bound.exact
         return [item]
-    if metric == "besicovitch":
-        lo = spec.params.get("level_lo", 1)
-        hi = spec.params.get("level_hi", chain.depth)
-        trace = besicovitch_estimate(x, z, chain, lo, hi)
-        items = [
-            {"metric": "besicovitch", "level": n, "average": avg}
-            for n, avg in zip(trace.levels, trace.averages)
-        ]
-        items.append(
-            {"metric": "besicovitch", "level": "limsup-proxy", "average": trace.running_max}
-        )
-        return items
-    raise _fail("/params/metric", "must be dstar|weyl|besicovitch|dwprime")
+    hi = spec.param("level_hi", chain.depth)
+    trace = besicovitch_estimate(x, z, chain, spec.param("level_lo"), hi)
+    items = [
+        {"metric": "besicovitch", "level": n, "average": avg}
+        for n, avg in zip(trace.levels, trace.averages)
+    ]
+    items.append({"metric": "besicovitch", "level": "limsup-proxy", "average": trace.running_max})
+    return items
 
 
 def _run_entropy(spec: ExperimentSpec) -> list[dict]:
+    """pattern-counting entropy estimates"""
     chain = spec.resolve_chain()
-    if not spec.configs:
-        raise _fail("/configs", "entropy needs a configuration")
-    x = config_from_descriptor(spec.configs[0], chain)
-    lo = spec.params.get("level_lo", 1)
-    hi = spec.params.get("level_hi", spec.params.get("level", 1))
+    [x] = _configs(spec, chain, "entropy needs a configuration")
+    # no window: a periodic configuration needs none, and another is refused
     radius = spec.params.get("window")
     items = []
-    for n in range(lo, hi + 1):
+    for n in range(spec.param("level_lo"), spec.param("level_hi", spec.param("level")) + 1):
         est = entropy_estimate(x, n, radius, chain)
         items.append(
             {
@@ -313,29 +391,21 @@ def _run_entropy(spec: ExperimentSpec) -> list[dict]:
     return items
 
 
-def _box_sequence_from_params(chain, params) -> list:
-    kind = params.get("boxes", PARAM_DEFAULTS["boxes"])
-    levels = range(params.get("level_lo", 1), params.get("level_hi", 1) + 1)
-    if kind == "chain":
-        return [(n, chain.domain(n)) for n in levels]
-    if kind == "linear":
-        return [(n, box(1, n + 1)) for n in levels]
-    if kind == "geometric":
-        eps = Fraction(str(params.get("eps", "1/2")))
-        lengths = geometric_box_lengths(eps, max(levels))
-        return [(n, box(1, lengths[n])) for n in levels]
-    raise _fail("/params/boxes", "must be chain|linear|geometric")
-
-
 def _run_omega(spec: ExperimentSpec) -> list[dict]:
+    """empirical-measure trace along nested boxes"""
     chain = spec.resolve_chain()
-    if not spec.configs:
-        raise _fail("/configs", "omega needs a configuration")
-    x = config_from_descriptor(spec.configs[0], chain)
-    pairs = _box_sequence_from_params(chain, spec.params)
-    profile = omega_profile(x, [F for _, F in pairs])
+    [x] = _configs(spec, chain, "omega needs a configuration")
+    levels = range(spec.param("level_lo"), spec.param("level_hi") + 1)
+    if spec.param("boxes") == "chain":
+        sets = [chain.domain(n) for n in levels]
+    elif spec.param("boxes") == "linear":
+        sets = [box(1, n + 1) for n in levels]
+    else:
+        lengths = geometric_box_lengths(spec.param("eps"), max(levels))
+        sets = [box(1, lengths[n]) for n in levels]
+    profile = omega_profile(x, sets)
     items = []
-    for i, (n, _) in enumerate(pairs):
+    for i, n in enumerate(levels):
         item = {"level": n, "size": profile.sizes[i]}
         for atom, w in profile.measures[i].atoms:
             item[f"weight[{atom}]"] = w
@@ -348,18 +418,15 @@ def _run_omega(spec: ExperimentSpec) -> list[dict]:
 
 
 def _run_path(spec: ExperimentSpec) -> list[dict]:
+    """the binary configuration path and its Lipschitz trace"""
     chain = spec.resolve_chain()
-    depth = spec.params.get("depth", chain.depth)
-    grid = [Fraction(str(t)) for t in spec.params.get("t_grid", ["0", "1/2", "1"])]
+    depth = spec.param("depth", chain.depth)
+    grid = spec.param("t_grid")
     paths = [psi_path(t, chain, depth) for t in grid]
     items = []
     for t, p in zip(grid, paths):
         est = entropy_estimate(p.table, 1) if p.table.fully_resolved() else None
-        item = {
-            "t": t,
-            "d_density": p.d_density,
-            "terminated": p.terminated,
-        }
+        item = {"t": t, "d_density": p.d_density, "terminated": p.terminated}
         if est is not None:
             item["entropy_nats_level1"] = est.value
         items.append(item)
@@ -368,31 +435,29 @@ def _run_path(spec: ExperimentSpec) -> list[dict]:
         for t, pt in zip(grid[i + 1 :], paths[i + 1 :]):
             rep = dstar_distance(ps.table, pt.table)
             bound = abs(t - s) + slack
-            good = rep.value.upper <= bound
             items.append(
                 {
                     "s": min(s, t),
                     "t": max(s, t),
                     "dstar_upper": rep.value.upper,
                     "lipschitz_bound": bound,
-                    "passed": good,
+                    "passed": rep.value.upper <= bound,
                 }
             )
     return items
 
 
 def _run_krieger(spec: ExperimentSpec) -> list[dict]:
+    """positive-entropy table construction"""
     chain = spec.resolve_chain()
     if "depth" in spec.params:
         depth = spec.params["depth"]
         if depth < 1 or depth > chain.depth:
             raise _fail("/params/depth", f"must lie in 1..{chain.depth}")
         chain = make_chain(chain.rank, chain.scales[:depth])
-    gamma = Fraction(str(spec.params.get("gamma", "1/2")))
-    letters = spec.params.get("alphabet_size", PARAM_DEFAULTS["alphabet_size"])
-    alphabet = Alphabet(tuple(chr(ord("a") + i) for i in range(letters)))
-    stages = spec.params.get("stages", PARAM_DEFAULTS["stages"])
-    result = krieger_construct(gamma, chain, alphabet, stages)
+    gamma = spec.param("gamma")
+    alphabet = Alphabet(tuple(chr(ord("a") + i) for i in range(spec.param("alphabet_size"))))
+    result = krieger_construct(gamma, chain, alphabet, spec.param("stages"))
     items = []
     for st in result.stages:
         item = {
@@ -404,31 +469,25 @@ def _run_krieger(spec: ExperimentSpec) -> list[dict]:
             "window_count": st.window_count,
         }
         if st.next_level is not None:
-            size = chain.domain_size(st.level)
-            cert = meets_power_bound(st.window_count, gamma * size, len(alphabet))
-            est = result.entropy_at(st.index)
-            item["certificate_floor"] = float(len(alphabet)) ** float(gamma * size)
-            item["gamma_certificate"] = cert
-            item["entropy_nats"] = est.value
+            exponent = gamma * chain.domain_size(st.level)
+            item["certificate_floor"] = float(len(alphabet)) ** float(exponent)
+            item["gamma_certificate"] = meets_power_bound(st.window_count, exponent, len(alphabet))
+            item["entropy_nats"] = result.entropy_at(st.index).value
         items.append(item)
     return items
 
 
 def _run_toeplitz(spec: ExperimentSpec) -> list[dict]:
+    """skeleton / regularity / approximation on a table"""
     chain = spec.resolve_chain()
-    action = spec.params.get("action", "profile")
+    action = spec.param("action")
     if action == "interpolate":
-        if len(spec.configs) < 2:
-            raise _fail("/configs", "interpolate needs two coset tables")
-        z = config_from_descriptor(spec.configs[0], chain)
-        zp = config_from_descriptor(spec.configs[1], chain)
-        t = Fraction(str(spec.params.get("t", "1/2")))
-        u = toeplitz_interpolate(z, zp, t, spec.params.get("depth"))
+        z, zp = _configs(spec, chain, "interpolate needs two coset tables", 2)
+        t = spec.param("t")
+        u = toeplitz_interpolate(z, zp, t, spec.param("depth"))
         return [{"t": t, "table": config_descriptor(u)}]
-    if not spec.configs:
-        raise _fail("/configs", "toeplitz needs a configuration")
-    x = config_from_descriptor(spec.configs[0], chain)
-    N = spec.params.get("depth", chain.depth)
+    [x] = _configs(spec, chain, "toeplitz needs a configuration")
+    N = spec.param("depth", chain.depth)
     if action == "verify":
         rep = verify_skeleton(x, N)
         item = {
@@ -441,44 +500,31 @@ def _run_toeplitz(spec: ExperimentSpec) -> list[dict]:
         return [item]
     if action == "profile":
         prof = regularity_profile(x, N)
-        items = [
-            {"level": n, "per_density": d}
-            for n, d in zip(prof.levels, prof.densities)
-        ]
+        items = [{"level": n, "per_density": d} for n, d in zip(prof.levels, prof.densities)]
         items.append({"regular": prof.regular, "tolerance": prof.tolerance})
         return items
-    if action == "approx":
-        n = spec.params.get("level", N)
-        approx = periodic_approximation(x, n)
-        rep = dstar_distance(approx, x)
-        bound = 1 - per_set(x, n).density()
-        good = rep.value.upper <= bound
-        item = {
-            "level": n,
-            "disagreement_upper": rep.value.upper,
-            "bound": bound,
-            "passed": good,
-            "word": config_descriptor(approx)["word"],
-        }
-        return [item]
-    raise _fail("/params/action", "must be verify|profile|approx|interpolate")
+    n = spec.param("level", N)
+    approx = periodic_approximation(x, n)
+    rep = dstar_distance(approx, x)
+    bound = 1 - per_set(x, n).density()
+    item = {
+        "level": n,
+        "disagreement_upper": rep.value.upper,
+        "bound": bound,
+        "passed": rep.value.upper <= bound,
+        "word": config_descriptor(approx)["word"],
+    }
+    return [item]
 
 
 def _run_verify(spec: ExperimentSpec) -> list[dict]:
-    name = spec.params.get("suite", PARAM_DEFAULTS["suite"])
-    available = suites.SUITES
-    # a tuple test compares by ==, so an unhashable value is refused, not raised on
-    if name not in ("all", *available):
-        raise _fail("/params/suite", f"must be one of {', '.join(available)} or all")
-    chosen = list(available) if name == "all" else [name]
-    return [
-        {"suite": suite_name, **item}
-        for suite_name in chosen
-        for item in available[suite_name](seed=spec.seed)
-    ]
+    """bundled verification suites"""
+    name = spec.param("suite")
+    chosen = list(suites.SUITES) if name == "all" else [name]
+    return [{"suite": s, **item} for s in chosen for item in suites.SUITES[s](seed=spec.seed)]
 
 
-_RUNNERS: dict[str, Callable[[ExperimentSpec], list[dict]]] = {
+RUNNERS: dict[str, Callable[[ExperimentSpec], list[dict]]] = {
     "density": _run_density,
     "distance": _run_distance,
     "entropy": _run_entropy,
@@ -488,7 +534,7 @@ _RUNNERS: dict[str, Callable[[ExperimentSpec], list[dict]]] = {
     "toeplitz": _run_toeplitz,
     "verify": _run_verify,
 }
-KINDS = tuple(_RUNNERS)
+KINDS = tuple(RUNNERS)
 
 
 def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
@@ -497,7 +543,7 @@ def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
     item is true."""
     spec.check()
     start = time.monotonic()
-    raw = _RUNNERS[spec.kind](spec)
+    raw = RUNNERS[spec.kind](spec)
     elapsed = (time.monotonic() - start) * 1000.0
     # the in-memory items equal what the JSON emitter writes, read back
     items = tuple(from_jsonable(jsonable(item)) for item in raw)
@@ -533,11 +579,7 @@ def emit(report: ExperimentReport, fmt: str = "json") -> bytes:
         return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
-        columns: list[str] = []
-        for item in report.items:
-            for key in item:
-                if key not in columns:
-                    columns.append(key)
+        columns = list(dict.fromkeys(key for item in report.items for key in item))
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns + ["serialization"])
         for item in report.items:

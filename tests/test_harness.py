@@ -1,13 +1,16 @@
 import hashlib
+import io
 import json
 import os
 import pickle
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import amenshift
 from amenshift import cli, suites
@@ -17,6 +20,7 @@ from amenshift.errors import SpecError
 from amenshift.groups import make_chain
 from amenshift.harness import (
     KINDS,
+    PARAMS,
     VERDICTS,
     ExperimentReport,
     ExperimentSpec,
@@ -31,6 +35,56 @@ from amenshift.metrics import dstar_distance
 # byte-identity anchor also recorded in bench/references.json: a change that
 # keeps every report keeps this digest.
 VERIFY_ALL_SEED7_SHA256 = "472456c780366e86cbe7c28d0b55638151645757c6af1bf1617f30ffd96ee880"
+
+# sha256 of the report of every other README "Command line" example, in the
+# format it asks for, and of one --spec file merged with flags (see
+# test_cli_spec_file_merged_with_flags_matches_its_byte_pin): the per-kind
+# byte pins that a change to the CLI or the runners must keep
+README_EXAMPLES_SHA256 = {
+    "density": (
+        ["density", "--scales", "2,4,8", "--level", "2", "--reps", "0,1"],
+        "88c70313b414bc8a08ab2ce36be7109a747bb681af14ba8e749e78648d382eeb",
+    ),
+    "distance": (
+        [
+            "distance", "--metric", "dstar",
+            "--config", '{"variant":"periodic","level":1,"word":{"0":"1","1":"0"}}',
+            "--config", '{"variant":"periodic","level":1,"word":{"0":"0","1":"0"}}',
+        ],
+        "d5606adb53c893e7c4e0357dc8848819e1dde9097a793f90ea96d28ed3296100",
+    ),
+    "entropy": (
+        [
+            "entropy", "--config", '{"variant":"oracle","box":512,"rule":"champernowne_binary"}',
+            "--level-lo", "1", "--level-hi", "3", "--window", "400", "--format", "csv",
+        ],
+        "dd9b42ee8adc03fa3a61f3c7170cdb9dc6098cfaa92429822fb82db751a490e4",
+    ),
+    "omega": (
+        [
+            "omega", "--config", '{"variant":"oracle","box":4097,"rule":"block_alternating(1/2)"}',
+            "--boxes", "geometric", "--eps", "1/2", "--level-lo", "1", "--level-hi", "12",
+            "--format", "csv",
+        ],
+        "cba4468f554b11f661faac9609764c3784cd8876dc986c925b4770e794dce46c",
+    ),
+    "path": (
+        ["path", "--t-grid", "0,1/4,1/2,3/4,1", "--depth", "6", "--format", "csv"],
+        "dd4c5ca47d20ff66345f9096007b677aa6b6fbf4358a9b1bfd1595d256bc2e2a",
+    ),
+    "krieger": (
+        ["krieger", "--gamma", "1/2", "--alphabet-size", "2", "--stages", "2"],
+        "3ee3b4eec986d54f1c65807d4bc0c3a1f2bb03872385ba0635a57ccf6c9ccf87",
+    ),
+    "toeplitz": (
+        [
+            "toeplitz", "profile",
+            "--config", '{"variant":"toeplitz","assignments":[[1,0,"a"],[2,1,"b"]]}', "--depth", "3",
+        ],
+        "3cb06973e21c2460c8dad8e2f4881acf872e85ec8157a3d7e27b16b5da7bf1bb",
+    ),
+}
+SPEC_MERGED_WITH_FLAGS_SHA256 = "ea1eef93bb104c4442816da226c73822ecff043e81b3241be0cb1a44b189510d"
 
 # CLI subprocesses import the same amenshift as these tests, installed or not
 CLI_ENV = {
@@ -147,6 +201,27 @@ def test_verify_all_report_matches_byte_identity_anchor():
     assert hashlib.sha256(emit(report, "json")).hexdigest() == VERIFY_ALL_SEED7_SHA256
 
 
+@pytest.mark.parametrize("kind", README_EXAMPLES_SHA256)
+def test_cli_readme_examples_match_their_byte_pins(kind, capsys):
+    argv, digest = README_EXAMPLES_SHA256[kind]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_spec_file_merged_with_flags_matches_its_byte_pin(tmp_path, capsys):
+    # the file's params keep their places, a flag overrides in place, and a
+    # flag the file lacks follows them in table order
+    evens = {"variant": "periodic", "level": 1, "word": {"0": "1", "1": "0"}}
+    zeros = {"variant": "periodic", "level": 1, "word": {"0": "0", "1": "0"}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"configs": [evens, zeros], "params": {"window": 3, "metric": "dstar"}}))
+    argv = ["distance", "--spec", str(path), "--scales", "2,4,8,16", "--metric", "weyl", "--block-level", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert list(json.loads(out)["spec"]["params"]) == ["window", "metric", "block_level"]
+    assert hashlib.sha256(out.encode()).hexdigest() == SPEC_MERGED_WITH_FLAGS_SHA256
+
+
 def verify_bytes(suite: str) -> bytes:
     return emit(run(ExperimentSpec("verify", params={"suite": suite}, seed=7)), "json")
 
@@ -226,7 +301,10 @@ def test_schema_checks_every_integer_param(key, value):
     with pytest.raises(SpecError) as caught:
         spec_from_json({"kind": "verify", "params": {key: value}})
     assert str(caught.value) == f"/params/{key}: must be a nonnegative integer"
-    spec_from_json({"kind": "verify", "params": {key: 3}})
+    # a well-typed value is accepted by a kind that reads it and refused by one that does not
+    spec_from_json({"kind": PARAMS[key].kinds[0], "chain": {"rank": 1, "scales": [2]}, "params": {key: 3}})
+    with pytest.raises(SpecError, match=f"^/params/{key}: not read by verify"):
+        spec_from_json({"kind": "verify", "params": {key: 3}})
 
 
 def test_verify_kind_runs_named_suite():
@@ -362,6 +440,13 @@ def test_cli_malformed_spec_is_schema_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"spec error: {message}\n"
 
 
+def test_cli_chain_file_is_checked_before_flags_are_merged_into_it(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text("[1]")
+    assert main(["path", "--chain", str(path), "--rank", "2"]) == 2
+    assert capsys.readouterr() == ("", "spec error: /chain: must be an object\n")
+
+
 TOEPLITZ_DESC = {"variant": "toeplitz", "assignments": [[1, 0, "a"], [2, 1, "b"]]}
 ORACLE_DESC = {"variant": "oracle", "box": 16, "rule": "champernowne_binary"}
 
@@ -442,6 +527,105 @@ def test_cli_malformed_params_exit_2(tmp_path, capsys, argv, params, message):
     path.write_text(json.dumps({"params": params}))
     assert main([*argv, "--scales", "2,4", "--spec", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"spec error: {message}")
+
+
+# every param is checked against the one table before any runner starts, so
+# each refusal is one line naming the param; the kind's other defects wait
+@pytest.mark.parametrize(
+    "argv, params, line",
+    [
+        (["path"], {"windw": 3}, "/params/windw: unknown param"),
+        (["density"], {"a/b~": 1}, "/params/a~1b~0: unknown param"),
+        (["krieger"], {"gamma": [1]}, '/params/gamma: must be a rational, an integer or a "p/q" string'),
+        (["krieger"], {"gamma": "1/0"}, '/params/gamma: must be a rational, an integer or a "p/q" string'),
+        (["omega"], {"eps": {"a": 1}}, '/params/eps: must be a rational, an integer or a "p/q" string'),
+        (["path"], {"t_grid": ["0", "3/2"]}, "/params/t_grid/1: must be a rational in [0, 1]"),
+        (["path"], {"t_grid": [None]}, "/params/t_grid/0: must be a rational in [0, 1]"),
+        (["toeplitz", "interpolate"], {"t": "-1/2"}, "/params/t: must be a rational in [0, 1]"),
+        (["verify"], {"window": 3}, "/params/window: not read by verify, only by density, distance, entropy"),
+        (["omega"], {"depth": 3}, "/params/depth: not read by omega, only by path, krieger, toeplitz"),
+        # no configurations either: the param is refused first
+        (["distance"], {"metric": "foo"}, "/params/metric: must be one of dstar, weyl, besicovitch, dwprime"),
+        (["toeplitz", "profile"], {"action": "x"}, "/params/action: must be one of verify, profile, approx, interpolate"),
+    ],
+)
+def test_cli_refuses_a_param_at_its_pointer(tmp_path, capsys, argv, params, line):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"params": params}))
+    assert main([*argv, "--scales", "2,4", "--spec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"spec error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["path", "--t-grid", "0,3/2"], "/params/t_grid/1: must be a rational in [0, 1]"),
+        (["krieger", "--gamma", "x"], '/params/gamma: must be a rational, an integer or a "p/q" string'),
+        (["distance", "--metric", "foo"], "/params/metric: must be one of dstar, weyl, besicovitch, dwprime"),
+        (["omega", "--boxes", "x"], "/params/boxes: must be one of chain, linear, geometric"),
+        (["toeplitz", "x"], "/params/action: must be one of verify, profile, approx, interpolate"),
+    ],
+)
+def test_cli_flags_are_checked_like_spec_params(capsys, argv, line):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"spec error: {line}\n")
+
+
+def test_direct_spec_params_are_checked_against_the_table():
+    chain = {"rank": 1, "scales": [2, 4]}
+    with pytest.raises(SpecError, match="^/params/windw: unknown param$"):
+        ExperimentSpec("path", chain, params={"windw": 3})
+    with pytest.raises(SpecError, match="^/params/level: not read by path"):
+        ExperimentSpec("path", chain, params={"level": 1})
+    # a spec of an unknown kind is refused at /kind once its params are well typed
+    with pytest.raises(SpecError, match="^/kind: must be one of"):
+        ExperimentSpec("nope", chain, params={"level": 1})
+    # the rows name exactly the runners' kinds
+    assert {kind for row in PARAMS.values() for kind in row.kinds} == set(KINDS)
+
+
+CHAMP20 = '{"variant":"oracle","box":20,"rule":"champernowne_binary"}'
+
+
+def test_cli_density_refuses_a_letter_outside_the_alphabet(capsys):
+    assert main(["density", "--config", CHAMP20, "--letter", "7"]) == 2
+    assert capsys.readouterr() == (
+        "", "spec error: /params/letter: '7' is not a letter of the configuration: '0', '1'\n"
+    )
+    # the default letter "1" is no letter of an a/b table either
+    table = json.dumps(TOEPLITZ_DESC)
+    assert main(["density", "--scales", "2,4", "--config", table]) == 2
+    assert capsys.readouterr().err == (
+        "spec error: /params/letter: '1' is not a letter of the configuration: 'a', 'b'\n"
+    )
+    assert main(["density", "--scales", "2,4", "--config", table, "--letter", "b"]) == 0
+    assert json.loads(capsys.readouterr().out)["spec"]["params"]["letter"] == "b"
+
+
+# each subcommand's flags: the spec-level ones and its kind's rows of the table
+SPEC_LEVEL_FLAGS = {
+    "-h", "--help", "--spec", "--chain", "--rank", "--scales", "--seed", "--config", "--out",
+    "--format", "--timing",
+}
+KIND_FLAGS = {
+    "density": {"--window", "--level", "--letter", "--reps"},
+    "distance": {"--window", "--level", "--level-lo", "--level-hi", "--metric", "--block-level"},
+    "entropy": {"--window", "--level", "--level-lo", "--level-hi"},
+    "omega": {"--level-lo", "--level-hi", "--boxes", "--eps"},
+    "path": {"--depth", "--t-grid"},
+    "krieger": {"--depth", "--gamma", "--alphabet-size", "--stages"},
+    "toeplitz": {"--depth", "--level", "--t", "action"},
+    "verify": {"--suite"},
+}
+
+
+def test_cli_each_kind_has_the_flags_of_its_table_rows():
+    [subcommands] = [a.choices for a in cli.build_parser()._actions if a.dest == "kind"]
+    assert list(subcommands) == list(KINDS)
+    for kind, parser in subcommands.items():
+        flags = {a.option_strings[0] if a.option_strings else a.dest for a in parser._actions}
+        flags |= {s for a in parser._actions for s in a.option_strings}
+        assert flags == SPEC_LEVEL_FLAGS | KIND_FLAGS[kind], kind
 
 
 def test_cli_verify_suite():
@@ -689,3 +873,128 @@ def test_direct_specs_are_checked_where_they_are_built():
         ExperimentSpec("nope")
     with pytest.raises(SpecError, match="^/configs/0: must be an object with a variant"):
         ExperimentSpec("entropy", {"rank": 1, "scales": [2]}, configs=("x",))
+
+
+# ---------------------------------------------------------------------------
+# any spec document: a report and exit 0 or 1, or exit 2 with one stderr line
+# ---------------------------------------------------------------------------
+
+# JSON values of the wrong shape for most fields; integers stay small, so a
+# value that is accepted by mistake still runs in milliseconds
+NOT_OBJECTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.sampled_from([0.5, 1e300, -0.0]),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+JUNK = NOT_OBJECTS | st.dictionaries(st.sampled_from(["level", "reps", "a"]), st.integers(0, 2), max_size=2)
+
+
+def mostly(good):
+    """The good strategy nine times in ten, else junk."""
+    return st.integers(0, 9).flatmap(lambda i: JUNK if i == 9 else good)
+
+
+RATIONALS = st.sampled_from(["0", "1", "1/2", "1/3", "0.25", "3/2", "-1", "1/0", "x", 1])
+PARAM_VALUES = {
+    "depth": st.integers(0, 4),
+    "window": st.integers(0, 6),
+    "level": st.integers(0, 4),
+    "level_lo": st.integers(0, 4),
+    "level_hi": st.integers(0, 4),
+    "letter": st.sampled_from(["0", "1", "a", "7"]),
+    "metric": st.sampled_from(PARAMS["metric"].choices + ("nope",)),
+    "block_level": st.integers(0, 4),
+    "boxes": st.sampled_from(PARAMS["boxes"].choices),
+    "eps": RATIONALS,
+    "gamma": RATIONALS,
+    "alphabet_size": st.integers(0, 3),
+    "stages": st.integers(0, 3),
+    "action": st.sampled_from(PARAMS["action"].choices),
+    "t": RATIONALS,
+    "suite": st.sampled_from(["chain", "krieger", "nope"]),
+    "t_grid": st.lists(RATIONALS, max_size=3),
+    "cosets": st.fixed_dictionaries(
+        {"level": st.integers(0, 4), "reps": st.lists(mostly(st.integers(-1, 9)), max_size=3)}
+    ),
+    "windw": st.integers(0, 3),
+}
+# chains of at most 3 levels: a document without one would get the CLI's
+# default chain of depth 8
+CHAINS = st.integers(0, 9).flatmap(
+    lambda i: st.sampled_from(
+        [
+            {"rank": 1, "scales": [2, 4, 8]},
+            {"rank": 1, "scales": [3, 6]},
+            {"rank": 1, "scales": [1, 2]},
+            {"rank": 2, "scales": [2, 4]},
+        ]
+    )
+    if i < 9
+    else st.sampled_from([{"rank": 1, "scales": [2, 3]}, {"rank": 1, "scales": []}, {"rank": 0, "scales": [2]}])
+    | NOT_OBJECTS.filter(lambda v: v is not None)
+)
+CONFIGS = mostly(
+    st.sampled_from(
+        [
+            EVENS_DESC,
+            ZEROS_DESC,
+            CONSTANT_WORD,
+            TOEPLITZ_DESC,
+            {"variant": "periodic", "level": 1, "word": {"0,0": "a", "0,1": "b", "1,0": "b", "1,1": "a"}},
+            {"variant": "toeplitz", "assignments": [[3, 0, "a"]]},
+            {"variant": "nope"},
+        ]
+    )
+    | st.builds(
+        lambda box, rule: {"variant": "oracle", "box": box, "rule": rule},
+        st.integers(0, 64),
+        st.sampled_from(["champernowne_binary", "block_alternating(1/2)", "block_alternating(x)", "nope"]),
+    )
+)
+
+
+@st.composite
+def spec_documents(draw):
+    """A kind and a spec document for it: mostly its own params, well typed
+    or not, now and then a param of another kind or none at all."""
+    kind = draw(st.sampled_from(KINDS))
+    own = [key for key, row in PARAMS.items() if kind in row.kinds]
+    keys = draw(st.lists(st.sampled_from(own), max_size=3, unique=True))
+    if draw(st.integers(0, 9)) == 9:
+        keys.append(draw(st.sampled_from(sorted(PARAM_VALUES))))
+    params = {key: draw(mostly(PARAM_VALUES[key])) for key in keys}
+    if kind == "verify":
+        # "all" takes seconds: verify runs one cheap suite, or is refused
+        params["suite"] = draw(mostly(PARAM_VALUES["suite"]))
+    doc = {"chain": draw(CHAINS), "params": params}
+    if draw(st.integers(0, 9)) < 9:
+        doc["configs"] = draw(mostly(st.lists(CONFIGS, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        doc["seed"] = draw(mostly(st.integers(0, 3)))
+    spoil = draw(st.integers(0, 19))
+    if spoil == 19:
+        return kind, draw(NOT_OBJECTS)
+    if spoil == 18:
+        doc["params"] = draw(NOT_OBJECTS)
+    return kind, doc
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec_documents(), st.sampled_from(PARAMS["action"].choices))
+def test_cli_writes_a_report_or_one_error_line_for_any_spec_document(tmp_path, kind_doc, action):
+    kind, doc = kind_doc
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    argv = [kind, action] if kind == "toeplitz" else [kind]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--spec", str(path)])
+    if code in (0, 1):
+        report = json.loads(out.getvalue())
+        assert (report["passed"], err.getvalue()) == (code == 0, "")
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1, err.getvalue()
