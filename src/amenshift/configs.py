@@ -141,7 +141,8 @@ class _CosetTable:
     """The coset table of Periodic and ToeplitzTable: ``_assigned`` holds the
     distinct (level, rep, letter) triples, coarsest first, and ``_cells`` the
     period array, the letter or None of each cell of F_max_level in row-major
-    order, ``_period`` = q_max_level.  Plain attributes that no other module reads."""
+    order, ``_period`` = q_max_level.  Plain attributes that no other module
+    reads; the exact coset paths read the array on F_level through ``_lift``."""
 
     _assigned: tuple[tuple[int, Element, Letter], ...]
     _cells: tuple[Letter | None, ...]
@@ -187,6 +188,11 @@ class _CosetTable:
         """Letter at g, or None, for g of the chain's rank (unchecked)."""
         return self._cells[_index(g, self._period)]
 
+    def _lift(self, level: int) -> tuple[Letter | None, ...]:
+        """The period array on F_level, row-major: ``_cells`` extended
+        cyclically when level > max_level, cut down when it is smaller."""
+        return _tile(self._cells, self._period, self.chain.scale(level), self.rank)
+
     def lookup(self, g) -> Letter | None:
         """Letter at g, or None."""
         return self._at(aselem(g, self.chain.rank))
@@ -220,6 +226,53 @@ def _index(g: Element, q: int) -> int:
     for c in g:
         i = i * q + c % q
     return i
+
+
+def _tile(cells: tuple, Q: int, q: int, rank: int) -> tuple:
+    """The row-major array over [0, q)^rank of g ↦ cells[g mod Q], for the
+    row-major array ``cells`` over [0, Q)^rank: each row repeated or cut to
+    length q, and the rows so, nested."""
+    if q == Q:
+        return cells
+    if rank == 1:
+        # q // Q is 0 when q < Q: the cut is the slice alone
+        return cells * (q // Q) + cells[: q % Q]
+    step = Q ** (rank - 1)
+    rows = [_tile(cells[i * step : (i + 1) * step], Q, q, rank - 1) for i in range(min(Q, q))]
+    return tuple(concat.from_iterable(rows[i % Q] for i in range(q)))
+
+
+def _groups(cells: Sequence, Q: int, rank: int, split: Callable[[Sequence], list]) -> list[tuple]:
+    """The cells of the row-major array ``cells`` over [0, Q)^rank grouped
+    along every axis by ``split``, which maps a line (of cells, or of rows)
+    to its groups in order; each group row-major, the groups in row-major
+    order.  Residues mod q (strided slices) give the classes of H_q, chunks
+    of q the tiles of F_q."""
+    if rank == 1:
+        return split(cells)
+    step = Q ** (rank - 1)
+    rows = [_groups(cells[i * step : (i + 1) * step], Q, rank - 1, split) for i in range(Q)]
+    return [tuple(concat.from_iterable(t)) for group in split(rows) for t in zip(*group)]
+
+
+def _nest(cells: Sequence, q: int, rank: int) -> tuple:
+    """The row-major array ``cells`` over [0, q)^rank as nested tuples, one
+    level per axis: a tuple of rows in rank 2."""
+    if rank == 1:
+        return tuple(cells)
+    step = len(cells) // q
+    return tuple(_nest(cells[i * step : (i + 1) * step], q, rank - 1) for i in range(q))
+
+
+def _rotation_equals(a: tuple, b: tuple, g: Element) -> bool:
+    """Whether a[f + g] == b[f] for every f, cyclically, for nested arrays a
+    and b (see :func:`_nest`): in rank 1 one slice-concatenation and one
+    compare, in rank d the rows rotated by g_0 and each compared with b's
+    row by the rest of g, stopping at the first row that differs."""
+    g0, rest = g[0], g[1:]
+    if not rest:
+        return a[g0:] + a[:g0] == b
+    return all(map(partial(_rotation_equals, g=rest), a[g0:] + a[:g0], b))
 
 
 @dataclass(frozen=True)
@@ -345,9 +398,8 @@ def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]
 
     Only a shape or translate set that is not a box reads its windows here
     (Shearer's cover sets, other sets F of the Weyl proxy and of pattern
-    measures, the Krieger builder's strided translates); every box pair goes
-    through :class:`_BoxScan`.  The windows come lazily, so a raising point
-    function stops at the first offending cell.
+    measures); every box pair goes through :class:`_BoxScan`.  The windows
+    come lazily, so a raising point function stops at the first offending cell.
     """
     for g in translates:
         yield [point(add(f, g)) for f in shape]
@@ -496,18 +548,20 @@ def _exact_chain(x: Configuration) -> SubgroupChain:
     return x.chain
 
 
-def _constant_cosets(x: Configuration, n: int) -> dict[Element, Letter]:
-    """{f: a} for each f in F_n whose whole H_n-coset is known and constantly a.
+def _constant_cosets(x: Configuration, n: int) -> Sequence[Letter | None]:
+    """The labels of F_n, row-major: the letter a where the whole H_n-coset
+    of the cell is known and constantly a, None elsewhere.
 
-    x is coset-constant at level depth = max(n, max_level), so the coset
-    f + H_n is sampled by the cells of F_depth congruent to f mod q_n.
+    x is coset-constant at level max(n, max_level), so the coset f + H_n is
+    sampled by the cells of the lifted array congruent to f mod q_n: at
+    n ≥ max_level the lifted array is the labelling, below it the period
+    array folds by residue (in rank 1 the class of r is cells[r::q_n]).
     """
-    chain = _exact_chain(x)
-    q = chain.scale(n)
-    values: dict[Element, set] = {}
-    for g in chain.domain(max(n, x.max_level)):
-        values.setdefault(tuple(c % q for c in g), set()).add(x._at(g))
-    return {f: vs.pop() for f, vs in values.items() if len(vs) == 1 and None not in vs}
+    q = _exact_chain(x).scale(n)
+    if n >= x.max_level:
+        return x._lift(n)
+    classes = _groups(x._cells, x._period, x.rank, lambda line: [line[r::q] for r in range(q)])
+    return [c[0] if c.count(c[0]) == len(c) else None for c in classes]
 
 
 def per_set(x: Configuration, n: int) -> CosetSet:
@@ -516,14 +570,16 @@ def per_set(x: Configuration, n: int) -> CosetSet:
     For a partial coset table a coset with Unknown cells is never counted;
     the result is the confirmed periodic part.
     """
-    found = _constant_cosets(x, n)
-    return CosetSet(x.chain, n, frozenset(found))
+    labels = _constant_cosets(x, n)
+    cells = zip(x.chain.domain(n), labels)
+    return CosetSet(x.chain, n, frozenset(f for f, a in cells if a is not None))
 
 
 def per_set_letter(x: Configuration, n: int, a: Letter) -> CosetSet:
     """Per_{H_n}(x, a): positions whose whole H_n-coset is constantly a."""
-    found = _constant_cosets(x, n)
-    return CosetSet(x.chain, n, frozenset(f for f, b in found.items() if b == a))
+    labels = _constant_cosets(x, n)
+    cells = zip(x.chain.domain(n), labels)
+    return CosetSet(x.chain, n, frozenset(f for f, b in cells if b == a))
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +622,7 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
     if x.chain is not None and x.chain == z.chain:
         level = max(x.max_level, z.max_level)
         confirmed, unresolved = [], []
-        for f in x.chain.domain(level):
-            a, b = x._at(f), z._at(f)
+        for f, a, b in zip(x.chain.domain(level), x._lift(level), z._lift(level)):
             if a is None or b is None:
                 unresolved.append(f)
             elif a != b:

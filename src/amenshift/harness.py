@@ -56,6 +56,11 @@ def _fail(pointer: str, message: str) -> SpecError:
     return SpecError(f"{pointer}: {message}")
 
 
+def _escape(key: Any) -> str:
+    """A key as one JSON-pointer token."""
+    return str(key).replace("~", "~0").replace("/", "~1")
+
+
 def _is_array(value: Any) -> bool:
     # JSON arrays decode to lists; a spec built in Python may hold tuples
     return isinstance(value, (list, tuple))
@@ -153,6 +158,9 @@ PARAMS = {
 # the kinds whose spec needs no chain
 CHAINLESS_KINDS = ("verify",)
 
+# the keys of a spec document
+SPEC_KEYS = ("kind", "chain", "configs", "params", "seed")
+
 # item fields that record an asserted inequality
 VERDICTS = ("passed", "within_bound", "gamma_certificate")
 
@@ -163,6 +171,9 @@ def check_document(doc: Any, kind: Any = None) -> None:
     kind is known and the chain present is left to ExperimentSpec."""
     if not isinstance(doc, dict):
         raise _fail("", "spec must be an object")
+    for key in doc:
+        if key not in SPEC_KEYS:
+            raise _fail("/" + _escape(key), "unknown key")
     chain = doc.get("chain")
     if chain is not None:
         if not isinstance(chain, dict):
@@ -187,7 +198,7 @@ def check_document(doc: Any, kind: Any = None) -> None:
         raise _fail("/params", "must be an object")
     kind = doc.get("kind") if kind is None else kind
     for key, value in params.items():
-        pointer = "/params/" + str(key).replace("~", "~0").replace("/", "~1")
+        pointer = "/params/" + _escape(key)
         row = PARAMS.get(key)
         if row is None:
             raise _fail(pointer, "unknown param")
@@ -249,11 +260,11 @@ class ExperimentReport:
 
 
 def spec_from_json(doc: Any) -> ExperimentSpec:
-    """The spec of a JSON experiment document, which checks itself."""
-    if not isinstance(doc, dict):
-        raise _fail("", "spec must be an object")
-    fields = ("chain", "configs", "params", "seed")
-    return ExperimentSpec(doc.get("kind"), **{key: doc[key] for key in fields if key in doc})
+    """The spec of a JSON experiment document, which checks itself; a key
+    that is no field of a spec is refused."""
+    check_document(doc)
+    fields = {key: doc[key] for key in SPEC_KEYS if key in doc and key != "kind"}
+    return ExperimentSpec(doc.get("kind"), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +321,15 @@ def interval_item(estimate: IntervalEstimate) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _level_range(spec: ExperimentSpec, hi_default: int | None = None) -> range:
+    """The levels level_lo..level_hi, level_hi by default the given one, else
+    the table's; SpecError at /params/level_hi when the range is empty."""
+    lo, hi = spec.param("level_lo"), spec.param("level_hi", hi_default)
+    if hi < lo:
+        raise _fail("/params/level_hi", f"{hi} is below level_lo {lo}: the level range is empty")
+    return range(lo, hi + 1)
+
+
 def _configs(spec: ExperimentSpec, chain, needs: str, count: int = 1) -> list:
     """A spec's first count configurations over the chain; SpecError if it has fewer."""
     if len(spec.configs) < count:
@@ -360,8 +380,8 @@ def _run_distance(spec: ExperimentSpec) -> list[dict]:
         if bound.exact is not None:
             item["exact"] = bound.exact
         return [item]
-    hi = spec.param("level_hi", chain.depth)
-    trace = besicovitch_estimate(x, z, chain, spec.param("level_lo"), hi)
+    levels = _level_range(spec, chain.depth)
+    trace = besicovitch_estimate(x, z, chain, levels[0], levels[-1])
     items = [
         {"metric": "besicovitch", "level": n, "average": avg}
         for n, avg in zip(trace.levels, trace.averages)
@@ -377,7 +397,7 @@ def _run_entropy(spec: ExperimentSpec) -> list[dict]:
     # no window: a periodic configuration needs none, and another is refused
     radius = spec.params.get("window")
     items = []
-    for n in range(spec.param("level_lo"), spec.param("level_hi", spec.param("level")) + 1):
+    for n in _level_range(spec, spec.param("level")):
         est = entropy_estimate(x, n, radius, chain)
         items.append(
             {
@@ -395,7 +415,7 @@ def _run_omega(spec: ExperimentSpec) -> list[dict]:
     """empirical-measure trace along nested boxes"""
     chain = spec.resolve_chain()
     [x] = _configs(spec, chain, "omega needs a configuration")
-    levels = range(spec.param("level_lo"), spec.param("level_hi") + 1)
+    levels = _level_range(spec)
     if spec.param("boxes") == "chain":
         sets = [chain.domain(n) for n in levels]
     elif spec.param("boxes") == "linear":

@@ -30,8 +30,10 @@ from .configs import (
     ToeplitzTable,
     _constant_cosets,
     _exact_chain,
-    _windows,
-    evaluate,
+    _groups,
+    _index,
+    _nest,
+    _rotation_equals,
     per_set,
     per_set_letter,
 )
@@ -77,17 +79,13 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     failures: list[tuple[int, Element]] = []
     for n in range(1, N + 1):
         label = _constant_cosets(x, n)
-        nonempty.append(bool(label))
-        q, dom = chain.scale(n), chain.domain(n)
+        nonempty.append(label.count(None) < len(label))
+        label = _nest(label, chain.scale(n), chain.rank)
         # the shift by g fixes every Per_{H_n}(·, a) iff it preserves the
         # labelling f ↦ letter (None off the periodic part): the shift is a
-        # bijection and the letter classes with the rest partition F_n
-        for g in dom[1:]:  # dom[0] is the identity
-            if all(
-                label.get(tuple((c - d) % q for c, d in zip(f, g))) == label.get(f)
-                for f in dom
-            ):
-                failures.append((n, g))
+        # bijection and the letter classes with the rest partition F_n;
+        # domain(n)[0] is the identity
+        failures.extend((n, g) for g in chain.domain(n)[1:] if _rotation_equals(label, label, g))
     coverage = per_set(x, N).density()
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
 
@@ -123,14 +121,11 @@ def periodic_approximation(x: Periodic | ToeplitzTable, n: int) -> Periodic:
     so D*(x^{(n)}, x) ≤ 1 - D*(Per_{H_n}(x)) with both sides exact.
     """
     chain = _exact_chain(x)
-    chain._check_level(n)
-    word = {}
-    for f in chain.domain(n):
-        v = evaluate(x, f)
-        if v is None:
-            raise UnresolvedCells(f"no value at {f}; cannot build a level-{n} word")
-        word[f] = v
-    return Periodic(chain, n, word, x.alphabet)
+    cells, dom = x._lift(n), chain.domain(n)
+    if None in cells:
+        f = dom[cells.index(None)]
+        raise UnresolvedCells(f"no value at {f}; cannot build a level-{n} word")
+    return Periodic(chain, n, dict(zip(dom, cells)), x.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +342,10 @@ class KriegerResult:
     cells: Mapping[Element, Letter]
 
     def value_at(self, g) -> Letter | None:
-        return _block_value(self.skeleton, self.cells, aselem(g, self.chain.rank))
+        """The built block at g: the claimed coset's letter, else the planted cell."""
+        g = aselem(g, self.chain.rank)
+        v = self.skeleton.lookup(g)
+        return self.cells.get(g) if v is None else v
 
     def claimed_cells_within(self, n: int) -> int:
         """Σ_{i≤n} r_i · |F_{k_n}| / |F_{k_i}|: skeleton cells inside F_{k_n}."""
@@ -366,12 +364,6 @@ class KriegerResult:
             self.chain.domain_size(st.level),
             len(self.alphabet),
         )
-
-
-def _block_value(skeleton: ToeplitzTable, cells: Mapping, g: Element) -> Letter | None:
-    """The built block at g: the claimed coset's letter, else the planted cell."""
-    v = skeleton.lookup(g)
-    return cells.get(g) if v is None else v
 
 
 def meets_power_bound(count: int, exponent: Fraction, base: int) -> bool:
@@ -412,11 +404,13 @@ def krieger_construct(
     skeleton = ToeplitzTable(chain, (), alphabet)
     # the current stage's (level, quota, claimed, arbitrary); r_0 = 0 for gamma in (0,1)
     k_n, quota, claimed, arbitrary = 0, 0, (), ()
+    dom = chain.domain(k_n)
     records: list[BuilderStage] = []
 
     for n in range(stages + 1):
-        dom = chain.domain(k_n)
-        free = [f for f in dom if skeleton.lookup(f) is None]
+        # the skeleton's claims so far are cosets of levels ≤ k_n, so its
+        # array on F_k is H_{k_n}-periodic for every k ≥ k_n
+        free = [f for f, v in zip(dom, skeleton._lift(k_n)) if v is None]
         s_n = len(free)
         # the last pass records the last reached level and plants nothing beyond it
         k_next, planted, window_count = None, 0, 0
@@ -442,15 +436,29 @@ def krieger_construct(
                 p for p in itertools.product(letters, repeat=s_n) if p != existing
             ]
             assert len(patterns) == needed_fresh <= len(fresh_translates)
+            # the built block on F_{k_next}, row-major: the claimed cosets'
+            # letters, the cells of F_{k_n} on its free cells, and each
+            # pattern on the free cells of a fresh tile v + F_{k_n}, where the
+            # free cell f of the tile sits at offset(v) + offset(f)
+            dom_next, Q = chain.domain(k_next), chain.scale(k_next)
+            claims = skeleton._lift(k_next)
+            block = list(claims)
+            offsets = [_index(f, Q) for f in free]
+            for o, a in zip(offsets, existing):
+                block[o] = a
             for v, pattern in zip(fresh_translates, patterns):
-                for f, letter in zip(free, pattern):
-                    cell = add(f, v)
+                base = _index(v, Q)
+                for o, letter in zip(offsets, pattern):
+                    cell = dom_next[base + o]
                     assert cell not in cells, "planting would overwrite a defined cell"
-                    cells[cell] = letter
+                    cells[cell] = block[base + o] = letter
             planted = len(patterns)
 
-            block = lambda g: _block_value(skeleton, cells, g)
-            windows = {tuple(w) for w in _windows(block, dom, translates) if None not in w}
+            # the windows at the translates are the tiles of F_{k_next}:
+            # chunks of q_{k_n} along every axis
+            q = chain.scale(k_n)
+            chunks = lambda line: [line[v : v + q] for v in range(0, Q, q)]
+            windows = {w for w in _groups(tuple(block), Q, rank, chunks) if None not in w}
             window_count = len(windows)
             assert window_count >= want_patterns
 
@@ -474,21 +482,15 @@ def krieger_construct(
         # claims; the ones reserved here are distinct H_{k_next} cosets, so the
         # skeleton takes them all at once
         r = int((1 - gamma) * chain.domain_size(k_next) / 2 ** (n + 1))
-        reserved: list[Element] = []
-        unset: list[Element] = []
-        for f in chain.domain(k_next):
-            if len(reserved) == r:
-                break
-            if skeleton.lookup(f) is not None:
-                continue
-            if f not in cells:
-                cells[f] = letters[0]
-                unset.append(f)
-            reserved.append(f)
+        unclaimed = (f for f, v in zip(dom_next, claims) if v is None)
+        reserved = list(itertools.islice(unclaimed, r))
+        unset = [f for f in reserved if f not in cells]
+        cells.update(dict.fromkeys(unset, letters[0]))
         skeleton = ToeplitzTable(
             chain, skeleton.assignments + tuple((k_next, f, cells[f]) for f in reserved), alphabet
         )
         k_n, quota, claimed, arbitrary = k_next, r, tuple(reserved), tuple(unset)
+        dom = dom_next
 
     return KriegerResult(
         gamma=gamma,

@@ -602,6 +602,57 @@ def test_cli_density_refuses_a_letter_outside_the_alphabet(capsys):
     assert json.loads(capsys.readouterr().out)["spec"]["params"]["letter"] == "b"
 
 
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ({"kind": "path", "parms": {"depth": 2}}, "/parms: unknown key"),
+        ({"kind": "path", "params": {}, "a/b~": 1}, "/a~1b~0: unknown key"),
+    ],
+)
+def test_a_spec_refuses_an_unknown_top_level_key(tmp_path, capsys, doc, line):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["path", "--spec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"spec error: {line}\n")
+    with pytest.raises(SpecError, match=f"^{line}$"):
+        spec_from_json({**doc, "chain": {"rank": 1, "scales": [2, 4]}})
+
+
+BOXED = ["--config", CHAMP20, "--scales", "2,4,8"]
+PERIODIC_PAIR = [
+    "--config", '{"variant":"periodic","level":1,"word":{"0":"0","1":"1"}}',
+    "--config", '{"variant":"periodic","level":1,"word":{"0":"0","1":"0"}}',
+]
+
+
+# an empty level range is refused at level_hi, also where level_hi is the
+# runner's default (entropy: level, omega: the table's 1, besicovitch: the
+# chain's depth)
+@pytest.mark.parametrize(
+    "argv, hi",
+    [
+        (["entropy", *BOXED, "--window", "3", "--level-lo", "3", "--level-hi", "1"], 1),
+        (["entropy", *BOXED, "--window", "3", "--level-lo", "3", "--level", "2"], 2),
+        (["omega", *BOXED, "--level-lo", "3", "--level-hi", "2"], 2),
+        (["omega", *BOXED, "--level-lo", "2"], 1),
+        (["omega", *BOXED, "--boxes", "geometric", "--level-lo", "3", "--level-hi", "1"], 1),
+        (["distance", "--metric", "besicovitch", *PERIODIC_PAIR, "--scales", "2,4", "--level-lo", "3"], 2),
+        (["distance", "--metric", "besicovitch", *PERIODIC_PAIR, "--level-lo", "2", "--level-hi", "1"], 1),
+    ],
+)
+def test_an_empty_level_range_is_refused_at_level_hi(capsys, argv, hi):
+    assert main(argv) == 2
+    lo = argv[argv.index("--level-lo") + 1]
+    assert capsys.readouterr() == (
+        "", f"spec error: /params/level_hi: {hi} is below level_lo {lo}: the level range is empty\n"
+    )
+
+
+def test_a_one_level_range_runs():
+    assert main(["entropy", *BOXED, "--window", "3", "--level-lo", "2", "--level-hi", "2"]) == 0
+    assert main(["omega", *BOXED, "--level-lo", "1"]) == 0
+
+
 # each subcommand's flags: the spec-level ones and its kind's rows of the table
 SPEC_LEVEL_FLAGS = {
     "-h", "--help", "--spec", "--chain", "--rank", "--scales", "--seed", "--config", "--out",

@@ -13,6 +13,8 @@ from amenshift.configs import (
     CosetSet,
     Periodic,
     ToeplitzTable,
+    block_alternating,
+    champernowne_binary,
     disagreement_set,
     evaluate,
     per_set,
@@ -20,6 +22,7 @@ from amenshift.configs import (
     shift,
 )
 from amenshift.densities import (
+    IntervalEstimate,
     banach_density_exact,
     banach_density_windowed,
     coset_membership,
@@ -29,7 +32,7 @@ from amenshift.entropy import pattern_set
 from amenshift.errors import InconsistentCylinders
 from amenshift.groups import identity, make_chain, sub, translate
 from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
-from amenshift.metrics import delta_star_exact, dstar_distance, weyl_upper_bound
+from amenshift.metrics import besicovitch_estimate, delta_star_exact, dstar_distance, weyl_upper_bound
 from amenshift.toeplitz import (
     krieger_construct,
     psi_path,
@@ -340,10 +343,15 @@ def words(draw, chain, min_level=0):
     return Periodic(chain, level, word, alphabet)
 
 
-@settings(max_examples=60, deadline=None)
+# non-dyadic chains: first scale 3, then doubling, in rank 1 and rank 2
+CHAIN3 = make_chain(1, [3, 6, 12])
+SQUARE3 = make_chain(2, [3, 6])
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_verify_skeleton_matches_shifted_letter_sets(data):
-    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3, SQUARE3]))
     if data.draw(st.booleans()):
         x = data.draw(tables(chain))
         value = lambda g: deepest_assignment_letter(x, g)
@@ -355,6 +363,41 @@ def test_verify_skeleton_matches_shifted_letter_sets(data):
     assert (report.nonempty, report.coverage, report.separation_failures) == (
         shifted_letter_set_report(x, N, value)
     )
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        regular_table(CHAIN2, ("a", "b"), resolve_tail=False),
+        psi_path(Fraction(2, 7), CHAIN2).table,
+        ToeplitzTable(CHAIN2, ((1, (0, 1), "a"), (2, (1, 1), "b"), (3, (3, 2), "a")), LETTERS),
+        ToeplitzTable(SQUARE3, ((1, (0, 0), "a"), (1, (1, 2), "a"), (2, (4, 4), "b")), LETTERS),
+        ToeplitzTable(SQUARE3, (), LETTERS),
+    ],
+)
+def test_verify_skeleton_matches_shifted_letter_sets_on_rank2_tables_with_unknown_cells(x):
+    assert not x.fully_resolved()
+    value = lambda g: deepest_assignment_letter(x, g)
+    for N in range(1, x.chain.depth + 1):
+        report = verify_skeleton(x, N)
+        assert (report.nonempty, report.coverage, report.separation_failures) == (
+            shifted_letter_set_report(x, N, value)
+        )
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_verify_skeleton_tells_a_diagonal_shift_from_its_mirror(level):
+    # letters constant along the diagonals i - j: the shift by (1, 1) fixes
+    # every Per set, the shift by (-1, 1) does not
+    q = CHAIN2.scale(level)
+    word = {(i, j): "a" if (i - j) % q == 0 else "b" for i, j in CHAIN2.domain(level)}
+    x = Periodic(CHAIN2, level, word, Alphabet(("a", "b")))
+    report = verify_skeleton(x, level)
+    assert (report.nonempty, report.coverage, report.separation_failures) == (
+        shifted_letter_set_report(x, level, lambda g: evaluate(x, g))
+    )
+    assert (level, (1, 1)) in report.separation_failures
+    assert (level, (q - 1, 1)) not in report.separation_failures
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,16 +442,33 @@ def test_period_array_matches_the_period_table_oracle(data):
     assert x.fully_resolved() == (None not in table.values())
 
 
+def configurations_or_empty(chain):
+    return configurations(chain) | st.just(ToeplitzTable(chain, (), LETTERS))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_per_sets_match_the_period_table_oracle(data):
-    chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
-    x = data.draw(configurations(chain))
-    n = data.draw(st.integers(0, chain.depth))
-    want = oracle_per_sets(x, n)
-    assert per_set(x, n).reps == {f for f, a in want.items() if a is not None}
-    for a in x.alphabet.letters:
-        assert per_set_letter(x, n, a).reps == {f for f, b in want.items() if b == a}
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3, SQUARE3]))
+    x = data.draw(configurations_or_empty(chain))
+    # every level: below, at and above max_level
+    for n in range(chain.depth + 1):
+        want = oracle_per_sets(x, n)
+        assert per_set(x, n).reps == {f for f, a in want.items() if a is not None}
+        for a in x.alphabet.letters:
+            assert per_set_letter(x, n, a).reps == {f for f, b in want.items() if b == a}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lifted_array_matches_the_period_table_oracle(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3, SQUARE3]))
+    x = data.draw(configurations_or_empty(chain))
+    # F_level lies in F_max_level below it, so both read the oracle's table at
+    # the deeper of the two levels
+    for level in range(chain.depth + 1):
+        table = period_table_oracle(x, max(level, x.max_level))
+        assert x._lift(level) == tuple(table[f] for f in chain.domain(level))
 
 
 @settings(max_examples=60, deadline=None)
@@ -621,3 +681,56 @@ def test_windowed_dstar_brackets_exact_below_both_periods(chain, data):
             assert windowed.lower == windowed.upper <= exact
             if 2 * radius + 1 >= q:
                 assert windowed.lower == exact
+
+
+# ---------------------------------------------------------------------------
+# IntervalEstimate invariants under every aggregate
+# ---------------------------------------------------------------------------
+
+
+def assert_sound(est):
+    """0 ≤ lower ≤ upper ≤ 1, and an exact estimate is collapsed."""
+    assert 0 <= est.lower <= est.upper <= 1
+    if est.exact:
+        assert est.lower == est.upper
+
+
+def oracles_of_rank1():
+    return st.sampled_from(
+        [champernowne_binary(40), block_alternating(Fraction(1, 2), 40), block_alternating(Fraction(1, 3), 40)]
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_interval_estimates_are_sound_under_every_aggregate(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3]))
+    sides = configurations(chain) | oracles_of_rank1() if chain.rank == 1 else configurations(chain)
+    x, z = data.draw(sides), data.draw(sides)
+    n = data.draw(st.integers(0, chain.depth - 1))
+    radius = data.draw(st.integers(0, 3 if chain.rank == 1 else 1))
+    if x.chain is not None and x.chain == z.chain:
+        exact = dstar_distance(x, z).value
+        assert_sound(exact)
+        assert exact.exact == (disagreement_set(x, z).unresolved.is_empty)
+        windowed = banach_density_windowed(_differs(x, z, unchecked=True), chain, n, radius, x, z)
+    else:
+        windowed = dstar_distance(x, z, n, radius, chain).value
+    assert_sound(windowed)
+    assert not windowed.exact
+    letter = data.draw(st.sampled_from(x.alphabet.letters))
+    member = lambda g: None if (v := evaluate(x, g)) is None else v == letter
+    assert_sound(banach_density_windowed(member, chain, n, radius))
+    resolved = all(c.chain is None or c.fully_resolved() for c in (x, z))
+    if resolved:
+        hi = data.draw(st.integers(n, chain.depth))
+        trace = besicovitch_estimate(x, z, chain, n, hi)
+        for average in trace.averages:
+            assert_sound(IntervalEstimate.of(average, "besicovitch"))
+        assert trace.running_max == max(trace.averages) <= 1
+    if resolved and x.chain is not None and x.chain == z.chain:
+        # the window sup runs over some translates, Δ*_{F_n} over all of them,
+        # and D* is the infimum over n of the latter
+        block_sup = Fraction(delta_star_exact(x, z, chain.domain(n)), chain.domain_size(n))
+        assert windowed.lower == windowed.upper <= block_sup
+        assert exact.value <= block_sup

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -450,6 +452,41 @@ def test_krieger_three_stages_on_deep_chain():
     assert st.free_cells == 7  # one coset of F_3 reserved at stage 2
     assert st.window_count == 2**7
     assert result.entropy_at(2).value >= 0.5 * math.log(2)
+
+
+def test_verify_skeleton_of_a_constant_word_records_every_shift():
+    # every nonidentity shift fixes the one Per set at each level n ≤ 11:
+    # Σ_n (2^n - 1) = 4083 failures, one rotation compare each
+    chain = make_chain(1, [2**k for k in range(1, 12)])
+    x = Periodic(chain, 0, {(0,): "a"}, AB)
+    report = verify_skeleton(x, 11)
+    assert report.coverage == 1 and report.all_nonempty
+    assert report.separation_failures == tuple(
+        (n, (g,)) for n in range(1, 12) for g in range(1, 2**n)
+    )
+
+
+def krieger_digest(result) -> str:
+    """sha256 of the repr of the whole result as nested dicts, cells sorted."""
+    doc = dataclasses.asdict(result)
+    doc["cells"] = sorted(doc["cells"].items())
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+# whole results recorded from the builder that read its windows through the
+# lazy walk and each cell through ToeplitzTable.lookup
+@pytest.mark.parametrize(
+    "gamma, rank, scales, letters, stages, digest",
+    [
+        ("1/2", 2, [2, 4, 8, 16], "01", 2, "3b5d0344e8f4abbca7f849ab8074f23b9f26ac07d36eecc47c1075c509ba1d6f"),
+        ("1/3", 2, [2, 4, 8, 16], "ab", 2, "31160ebed16762c1d68e7227315861e474eea95c672e519ce6aba87528d8a42e"),
+        ("1/2", 1, [3, 6, 12, 24, 48], "01", 2, "5a4b73eedbe50195a73280ca0cae62acc0d7bf7ed754d5add701851e37b6e097"),
+        ("3/4", 1, [3 * 2**k for k in range(10)], "01", 2, "d2c54ac9ac49fbc21b77e19d869917e1502b9b0408a792b3106a501629b23ac2"),
+    ],
+)
+def test_krieger_results_are_pinned(gamma, rank, scales, letters, stages, digest):
+    result = krieger_construct(Fraction(gamma), make_chain(rank, scales), Alphabet(tuple(letters)), stages)
+    assert krieger_digest(result) == digest
 
 
 def test_krieger_high_gamma_reserves_nothing_early():
