@@ -384,25 +384,17 @@ def _check_cell(g: Element, *xs: Configuration) -> None:
         evaluate(x, g)
 
 
-def _set_reader(x: Configuration, S: Sequence[Element]) -> Callable[[Element], Letter | None]:
-    """g ↦ x's letter at g, for the cells g of S: ``x._at`` after one check
-    at S[0] when S is a box (its cells then share one length), else evaluate."""
-    if _box(S) is None:
-        return partial(evaluate, x)
-    _check_cell(S[0], x)
-    return x._at
+def _set_cells(S: Sequence, *xs: Configuration) -> Sequence[Element]:
+    """The cells of S as a window scan frames them (see :func:`_frame`), to
+    read through each x's ``_at`` after one check at S[0] (:func:`_check_cell`)."""
+    if S:
+        _check_cell(S[0], *xs)
+    return _frame(S)[2]
 
 
-def _windows(point: Callable, shape: FiniteSubset, translates: Iterable[Element]) -> Iterator:
-    """The lazy scan: for each translate g, [point(f + g) for f in shape].
-
-    Only a shape or translate set that is not a box reads its windows here
-    (Shearer's cover sets, other sets F of the Weyl proxy and of pattern
-    measures); every box pair goes through :class:`_BoxScan`.  The windows
-    come lazily, so a raising point function stops at the first offending cell.
-    """
-    for g in translates:
-        yield [point(add(f, g)) for f in shape]
+def _rank(g) -> int:
+    """The rank of the element g: a bare int is rank 1."""
+    return 1 if isinstance(g, int) else len(g)
 
 
 def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
@@ -421,56 +413,72 @@ def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
     return (lo, sides) if all(map(operator.eq, S, cells)) else None
 
 
-class _BoxScan:
-    """The union-box kernel for windows shape + g, g over translates, when
-    both are boxes: the point function is called once per cell of the
-    Minkowski-sum box, in row-major order, and ``values`` keeps the results
-    in that order.  Windows are read back as joined row slices and window
-    counts from separable prefix sums (Crow's summed-area table); the
-    translates come in row-major order, which is their canonical order.
-    The configurations ``checked`` that the point function reads unchecked
-    are checked once, at the corner (see :func:`_check_cell`)."""
+def _frame(S: Sequence) -> tuple[Element, tuple[int, ...], Sequence[Element], bool]:
+    """(corner, sides) of S's bounding box, S's cells (S itself when S is that
+    box in canonical order, else normalized through aselem) and whether it is."""
+    box = _box(S)
+    if box:
+        return (*box, S, True)
+    cells = [aselem(g, _rank(S[0])) for g in S]
+    lo, hi = tuple(map(min, zip(*cells))), tuple(map(max, zip(*cells)))
+    return lo, tuple(b - a + 1 for a, b in zip(lo, hi)), cells, False
 
-    def __init__(self, point: Callable, shape_box: tuple, translate_box: tuple, checked: tuple):
-        (s_lo, self.shape_sides), (t_lo, self.translate_sides) = shape_box, translate_box
-        self.corner = add(s_lo, t_lo)
-        self.sides = tuple(s + t - 1 for s, t in zip(self.shape_sides, self.translate_sides))
-        _check_cell(self.corner, *checked)
-        cells = product(*(range(c, c + n) for c, n in zip(self.corner, self.sides)))
+
+class _BoxScan:
+    """The window-scan kernel: the windows shape + t, t over the translates
+    in their order, for any finite nonempty shape and translate set.  The
+    point function is called once per cell of the union box bbox(shape) +
+    bbox(translates), row-major, and ``values`` keeps the results in that
+    order: |bbox(S) + bbox(T)| calls, not |S|·|T|, so a sparse shape in a
+    wide box pays for the whole box.  A set in canonical box order is read
+    as a box: a box shape's windows are joined row slices, and two boxes
+    count windows by separable prefix sums (Crow's summed-area table).  Any
+    other set is read as offsets into ``values``, in its own order, repeats
+    kept.  The configurations ``checked``, which the point function reads
+    unchecked, are checked once, at shape[0] + translates[0] (see
+    :func:`_check_cell`), the corner of a box pair."""
+
+    def __init__(self, point: Callable, shape: Sequence, translates: Sequence, *checked: Configuration):
+        self.shape, self.translates = _frame(shape), _frame(translates)
+        (s_lo, s_sides, S, _), (t_lo, t_sides, T, _) = self.shape, self.translates
+        self.sides = tuple(s + t - 1 for s, t in zip(s_sides, t_sides))
+        _check_cell(add(S[0], T[0]), *checked)
+        cells = product(*(range(c, c + n) for c, n in zip(add(s_lo, t_lo), self.sides)))
         self.values = list(map(point, cells))
 
     def window_sums(self, cells: list) -> list[int]:
-        """Σ cells over each window, translates in row-major order, from the
-        cells of the union box in row-major order; one sliding pass per axis."""
+        """Σ cells over each window of the row-major array ``cells`` over the
+        union box: one sliding pass per axis for two boxes, else one sum each."""
+        (_, s_sides, _, s_box), (_, t_sides, _, t_box) = self.shape, self.translates
+        if not (s_box and t_box):
+            return list(map(sum, self.windows(cells)))
         sides = self.sides
-        for axis, width in enumerate(self.shape_sides):
+        for axis, width in enumerate(s_sides):
             cells = _along(cells, sides, axis, partial(_sliding_sums, width))
-            sides = sides[:axis] + (self.translate_sides[axis],) + sides[axis + 1 :]
+            sides = sides[:axis] + (t_sides[axis],) + sides[axis + 1 :]
         return cells
 
-    def windows(self) -> Iterator[tuple]:
-        """Each window's values in shape order, translates in row-major order."""
-        values, sides, width = self.values, self.sides, self.shape_sides[-1]
-        rows = [_offset(r + (0,), sides) for r in product(*map(range, self.shape_sides[:-1]))]
-        for t in product(*map(range, self.translate_sides)):
-            o = _offset(t, sides)
-            yield tuple(concat.from_iterable(values[o + r : o + r + width] for r in rows))
+    def windows(self, cells: list) -> Iterator[tuple]:
+        """Each window of the row-major array ``cells`` over the union box, in
+        shape order: joined runs, a box shape's rows or another shape's cells."""
+        (s_lo, s_sides, S, s_box), (t_lo, t_sides, T, t_box) = self.shape, self.translates
+        sides = self.sides
+        if s_box:
+            rows = [_offset(r + (0,), sides) for r in product(*map(range, s_sides[:-1]))]
+            width = s_sides[-1]
+        else:
+            rows, width = [_offset(sub(f, s_lo), sides) for f in S], 1
+        places = product(*map(range, t_sides)) if t_box else (sub(t, t_lo) for t in T)
+        for o in (_offset(t, sides) for t in places):
+            yield tuple(concat.from_iterable(cells[o + r : o + r + width] for r in rows))
 
     def check_known(self) -> None:
-        """Raise UnknownMembership where the lazy walk would: at the first
-        None, in shape order, of the first window holding one."""
+        """Raise UnknownMembership at the first None, in shape order, of the
+        first window holding one; union-box cells in no window never raise."""
         if None in self.values:
-            unknown = self.window_sums([v is None for v in self.values])
-            translates = product(*map(range, self.translate_sides))
-            t = next(t for t, count in zip(translates, unknown) if count)
-            cell = _first_none(self.values, self.sides, t, self.shape_sides)
-            require_known(None, add(self.corner, cell))
-
-
-def _box_scan(point: Callable, shape: Sequence[Element], translates: Sequence[Element], *checked):
-    """The :class:`_BoxScan` of shape and translates, or None unless both are boxes."""
-    s, t = _box(shape), _box(translates)
-    return None if s is None or t is None else _BoxScan(point, s, t, checked)
+            for t, window in zip(self.translates[2], self.windows(self.values)):
+                if None in window:
+                    require_known(None, add(self.shape[2][window.index(None)], t))
 
 
 def _offset(g: Element, sides: tuple[int, ...]) -> int:
@@ -479,13 +487,6 @@ def _offset(g: Element, sides: tuple[int, ...]) -> int:
     for c, n in zip(g, sides):
         i = i * n + c
     return i
-
-
-def _first_none(values: list, sides: tuple[int, ...], corner: Element, window: tuple[int, ...]) -> Element:
-    """The first cell, in row-major order, of the box corner + [0, window)
-    inside the row-major array ``values`` over [0, sides) that holds None."""
-    cells = (add(corner, f) for f in product(*map(range, window)))
-    return next(c for c in cells if values[_offset(c, sides)] is None)
 
 
 def _along(cells: list, sides: tuple[int, ...], axis: int, f: Callable[[list], list]) -> list:
@@ -635,17 +636,14 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
         raise ChainMismatch("coset tables use different chains")
     if window is None:
         raise ValueError("pair admits no exact disagreement set; supply a window")
-    differs = _differs(x, z)
-    return SampledDisagreement(tuple(window), {g: differs(g) for g in window})
+    cells, differs = _set_cells(window, x, z), _differs(x, z)
+    return SampledDisagreement(tuple(window), dict(zip(window, map(differs, cells))))
 
 
-def _differs(x: Configuration, z: Configuration, unchecked: bool = False) -> Callable[[Element], bool | None]:
-    """The point function g ↦ [x_g ≠ z_g], None where either side is Unknown.
-
-    Each cell goes through evaluate, or, ``unchecked``, through ``_at`` for
-    a scan that checks both sides once, at its first cell (:func:`_check_cell`).
-    """
-    at_x, at_z = (x._at, z._at) if unchecked else (partial(evaluate, x), partial(evaluate, z))
+def _differs(x: Configuration, z: Configuration) -> Callable[[Element], bool | None]:
+    """The point function g ↦ [x_g ≠ z_g], None where either side is Unknown,
+    read through ``_at``, for a scan that checks both sides once (:func:`_check_cell`)."""
+    at_x, at_z = x._at, z._at
 
     def differs(g):
         a, b = at_x(g), at_z(g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .configs import Configuration, CosetSet, _box_scan
+from .configs import Configuration, CosetSet, _BoxScan
 from .errors import UnknownMembership
 from .groups import Element, FiniteSubset, SubgroupChain, ball
 
@@ -119,7 +119,7 @@ def banach_density_windowed(
     (through ``_at``), pass evaluate's checks at the box's first cell first.
     """
     F = chain.domain(n)
-    scan = _box_scan(member, F, ball(chain.rank, radius), *checked)
+    scan = _BoxScan(member, F, ball(chain.rank, radius), *checked)
     lower = max(scan.window_sums(list(map(bool, scan.values))))
     upper = max(scan.window_sums([v is None or bool(v) for v in scan.values]))
     return IntervalEstimate(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .configs import Configuration, _box_scan, evaluate, require_known
+from .configs import Configuration, _BoxScan, evaluate, require_known
 from .errors import DeltaOutOfRange, SystemTooLarge
 from .groups import FiniteSubset, SubgroupChain, ball
 
@@ -94,9 +94,9 @@ def pattern_set(
     else:
         translates = ball(x.rank, radius)
     # ch has x's rank (_resolve_chain checks an oracle's), so x is read unchecked
-    scan = _box_scan(x._at, ch.domain(n), translates)
+    scan = _BoxScan(x._at, ch.domain(n), translates)
     scan.check_known()
-    return PatternSet(n, frozenset(scan.windows()), exact, None if exact else radius)
+    return PatternSet(n, frozenset(scan.windows(scan.values)), exact, None if exact else radius)
 
 
 def entropy_estimate(
@@ -280,7 +280,8 @@ def separated_max(sys: SampledSystem, eps, delta) -> int:
     """
     delta = _check_params(sys, eps, delta)
     counts = _effective_counts(sys, eps)
-    threshold = delta * sys.window_size
+    # an integer count c exceeds δ|F| iff it exceeds ⌊δ|F|⌋
+    threshold = math.floor(delta * sys.window_size)
     m = len(sys)
     adj = [0] * m
     for i in range(m):
@@ -319,7 +320,9 @@ def spanning_min(sys: SampledSystem, eps, delta) -> int:
     """
     delta = _check_params(sys, eps, delta)
     counts = _effective_counts(sys, eps)
-    threshold = delta * sys.window_size
+    # an integer count c is below δ|F| iff it is below ⌈δ|F|⌉, which is 0
+    # only for an empty window
+    threshold = math.ceil(delta * sys.window_size)
     if threshold == 0:
         raise ValueError("an empty window admits no spanning set")
     m = len(sys)

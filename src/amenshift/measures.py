@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Hashable, Sequence
 
-from .configs import Configuration, _box_scan, _set_reader, _windows, evaluate, require_known
+from .configs import Configuration, _BoxScan, _set_cells, require_known
 from .groups import FiniteSubset
 
 Atom = Hashable
@@ -74,19 +74,19 @@ def empirical_measure(
     """Emp(x, F): frequency over g in F of the letter at g (or the pattern on shape+g).
 
     Unknown raises at the first Unknown cell met walking F (for patterns, the
-    first window holding one, in shape order).  Patterns on a box shape over
-    a box F are slices of one union-box scan.
+    first window holding one, in shape order).  Patterns are the windows of
+    one window scan (:class:`_BoxScan`), for any shape and F, bare ints too.
     """
     if not F:
         raise ValueError("F must be nonempty")
     if shape is None:
-        read = _set_reader(x, F)
-        atoms = (require_known(read(g), g) for g in F)
-    elif (scan := _box_scan(x._at, shape, F, x)) is None:
-        atoms = map(tuple, _windows(lambda g: require_known(evaluate(x, g), g), shape, F))
+        atoms = (require_known(x._at(g), g) for g in _set_cells(F, x))
+    elif not shape:
+        atoms = [()] * len(F)  # every window of the empty shape is the empty pattern
     else:
+        scan = _BoxScan(x._at, shape, F, x)
         scan.check_known()
-        atoms = scan.windows()
+        atoms = scan.windows(scan.values)
     return EmpiricalMeasure.from_counts(Counter(atoms))
 
 
@@ -235,11 +235,11 @@ def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfil
     for F in sets:
         if not F:
             raise ValueError("F must be nonempty")
+        F = _set_cells(F, x)
         cells = set(F)
         if counted is None or len(cells) < len(F) or not counted <= cells:
             counts, counted = Counter(), set()
-        read = _set_reader(x, F)
-        counts.update(require_known(read(g), g) for g in F if g not in counted)
+        counts.update(require_known(x._at(g), g) for g in F if g not in counted)
         measures.append(EmpiricalMeasure.from_counts(counts))
         # counts over a set with repeated cells are not a base for the next set
         counted = cells if len(cells) == len(F) else None

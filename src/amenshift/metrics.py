@@ -18,13 +18,12 @@ from typing import Sequence
 from .configs import (
     Configuration,
     CosetDisagreement,
-    _box_scan,
+    _BoxScan,
     _check_cell,
     _differs,
-    _first_none,
     _offset,
     _prefix_sums,
-    _windows,
+    _rank,
     disagreement_set,
     require_known,
 )
@@ -65,19 +64,17 @@ def dstar_distance(
     chain = chain or x.chain or z.chain
     if chain is None:
         raise ValueError("two boxed oracles: supply the chain for the window shape")
-    value = banach_density_windowed(_differs(x, z, unchecked=True), chain, n, radius, x, z)
+    value = banach_density_windowed(_differs(x, z), chain, n, radius, x, z)
     return PseudometricReport(value, "window-bracket")
 
 
 def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
-    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}); Unknown raises
-    at the first Unknown cell of the first window holding one.  Box pairs
-    read the union-box kernel; other shapes walk their windows lazily."""
-    scan = _box_scan(_differs(x, z, unchecked=True), F, translates, x, z)
-    if scan is None:
-        differs = _differs(x, z)
-        rho = lambda h: require_known(differs(h), h)
-        return max(map(sum, _windows(rho, F, translates)))
+    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}), 0 for an empty
+    F, by one window scan (:class:`_BoxScan`) for every F, box or not; Unknown
+    raises at the first Unknown cell, in F's order, of the first window holding one."""
+    if not F:
+        return 0
+    scan = _BoxScan(_differs(x, z), F, translates, x, z)
     scan.check_known()
     return max(scan.window_sums(scan.values))
 
@@ -123,8 +120,7 @@ def weyl_upper_bound(
     """Window proxy for H(F)/|F| with H(F) = Δ*_F, plus the exact value when periodic."""
     if not F:
         raise ValueError("F must be nonempty")
-    rank = len(F[0])
-    proxy_num = _delta_sup(x, z, F, ball(rank, radius))
+    proxy_num = _delta_sup(x, z, F, ball(_rank(F[0]), radius))
     p = _common_period_level(x, z)
     exact = None if p is None else Fraction(_delta_sup(x, z, F, x.chain.domain(p)), len(F))
     return WeylBound(Fraction(proxy_num, len(F)), exact)
@@ -157,16 +153,15 @@ def besicovitch_estimate(
     levels = tuple(range(n_lo, n_hi + 1))
     # F_{n_hi} starts at the identity; both sides are checked there once
     _check_cell(identity(chain.rank), x, z)
-    values = list(map(_differs(x, z, unchecked=True), chain.domain(n_hi)))
+    values = list(map(_differs(x, z), chain.domain(n_hi)))
     sides = (chain.scale(n_hi),) * chain.rank
     unknown = _prefix_sums([v is None for v in values], sides)
     hits = _prefix_sums([1 if v else 0 for v in values], sides)
     averages = []
     for n in levels:
-        window = (chain.scale(n),) * chain.rank
-        corner = _offset(tuple(q - 1 for q in window), sides)
+        corner = _offset((chain.scale(n) - 1,) * chain.rank, sides)
         if unknown[corner]:
-            require_known(None, _first_none(values, sides, identity(chain.rank), window))
+            require_known(None, next(g for g in chain.domain(n) if values[_offset(g, sides)] is None))
         averages.append(Fraction(hits[corner], chain.domain_size(n)))
     return BesicovitchTrace(levels, tuple(averages), max(averages))
 
@@ -209,7 +204,7 @@ def shearer_values(
     validate_k_cover(F, cover, k)
     p = _common_period_level(x, z)
     # one full period of translates is exact; otherwise the shared window
-    translates = x.chain.domain(p) if p is not None else ball(len(F[0]), radius)
+    translates = x.chain.domain(p) if p is not None else ball(_rank(F[0]), radius)
     hf = Fraction(_delta_sup(x, z, F, translates))
     hks = [Fraction(_delta_sup(x, z, tuple(K), translates)) for K in cover]
     return hf, hks

@@ -12,6 +12,8 @@ import amenshift
 from amenshift import configs
 from amenshift.configs import BINARY, Periodic, disagreement_set, per_set, per_set_letter
 from amenshift.groups import make_chain
+from amenshift.measures import empirical_measure
+from amenshift.metrics import shearer_values, weyl_upper_bound
 from amenshift.toeplitz import (
     krieger_construct,
     periodic_approximation,
@@ -71,6 +73,35 @@ def test_krieger_builder_reads_no_single_cell(cell_reads):
     krieger_construct(Fraction(1, 2), make_chain(1, [2**k for k in range(1, 12)]), BINARY, 3)
     krieger_construct(Fraction(1, 2), make_chain(2, [2, 4, 8, 16]), BINARY, 2)
     assert cell_reads == []
+
+
+@pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
+def test_scans_of_sets_that_are_not_boxes_check_only_their_first_cell(cell_reads, chain):
+    # Shearer covers, a Weyl F and pattern translates that are not boxes go
+    # through the one window scan: evaluate checks each side once, at the
+    # scan's first cell S[0] + T[0], and _at reads every cell
+    resolved = regular_table(chain, ("a", "b"))
+    # fully resolved too, but on another chain: the pair scans a window
+    other = regular_table(make_chain(chain.rank, [3, 9]), ("b", "a"))
+    dom = chain.domain(2)
+    F, cover = dom[:0:-1], [dom[::2], dom[1::2], dom[:1]]
+    below = lambda g: tuple(c - 1 for c in g)  # g + (-1, ..., -1), the ball's first cell
+
+    def checks(run):
+        del cell_reads[:]
+        run()
+        return [g for name, g in cell_reads if name == "evaluate"]
+
+    firsts = [K[0] for K in [F, *cover]]
+    # the periodic pair scans one period of translates, starting at the origin
+    assert checks(lambda: shearer_values(resolved, resolved, F, cover, 1)) == [g for g in firsts for _ in "xz"]
+    assert checks(lambda: shearer_values(other, resolved, F, cover, 1, 1)) == [
+        below(g) for g in firsts for _ in "xz"
+    ]
+    assert checks(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == [below(F[0])] * 2 + [F[0]] * 2
+    assert checks(lambda: empirical_measure(resolved, F)) == [F[0]]
+    assert checks(lambda: empirical_measure(resolved, F, dom[:2])) == [F[0]]
+    assert len(cell_reads) > 1  # the pattern scan read its cells through _at
 
 
 def test_the_counting_wrappers_see_a_cell_walk(cell_reads):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amenshift import configs
 from amenshift.configs import (
     Alphabet,
     BINARY,
@@ -482,10 +483,24 @@ def test_evaluate_is_the_checked_entry():
 
 def test_sets_of_bare_ints_are_read_through_evaluate():
     # a rank-1 set may list bare ints: not a box of elements, so each cell is
-    # normalized as evaluate normalizes it
+    # normalized as evaluate normalizes it, as a set, a shape or a Weyl F
     x = champernowne_binary(16)
     assert empirical_measure(x, (0, 1, 2, 3)) == empirical_measure(x, rect((0,), (3,)))
     assert omega_profile(x, [(0, 1), (0, 1, 2)]).measures == omega_profile(x, [rect((0,), (1,)), rect((0,), (2,))]).measures
+    pairs = empirical_measure(x, rect((0,), (3,)), shape=rect((0,), (1,)))
+    assert empirical_measure(x, (0, 1, 2, 3), shape=rect((0,), (1,))) == pairs
+    assert empirical_measure(x, rect((0,), (3,)), shape=(0, 1)) == pairs
+    z = shift(1, x)
+    assert weyl_upper_bound(x, z, (0, 1), 1) == weyl_upper_bound(x, z, rect((0,), (1,)), 1)
+
+
+def test_empty_shapes_read_no_cell():
+    # Δ over the empty window is 0, and every window of the empty shape is
+    # the empty pattern; the window scan needs a cell, so these read none
+    x, z = regular_table(CHAIN, ("0", "1")), champernowne_binary(4)
+    assert delta_star_exact(x, shift(1, x), ()) == 0
+    assert shearer_values(x, z, ((0,),), [(), ((0,),)], 1, 2) == (1, [0, 1])
+    assert empirical_measure(z, ball(1, 9), ()) == EmpiricalMeasure.point_mass(())
 
 
 @settings(max_examples=60, deadline=None)
@@ -630,6 +645,13 @@ def test_omega_profile_recounts_after_a_set_with_a_repeated_cell():
 # ---------------------------------------------------------------------------
 
 
+def bbox_sum(S, T):
+    """The cells of bbox(S) + bbox(T), row-major."""
+    lo = [min(a) + min(b) for a, b in zip(zip(*S), zip(*T))]
+    hi = [max(a) + max(b) for a, b in zip(zip(*S), zip(*T))]
+    return list(rect(lo, hi))
+
+
 @pytest.mark.parametrize("chain, n, radius", [(CHAIN, 3, 5), (CHAIN2, 2, 2)])
 def test_windowed_density_calls_member_once_per_union_cell(chain, n, radius):
     calls = []
@@ -642,6 +664,15 @@ def test_windowed_density_calls_member_once_per_union_cell(chain, n, radius):
     d = chain.rank
     # F_n + ball(radius) is the box [-radius, q_n - 1 + radius]^d, row-major
     assert calls == list(rect((-radius,) * d, (chain.scale(n) - 1 + radius,) * d))
+    # any shape over any translates, here a Shearer cover set that is not a
+    # box and translates reversed, gapped or repeated: once per cell of
+    # bbox(S) + bbox(T), whatever |S|·|T| is
+    F, T = chain.domain(n), ball(d, radius)
+    cover = F[1::3] + F[:1]
+    for S, translates in [(cover, T), (F, T[::-1]), (F, T[:1] + T[3:]), (cover, T + T[:2]), (cover, T[::-2])]:
+        calls.clear()
+        configs._BoxScan(member, S, translates)
+        assert calls == bbox_sum(S, translates)
 
 
 @pytest.mark.parametrize("chain, n, radius", [(CHAIN, 3, 5), (CHAIN2, 2, 2)])

@@ -713,7 +713,7 @@ def test_interval_estimates_are_sound_under_every_aggregate(data):
         exact = dstar_distance(x, z).value
         assert_sound(exact)
         assert exact.exact == (disagreement_set(x, z).unresolved.is_empty)
-        windowed = banach_density_windowed(_differs(x, z, unchecked=True), chain, n, radius, x, z)
+        windowed = banach_density_windowed(_differs(x, z), chain, n, radius, x, z)
     else:
         windowed = dstar_distance(x, z, n, radius, chain).value
     assert_sound(windowed)
