@@ -16,7 +16,6 @@ from .configs import (
     Periodic,
     SampledDisagreement,
     ToeplitzTable,
-    UNKNOWN,
     block_alternating,
     champernowne_binary,
     disagreement_set,
@@ -30,8 +29,6 @@ from .densities import (
     IntervalEstimate,
     banach_density_exact,
     banach_density_windowed,
-    density_in,
-    density_interval_in,
     lower_banach_density,
 )
 from .entropy import (
@@ -52,13 +49,10 @@ from .groups import (
     SubgroupChain,
     ball,
     box,
-    folner_invariance_ratio,
-    folner_set,
     make_chain,
 )
 from .measures import (
     EmpiricalMeasure,
-    MeasureSet,
     OmegaProfile,
     empirical_measure,
     hausdorff_distance,
@@ -73,8 +67,6 @@ from .metrics import (
     besicovitch_estimate,
     delta_star_exact,
     dstar_distance,
-    dw_prime_estimate,
-    shearer_oracle,
     shearer_values,
     weyl_upper_bound,
 )

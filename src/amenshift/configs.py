@@ -31,8 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import ChainMismatch, InconsistentCylinders, InexactVariant, UnknownMembership
 from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, sub
 
-UNKNOWN = None
-
 Letter = str
 
 
@@ -57,10 +55,6 @@ class Alphabet:
 
     def __contains__(self, a: Letter) -> bool:
         return a in self.letters
-
-    @staticmethod
-    def distance(a: Letter, b: Letter) -> int:
-        return 0 if a == b else 1
 
 
 BINARY = Alphabet(("0", "1"))
@@ -87,14 +81,6 @@ class CosetSet:
     def make(cls, chain: SubgroupChain, level: int, reps) -> "CosetSet":
         return cls(chain, level, frozenset(aselem(r, chain.rank) for r in reps))
 
-    @classmethod
-    def empty(cls, chain: SubgroupChain, level: int) -> "CosetSet":
-        return cls(chain, level, frozenset())
-
-    @classmethod
-    def full(cls, chain: SubgroupChain, level: int) -> "CosetSet":
-        return cls(chain, level, frozenset(chain.domain(level)))
-
     @property
     def is_empty(self) -> bool:
         return not self.reps
@@ -108,28 +94,6 @@ class CosetSet:
     def complement(self) -> "CosetSet":
         dom = frozenset(self.chain.domain(self.level))
         return CosetSet(self.chain, self.level, dom - self.reps)
-
-    def at_level(self, m: int) -> "CosetSet":
-        """The same set re-represented at a deeper level m ≥ level."""
-        if m < self.level:
-            raise ValueError("can only refine to a deeper level")
-        shifts = self.chain.subgroup_in_domain(self.level, m)
-        reps = frozenset(add(r, v) for r in self.reps for v in shifts)
-        return CosetSet(self.chain, m, reps)
-
-    def _aligned(self, other: "CosetSet") -> tuple["CosetSet", "CosetSet"]:
-        if self.chain != other.chain:
-            raise ChainMismatch("coset sets live over different chains")
-        m = max(self.level, other.level)
-        return self.at_level(m), other.at_level(m)
-
-    def union(self, other: "CosetSet") -> "CosetSet":
-        a, b = self._aligned(other)
-        return CosetSet(a.chain, a.level, a.reps | b.reps)
-
-    def contains_set(self, other: "CosetSet") -> bool:
-        a, b = self._aligned(other)
-        return b.reps <= a.reps
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +323,7 @@ class Oracle:
         """rule(g + offset) inside the box, None outside, for g of this rank (unchecked)."""
         if all(map(operator.le, self.lo, g)) and all(map(operator.le, g, self.hi)):
             return self.rule(add(g, self.offset))
-        return UNKNOWN
+        return None
 
 
 Configuration = Periodic | ToeplitzTable | Oracle
@@ -434,13 +398,16 @@ class _BoxScan:
     as a box: a box shape's windows are joined row slices, and two boxes
     count windows by separable prefix sums (Crow's summed-area table).  Any
     other set is read as offsets into ``values``, in its own order, repeats
-    kept.  The configurations ``checked``, which the point function reads
-    unchecked, are checked once, at shape[0] + translates[0] (see
-    :func:`_check_cell`), the corner of a box pair."""
+    kept.  A shape and translates of different ranks raise ValueError before
+    any cell is read.  The configurations ``checked``, which the point
+    function reads unchecked, are checked once, at shape[0] + translates[0]
+    (see :func:`_check_cell`), the corner of a box pair."""
 
     def __init__(self, point: Callable, shape: Sequence, translates: Sequence, *checked: Configuration):
         self.shape, self.translates = _frame(shape), _frame(translates)
         (s_lo, s_sides, S, _), (t_lo, t_sides, T, _) = self.shape, self.translates
+        if len(s_lo) != len(t_lo):
+            raise ValueError(f"shape of rank {len(s_lo)} and translates of rank {len(t_lo)}")
         self.sides = tuple(s + t - 1 for s, t in zip(s_sides, t_sides))
         _check_cell(add(S[0], T[0]), *checked)
         cells = product(*(range(c, c + n) for c, n in zip(add(s_lo, t_lo), self.sides)))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .configs import Configuration, CosetSet, _BoxScan
-from .errors import UnknownMembership
-from .groups import Element, FiniteSubset, SubgroupChain, ball
+from .groups import Element, SubgroupChain, ball
 
 MembershipPredicate = Callable[[Element], "bool | None"]
 
@@ -58,33 +57,6 @@ class IntervalEstimate:
         return IntervalEstimate(value, value, True, method)
 
 
-def density_in(F: FiniteSubset, member: MembershipPredicate) -> Fraction:
-    """D_F(A) = |A ∩ F| / |F| for a predicate decidable everywhere on F."""
-    if not F:
-        raise ValueError("F must be nonempty")
-    hits = 0
-    for g in F:
-        m = member(g)
-        if m is None:
-            raise UnknownMembership(f"membership Unknown at {g}; use density_interval_in")
-        hits += bool(m)
-    return Fraction(hits, len(F))
-
-
-def density_interval_in(F: FiniteSubset, member: MembershipPredicate) -> tuple[Fraction, Fraction]:
-    """[confirmed, confirmed+unknown] / |F| over F."""
-    if not F:
-        raise ValueError("F must be nonempty")
-    hits = unknown = 0
-    for g in F:
-        m = member(g)
-        if m is None:
-            unknown += 1
-        else:
-            hits += bool(m)
-    return Fraction(hits, len(F)), Fraction(hits + unknown, len(F))
-
-
 def banach_density_exact(B: CosetSet) -> IntervalEstimate:
     """Banach density of a union of cosets: |reps| / |F_n|, exact.
 
@@ -125,12 +97,3 @@ def banach_density_windowed(
     return IntervalEstimate(
         Fraction(lower, len(F)), Fraction(upper, len(F)), False, "windowed", WINDOW_CAVEAT
     )
-
-
-def coset_membership(B: CosetSet) -> MembershipPredicate:
-    return lambda g: g in B
-
-
-def set_membership(A: Sequence[Element]) -> MembershipPredicate:
-    table = set(A)
-    return lambda g: g in table

@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .configs import Configuration, _BoxScan, evaluate, require_known
+from .configs import Configuration, _BoxScan
 from .errors import DeltaOutOfRange, SystemTooLarge
-from .groups import FiniteSubset, SubgroupChain, ball
+from .groups import SubgroupChain, ball
 
 SYSTEM_CAP = 20
 
@@ -239,17 +239,6 @@ class SampledSystem:
             tuple(sum(a != b for a, b in zip(p, r)) for r in pts) for p in pts
         )
         return cls(size, table)
-
-    @classmethod
-    def from_configs(cls, configs: Sequence[Configuration], F: FiniteSubset) -> "SampledSystem":
-        points = [
-            tuple(require_known(evaluate(x, g), g) for g in F) for x in configs
-        ]
-        return cls.from_points(points)
-
-    def rho_F(self, i: int, j: int) -> int:
-        """max over the window of the discrete distance: 1 iff the points differ."""
-        return 1 if self.diff_counts[i][j] > 0 else 0
 
 
 def _effective_counts(sys: SampledSystem, eps) -> tuple[tuple[int, ...], ...]:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import LevelOutOfRange, NonDividingScales
 
@@ -49,11 +48,6 @@ def sub(g: Element, h: Element) -> Element:
     return tuple(map(operator.sub, g, h))
 
 
-def canonical(elements: Iterable[Element]) -> FiniteSubset:
-    """Deduplicate and sort into the canonical (lexicographic) enumeration."""
-    return tuple(sorted(set(elements)))
-
-
 def box(rank: int, side: int) -> FiniteSubset:
     """The box [0, side)^rank in canonical order."""
     if side <= 0:
@@ -73,17 +67,6 @@ def ball(rank: int, radius: int) -> FiniteSubset:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     return rect((-radius,) * rank, (radius,) * rank)
-
-
-def translate(F: Sequence[Element], g: Element) -> FiniteSubset:
-    return tuple(add(f, g) for f in F)
-
-
-def folner_invariance_ratio(F: Sequence[Element], g: Element) -> Fraction:
-    """|(g+F) △ F| / |F|, the Følner defect of F under the translation g."""
-    base = set(F)
-    shifted = {add(f, g) for f in F}
-    return Fraction(len(base ^ shifted), len(base))
 
 
 @dataclass(frozen=True)
@@ -137,11 +120,6 @@ class SubgroupChain:
         q = self.scale(n)
         return tuple(c % q for c in g)
 
-    def in_subgroup(self, g, n: int) -> bool:
-        g = aselem(g, self.rank)
-        q = self.scale(n)
-        return all(c % q == 0 for c in g)
-
     def subgroup_in_domain(self, n: int, m: int) -> FiniteSubset:
         """H_n ∩ F_m for n ≤ m, canonical order."""
         self._check_level(n)
@@ -155,8 +133,3 @@ class SubgroupChain:
 def make_chain(rank: int, scales: Sequence[int]) -> SubgroupChain:
     """The chain with scales q_1 | q_2 | ... | q_N, checked as it is built."""
     return SubgroupChain(rank, scales)
-
-
-def folner_set(chain: SubgroupChain, n: int) -> FiniteSubset:
-    """The level-n Følner box of the chain."""
-    return chain.domain(n)

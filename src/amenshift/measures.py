@@ -171,31 +171,19 @@ def prokhorov_distance(
     return best
 
 
-@dataclass(frozen=True)
-class MeasureSet:
-    """A nonempty finite family of empirical measures (an ω̂-style trace)."""
-
-    measures: tuple[EmpiricalMeasure, ...]
-
-    def __post_init__(self):
-        if not self.measures:
-            raise ValueError("measure set must be nonempty")
-
-
 def hausdorff_distance(
-    A: MeasureSet | Sequence[EmpiricalMeasure],
-    B: MeasureSet | Sequence[EmpiricalMeasure],
+    A: Sequence[EmpiricalMeasure],
+    B: Sequence[EmpiricalMeasure],
     metric: AtomMetric = discrete_metric,
 ) -> Fraction:
-    """max of the two directed sup-inf Prokhorov distances, exact on finite sets.
+    """max of the two directed sup-inf Prokhorov distances, exact on finite
+    nonempty families of measures.
 
     D_P is symmetric, so both directions read one |A|×|B| matrix.
     """
-    fam_a = A.measures if isinstance(A, MeasureSet) else tuple(A)
-    fam_b = B.measures if isinstance(B, MeasureSet) else tuple(B)
-    if not fam_a or not fam_b:
+    if not A or not B:
         raise ValueError("both families must be nonempty")
-    rows = [[prokhorov_distance(mu, nu, metric) for nu in fam_b] for mu in fam_a]
+    rows = [[prokhorov_distance(mu, nu, metric) for nu in B] for mu in A]
     d_ab = max(min(row) for row in rows)
     d_ba = max(min(col) for col in zip(*rows))
     return max(d_ab, d_ba)
@@ -215,9 +203,6 @@ class OmegaProfile:
     measures: tuple[EmpiricalMeasure, ...]
     steps: tuple[Fraction, ...]
     step_bounds: tuple[Fraction, ...]
-
-    def as_measure_set(self) -> MeasureSet:
-        return MeasureSet(self.measures)
 
 
 def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfile:

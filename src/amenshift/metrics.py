@@ -51,6 +51,12 @@ def dstar_distance(
     coset-structured pairs; otherwise a window scan with level n and
     translate radius must be supplied (and a chain, when neither side
     carries one).
+
+    This is also the fixed-point form D_W'(x,z) = inf{ε > 0 : D*({g :
+    ρ(x_g, z_g) > ε}) < ε}: with the discrete letter metric the inner set is
+    the disagreement set for every ε in (0,1), so the infimum is the
+    disagreement density itself (including the boundary case density 1,
+    where only ε ≥ 1 qualifies), and ``--metric dwprime`` reports this value.
     """
     if x.chain is not None and x.chain == z.chain:
         dis = disagreement_set(x, z)
@@ -166,23 +172,6 @@ def besicovitch_estimate(
     return BesicovitchTrace(levels, tuple(averages), max(averages))
 
 
-def dw_prime_estimate(
-    x: Configuration,
-    z: Configuration,
-    n: int | None = None,
-    radius: int | None = None,
-    chain: SubgroupChain | None = None,
-) -> PseudometricReport:
-    """inf{ε > 0 : D*({g : ρ(x_g, z_g) > ε}) < ε}, returned as the D* report.
-
-    With the discrete letter metric the inner set is the disagreement set for
-    every ε in (0,1), so the infimum is the disagreement density itself
-    (including the boundary case density 1, where only ε ≥ 1 qualifies):
-    the report is ``dstar_distance(x, z, n, radius, chain)`` unchanged.
-    """
-    return dstar_distance(x, z, n, radius, chain)
-
-
 def validate_k_cover(F: FiniteSubset, cover: Sequence[FiniteSubset], k: int) -> None:
     if k < 1:
         raise NotAKCover("k must be at least 1")
@@ -200,24 +189,14 @@ def shearer_values(
     k: int,
     radius: int = 0,
 ) -> tuple[Fraction, list[Fraction]]:
-    """H(F) and the H(K_i), exact for periodic pairs, else window proxies at one shared radius."""
+    """H(F) and the H(K_i) for a k-cover of F, the two sides of Shearer's
+    inequality H(F) ≤ (1/k) Σ H(K_i): exact for periodic pairs, else window
+    proxies at one shared radius."""
     validate_k_cover(F, cover, k)
     p = _common_period_level(x, z)
     # one full period of translates is exact; otherwise the shared window
-    translates = x.chain.domain(p) if p is not None else ball(_rank(F[0]), radius)
+    translates = x.chain.domain(p) if p is not None else ball(x.rank, radius)
     hf = Fraction(_delta_sup(x, z, F, translates))
     hks = [Fraction(_delta_sup(x, z, tuple(K), translates)) for K in cover]
     return hf, hks
 
-
-def shearer_oracle(
-    x: Configuration,
-    z: Configuration,
-    F: FiniteSubset,
-    cover: Sequence[FiniteSubset],
-    k: int,
-    radius: int = 0,
-) -> bool:
-    """Whether H(F) ≤ (1/k) Σ H(K_i) holds on this instance."""
-    hf, hks = shearer_values(x, z, F, cover, k, radius)
-    return hf <= Fraction(sum(hks), k)

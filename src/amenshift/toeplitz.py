@@ -341,12 +341,6 @@ class KriegerResult:
     skeleton: ToeplitzTable
     cells: Mapping[Element, Letter]
 
-    def value_at(self, g) -> Letter | None:
-        """The built block at g: the claimed coset's letter, else the planted cell."""
-        g = aselem(g, self.chain.rank)
-        v = self.skeleton.lookup(g)
-        return self.cells.get(g) if v is None else v
-
     def claimed_cells_within(self, n: int) -> int:
         """Σ_{i≤n} r_i · |F_{k_n}| / |F_{k_i}|: skeleton cells inside F_{k_n}."""
         size_n = self.chain.domain_size(self.levels[n])

@@ -6,8 +6,9 @@ small instances."""
 import itertools
 from fractions import Fraction
 
-from amenshift.configs import evaluate, require_known
+from amenshift.configs import CosetSet, evaluate, require_known
 from amenshift.entropy import _check_params, _effective_counts
+from amenshift.groups import add
 from amenshift.measures import discrete_metric
 
 
@@ -180,3 +181,32 @@ def known_difference(x, z):
         return require_known(None if a is None or b is None else a != b, g)
 
     return rho
+
+
+# --- groups and coset sets: helpers the library does not export ---------------
+
+
+def translate(F, g) -> tuple:
+    """F + g, in F's order."""
+    return tuple(add(f, g) for f in F)
+
+
+def in_subgroup(chain, g, n) -> bool:
+    """Whether the element g lies in H_n = (q_n Z)^d."""
+    return all(c % chain.scale(n) == 0 for c in g)
+
+
+def folner_invariance_ratio(F, g) -> Fraction:
+    """|(g+F) △ F| / |F|, the Følner defect of F under the translation g."""
+    return Fraction(len(set(F) ^ set(translate(F, g))), len(set(F)))
+
+
+def refine(cs, m) -> CosetSet:
+    """The coset set cs re-represented at a level m >= cs.level."""
+    shifts = cs.chain.subgroup_in_domain(cs.level, m)
+    return CosetSet(cs.chain, m, frozenset(add(r, v) for r in cs.reps for v in shifts))
+
+
+def density_in(F, member) -> Fraction:
+    """D_F(A) = |A ∩ F| / |F| for a predicate decidable on every cell of F."""
+    return Fraction(sum(1 for g in F if member(g)), len(F))

@@ -35,7 +35,7 @@ from amenshift.entropy import (
     separated_max,
     spanning_min,
 )
-from amenshift.groups import box, make_chain, translate
+from amenshift.groups import box, make_chain
 from amenshift.measures import (
     EmpiricalMeasure,
     discrete_metric,
@@ -52,7 +52,7 @@ from amenshift.toeplitz import (
     regular_table,
     toeplitz_interpolate,
 )
-from oracles import prokhorov_oracle
+from oracles import in_subgroup, prokhorov_oracle, translate
 
 DYADIC8 = make_chain(1, [2, 4, 8, 16, 32, 64, 128, 256])
 
@@ -73,7 +73,7 @@ def test_criterion_01_chain_validity():
         # independent re-derivation of the four conditions
         for i in range(chain.depth):
             inner = set(chain.subgroup_in_domain(i + 1, i + 1))
-            if not all(chain.in_subgroup(v, i) for v in inner):
+            if not all(in_subgroup(chain, v, i) for v in inner):
                 violations += 1  # nesting H_{i+1} within H_i
         if chain.domain(0) != (e,):
             violations += 1
@@ -87,7 +87,7 @@ def test_criterion_01_chain_validity():
         for i in range(chain.depth):
             tiles = []
             for v in chain.domain(i + 1):
-                if chain.in_subgroup(v, i):
+                if in_subgroup(chain, v, i):
                     tiles.extend(translate(chain.domain(i), v))
             if sorted(tiles) != sorted(chain.domain(i + 1)):
                 violations += 1  # disjoint translate decomposition

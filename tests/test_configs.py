@@ -29,7 +29,7 @@ from amenshift.densities import banach_density_windowed
 from amenshift.entropy import pattern_set
 from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
 from amenshift.groups import ball, make_chain, rect
-from amenshift.measures import EmpiricalMeasure, empirical_measure, omega_profile
+from amenshift.measures import EmpiricalMeasure, discrete_metric, empirical_measure, omega_profile
 from amenshift.metrics import (
     besicovitch_estimate,
     delta_star_exact,
@@ -50,6 +50,7 @@ from oracles import (
     known_difference,
     known_letter,
     period_table_oracle,
+    refine,
     window_walk,
 )
 
@@ -60,8 +61,8 @@ ONES = Periodic(CHAIN, 1, {(0,): "1", (1,): "1"}, BINARY)
 
 
 def test_alphabet_discrete_metric():
-    assert Alphabet.distance("a", "a") == 0
-    assert Alphabet.distance("a", "b") == 1
+    assert discrete_metric("a", "a") == 0
+    assert discrete_metric("a", "b") == 1
     with pytest.raises(ValueError):
         Alphabet(())
     with pytest.raises(ValueError):
@@ -158,7 +159,7 @@ def test_per_set_monotone_in_level():
     previous = per_set(table, 1)
     for n in (2, 3, 4):
         current = per_set(table, n)
-        assert current.contains_set(previous)
+        assert refine(previous, n).reps <= current.reps
         previous = current
 
 
@@ -259,8 +260,8 @@ def test_disagreement_sampled_for_oracles():
 def test_coset_set_algebra():
     a = CosetSet.make(CHAIN, 1, [(0,)])
     b = CosetSet.make(CHAIN, 2, [(1,)])
-    assert a.union(b).level == 2
-    assert a.union(b).density() == Fraction(3, 4)
+    assert refine(a, 2).reps == {(0,), (2,)}
+    assert refine(a, 2).density() == a.density() == Fraction(1, 2)
     assert a.complement().reps == {(1,)}
     assert (5 in b) and (1 in b) and (0 not in b) and (3 not in b)
 
@@ -501,6 +502,33 @@ def test_empty_shapes_read_no_cell():
     assert delta_star_exact(x, shift(1, x), ()) == 0
     assert shearer_values(x, z, ((0,),), [(), ((0,),)], 1, 2) == (1, [0, 1])
     assert empirical_measure(z, ball(1, 9), ()) == EmpiricalMeasure.point_mass(())
+
+
+def test_delta_star_refuses_a_shape_of_another_rank():
+    # a rank-2 shape over the rank-1 period translates is refused, not cut to rank 1
+    chain = make_chain(1, [2, 4, 8])
+    x, z = regular_table(chain), regular_table(chain, ("b", "a"))
+    with pytest.raises(ValueError, match="rank"):
+        delta_star_exact(x, z, ((0, 0), (1, 3)))
+
+
+def test_shearer_refuses_a_cover_of_another_rank():
+    # a rank-2 cover over the rank-1 period translates is refused, not read with rank-1 sides
+    chain = make_chain(1, [2, 4, 8])
+    x, z = regular_table(chain), regular_table(chain, ("b", "a"))
+    F = ((0, 0), (0, 1))
+    with pytest.raises(ValueError, match="rank"):
+        shearer_values(x, z, F, [F], 1)
+
+
+def test_pattern_measure_refuses_translates_of_another_rank():
+    # rank-2 translates of a rank-1 shape are refused, not cut to rank 1
+    with pytest.raises(ValueError, match="rank"):
+        empirical_measure(champernowne_binary(40), ((0,), (1,)), ((0, 0),))
+    read = []
+    with pytest.raises(ValueError, match="rank"):
+        configs._BoxScan(read.append, ((0,), (1,)), ((0, 0),))
+    assert read == []  # refused before any cell is read
 
 
 @settings(max_examples=60, deadline=None)

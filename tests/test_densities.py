@@ -7,14 +7,10 @@ from amenshift.densities import (
     IntervalEstimate,
     banach_density_exact,
     banach_density_windowed,
-    coset_membership,
-    density_in,
-    density_interval_in,
     lower_banach_density,
-    set_membership,
 )
-from amenshift.errors import UnknownMembership
-from amenshift.groups import make_chain, translate
+from amenshift.groups import make_chain
+from oracles import density_in, translate
 
 CHAIN = make_chain(1, [2, 4, 8, 16, 32])
 
@@ -23,26 +19,11 @@ def evens(g):
     return g[0] % 2 == 0
 
 
-def test_density_in_examples():
-    F = tuple((i,) for i in range(8))
-    assert density_in(F, evens) == Fraction(1, 2)
-    assert density_in(((0,),), evens) == 1
-    assert density_in(F, lambda g: True) == 1
-
-
-def test_density_in_unknown_raises():
-    F = tuple((i,) for i in range(4))
-    with pytest.raises(UnknownMembership):
-        density_in(F, lambda g: None if g == (2,) else evens(g))
-    lo, hi = density_interval_in(F, lambda g: None if g == (2,) else evens(g))
-    assert (lo, hi) == (Fraction(1, 4), Fraction(1, 2))
-
-
 def test_banach_density_exact_examples():
     cs = CosetSet.make(CHAIN, 2, [(0,), (1,)])
     assert banach_density_exact(cs).value == Fraction(2, 4)
-    assert banach_density_exact(CosetSet.empty(CHAIN, 2)).value == 0
-    assert banach_density_exact(CosetSet.full(CHAIN, 3)).value == 1
+    assert banach_density_exact(CosetSet(CHAIN, 2, frozenset())).value == 0
+    assert banach_density_exact(CosetSet.make(CHAIN, 3, CHAIN.domain(3))).value == 1
 
 
 def test_complement_densities_sum_to_one():
@@ -55,7 +36,7 @@ def test_complement_densities_sum_to_one():
 def test_lower_banach_density_examples():
     evens_set = CosetSet.make(CHAIN, 1, [(0,)])
     assert lower_banach_density(evens_set).value == Fraction(1, 2)
-    assert lower_banach_density(CosetSet.full(CHAIN, 1)).value == 1
+    assert lower_banach_density(CosetSet.make(CHAIN, 1, CHAIN.domain(1))).value == 1
     quarter = CosetSet.make(CHAIN, 2, [(0,)])
     assert lower_banach_density(quarter).value == Fraction(1, 4)
 
@@ -71,7 +52,7 @@ def test_windowed_evens_collapses_but_stays_flagged():
 def test_windowed_finite_set_sees_its_best_translate():
     # a single point has windowed density 1/|F_5| at its best translate even
     # though its true Banach density is 0; no finite level reaches 0
-    est = banach_density_windowed(set_membership([(0,)]), CHAIN, 5, 64)
+    est = banach_density_windowed(lambda g: g == (0,), CHAIN, 5, 64)
     assert est.lower == Fraction(1, 32)
 
 
@@ -81,7 +62,7 @@ def test_windowed_empty_set_is_zero():
 
 
 def test_windowed_lower_monotone_in_radius():
-    member = set_membership([(i,) for i in range(5, 10)])
+    member = {(i,) for i in range(5, 10)}.__contains__
     previous = Fraction(0)
     for radius in (0, 2, 4, 8, 16):
         est = banach_density_windowed(member, CHAIN, 2, radius)
@@ -93,16 +74,16 @@ def test_windowed_matches_exact_on_coset_sets_once_period_visible():
     cs = CosetSet.make(CHAIN, 2, [(1,), (2,)])
     exact = banach_density_exact(cs).value
     for n in (2, 3, 4):
-        est = banach_density_windowed(coset_membership(cs), CHAIN, n, 4)
+        est = banach_density_windowed(cs.__contains__, CHAIN, n, 4)
         assert est.lower == est.upper == exact
 
 
 def test_density_shift_invariant_on_coset_sets():
     cs = CosetSet.make(CHAIN, 2, [(0,), (3,)])
     F2 = CHAIN.domain(2)
-    base = density_in(F2, coset_membership(cs))
+    base = density_in(F2, cs.__contains__)
     for g in ((1,), (5,), (-3,)):
-        assert density_in(translate(F2, g), coset_membership(cs)) == base
+        assert density_in(translate(F2, g), cs.__contains__) == base
 
 
 def test_interval_estimate_invariants():

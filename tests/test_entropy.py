@@ -163,13 +163,6 @@ def test_two_points_differing_everywhere():
     assert separated_max(sys, Fraction(1, 2), Fraction(1, 2)) == 2
 
 
-def test_sampled_system_from_configs():
-    zeros = Periodic(CHAIN, 1, {(0,): "0", (1,): "0"}, BINARY)
-    sys = SampledSystem.from_configs([EVENS, zeros], CHAIN.domain(2))
-    assert sys.diff_counts[0][1] == 2
-    assert sys.rho_F(0, 1) == 1 and sys.rho_F(0, 0) == 0
-
-
 def test_spanning_at_most_separated():
     rng = random.Random(17)
     for _ in range(50):

@@ -4,17 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amenshift.errors import LevelOutOfRange, NonDividingScales
-from amenshift.groups import (
-    SubgroupChain,
-    ball,
-    box,
-    canonical,
-    folner_invariance_ratio,
-    folner_set,
-    make_chain,
-    sub,
-    translate,
-)
+from amenshift.groups import SubgroupChain, ball, box, make_chain, sub
+from oracles import folner_invariance_ratio, in_subgroup, translate
 
 DYADIC = make_chain(1, [2, 4, 8])
 
@@ -71,17 +62,17 @@ def test_chain_conditions_exhaustive():
             # (3) F_i meets every coset of H_i exactly once
             assert len(set(dom)) == len(dom)
             assert {chain.coset_rep(g, i) for g in top} == set(dom)
-            assert all(chain.in_subgroup(sub(g, chain.coset_rep(g, i)), i) for g in top)
+            assert all(in_subgroup(chain, sub(g, chain.coset_rep(g, i)), i) for g in top)
             # (1) H_i ⊆ H_{i-1}, seen on H_i ∩ F_depth
             if i > 0:
                 assert all(
-                    chain.in_subgroup(v, i - 1) for v in chain.subgroup_in_domain(i, chain.depth)
+                    in_subgroup(chain, v, i - 1) for v in chain.subgroup_in_domain(i, chain.depth)
                 )
         # (4) F_{i+1} is the disjoint union of the translates F_i + v over
         # v in F_{i+1} ∩ H_i
         for i in range(chain.depth):
             big = set(chain.domain(i + 1))
-            vs = [v for v in big if chain.in_subgroup(v, i)]
+            vs = [v for v in big if in_subgroup(chain, v, i)]
             seen = set()
             for v in vs:
                 piece = set(translate(chain.domain(i), v))
@@ -106,17 +97,17 @@ def test_coset_rep_level_out_of_range():
 def test_coset_rep_idempotent_and_in_subgroup(g, n):
     rep = DYADIC.coset_rep(g, n)
     assert DYADIC.coset_rep(rep, n) == rep
-    assert DYADIC.in_subgroup(rep[0] - g, n)
+    assert in_subgroup(DYADIC, (rep[0] - g,), n)
 
 
 def test_folner_set_and_ball():
-    assert folner_set(DYADIC, 3) == tuple((i,) for i in range(8))
+    assert DYADIC.domain(3) == tuple((i,) for i in range(8))
     assert ball(1, 2) == ((-2,), (-1,), (0,), (1,), (2,))
     assert ball(2, 1) == tuple((i, j) for i in (-1, 0, 1) for j in (-1, 0, 1))
 
 
 def test_folner_invariance_ratio_box_shift():
-    F3 = folner_set(DYADIC, 3)
+    F3 = DYADIC.domain(3)
     assert folner_invariance_ratio(F3, (1,)) == Fraction(2, 8)
 
 
@@ -124,10 +115,6 @@ def test_folner_ratio_decreases_with_level():
     chain = make_chain(1, [2, 4, 8, 16, 32])
     ratios = [folner_invariance_ratio(chain.domain(n), (1,)) for n in range(1, 6)]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
-
-
-def test_canonical_order_is_lexicographic():
-    assert canonical([(1, 0), (0, 1), (0, 0), (0, 1)]) == ((0, 0), (0, 1), (1, 0))
 
 
 def test_subgroup_in_domain():

@@ -1,13 +1,16 @@
+import ast
 import hashlib
 import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -206,6 +209,24 @@ def test_cli_readme_examples_match_their_byte_pins(kind, capsys):
     argv, digest = README_EXAMPLES_SHA256[kind]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_readme_public_api_lists_every_export():
+    # README's "Public API" section has one "- `module`: `name`, ..." line per
+    # module, naming exactly what amenshift/__init__.py imports from it
+    init = ast.parse(Path(amenshift.__file__).read_text(encoding="utf-8"))
+    exported = {
+        node.module: {alias.name for alias in node.names}
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        m[1]: set(re.findall(r"`(\w+)`", m[2]))
+        for m in re.finditer(r"^- `(\w+)`: (.*)$", section, re.MULTILINE)
+    }
+    assert listed == exported
 
 
 def test_cli_spec_file_merged_with_flags_matches_its_byte_pin(tmp_path, capsys):

@@ -9,7 +9,6 @@ from amenshift.errors import UnknownMembership
 from amenshift.groups import box, make_chain
 from amenshift.measures import (
     EmpiricalMeasure,
-    MeasureSet,
     discrete_metric,
     empirical_measure,
     hausdorff_distance,
@@ -255,11 +254,12 @@ def test_prokhorov_large_support_shifted_uniform():
 
 def test_hausdorff_examples():
     da, db = EmpiricalMeasure.point_mass("a"), EmpiricalMeasure.point_mass("b")
-    A = MeasureSet((da,))
-    B = MeasureSet((da, db))
+    A, B = (da,), (da, db)
     assert hausdorff_distance(A, A) == 0
     assert hausdorff_distance(A, B) == 1
     assert hausdorff_distance((da,), (db,)) == prokhorov_distance(da, db)
+    with pytest.raises(ValueError):
+        hausdorff_distance((), B)
 
 
 def test_hausdorff_matches_both_directed_passes():
@@ -287,7 +287,7 @@ def test_hausdorff_bounded_by_disagreement_density():
     for mx, mz in zip(prof_x.measures, prof_z.measures):
         assert total_variation(mx, mz) <= delta
         assert prokhorov_distance(mx, mz) <= delta
-    assert hausdorff_distance(prof_x.as_measure_set(), prof_z.as_measure_set()) <= delta
+    assert hausdorff_distance(prof_x.measures, prof_z.measures) <= delta
 
 
 # --- omega profiles ----------------------------------------------------------

@@ -3,15 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from amenshift.configs import Alphabet, BINARY, Periodic, ToeplitzTable
+from amenshift.configs import (
+    Alphabet,
+    BINARY,
+    Periodic,
+    ToeplitzTable,
+    block_alternating,
+    champernowne_binary,
+    disagreement_set,
+)
 from amenshift.errors import NotAKCover
 from amenshift.groups import make_chain
 from amenshift.metrics import (
     besicovitch_estimate,
     delta_star_exact,
     dstar_distance,
-    dw_prime_estimate,
-    shearer_oracle,
     shearer_values,
     weyl_upper_bound,
 )
@@ -129,17 +135,35 @@ def test_besicovitch_equals_folner_disagreement_average():
         assert avg == direct
 
 
-def test_dw_prime_examples():
-    assert dw_prime_estimate(EVENS, EVENS).value.value == 0
-    assert dw_prime_estimate(EVENS, ZEROS).value.value == Fraction(1, 2)
-    assert dw_prime_estimate(ZEROS, ONES).value.value == 1
-
-
 def test_dw_prime_collapses_to_dstar_for_periodic_pairs():
-    for x, z in [(EVENS, ZEROS), (word_config("0110", 2), word_config("1010", 2))]:
+    # D_W' = inf{ε > 0 : D*({ρ > ε}) < ε}; with the discrete letter metric
+    # {ρ > ε} is the disagreement set for ε < 1 and empty from ε = 1 on, so ε
+    # qualifies exactly when it exceeds D* (at D* = 1 only ε ≥ 1 does), and
+    # the infimum is D* itself, the value `--metric dwprime` reports
+    pairs = [
+        (EVENS, EVENS),
+        (EVENS, ZEROS),
+        (ZEROS, ONES),
+        (word_config("0110", 2), word_config("1010", 2)),
+    ]
+    grid = [Fraction(k, 16) for k in range(1, 33)]
+    for x, z in pairs:
         d = dstar_distance(x, z).value.value
-        if d < 1:
-            assert dw_prime_estimate(x, z).value.value == d
+        disagreement = disagreement_set(x, z).confirmed.density()
+        qualifies = [eps for eps in grid if (disagreement if eps < 1 else 0) < eps]
+        assert qualifies == [eps for eps in grid if eps > d or eps >= 1]
+
+
+def test_dw_prime_examples():
+    # `--metric dwprime` reports dstar_distance; on these pairs that value is
+    # the infimum of the ε that qualify in D_W' = inf{ε > 0 : D*({ρ > ε}) < ε}
+    grid = [Fraction(k, 64) for k in range(1, 129)]
+    for x, z, expected in [(EVENS, EVENS, 0), (EVENS, ZEROS, Fraction(1, 2)), (ZEROS, ONES, 1)]:
+        assert dstar_distance(x, z).value.value == expected
+        disagreement = disagreement_set(x, z).confirmed.density()
+        qualifies = [eps for eps in grid if (disagreement if eps < 1 else 0) < eps]
+        assert all(eps > expected or eps >= 1 for eps in qualifies)
+        assert [eps for eps in grid if eps > expected] == [eps for eps in qualifies if eps > expected]
 
 
 def test_infimum_rule_consistency():
@@ -158,9 +182,15 @@ def test_infimum_rule_consistency():
     assert previous == target
 
 
+def shearer_holds(x, z, F, cover, k, radius=0) -> bool:
+    """Whether H(F) ≤ (1/k) Σ H(K_i) holds on this instance."""
+    hf, hks = shearer_values(x, z, F, cover, k, radius)
+    return hf <= Fraction(sum(hks), k)
+
+
 def test_shearer_equality_single_cover():
     F = ((0,), (1,))
-    assert shearer_oracle(EVENS, ZEROS, F, [F], 1)
+    assert shearer_holds(EVENS, ZEROS, F, [F], 1)
     hf, hks = shearer_values(EVENS, ZEROS, F, [F], 1)
     assert hf == hks[0]
 
@@ -168,15 +198,28 @@ def test_shearer_equality_single_cover():
 def test_shearer_two_cover_triangle():
     F = ((0,), (1,), (2,))
     cover = [((0,), (1,)), ((1,), (2,)), ((0,), (2,))]
-    assert shearer_oracle(EVENS, ZEROS, F, cover, 2)
+    assert shearer_holds(EVENS, ZEROS, F, cover, 2)
     x, z = word_config("0110", 2), word_config("1001", 2)
-    assert shearer_oracle(x, z, F, cover, 2)
+    assert shearer_holds(x, z, F, cover, 2)
 
 
 def test_shearer_rejects_malformed_cover():
     F = ((0,), (1,), (2,))
     with pytest.raises(NotAKCover):
-        shearer_oracle(EVENS, ZEROS, F, [((0,), (1,))], 1)
+        shearer_values(EVENS, ZEROS, F, [((0,), (1,))], 1)
+
+
+def test_shearer_empty_set_is_zero_for_every_pair():
+    # the window ball takes the pair's rank, so an empty F with an empty
+    # cover is (0, []) whether or not the pair is fully resolved
+    chain = make_chain(1, [2, 4, 8])
+    unresolved = (
+        regular_table(chain, resolve_tail=False),
+        regular_table(chain, ("b", "a"), resolve_tail=False),
+    )
+    oracles = (champernowne_binary(8), block_alternating(Fraction(1, 2), 8))
+    for x, z in (unresolved, oracles, (EVENS, ZEROS)):
+        assert shearer_values(x, z, (), [], 1, radius=2) == (0, [])
 
 
 def test_dstar_toeplitz_interval():
@@ -189,8 +232,6 @@ def test_dstar_toeplitz_interval():
 
 
 def test_windowed_dstar_for_oracle_pair():
-    from amenshift.configs import block_alternating, champernowne_binary
-
     x = champernowne_binary(64)
     rep = dstar_distance(x, ZEROS, n=2, radius=8)
     assert rep.basis == "window-bracket"
