@@ -102,43 +102,14 @@ class CosetSet:
 
 
 class _CosetTable:
-    """The coset table of Periodic and ToeplitzTable: ``_assigned`` holds the
-    distinct (level, rep, letter) triples, coarsest first, and ``_cells`` the
-    period array, the letter or None of each cell of F_max_level in row-major
-    order, ``_period`` = q_max_level.  Plain attributes that no other module
-    reads; the exact coset paths read the array on F_level through ``_lift``."""
+    """The coset table of Periodic and ToeplitzTable: the distinct (level, rep,
+    letter) triples ``_assigned``, coarsest first, the period array ``_cells`` on
+    F_max_level, row-major, None where Unknown, and ``_period`` = q_max_level, set
+    from Periodic's word or by ToeplitzTable's ``_fill``; read on F_level by ``_lift``."""
 
     _assigned: tuple[tuple[int, Element, Letter], ...]
     _cells: tuple[Letter | None, ...]
     _period: int
-
-    def _fill(self, assigned: Iterable[tuple[int, Element, Letter]]) -> None:
-        """Store the triples and fill the period array coarsest first; filling
-        is the one conflict check."""
-        # cosets of nested subgroups are nested or disjoint, so a coset whose
-        # representative's cell is filled lies inside an earlier coset and
-        # agrees with it iff that cell holds its letter
-        object.__setattr__(self, "_assigned", tuple(sorted(assigned)))
-        chain = self.chain
-        Q = chain.scale(self.max_level)
-        cells: list[Letter | None] = [None] * Q**chain.rank
-        for n, r, a in self._assigned:
-            b = cells[_index(r, Q)]
-            if b is None:
-                q = chain.scale(n)
-                # the coset r + H_n meets each row of F_max_level it crosses
-                # in one stride-q_n slice of the row-major array
-                for row in product(*(range(c, Q, q) for c in r[:-1])):
-                    start = _index(row, Q) * Q
-                    cells[start + r[-1] : start + Q : q] = [a] * (Q // q)
-            elif b != a:
-                # the first triple covering r holds b: nested ones agree
-                m, rm = next((m, rm) for m, rm, _ in self._assigned if chain.coset_rep(r, m) == rm)
-                raise InconsistentCylinders(
-                    f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
-                )
-        object.__setattr__(self, "_cells", tuple(cells))
-        object.__setattr__(self, "_period", Q)
 
     @property
     def rank(self) -> int:
@@ -258,7 +229,11 @@ class Periodic(_CosetTable):
         if bad:
             raise ValueError(f"letters {bad} not in alphabet")
         object.__setattr__(self, "word", normalized)
-        self._fill((self.level, f, a) for f, a in normalized.items())
+        # the cosets of one level are disjoint: the word in domain order is
+        # the period array, and no two of its triples can conflict
+        object.__setattr__(self, "_assigned", tuple((self.level, f, normalized[f]) for f in dom))
+        object.__setattr__(self, "_cells", tuple(normalized[f] for f in dom))
+        object.__setattr__(self, "_period", self.chain.scale(self.level))
 
 
 @dataclass(frozen=True)
@@ -286,6 +261,33 @@ class ToeplitzTable(_CosetTable):
             distinct.add((level, r, a))
         self._fill(distinct)
         object.__setattr__(self, "assignments", self._assigned)
+
+    def _fill(self, assigned: Iterable[tuple[int, Element, Letter]]) -> None:
+        """Store the triples and fill the period array coarsest first: the one conflict check."""
+        # cosets of nested subgroups are nested or disjoint, so a coset whose
+        # representative's cell is filled lies inside an earlier coset and
+        # agrees with it iff that cell holds its letter
+        object.__setattr__(self, "_assigned", tuple(sorted(assigned)))
+        chain = self.chain
+        Q = chain.scale(self.max_level)
+        cells: list[Letter | None] = [None] * Q**chain.rank
+        for n, r, a in self._assigned:
+            b = cells[_index(r, Q)]
+            if b is None:
+                q = chain.scale(n)
+                # the coset r + H_n meets each row of F_max_level it crosses
+                # in one stride-q_n slice of the row-major array
+                for row in product(*(range(c, Q, q) for c in r[:-1])):
+                    start = _index(row, Q) * Q
+                    cells[start + r[-1] : start + Q : q] = [a] * (Q // q)
+            elif b != a:
+                # the first triple covering r holds b: nested ones agree
+                m, rm = next((m, rm) for m, rm, _ in self._assigned if chain.coset_rep(r, m) == rm)
+                raise InconsistentCylinders(
+                    f"level-{n} assignment at {r} conflicts with level-{m} at {rm}"
+                )
+        object.__setattr__(self, "_cells", tuple(cells))
+        object.__setattr__(self, "_period", Q)
 
 
 @dataclass(frozen=True)
@@ -485,7 +487,7 @@ def shift(h, x: Configuration) -> Configuration:
     """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved."""
     if isinstance(x, Periodic):
         h = aselem(h, x.rank)
-        return Periodic(x.chain, x.level, {f: x.lookup(add(f, h)) for f in x.word}, x.alphabet)
+        return Periodic(x.chain, x.level, {f: x._at(add(f, h)) for f in x.word}, x.alphabet)
     if isinstance(x, ToeplitzTable):
         h = aselem(h, x.rank)
         # the table reduces each moved representative into its F_n
@@ -587,24 +589,26 @@ def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | 
     coset tables over the same chain; otherwise a window must be supplied and
     a :class:`SampledDisagreement` over it is returned.
     """
-    if x.chain is not None and x.chain == z.chain:
-        level = max(x.max_level, z.max_level)
-        confirmed, unresolved = [], []
-        for f, a, b in zip(x.chain.domain(level), x._lift(level), z._lift(level)):
-            if a is None or b is None:
-                unresolved.append(f)
-            elif a != b:
-                confirmed.append(f)
-        return CosetDisagreement(
-            CosetSet(x.chain, level, frozenset(confirmed)),
-            CosetSet(x.chain, level, frozenset(unresolved)),
-        )
+    if pair := _coset_pair(x, z):
+        p, D = pair
+        dom = x.chain.domain(p)
+        cosets = lambda v: CosetSet(x.chain, p, frozenset(f for f, d in zip(dom, D) if d is v))
+        return CosetDisagreement(cosets(True), cosets(None))
     if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
         raise ChainMismatch("coset tables use different chains")
     if window is None:
         raise ValueError("pair admits no exact disagreement set; supply a window")
     cells, differs = _set_cells(window, x, z), _differs(x, z)
     return SampledDisagreement(tuple(window), dict(zip(window, map(differs, cells))))
+
+
+def _coset_pair(x: Configuration, z: Configuration) -> tuple[int, list[bool | None]] | None:
+    """(p, D) for coset tables over one chain, the one exact-pair test, else None:
+    p = max(max_level), D the row-major array on F_p of [x_g ≠ z_g] (None if Unknown)."""
+    if x.chain is not None and x.chain == z.chain:
+        p = max(x.max_level, z.max_level)
+        return p, [None if a is None or b is None else a != b for a, b in zip(x._lift(p), z._lift(p))]
+    return None
 
 
 def _differs(x: Configuration, z: Configuration) -> Callable[[Element], bool | None]:

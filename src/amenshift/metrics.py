@@ -5,8 +5,8 @@ pseudometric equals the upper Banach density of the disagreement set, the
 Besicovitch pseudometric along a Følner sequence equals the plain Følner
 average of the disagreement indicator, and the fixed-point form
 D_W'(x,z) = inf{ε : D*({g : ρ(x_g,z_g) > ε}) < ε} collapses to the same
-disagreement density.  Exact rationals are produced whenever the pair has
-coset structure; anything windowed is labelled with its bracket direction.
+disagreement density.  A coset pair's exact values all read its one disagreement
+array D on F_p; anything windowed is labelled with its bracket direction.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ from typing import Sequence
 
 from .configs import (
     Configuration,
-    CosetDisagreement,
     _BoxScan,
     _check_cell,
+    _coset_pair,
     _differs,
+    _index,
     _offset,
     _prefix_sums,
     _rank,
-    disagreement_set,
     require_known,
 )
 from .densities import IntervalEstimate, banach_density_windowed
@@ -58,12 +58,11 @@ def dstar_distance(
     disagreement density itself (including the boundary case density 1,
     where only ε ≥ 1 qualifies), and ``--metric dwprime`` reports this value.
     """
-    if x.chain is not None and x.chain == z.chain:
-        dis = disagreement_set(x, z)
-        assert isinstance(dis, CosetDisagreement)
-        lower = dis.confirmed.density()
-        upper = lower + dis.unresolved.density()
-        value = IntervalEstimate(lower, upper, dis.exact, "exact-coset")
+    if pair := _coset_pair(x, z):
+        # D counts the confirmed and the unresolved cosets of the disagreement set
+        D = pair[1]
+        lower, unknown = Fraction(D.count(True), len(D)), D.count(None)
+        value = IntervalEstimate(lower, lower + Fraction(unknown, len(D)), not unknown, "exact-coset")
         return PseudometricReport(value, "exact-coset")
     if n is None or radius is None:
         raise ValueError("non-coset pair: supply level n and window radius")
@@ -74,21 +73,26 @@ def dstar_distance(
     return PseudometricReport(value, "window-bracket")
 
 
-def _delta_sup(x, z, F: FiniteSubset, translates) -> int:
-    """max over the translates g of Σ_{f∈F} ρ(x_{f+g}, z_{f+g}), 0 for an empty
-    F, by one window scan (:class:`_BoxScan`) for every F, box or not; Unknown
+def _delta_sup(F: FiniteSubset, point, translates, *checked: Configuration) -> int:
+    """max over the translates g of Σ_{f∈F} point(f + g), 0 for an empty F, by
+    one window scan (:class:`_BoxScan`) that checks ``checked`` once; Unknown
     raises at the first Unknown cell, in F's order, of the first window holding one."""
     if not F:
         return 0
-    scan = _BoxScan(_differs(x, z), F, translates, x, z)
+    scan = _BoxScan(point, F, translates, *checked)
     scan.check_known()
     return max(scan.window_sums(scan.values))
 
 
-def _common_period_level(x: Configuration, z: Configuration) -> int | None:
-    if x.chain is not None and x.chain == z.chain and x.fully_resolved() and z.fully_resolved():
-        return max(x.max_level, z.max_level)
-    return None
+def _period_scan(x: Configuration, z: Configuration):
+    """(point, F_p) for a fully resolved pair, else None: point reads its D (:func:`_coset_pair`) cyclically."""
+    # no configuration cell is read, so the scan checks none: F_p has the
+    # pair's rank, and the kernel's rank compare is the one check left
+    if (pair := _coset_pair(x, z)) is None or None in pair[1]:
+        return None
+    p, D = pair
+    q = x.chain.scale(p)
+    return (lambda g: D[_index(g, q)]), x.chain.domain(p)
 
 
 def delta_star_exact(x: Configuration, z: Configuration, F: FiniteSubset) -> int:
@@ -96,12 +100,11 @@ def delta_star_exact(x: Configuration, z: Configuration, F: FiniteSubset) -> int
 
     Both sides must be fully resolved over one chain (every Periodic is); the
     summand is then periodic in g with period q_p, so the sup over the whole
-    group is attained on F_p.
+    group is attained on F_p: one scan of the disagreement array over F_p.
     """
-    p = _common_period_level(x, z)
-    if p is None:
+    if (scan := _period_scan(x, z)) is None:
         raise ValueError("exact Δ* needs two fully resolved configurations over one chain")
-    return _delta_sup(x, z, F, x.chain.domain(p))
+    return _delta_sup(F, *scan)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class WeylBound:
     """H(F)/|F| material: a window proxy and, when available, the exact value.
 
     ``window_proxy`` is a lower bound for sup_g Δ_{F+g}/|F| (which itself
-    bounds the Weyl pseudometric from above); ``exact`` is the true
-    sup, available for same-chain fully resolved pairs via a full period scan.
+    bounds the Weyl pseudometric from above); ``exact`` is the true sup, for
+    same-chain fully resolved pairs by a period scan of their disagreement array.
     """
 
     window_proxy: Fraction
@@ -126,9 +129,9 @@ def weyl_upper_bound(
     """Window proxy for H(F)/|F| with H(F) = Δ*_F, plus the exact value when periodic."""
     if not F:
         raise ValueError("F must be nonempty")
-    proxy_num = _delta_sup(x, z, F, ball(_rank(F[0]), radius))
-    p = _common_period_level(x, z)
-    exact = None if p is None else Fraction(_delta_sup(x, z, F, x.chain.domain(p)), len(F))
+    proxy_num = _delta_sup(F, _differs(x, z), ball(_rank(F[0]), radius), x, z)
+    scan = _period_scan(x, z)
+    exact = None if scan is None else Fraction(_delta_sup(F, *scan), len(F))
     return WeylBound(Fraction(proxy_num, len(F)), exact)
 
 
@@ -193,10 +196,9 @@ def shearer_values(
     inequality H(F) ≤ (1/k) Σ H(K_i): exact for periodic pairs, else window
     proxies at one shared radius."""
     validate_k_cover(F, cover, k)
-    p = _common_period_level(x, z)
     # one full period of translates is exact; otherwise the shared window
-    translates = x.chain.domain(p) if p is not None else ball(x.rank, radius)
-    hf = Fraction(_delta_sup(x, z, F, translates))
-    hks = [Fraction(_delta_sup(x, z, tuple(K), translates)) for K in cover]
+    scan = _period_scan(x, z) or (_differs(x, z), ball(x.rank, radius), x, z)
+    hf = Fraction(_delta_sup(F, *scan))
+    hks = [Fraction(_delta_sup(tuple(K), *scan)) for K in cover]
     return hf, hks
 

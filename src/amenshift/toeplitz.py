@@ -34,6 +34,7 @@ from .configs import (
     _index,
     _nest,
     _rotation_equals,
+    _tile,
     per_set,
     per_set_letter,
 )
@@ -296,8 +297,8 @@ def toeplitz_interpolate(
         level = max(path.depth, z.max_level, z_prime.max_level)
         for v in chain.subgroup_in_domain(path.depth, level):
             f = add(path.residual, v)
-            a = z.lookup(f)
-            if a is not None and a == z_prime.lookup(f):
+            a = z._at(f)
+            if a is not None and a == z_prime._at(f):
                 pieces.append((level, f, a))
     letters = tuple(dict.fromkeys(z.alphabet.letters + z_prime.alphabet.letters))
     return ToeplitzTable(chain, tuple(pieces), Alphabet(letters))
@@ -394,17 +395,18 @@ def krieger_construct(
 
     rank = chain.rank
     cells: dict[Element, Letter] = {identity(rank): letters[0]}  # arbitrary seed
-    # the claimed cosets of every finished stage; claims never overlap
-    skeleton = ToeplitzTable(chain, (), alphabet)
+    # the claimed cosets of every finished stage, which never overlap, and
+    # their letters on F_{k_n}, row-major, None on unclaimed cells: claims of
+    # levels ≤ k_n repeat with period q_{k_n}, so the array tiles up to F_k
+    # for every k ≥ k_n
+    claims: list[Letter | None] = [None]
     # the current stage's (level, quota, claimed, arbitrary); r_0 = 0 for gamma in (0,1)
     k_n, quota, claimed, arbitrary = 0, 0, (), ()
     dom = chain.domain(k_n)
     records: list[BuilderStage] = []
 
     for n in range(stages + 1):
-        # the skeleton's claims so far are cosets of levels ≤ k_n, so its
-        # array on F_k is H_{k_n}-periodic for every k ≥ k_n
-        free = [f for f, v in zip(dom, skeleton._lift(k_n)) if v is None]
+        free = [f for f, v in zip(dom, claims) if v is None]
         s_n = len(free)
         # the last pass records the last reached level and plants nothing beyond it
         k_next, planted, window_count = None, 0, 0
@@ -435,7 +437,7 @@ def krieger_construct(
             # pattern on the free cells of a fresh tile v + F_{k_n}, where the
             # free cell f of the tile sits at offset(v) + offset(f)
             dom_next, Q = chain.domain(k_next), chain.scale(k_next)
-            claims = skeleton._lift(k_next)
+            claims = list(_tile(claims, chain.scale(k_n), Q, rank))
             block = list(claims)
             offsets = [_index(f, Q) for f in free]
             for o, a in zip(offsets, existing):
@@ -473,26 +475,27 @@ def krieger_construct(
             break
 
         # reserve G_{n+1} inside F_{k_next}: the first r cells avoiding older
-        # claims; the ones reserved here are distinct H_{k_next} cosets, so the
-        # skeleton takes them all at once
+        # claims, each one H_{k_next} coset, marked in the claims array
         r = int((1 - gamma) * chain.domain_size(k_next) / 2 ** (n + 1))
-        unclaimed = (f for f, v in zip(dom_next, claims) if v is None)
-        reserved = list(itertools.islice(unclaimed, r))
+        picked = list(itertools.islice((i for i, v in enumerate(claims) if v is None), r))
+        reserved = [dom_next[i] for i in picked]
         unset = [f for f in reserved if f not in cells]
         cells.update(dict.fromkeys(unset, letters[0]))
-        skeleton = ToeplitzTable(
-            chain, skeleton.assignments + tuple((k_next, f, cells[f]) for f in reserved), alphabet
-        )
+        for i, f in zip(picked, reserved):
+            claims[i] = cells[f]
         k_n, quota, claimed, arbitrary = k_next, r, tuple(reserved), tuple(unset)
         dom = dom_next
 
+    # the one table build, of every stage's claims: its fill is the one
+    # conflict check, and a claimed cell's letter never changes once set
+    assignments = tuple((st.level, f, cells[f]) for st in records for f in st.claimed)
     return KriegerResult(
         gamma=gamma,
         chain=chain,
         alphabet=alphabet,
         levels=tuple(st.level for st in records),
         stages=tuple(records),
-        skeleton=skeleton,
+        skeleton=ToeplitzTable(chain, assignments, alphabet),
         cells=dict(cells),
     )
 

@@ -13,7 +13,7 @@ from amenshift import configs
 from amenshift.configs import BINARY, Periodic, disagreement_set, per_set, per_set_letter
 from amenshift.groups import make_chain
 from amenshift.measures import empirical_measure
-from amenshift.metrics import shearer_values, weyl_upper_bound
+from amenshift.metrics import delta_star_exact, dstar_distance, shearer_values, weyl_upper_bound
 from amenshift.toeplitz import (
     krieger_construct,
     periodic_approximation,
@@ -63,9 +63,20 @@ def test_exact_coset_paths_read_no_single_cell(cell_reads, chain):
         regularity_profile(x, chain.depth)
         disagreement_set(x, resolved)
         disagreement_set(word, x)
+        dstar_distance(x, resolved)
+        dstar_distance(word, x)
     for n in range(chain.depth + 1):
         periodic_approximation(resolved, n)
     periodic_approximation(unresolved, 1)
+    # fully resolved pairs scan their disagreement array over one period, for
+    # an F and a cover that are boxes and for ones that are not
+    dom = chain.domain(2)
+    half = len(dom) // 2
+    shapes = [(dom, [dom[:half], dom[half:]]), (dom[:0:-1], [dom[::2], dom[1::2], dom[:1]])]
+    for x, z in [(resolved, resolved), (resolved, word), (word, resolved)]:
+        for F, cover in shapes:
+            delta_star_exact(x, z, F)
+            shearer_values(x, z, F, cover, 1)
     assert cell_reads == []
 
 
@@ -78,8 +89,9 @@ def test_krieger_builder_reads_no_single_cell(cell_reads):
 @pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
 def test_scans_of_sets_that_are_not_boxes_check_only_their_first_cell(cell_reads, chain):
     # Shearer covers, a Weyl F and pattern translates that are not boxes go
-    # through the one window scan: evaluate checks each side once, at the
-    # scan's first cell S[0] + T[0], and _at reads every cell
+    # through the one window scan: a windowed scan checks each side once
+    # through evaluate, at its first cell S[0] + T[0], and _at reads every
+    # cell; a scan of a periodic pair's disagreement array checks nothing
     resolved = regular_table(chain, ("a", "b"))
     # fully resolved too, but on another chain: the pair scans a window
     other = regular_table(make_chain(chain.rank, [3, 9]), ("b", "a"))
@@ -93,12 +105,14 @@ def test_scans_of_sets_that_are_not_boxes_check_only_their_first_cell(cell_reads
         return [g for name, g in cell_reads if name == "evaluate"]
 
     firsts = [K[0] for K in [F, *cover]]
-    # the periodic pair scans one period of translates, starting at the origin
-    assert checks(lambda: shearer_values(resolved, resolved, F, cover, 1)) == [g for g in firsts for _ in "xz"]
+    # the periodic pair scans one period of translates of its disagreement
+    # array, which reads no configuration cell
+    assert checks(lambda: shearer_values(resolved, resolved, F, cover, 1)) == []
     assert checks(lambda: shearer_values(other, resolved, F, cover, 1, 1)) == [
         below(g) for g in firsts for _ in "xz"
     ]
-    assert checks(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == [below(F[0])] * 2 + [F[0]] * 2
+    # only the window proxy reads the pair
+    assert checks(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == [below(F[0])] * 2
     assert checks(lambda: empirical_measure(resolved, F)) == [F[0]]
     assert checks(lambda: empirical_measure(resolved, F, dom[:2])) == [F[0]]
     assert len(cell_reads) > 1  # the pattern scan read its cells through _at

@@ -487,6 +487,40 @@ def test_exact_disagreement_matches_the_period_table_oracle(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
+def test_dstar_bracket_counts_the_exact_disagreement_set(data):
+    # D* counts the disagreement array itself; the two coset sets of the
+    # exact disagreement set, unresolved tables and the empty one included,
+    # are its oracle
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3, SQUARE3]))
+    x, z = data.draw(configurations_or_empty(chain)), data.draw(configurations_or_empty(chain))
+    gap, value = disagreement_set(x, z), dstar_distance(x, z).value
+    confirmed, unresolved = gap.confirmed.density(), gap.unresolved.density()
+    assert (value.lower, value.upper, value.exact) == (confirmed, confirmed + unresolved, gap.exact)
+
+
+@pytest.mark.parametrize("chain", [CHAIN, CHAIN2, CHAIN3, SQUARE3], ids=["dyadic", "square", "triadic", "square3"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_periodic_arrays_match_the_table_fill_of_its_word(chain, data):
+    # Periodic sets its arrays straight from its word; the table of the same
+    # triples, filled coset by coset through the conflict walk, is the oracle
+    for level in range(chain.depth + 1):
+        dom = chain.domain(level)
+        letters = data.draw(st.lists(st.sampled_from("ab"), min_size=len(dom), max_size=len(dom)))
+        x = Periodic(chain, level, dict(zip(dom, letters)), Alphabet(("a", "b")))
+        triples = tuple((level, f, a) for f, a in zip(dom, letters))
+        if level == 0:
+            # no table holds a level-0 coset: its array is the one cell of F_0
+            want = (tuple(letters), triples, 0)
+        else:
+            table = ToeplitzTable(chain, triples, x.alphabet)
+            want = (table._cells, table._assigned, table.max_level)
+        assert (x._cells, x._assigned, x.max_level) == want
+        assert x._period == chain.scale(level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
 def test_complete_pattern_set_matches_the_period_table_oracle(data):
     chain = data.draw(st.sampled_from([CHAIN, CHAIN2]))
     x = data.draw(configurations(chain).filter(lambda x: x.fully_resolved()))

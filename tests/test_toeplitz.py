@@ -482,11 +482,24 @@ def krieger_digest(result) -> str:
         ("1/3", 2, [2, 4, 8, 16], "ab", 2, "31160ebed16762c1d68e7227315861e474eea95c672e519ce6aba87528d8a42e"),
         ("1/2", 1, [3, 6, 12, 24, 48], "01", 2, "5a4b73eedbe50195a73280ca0cae62acc0d7bf7ed754d5add701851e37b6e097"),
         ("3/4", 1, [3 * 2**k for k in range(10)], "01", 2, "d2c54ac9ac49fbc21b77e19d869917e1502b9b0408a792b3106a501629b23ac2"),
+        # the 3-stage dyadic build, recorded from the builder that rebuilt
+        # its skeleton table at every stage
+        ("1/2", 1, [2**k for k in range(1, 13)], "01", 3, "9bbaf9867a574600a26465272e3cf7dd427e89256949f88ffdbaaa81bf4abb56"),
     ],
 )
 def test_krieger_results_are_pinned(gamma, rank, scales, letters, stages, digest):
     result = krieger_construct(Fraction(gamma), make_chain(rank, scales), Alphabet(tuple(letters)), stages)
     assert krieger_digest(result) == digest
+
+
+def test_krieger_builds_its_skeleton_table_once(monkeypatch):
+    # the claims grow as one array; the skeleton table is built once, at the
+    # end, and its fill is the one conflict check
+    builds = []
+    post_init = ToeplitzTable.__post_init__
+    monkeypatch.setattr(ToeplitzTable, "__post_init__", lambda self: builds.append(post_init(self)))
+    result = krieger_construct(Fraction(1, 2), make_chain(1, [2**k for k in range(1, 13)]), BINARY, stages=3)
+    assert len(builds) == 1 and len(result.stages) == 4
 
 
 def test_krieger_high_gamma_reserves_nothing_early():
