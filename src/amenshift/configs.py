@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product, repeat
@@ -298,6 +298,7 @@ class Oracle:
     sets and densities are undecidable from a bounded window, so the exact
     operations reject this variant.  Its ``chain`` is None: the one test by
     which every exact operation tells coset-structured configurations apart.
+    A shift moves the box and composes ``rule`` once (see ``shift``).
     """
 
     rank: int
@@ -306,11 +307,8 @@ class Oracle:
     rule: Callable[[Element], Letter]
     alphabet: Alphabet
     name: str = "custom"
-    offset: Element = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.offset is None:
-            object.__setattr__(self, "offset", (0,) * self.rank)
         if len(self.lo) != self.rank or len(self.hi) != self.rank:
             raise ValueError("box bounds must match rank")
         if any(a > b for a, b in zip(self.lo, self.hi)):
@@ -322,9 +320,9 @@ class Oracle:
         return None
 
     def _at(self, g: Element) -> Letter | None:
-        """rule(g + offset) inside the box, None outside, for g of this rank (unchecked)."""
+        """rule(g) inside the box, None outside, for g of this rank (unchecked)."""
         if all(map(operator.le, self.lo, g)) and all(map(operator.le, g, self.hi)):
-            return self.rule(add(g, self.offset))
+            return self.rule(g)
         return None
 
 
@@ -484,7 +482,9 @@ def _prefix_sums(cells: list, sides: tuple[int, ...]) -> list[int]:
 
 
 def shift(h, x: Configuration) -> Configuration:
-    """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved."""
+    """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved.
+
+    An oracle's box moves by -h and its rule becomes g ↦ rule(g + h)."""
     if isinstance(x, Periodic):
         h = aselem(h, x.rank)
         return Periodic(x.chain, x.level, {f: x._at(add(f, h)) for f in x.word}, x.alphabet)
@@ -494,16 +494,8 @@ def shift(h, x: Configuration) -> Configuration:
         moved = tuple((lvl, sub(r, h), a) for lvl, r, a in x.assignments)
         return ToeplitzTable(x.chain, moved, x.alphabet)
     if isinstance(x, Oracle):
-        h = aselem(h, x.rank)
-        return Oracle(
-            rank=x.rank,
-            lo=sub(x.lo, h),
-            hi=sub(x.hi, h),
-            rule=x.rule,
-            alphabet=x.alphabet,
-            name=x.name,
-            offset=add(x.offset, h),
-        )
+        h, rule = aselem(h, x.rank), x.rule
+        return replace(x, lo=sub(x.lo, h), hi=sub(x.hi, h), rule=lambda g: rule(add(g, h)))
     raise TypeError(f"not a configuration: {x!r}")
 
 
@@ -638,17 +630,16 @@ def geometric_box_lengths(eps: Fraction, count: int) -> list[int]:
     """Box lengths L_0 = 1, L_n with L_n/L_{n+1} → 1-eps: L_{n+1} = round(L_n/(1-eps)).
 
     Rounding is to the nearest integer (ties up) with a floor of L_n + 1 so
-    the boxes stay strictly nested.
+    the boxes stay strictly nested: for eps = p/q, in integers,
+    L_{n+1} = max(⌊(2·L_n·q + q - p) / (2(q - p))⌋, L_n + 1).
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
-    ratio = 1 / (1 - eps)
+    p, q = eps.numerator, eps.denominator
     lengths = [1]
     for _ in range(count):
-        nxt = lengths[-1] * ratio
-        rounded = int(nxt) + (1 if nxt - int(nxt) >= Fraction(1, 2) else 0)
-        lengths.append(max(rounded, lengths[-1] + 1))
+        lengths.append(max((2 * lengths[-1] * q + q - p) // (2 * (q - p)), lengths[-1] + 1))
     return lengths
 
 
@@ -829,7 +820,8 @@ def config_descriptor(x: Configuration) -> dict:
         }
     if isinstance(x, Oracle):
         radius = x.hi[0]
-        if any(x.offset) or (x.lo, x.hi) != ((-radius,) * x.rank, (radius,) * x.rank):
+        # a shift h ≠ 0 always moves the box off [-R, R]^d
+        if (x.lo, x.hi) != ((-radius,) * x.rank, (radius,) * x.rank):
             raise ValueError("only an unshifted oracle on a centered box has a descriptor")
         _oracle_rule(x.name)  # raises for a rule the descriptor parser does not know
         return {"variant": "oracle", "box": radius, "rule": x.name}

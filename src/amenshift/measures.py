@@ -193,6 +193,8 @@ def hausdorff_distance(
 class OmegaProfile:
     """Empirical measures along nested sets, with the consecutive-step trace.
 
+    ``steps`` hold D_P of consecutive measures as TV: for ε < 1 the closed
+    ε-neighbourhood of B under the discrete letter metric is B, so D_P = TV.
     ``step_bounds`` holds (|F_{n+1}| - |F_n|) / |F_{n+1}|, which dominates
     each consecutive Prokhorov step whenever the sets are nested; when the
     ratios |F_n|/|F_{n+1}| tend to 1 the trace is Cauchy and the limit set
@@ -206,7 +208,7 @@ class OmegaProfile:
 
 
 def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfile:
-    """Emp(x, F) along the given sets plus consecutive D_P and their nesting bounds.
+    """Emp(x, F) along the given sets plus consecutive D_P (= TV) and their nesting bounds.
 
     A set holding every cell of the previous one (and no cell twice) adds
     only its new shell to the running letter counts, walking F in its own
@@ -231,7 +233,7 @@ def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfil
     steps = []
     bounds = []
     for prev, nxt, mp, mn in zip(sets, sets[1:], measures, measures[1:]):
-        steps.append(prokhorov_distance(mn, mp))
+        steps.append(total_variation(mn, mp))
         bounds.append(Fraction(len(nxt) - len(prev), len(nxt)))
     return OmegaProfile(
         tuple(len(F) for F in sets), tuple(measures), tuple(steps), tuple(bounds)

@@ -124,6 +124,23 @@ def psi_side_oracle(path, letter, level) -> frozenset:
     return frozenset(reps)
 
 
+# --- geometric box lengths: the Fraction loop before the integer recurrence ---
+
+
+def geometric_box_lengths_oracle(eps, count: int) -> list[int]:
+    """L_0 = 1, L_{n+1} = max(round(L_n/(1-eps)) ties up, L_n + 1), in Fractions."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    ratio = 1 / (1 - eps)
+    lengths = [1]
+    for _ in range(count):
+        nxt = lengths[-1] * ratio
+        rounded = int(nxt) + (1 if nxt - int(nxt) >= Fraction(1, 2) else 0)
+        lengths.append(max(rounded, lengths[-1] + 1))
+    return lengths
+
+
 # --- block_alternating: the per-shell scan it made before bisecting ----------
 
 

@@ -28,8 +28,14 @@ from amenshift.configs import (
 from amenshift.densities import banach_density_windowed
 from amenshift.entropy import pattern_set
 from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
-from amenshift.groups import ball, make_chain, rect
-from amenshift.measures import EmpiricalMeasure, discrete_metric, empirical_measure, omega_profile
+from amenshift.groups import add, ball, make_chain, rect
+from amenshift.measures import (
+    EmpiricalMeasure,
+    discrete_metric,
+    empirical_measure,
+    omega_profile,
+    prokhorov_distance,
+)
 from amenshift.metrics import (
     besicovitch_estimate,
     delta_star_exact,
@@ -47,6 +53,7 @@ from amenshift.toeplitz import (
 )
 from oracles import (
     block_alternating_letter_oracle,
+    geometric_box_lengths_oracle,
     known_difference,
     known_letter,
     period_table_oracle,
@@ -136,6 +143,27 @@ def test_shift_oracle_moves_box():
     shifted = shift(3, x)
     for g in range(-12, 12):
         assert evaluate(shifted, g) == evaluate(x, g + 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_oracle_shifts_compose_and_invert(data):
+    chain = data.draw(CHAINS)
+    o, h1, h2 = data.draw(base_oracles(chain)), data.draw(elements(chain)), data.draw(elements(chain))
+    lhs, rhs = shift(h1, shift(h2, o)), shift(add(h1, h2), o)
+    back = shift(tuple(-c for c in h1), shift(h1, o))
+    # one box, one cell wider, around o's box and every shifted box
+    boxes = (o, shift(h2, o), lhs, rhs)
+    lo = tuple(min(c) - 1 for c in zip(*(b.lo for b in boxes)))
+    hi = tuple(max(c) + 1 for c in zip(*(b.hi for b in boxes)))
+    for g in rect(lo, hi):
+        assert evaluate(lhs, g) == evaluate(rhs, g) == evaluate(o, add(g, add(h1, h2)))
+        assert evaluate(back, g) == evaluate(o, g)
+    if chain.rank == 1:
+        assert config_descriptor(back) == config_descriptor(o)
+    else:  # no builtin rank-2 rule: the inverse passes the box test and fails on the rule
+        with pytest.raises(ValueError, match="unknown oracle rule 'quadratic'"):
+            config_descriptor(back)
 
 
 def test_per_set_periodic_is_full_from_its_level():
@@ -292,12 +320,26 @@ def test_block_alternating_matches_shell_structure():
     for g in range(0, 33):
         assert evaluate(x, g) == ("1" if g in expected_ones else "0")
     assert evaluate(x, -3) == "0"
+    # the whole box [-R, R] against the shell scan over the reference lengths
+    reference = geometric_box_lengths_oracle(Fraction(1, 2), 64)
+    for n in range(-64, 65):
+        assert evaluate(x, n) == block_alternating_letter_oracle(reference, n), n
+
+
+def test_geometric_box_lengths_match_the_fraction_loop():
+    for q in range(2, 80):
+        for p in range(1, q):
+            eps = Fraction(p, q)
+            assert geometric_box_lengths(eps, 64) == geometric_box_lengths_oracle(eps, 64), eps
+    # eps as the harness passes it: a "p/q" string or a decimal
+    for eps in ("3/7", "0.3", "0.05", Fraction("0.999")):
+        assert geometric_box_lengths(eps, 64) == geometric_box_lengths_oracle(eps, 64), eps
 
 
 @pytest.mark.parametrize("eps", ["1/10", "1/3", "1/2", "2/3", "9/10"])
 def test_block_alternating_bisect_matches_shell_scan(eps):
     x = block_alternating(Fraction(eps), radius=1)
-    lengths = geometric_box_lengths(Fraction(eps), 64)
+    lengths = geometric_box_lengths_oracle(Fraction(eps), 64)
     cells = set(range(-50, 20001)) | {L + d for L in lengths for d in (-1, 0, 1)}
     for n in sorted(cells):
         assert x.rule((n,)) == block_alternating_letter_oracle(lengths, n), n
@@ -316,8 +358,9 @@ def test_champernowne_digits_are_stateless_and_match_concatenation():
 
 
 def test_descriptor_refuses_oracles_it_cannot_rebuild():
-    with pytest.raises(ValueError, match="unshifted oracle on a centered box"):
-        config_descriptor(shift(3, champernowne_binary(10)))
+    for shifted in (shift(3, champernowne_binary(10)), shift((2, 2), quadratic_oracle(4))):
+        with pytest.raises(ValueError, match="unshifted oracle on a centered box"):
+            config_descriptor(shifted)
     off_center = Oracle(1, (0,), (10,), champernowne_binary(10).rule, BINARY, "champernowne_binary")
     with pytest.raises(ValueError, match="unshifted oracle on a centered box"):
         config_descriptor(off_center)
@@ -372,23 +415,35 @@ def walk_delta_sup(x, z, shape, translates):
     return max(map(sum, window_walk(known_difference(x, z), shape, translates)))
 
 
-def quadratic_oracle(radius, h):
-    """A rank-2 oracle on [-radius, radius]^2, shifted by h so its box sits off-centre."""
+def quadratic_oracle(radius):
+    """An unshifted rank-2 oracle on [-radius, radius]^2."""
     rule = lambda g: "1" if (g[0] * g[0] + 3 * g[1]) % 5 < 2 else "0"
-    return shift(h, Oracle(2, (-radius,) * 2, (radius,) * 2, rule, BINARY, "quadratic"))
+    return Oracle(2, (-radius,) * 2, (radius,) * 2, rule, BINARY, "quadratic")
 
 
 def elements(chain, bound=6):
     return st.tuples(*[st.integers(-bound, bound)] * chain.rank)
 
 
-def oracles(chain):
+def base_oracles(chain):
+    """Unshifted oracles on centred boxes [-R, R]^d."""
     if chain.rank == 2:
-        return st.builds(quadratic_oracle, st.integers(1, 5), elements(chain))
+        return st.builds(quadratic_oracle, st.integers(1, 5))
     return st.builds(
-        lambda make, box, h: shift(h, make(box)),
+        lambda make, box: make(box),
         st.sampled_from([champernowne_binary, lambda r: block_alternating(Fraction(1, 2), r)]),
         st.integers(2, 10),
+    )
+
+
+def oracles(chain):
+    return st.builds(shift, elements(chain), base_oracles(chain))
+
+
+def unresolved_tables(chain):
+    return st.builds(
+        lambda depth, h: shift(h, regular_table(chain, ("0", "1"), depth, resolve_tail=False)),
+        st.integers(1, chain.depth),
         elements(chain),
     )
 
@@ -396,12 +451,7 @@ def oracles(chain):
 def configurations(chain):
     """Configurations with Unknown cells: boxed oracles (shifted so boxes sit
     off-centre) and coset tables with an unresolved residual coset."""
-    table = st.builds(
-        lambda depth, h: shift(h, regular_table(chain, ("0", "1"), depth, resolve_tail=False)),
-        st.integers(1, chain.depth),
-        elements(chain),
-    )
-    return st.one_of(oracles(chain), table)
+    return st.one_of(oracles(chain), unresolved_tables(chain))
 
 
 def resolved(chain):
@@ -458,12 +508,16 @@ def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
     # every scan reads x._at after one check; on cells of x's rank it must
     # read what evaluate reads, Unknown cells included
     chain = data.draw(CHAINS)
-    x = data.draw(st.one_of(configurations(chain), resolved(chain)))
+    shifted = st.tuples(base_oracles(chain), elements(chain))
+    x = data.draw(st.one_of(shifted, unresolved_tables(chain), resolved(chain)))
     side = 30 if chain.rank == 1 else 10
     lo = data.draw(elements(chain, 12))
-    if x.chain is None:
-        inside = lambda g: all(a <= c <= b for a, c, b in zip(x.lo, g, x.hi))
-        want = lambda g: x.rule(tuple(c + h for c, h in zip(g, x.offset))) if inside(g) else None
+    if isinstance(x, tuple):
+        # h·base reads base at g + h, inside base's box moved by -h
+        base, h = x
+        x = shift(h, base)
+        inside = lambda g: all(a <= c + d <= b for a, c, d, b in zip(base.lo, g, h, base.hi))
+        want = lambda g: base.rule(add(g, h)) if inside(g) else None
     else:
         table, q = period_table_oracle(x, x.max_level), chain.scale(x.max_level)
         want = lambda g: table[tuple(c % q for c in g)]
@@ -627,7 +681,7 @@ def test_besicovitch_averages_match_the_lazy_walk(data):
 def test_besicovitch_raises_in_the_first_level_holding_an_unknown():
     # rows [-6, 0], columns [0, 6]: F_1 first meets Unknown at (1, 0), while
     # the first Unknown of F_3 in row-major order is (0, 7)
-    x = quadratic_oracle(3, (3, -3))
+    x = shift((3, -3), quadratic_oracle(3))
     z = regular_table(CHAIN2, ("0", "1"))
     with pytest.raises(UnknownMembership, match=r"at \(1, 0\)$"):
         besicovitch_estimate(x, z, CHAIN2, 1, 3)
@@ -658,8 +712,17 @@ def test_omega_profile_matches_per_set_empirical_measures(data):
         rect((0,) * chain.rank, (n,) * chain.rank) if data.draw(st.integers(0, 3)) else spans(data, chain)
         for n in range(data.draw(st.integers(1, 6)))
     ]
-    new = outcome(lambda: omega_profile(x, sets).measures)
-    assert new == outcome(lambda: tuple(empirical_measure(x, F) for F in sets))
+
+    def profile():
+        p = omega_profile(x, sets)
+        return p.measures, p.steps
+
+    def reference():
+        measures = tuple(empirical_measure(x, F) for F in sets)
+        # the steps as the max-flow Prokhorov distance, not its closed form TV
+        return measures, tuple(prokhorov_distance(b, a) for a, b in zip(measures, measures[1:]))
+
+    assert outcome(profile) == outcome(reference)
 
 
 def test_omega_profile_recounts_after_a_set_with_a_repeated_cell():

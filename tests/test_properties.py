@@ -143,25 +143,37 @@ def test_per_sets_nest_upward(bits, n):
     assert refine(coarse, n).reps <= fine.reps
 
 
-weights4 = st.lists(st.integers(1, 5), min_size=1, max_size=4)
+ATOMS = "abcdefgh"
 
 
-def measure_from(weights) -> EmpiricalMeasure:
-    atoms = "abcd"[: len(weights)]
-    total = sum(weights)
-    return EmpiricalMeasure(
-        tuple((a, Fraction(w, total)) for a, w in zip(atoms, weights))
-    )
+@st.composite
+def measures(draw, atoms=ATOMS):
+    """A measure on 1 to 6 of the given atoms, with integer weights 1..5."""
+    support = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+    return EmpiricalMeasure(tuple((a, Fraction(w, sum(weights))) for a, w in zip(support, weights)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(weights4, weights4)
-def test_prokhorov_discrete_collapses_to_tv(wa, wb):
-    mu, nu = measure_from(wa), measure_from(wb)
-    tv = total_variation(mu, nu)
-    dp = prokhorov_distance(mu, nu)
-    assert dp == min(tv, 1) if tv < 1 else dp <= 1
-    assert dp == prokhorov_distance(nu, mu)
+@st.composite
+def measure_pairs(draw):
+    """(μ, ν) on random supports, or equal, disjoint or with ν a point mass."""
+    mu = draw(measures())
+    kind = draw(st.sampled_from(["random", "equal", "disjoint", "point"]))
+    if kind == "equal":
+        return mu, mu
+    if kind == "disjoint":
+        return mu, draw(measures([a for a in ATOMS if a not in mu.support]))
+    if kind == "point":
+        return mu, EmpiricalMeasure.point_mass(draw(st.sampled_from(ATOMS)))
+    return mu, draw(measures())
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_pairs())
+def test_prokhorov_discrete_collapses_to_tv(pair):
+    # the closed form omega_profile steps use: D_P = TV under the discrete metric
+    mu, nu = pair
+    assert prokhorov_distance(mu, nu) == prokhorov_distance(nu, mu) == total_variation(mu, nu)
 
 
 # ---------------------------------------------------------------------------
