@@ -473,14 +473,6 @@ def _sliding_sums(width: int, line: list) -> list[int]:
     return list(map(operator.sub, p[width:], p[: len(p) - width]))
 
 
-def _prefix_sums(cells: list, sides: tuple[int, ...]) -> list[int]:
-    """The summed-area table of the row-major array ``cells`` over [0, sides):
-    entry g holds Σ cells over [0, g], one accumulate pass per axis."""
-    for axis in range(len(sides)):
-        cells = _along(cells, sides, axis, lambda line: list(accumulate(line)))
-    return cells
-
-
 def shift(h, x: Configuration) -> Configuration:
     """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved.
 
@@ -806,7 +798,8 @@ def _oracle_rule(rule: str) -> Callable[[int], Oracle]:
 
 def config_descriptor(x: Configuration) -> dict:
     """The JSON descriptor of a configuration (inverse of config_from_descriptor);
-    ValueError for an oracle that is shifted, off [-R, R]^d or of an unknown rule."""
+    ValueError for an oracle that is shifted, off [-R, R]^d, of an unknown rule
+    or of another rank than its rule."""
     if isinstance(x, Periodic):
         return {
             "variant": "periodic",
@@ -823,6 +816,9 @@ def config_descriptor(x: Configuration) -> dict:
         # a shift h ≠ 0 always moves the box off [-R, R]^d
         if (x.lo, x.hi) != ((-radius,) * x.rank, (radius,) * x.rank):
             raise ValueError("only an unshifted oracle on a centered box has a descriptor")
-        _oracle_rule(x.name)  # raises for a rule the descriptor parser does not know
+        # raises for a rule the descriptor parser does not know
+        rank = _oracle_rule(x.name)(radius).rank
+        if rank != x.rank:
+            raise ValueError(f"oracle rule {x.name!r} is of rank {rank}, not {x.rank}")
         return {"variant": "oracle", "box": radius, "rule": x.name}
     raise TypeError(f"not a configuration: {x!r}")

@@ -7,10 +7,12 @@ Runners return only their items.  An item records each asserted inequality
 with both sides' values and a flag named in ``VERDICTS``, and ``run``
 decides the verdict: a report passes iff every such flag is true.
 
-Identical specs (including the seed) produce byte-identical documents:
-rationals are serialized as "p/q" strings in JSON and never as floats; CSV
-uses 12-significant-digit decimals plus a serialization-exactness column;
-wall time is reported as null unless timing is explicitly requested.
+A report holds its runner's values as returned (Fractions, floats, lists,
+dicts, letters as given), and ``emit`` encodes them once.  Identical specs
+(including the seed) produce byte-identical documents: rationals are
+serialized as "p/q" strings in JSON and never as floats; CSV uses
+12-significant-digit decimals plus a serialization-exactness column; wall
+time is reported as null unless timing is explicitly requested.
 """
 
 from __future__ import annotations
@@ -252,6 +254,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A run's verdict, its runner's items as returned and its spec's JSON echo."""
+
     kind: str
     spec: dict
     items: tuple[dict, ...]
@@ -283,24 +287,6 @@ def jsonable(value: Any) -> Any:
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, float):
         return float(f"{value:.12g}")
-    return value
-
-
-def _looks_rational(s: str) -> bool:
-    head, _, tail = s.partition("/")
-    if not tail:
-        return False
-    digits = head.lstrip("-")
-    return bool(digits) and digits.isdigit() and tail.isdigit()
-
-
-def from_jsonable(value: Any) -> Any:
-    if isinstance(value, str) and _looks_rational(value):
-        return Fraction(value)
-    if isinstance(value, list):
-        return [from_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: from_jsonable(v) for k, v in value.items()}
     return value
 
 
@@ -563,10 +549,8 @@ def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
     item is true."""
     spec.check()
     start = time.monotonic()
-    raw = RUNNERS[spec.kind](spec)
+    items = tuple(RUNNERS[spec.kind](spec))
     elapsed = (time.monotonic() - start) * 1000.0
-    # the in-memory items equal what the JSON emitter writes, read back
-    items = tuple(from_jsonable(jsonable(item)) for item in raw)
     return ExperimentReport(
         kind=spec.kind,
         spec=jsonable(vars(spec)),
@@ -591,8 +575,8 @@ def emit(report: ExperimentReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         doc = {
             "kind": report.kind,
-            "spec": jsonable(report.spec),
-            "items": [jsonable(item) for item in report.items],
+            "spec": report.spec,
+            "items": jsonable(report.items),
             "passed": report.passed,
             "wall_time_ms": report.wall_time_ms,
         }
@@ -614,7 +598,7 @@ def emit(report: ExperimentReport, fmt: str = "json") -> bytes:
                     row.append(rendered)
                 elif isinstance(v, float):
                     row.append(f"{v:.12g}")
-                elif isinstance(v, (list, dict)):
+                elif isinstance(v, (list, tuple, dict)):
                     row.append(json.dumps(jsonable(v)))
                 else:
                     row.append(v)
@@ -622,15 +606,3 @@ def emit(report: ExperimentReport, fmt: str = "json") -> bytes:
             writer.writerow(row)
         return buf.getvalue().encode()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def report_from_json(data: bytes) -> ExperimentReport:
-    """Inverse of the JSON emitter: parse(emit(r, json)) == r."""
-    doc = json.loads(data.decode())
-    return ExperimentReport(
-        kind=doc["kind"],
-        spec=doc["spec"],  # the echo is stored in its serialized form already
-        items=tuple(from_jsonable(item) for item in doc["items"]),
-        passed=doc["passed"],
-        wall_time_ms=doc["wall_time_ms"],
-    )

@@ -22,9 +22,8 @@ from .configs import (
     _coset_pair,
     _differs,
     _index,
-    _offset,
-    _prefix_sums,
     _rank,
+    _tile,
     require_known,
 )
 from .densities import IntervalEstimate, banach_density_windowed
@@ -154,7 +153,7 @@ def besicovitch_estimate(
     """Averages (1/|F_n|) Σ_{g∈F_n} ρ(x_g, z_g) for n in [n_lo, n_hi].
 
     The boxes F_n = [0, q_n)^d are nested, so ρ is read once on F_{n_hi} and
-    every average is one entry of its summed-area table; Unknown raises at
+    each F_n is cut out of that array in row-major order; Unknown raises at
     the first Unknown cell of the first F_n holding one.
     """
     if not 0 <= n_lo <= n_hi <= chain.depth:
@@ -162,16 +161,13 @@ def besicovitch_estimate(
     levels = tuple(range(n_lo, n_hi + 1))
     # F_{n_hi} starts at the identity; both sides are checked there once
     _check_cell(identity(chain.rank), x, z)
-    values = list(map(_differs(x, z), chain.domain(n_hi)))
-    sides = (chain.scale(n_hi),) * chain.rank
-    unknown = _prefix_sums([v is None for v in values], sides)
-    hits = _prefix_sums([1 if v else 0 for v in values], sides)
+    values = tuple(map(_differs(x, z), chain.domain(n_hi)))
     averages = []
     for n in levels:
-        corner = _offset((chain.scale(n) - 1,) * chain.rank, sides)
-        if unknown[corner]:
-            require_known(None, next(g for g in chain.domain(n) if values[_offset(g, sides)] is None))
-        averages.append(Fraction(hits[corner], chain.domain_size(n)))
+        cut = _tile(values, chain.scale(n_hi), chain.scale(n), chain.rank)
+        if None in cut:
+            require_known(None, chain.domain(n)[cut.index(None)])
+        averages.append(Fraction(cut.count(True), len(cut)))
     return BesicovitchTrace(levels, tuple(averages), max(averages))
 
 

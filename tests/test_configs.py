@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -367,6 +368,17 @@ def test_descriptor_refuses_oracles_it_cannot_rebuild():
     custom = Oracle(1, (-4,), (4,), lambda g: "0", BINARY, name="custom")
     with pytest.raises(ValueError, match="unknown oracle rule 'custom'"):
         config_descriptor(custom)
+
+
+@pytest.mark.parametrize("name", ["champernowne_binary", "block_alternating(1/2)"])
+def test_descriptor_refuses_an_oracle_of_another_rank_than_its_rule(name):
+    # the builtin rules are rank 1: a descriptor would rebuild a rank-1 oracle
+    rule = champernowne_binary(3).rule
+    square = Oracle(2, (-3, -3), (3, 3), rule, BINARY, name)
+    with pytest.raises(ValueError, match=re.escape(f"oracle rule {name!r} is of rank 1, not 2")):
+        config_descriptor(square)
+    line = Oracle(1, (-3,), (3,), rule, BINARY, name)
+    assert config_from_descriptor(config_descriptor(line), None).rank == 1
 
 
 def test_descriptor_round_trip():
