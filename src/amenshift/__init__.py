@@ -10,15 +10,12 @@ with Lipschitz disagreement density, and a positive-entropy construction).
 from .configs import (
     Alphabet,
     BINARY,
-    CosetDisagreement,
     CosetSet,
     Oracle,
     Periodic,
-    SampledDisagreement,
     ToeplitzTable,
     block_alternating,
     champernowne_binary,
-    disagreement_set,
     evaluate,
     geometric_box_lengths,
     per_set,

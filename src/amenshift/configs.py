@@ -28,8 +28,8 @@ from itertools import chain as concat
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ChainMismatch, InconsistentCylinders, InexactVariant, UnknownMembership
-from .groups import Element, FiniteSubset, SubgroupChain, add, aselem, sub
+from .errors import InconsistentCylinders, InexactVariant, UnknownMembership
+from .groups import Element, SubgroupChain, add, aselem, sub
 
 Letter = str
 
@@ -65,7 +65,9 @@ class CosetSet:
     """A union of cosets of H_n, stored as level + representatives in F_n.
 
     Such sets are exactly the sets whose upper and lower Banach densities
-    coincide and equal |reps| / |F_n|.
+    coincide and equal |reps| / |F_n|.  ``reps`` is stored as a frozenset
+    whatever iterable it is given; its cells must be elements of F_n as int
+    tuples (:meth:`make` normalizes bare ints).
     """
 
     chain: SubgroupChain
@@ -73,9 +75,10 @@ class CosetSet:
     reps: frozenset[Element]
 
     def __post_init__(self):
-        dom = set(self.chain.domain(self.level))
-        if not set(self.reps) <= dom:
+        reps = frozenset(self.reps)
+        if not reps <= self.chain._domain_set(self.level):
             raise ValueError("representatives must lie in the fundamental domain")
+        object.__setattr__(self, "reps", reps)
 
     @classmethod
     def make(cls, chain: SubgroupChain, level: int, reps) -> "CosetSet":
@@ -92,8 +95,7 @@ class CosetSet:
         return Fraction(len(self.reps), self.chain.domain_size(self.level))
 
     def complement(self) -> "CosetSet":
-        dom = frozenset(self.chain.domain(self.level))
-        return CosetSet(self.chain, self.level, dom - self.reps)
+        return CosetSet(self.chain, self.level, self.chain._domain_set(self.level) - self.reps)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,20 @@ def _rotation_equals(a: tuple, b: tuple, g: Element) -> bool:
     return all(map(partial(_rotation_equals, g=rest), a[g0:] + a[:g0], b))
 
 
+def _rotate(cells: Sequence, q: int, g: Element) -> Sequence:
+    """The row-major array f ↦ cells[(f + g) mod q] over [0, q)^d, for the
+    row-major array ``cells`` over it and g of rank d: in rank 1 one
+    slice-concatenation, in rank d the rows rotated by g_0, then each row by
+    the rest of g."""
+    step = len(cells) // q
+    cut = g[0] % q * step
+    cells = cells[cut:] + cells[:cut]
+    if len(g) == 1:
+        return cells
+    rows = (cells[i : i + step] for i in range(0, len(cells), step))
+    return list(concat.from_iterable(_rotate(row, q, g[1:]) for row in rows))
+
+
 @dataclass(frozen=True)
 class Periodic(_CosetTable):
     """x(g) = word(g mod q_k): a total word on F_k repeated on H_k-cosets,
@@ -223,7 +239,7 @@ class Periodic(_CosetTable):
     def __post_init__(self):
         dom = self.chain.domain(self.level)
         normalized = {aselem(k, self.chain.rank): v for k, v in self.word.items()}
-        if set(normalized) != set(dom):
+        if normalized.keys() != self.chain._domain_set(self.level):
             raise ValueError(f"word must be total on the level-{self.level} domain")
         bad = [v for v in normalized.values() if v not in self.alphabet]
         if bad:
@@ -399,9 +415,12 @@ class _BoxScan:
     count windows by separable prefix sums (Crow's summed-area table).  Any
     other set is read as offsets into ``values``, in its own order, repeats
     kept.  A shape and translates of different ranks raise ValueError before
-    any cell is read.  The configurations ``checked``, which the point
-    function reads unchecked, are checked once, at shape[0] + translates[0]
-    (see :func:`_check_cell`), the corner of a box pair."""
+    any cell is read.  Exact period scans of a fully resolved pair come here
+    only for a box shape; any other shape rotates the pair's disagreement
+    array instead (``metrics._period_scan``).  The configurations
+    ``checked``, which the point function reads unchecked, are checked once,
+    at shape[0] + translates[0] (see :func:`_check_cell`), the corner of a
+    box pair."""
 
     def __init__(self, point: Callable, shape: Sequence, translates: Sequence, *checked: Configuration):
         self.shape, self.translates = _frame(shape), _frame(translates)
@@ -537,53 +556,8 @@ def per_set_letter(x: Configuration, n: int, a: Letter) -> CosetSet:
 
 
 # ---------------------------------------------------------------------------
-# disagreement sets
+# disagreements
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetDisagreement:
-    """Exact disagreement structure of two same-chain configurations.
-
-    ``confirmed`` holds the cosets where both sides are determined and differ;
-    ``unresolved`` the cosets where at least one side is Unknown.  The true
-    disagreement set lies between ``confirmed`` and their union.
-    """
-
-    confirmed: CosetSet
-    unresolved: CosetSet
-
-    @property
-    def exact(self) -> bool:
-        return self.unresolved.is_empty
-
-
-@dataclass(frozen=True)
-class SampledDisagreement:
-    """Pointwise disagreement flags over a finite window (None = unresolved)."""
-
-    window: FiniteSubset
-    flags: Mapping[Element, bool | None]
-
-
-def disagreement_set(x: Configuration, z: Configuration, window: FiniteSubset | None = None):
-    """Where two configurations differ.
-
-    Exact (a :class:`CosetDisagreement`) when both sides are Periodic or
-    coset tables over the same chain; otherwise a window must be supplied and
-    a :class:`SampledDisagreement` over it is returned.
-    """
-    if pair := _coset_pair(x, z):
-        p, D = pair
-        dom = x.chain.domain(p)
-        cosets = lambda v: CosetSet(x.chain, p, frozenset(f for f, d in zip(dom, D) if d is v))
-        return CosetDisagreement(cosets(True), cosets(None))
-    if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
-        raise ChainMismatch("coset tables use different chains")
-    if window is None:
-        raise ValueError("pair admits no exact disagreement set; supply a window")
-    cells, differs = _set_cells(window, x, z), _differs(x, z)
-    return SampledDisagreement(tuple(window), dict(zip(window, map(differs, cells))))
 
 
 def _coset_pair(x: Configuration, z: Configuration) -> tuple[int, list[bool | None]] | None:

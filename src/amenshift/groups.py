@@ -93,6 +93,10 @@ class SubgroupChain:
             if b % a != 0:
                 raise NonDividingScales(f"{a} does not divide {b}")
         object.__setattr__(self, "scales", scales)
+        # the domains built so far, level -> F_n and ("set", level) -> its
+        # frozenset: filled lazily, read by every user of this chain; not a
+        # field, so eq, hash and repr stay the fields'
+        object.__setattr__(self, "_domains", {})
 
     @property
     def depth(self) -> int:
@@ -108,8 +112,19 @@ class SubgroupChain:
         return 1 if n == 0 else self.scales[n - 1]
 
     def domain(self, n: int) -> FiniteSubset:
-        """The fundamental domain F_n = [0, q_n)^d in canonical order."""
-        return box(self.rank, self.scale(n))
+        """The fundamental domain F_n = [0, q_n)^d in canonical order.
+
+        Built once per chain and level, then shared: the tuple is immutable,
+        so every caller, in any thread, reads the same one.
+        """
+        dom = self._domains.get(n)
+        return dom if dom is not None else self._domains.setdefault(n, box(self.rank, self.scale(n)))
+
+    def _domain_set(self, n: int) -> frozenset[Element]:
+        """F_n as a frozenset, built once per chain and level like the tuple."""
+        key = ("set", n)
+        cells = self._domains.get(key)
+        return cells if cells is not None else self._domains.setdefault(key, frozenset(self.domain(n)))
 
     def domain_size(self, n: int) -> int:
         return self.scale(n) ** self.rank

@@ -13,22 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .configs import (
     Configuration,
     _BoxScan,
+    _box,
     _check_cell,
     _coset_pair,
     _differs,
     _index,
     _rank,
+    _rotate,
     _tile,
     require_known,
 )
 from .densities import IntervalEstimate, banach_density_windowed
 from .errors import NotAKCover
-from .groups import FiniteSubset, SubgroupChain, ball, identity
+from .groups import FiniteSubset, SubgroupChain, aselem, ball, identity
 
 
 @dataclass(frozen=True)
@@ -83,27 +85,47 @@ def _delta_sup(F: FiniteSubset, point, translates, *checked: Configuration) -> i
     return max(scan.window_sums(scan.values))
 
 
-def _period_scan(x: Configuration, z: Configuration):
-    """(point, F_p) for a fully resolved pair, else None: point reads its D (:func:`_coset_pair`) cyclically."""
-    # no configuration cell is read, so the scan checks none: F_p has the
-    # pair's rank, and the kernel's rank compare is the one check left
+def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset], int] | None:
+    """F ↦ Δ*_F for a fully resolved pair, read off its disagreement array D on
+    F_p (:func:`_coset_pair`), else None.
+
+    Σ_{f∈F} D[(f + g) mod q_p] is periodic in g, so the sup over the group is
+    the max over g ∈ F_p.  A box F in canonical order takes the kernel over
+    the union box bbox(F) + F_p, whose prefix sums cost about that many
+    cells; any other F is |F| rotations of D, summed cell by cell (|F|·|F_p|
+    additions, which the kernel's per-window sums cost as well).  Neither
+    reads a configuration cell, so neither checks one: a shape of another
+    rank is refused before any rotation or scan.
+    """
     if (pair := _coset_pair(x, z)) is None or None in pair[1]:
         return None
     p, D = pair
-    q = x.chain.scale(p)
-    return (lambda g: D[_index(g, q)]), x.chain.domain(p)
+    chain, q = x.chain, x.chain.scale(p)
+    point = lambda g: D[_index(g, q)]
+
+    def sup(F: FiniteSubset) -> int:
+        if not F or _box(F):
+            return _delta_sup(F, point, chain.domain(p))
+        cells = [aselem(f, _rank(F[0])) for f in F]
+        if len(cells[0]) != chain.rank:
+            raise ValueError(f"shape of rank {len(cells[0])} and translates of rank {chain.rank}")
+        return max(map(sum, zip(*(_rotate(D, q, f) for f in cells))))
+
+    return sup
 
 
 def delta_star_exact(x: Configuration, z: Configuration, F: FiniteSubset) -> int:
-    """Δ*_F(x,z) = sup_g Σ_{f∈F} ρ(x_{f+g}, z_{f+g}), exact by one full period scan.
+    """Δ*_F(x,z) = sup_g Σ_{f∈F} ρ(x_{f+g}, z_{f+g}), exact from one period.
 
     Both sides must be fully resolved over one chain (every Periodic is); the
     summand is then periodic in g with period q_p, so the sup over the whole
-    group is attained on F_p: one scan of the disagreement array over F_p.
+    group is attained on F_p.  A box F is scanned over bbox(F) + F_p; any
+    other F sums |F| rotations of the disagreement array on F_p
+    (:func:`_period_scan`).
     """
-    if (scan := _period_scan(x, z)) is None:
+    if (sup := _period_scan(x, z)) is None:
         raise ValueError("exact Δ* needs two fully resolved configurations over one chain")
-    return _delta_sup(F, *scan)
+    return sup(F)
 
 
 @dataclass(frozen=True)
@@ -112,7 +134,8 @@ class WeylBound:
 
     ``window_proxy`` is a lower bound for sup_g Δ_{F+g}/|F| (which itself
     bounds the Weyl pseudometric from above); ``exact`` is the true sup, for
-    same-chain fully resolved pairs by a period scan of their disagreement array.
+    same-chain fully resolved pairs read off their disagreement array on one
+    period (:func:`_period_scan`: a box F by the kernel, any other F by rotation).
     """
 
     window_proxy: Fraction
@@ -129,8 +152,8 @@ def weyl_upper_bound(
     if not F:
         raise ValueError("F must be nonempty")
     proxy_num = _delta_sup(F, _differs(x, z), ball(_rank(F[0]), radius), x, z)
-    scan = _period_scan(x, z)
-    exact = None if scan is None else Fraction(_delta_sup(F, *scan), len(F))
+    sup = _period_scan(x, z)
+    exact = None if sup is None else Fraction(sup(F), len(F))
     return WeylBound(Fraction(proxy_num, len(F)), exact)
 
 
@@ -189,12 +212,16 @@ def shearer_values(
     radius: int = 0,
 ) -> tuple[Fraction, list[Fraction]]:
     """H(F) and the H(K_i) for a k-cover of F, the two sides of Shearer's
-    inequality H(F) ≤ (1/k) Σ H(K_i): exact for periodic pairs, else window
-    proxies at one shared radius."""
+    inequality H(F) ≤ (1/k) Σ H(K_i): exact for fully resolved pairs, read
+    off their disagreement array on one period (a box by the kernel, a
+    sparse cover by |K| rotations of the array; :func:`_period_scan`), else
+    window proxies at one shared radius."""
     validate_k_cover(F, cover, k)
     # one full period of translates is exact; otherwise the shared window
-    scan = _period_scan(x, z) or (_differs(x, z), ball(x.rank, radius), x, z)
-    hf = Fraction(_delta_sup(F, *scan))
-    hks = [Fraction(_delta_sup(tuple(K), *scan)) for K in cover]
+    if (sup := _period_scan(x, z)) is None:
+        point, window = _differs(x, z), ball(x.rank, radius)
+        sup = lambda K: _delta_sup(K, point, window, x, z)
+    hf = Fraction(sup(F))
+    hks = [Fraction(sup(tuple(K))) for K in cover]
     return hf, hks
 

@@ -217,12 +217,6 @@ class PsiPath:
         """D_level(t) as a set of level-`level` representatives."""
         return per_set_letter(self.table, level, "1").reps
 
-    def e_repset(self, level: int) -> frozenset[Element]:
-        return per_set_letter(self.table, level, "0").reps
-
-    def d_density_at(self, level: int) -> Fraction:
-        return per_set_letter(self.table, level, "1").density()
-
 
 def psi_path(
     t,

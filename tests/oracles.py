@@ -4,10 +4,22 @@ exhaustive searches are exponential in their input, so they only run on
 small instances."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
-from amenshift.configs import CosetSet, evaluate, require_known
+from amenshift.configs import (
+    CosetSet,
+    ToeplitzTable,
+    _coset_pair,
+    _differs,
+    _set_cells,
+    evaluate,
+    per_set_letter,
+    require_known,
+)
 from amenshift.entropy import _check_params, _effective_counts
+from amenshift.errors import ChainMismatch
 from amenshift.groups import add
 from amenshift.measures import discrete_metric
 
@@ -124,6 +136,16 @@ def psi_side_oracle(path, letter, level) -> frozenset:
     return frozenset(reps)
 
 
+def psi_e_repset(path, level) -> frozenset:
+    """E_level(t), Ψ's letter-"0" side, as a set of level-`level` representatives."""
+    return per_set_letter(path.table, level, "0").reps
+
+
+def psi_d_density_at(path, level) -> Fraction:
+    """The exact density of D_level(t), Ψ's letter-"1" side at one level."""
+    return per_set_letter(path.table, level, "1").density()
+
+
 # --- geometric box lengths: the Fraction loop before the integer recurrence ---
 
 
@@ -227,3 +249,51 @@ def refine(cs, m) -> CosetSet:
 def density_in(F, member) -> Fraction:
     """D_F(A) = |A ∩ F| / |F| for a predicate decidable on every cell of F."""
     return Fraction(sum(1 for g in F if member(g)), len(F))
+
+
+# --- disagreement sets: the coset and window structure D* counts ---------------
+
+
+@dataclass(frozen=True)
+class CosetDisagreement:
+    """Exact disagreement structure of two same-chain configurations.
+
+    ``confirmed`` holds the cosets where both sides are determined and differ;
+    ``unresolved`` the cosets where at least one side is Unknown.  The true
+    disagreement set lies between ``confirmed`` and their union.
+    """
+
+    confirmed: CosetSet
+    unresolved: CosetSet
+
+    @property
+    def exact(self) -> bool:
+        return self.unresolved.is_empty
+
+
+@dataclass(frozen=True)
+class SampledDisagreement:
+    """Pointwise disagreement flags over a finite window (None = unresolved)."""
+
+    window: tuple
+    flags: Mapping[tuple, "bool | None"]
+
+
+def disagreement_set(x, z, window=None):
+    """Where two configurations differ.
+
+    Exact (a :class:`CosetDisagreement`) when both sides are Periodic or
+    coset tables over the same chain; otherwise a window must be supplied and
+    a :class:`SampledDisagreement` over it is returned.
+    """
+    if pair := _coset_pair(x, z):
+        p, D = pair
+        dom = x.chain.domain(p)
+        cosets = lambda v: CosetSet(x.chain, p, frozenset(f for f, d in zip(dom, D) if d is v))
+        return CosetDisagreement(cosets(True), cosets(None))
+    if isinstance(x, ToeplitzTable) and isinstance(z, ToeplitzTable):
+        raise ChainMismatch("coset tables use different chains")
+    if window is None:
+        raise ValueError("pair admits no exact disagreement set; supply a window")
+    cells, differs = _set_cells(window, x, z), _differs(x, z)
+    return SampledDisagreement(tuple(window), dict(zip(window, map(differs, cells))))

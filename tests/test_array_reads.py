@@ -10,7 +10,7 @@ import pytest
 
 import amenshift
 from amenshift import configs
-from amenshift.configs import BINARY, Periodic, disagreement_set, per_set, per_set_letter
+from amenshift.configs import BINARY, Periodic, per_set, per_set_letter
 from amenshift.groups import make_chain
 from amenshift.measures import empirical_measure
 from amenshift.metrics import delta_star_exact, dstar_distance, shearer_values, weyl_upper_bound
@@ -22,6 +22,7 @@ from amenshift.toeplitz import (
     regularity_profile,
     verify_skeleton,
 )
+from oracles import disagreement_set
 
 CHAIN = make_chain(1, [2, 4, 8, 16, 32])
 SQUARE = make_chain(2, [2, 4, 8])

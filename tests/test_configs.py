@@ -5,21 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amenshift import configs
+from amenshift import configs, metrics
 from amenshift.configs import (
     Alphabet,
     BINARY,
-    CosetDisagreement,
     CosetSet,
     Oracle,
     Periodic,
-    SampledDisagreement,
     ToeplitzTable,
     block_alternating,
     champernowne_binary,
     config_descriptor,
     config_from_descriptor,
-    disagreement_set,
     evaluate,
     geometric_box_lengths,
     per_set,
@@ -29,7 +26,7 @@ from amenshift.configs import (
 from amenshift.densities import banach_density_windowed
 from amenshift.entropy import pattern_set
 from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
-from amenshift.groups import add, ball, make_chain, rect
+from amenshift.groups import add, aselem, ball, make_chain, rect
 from amenshift.measures import (
     EmpiricalMeasure,
     discrete_metric,
@@ -53,7 +50,10 @@ from amenshift.toeplitz import (
     verify_skeleton,
 )
 from oracles import (
+    CosetDisagreement,
+    SampledDisagreement,
     block_alternating_letter_oracle,
+    disagreement_set,
     geometric_box_lengths_oracle,
     known_difference,
     known_letter,
@@ -570,21 +570,51 @@ def test_empty_shapes_read_no_cell():
     assert empirical_measure(z, ball(1, 9), ()) == EmpiricalMeasure.point_mass(())
 
 
-def test_delta_star_refuses_a_shape_of_another_rank():
-    # a rank-2 shape over the rank-1 period translates is refused, not cut to rank 1
+@pytest.fixture
+def period_paths(monkeypatch):
+    """The list of the paths ("box" or "rotate") period scans take while it is live."""
+    taken = []
+    for name, path in [("box", "_BoxScan"), ("rotate", "_rotate")]:
+        real = getattr(metrics, path)
+        monkeypatch.setattr(metrics, path, lambda *a, name=name, real=real: taken.append(name) or real(*a))
+    return taken
+
+
+def test_delta_star_refuses_a_shape_of_another_rank(period_paths):
+    # a rank-2 shape over the rank-1 period translates is refused, not cut to
+    # rank 1, and before any rotation
     chain = make_chain(1, [2, 4, 8])
     x, z = regular_table(chain), regular_table(chain, ("b", "a"))
     with pytest.raises(ValueError, match="rank"):
         delta_star_exact(x, z, ((0, 0), (1, 3)))
+    with pytest.raises(ValueError, match="rank"):
+        delta_star_exact(x, z, ((0,), (1, 3)))
+    assert period_paths == []
 
 
-def test_shearer_refuses_a_cover_of_another_rank():
-    # a rank-2 cover over the rank-1 period translates is refused, not read with rank-1 sides
+def test_shearer_refuses_a_cover_of_another_rank(period_paths):
+    # a rank-2 cover over the rank-1 period translates is refused, not read
+    # with rank-1 sides: a box one by the kernel, a sparse one before any rotation
     chain = make_chain(1, [2, 4, 8])
     x, z = regular_table(chain), regular_table(chain, ("b", "a"))
-    F = ((0, 0), (0, 1))
-    with pytest.raises(ValueError, match="rank"):
-        shearer_values(x, z, F, [F], 1)
+    for F in [((0, 0), (0, 1)), ((1, 3), (0, 0))]:
+        with pytest.raises(ValueError, match="rank"):
+            shearer_values(x, z, F, [F], 1)
+    assert period_paths == ["box"]
+
+
+def test_period_scans_take_the_kernel_for_boxes_and_rotations_otherwise(period_paths):
+    x, z = regular_table(CHAIN2, ("0", "1")), regular_table(CHAIN2, ("1", "0"))
+    box, sparse = CHAIN2.domain(1), ((3, -1), (0, 0), (0, 0))
+    delta_star_exact(x, z, box)
+    assert period_paths == ["box"]
+    del period_paths[:]
+    delta_star_exact(x, z, sparse)
+    assert period_paths == ["rotate"] * 3
+    del period_paths[:]
+    # the weyl proxy scans its window through the kernel whatever F is
+    weyl_upper_bound(x, z, sparse)
+    assert period_paths == ["box"] + ["rotate"] * 3
 
 
 def test_pattern_measure_refuses_translates_of_another_rank():
@@ -712,6 +742,35 @@ def test_period_scans_match_the_lazy_walk(data):
     assert weyl_upper_bound(x, z, F).exact == Fraction(walk_delta_sup(x, z, F, period), len(F))
     hf, hks = shearer_values(x, z, F, cover, 1)
     assert [hf, *hks] == [walk_delta_sup(x, z, K, period) for K in [F, *cover]]
+
+
+def scattered(data, chain):
+    """A nonempty shape that is mostly not a canonical box: cells unsorted,
+    reaching outside F_p (negative coordinates too), a cell sometimes
+    repeated and, in rank 1, sometimes bare ints."""
+    cells = data.draw(st.lists(elements(chain, 20), min_size=1, max_size=8))
+    if data.draw(st.booleans()):
+        cells.append(data.draw(st.sampled_from(cells)))
+    if chain.rank == 1 and data.draw(st.booleans()):
+        return tuple(c for (c,) in cells)
+    return tuple(cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_rotation_scans_match_the_lazy_walk(data):
+    # a fully resolved pair reads a shape that is not a box as rotations of
+    # its disagreement array; the walk reads every window cell by cell
+    chain = data.draw(CHAINS)
+    x, z = data.draw(resolved(chain)), data.draw(resolved(chain))
+    period = chain.domain(max(x.max_level, z.max_level))
+    K = scattered(data, chain)
+    cover = [K, K[::-1], K[:1]]
+    walks = [walk_delta_sup(x, z, [aselem(f, chain.rank) for f in S], period) for S in cover]
+    assert delta_star_exact(x, z, K) == walks[0]
+    assert weyl_upper_bound(x, z, K).exact == Fraction(walks[0], len(K))
+    hf, hks = shearer_values(x, z, K, cover, 1)
+    assert [hf, *hks] == [walks[0], *walks]
 
 
 @settings(max_examples=60, deadline=None)

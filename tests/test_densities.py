@@ -93,3 +93,26 @@ def test_interval_estimate_invariants():
         IntervalEstimate(Fraction(1, 4), Fraction(1, 2), True, "exact-coset")
     est = IntervalEstimate.of(Fraction(1, 3), "exact-coset")
     assert est.value == Fraction(1, 3)
+
+
+def test_coset_set_stores_its_reps_as_a_frozenset():
+    # a repeated representative counts once, whatever iterable carries it
+    chain = make_chain(1, [2, 4])
+    twice = CosetSet(chain, 2, [(0,), (0,)])
+    assert twice.reps == frozenset({(0,)}) and isinstance(twice.reps, frozenset)
+    assert banach_density_exact(twice).value == Fraction(1, 4)
+    for reps in ([(0,), (3,)], {(0,), (3,)}, ((0,), (3,)), iter([(3,), (0,)])):
+        cs = CosetSet(chain, 2, reps)
+        assert cs == CosetSet.make(chain, 2, [(0,), (3,)])
+        assert hash(cs) == hash(CosetSet.make(chain, 2, [(0,), (3,)]))
+        assert cs.complement().reps == {(1,), (2,)}
+        assert lower_banach_density(cs).value == Fraction(1, 2)
+
+
+def test_coset_set_refuses_bare_ints_that_make_normalizes():
+    chain = make_chain(1, [2, 4])
+    with pytest.raises(ValueError, match="fundamental domain"):
+        CosetSet(chain, 2, [0, 3])
+    with pytest.raises(ValueError, match="fundamental domain"):
+        CosetSet(chain, 2, [(4,)])
+    assert CosetSet.make(chain, 2, [0, 3]).reps == {(0,), (3,)}

@@ -1,8 +1,13 @@
+import pickle
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from amenshift.configs import CosetSet
 from amenshift.errors import LevelOutOfRange, NonDividingScales
 from amenshift.groups import SubgroupChain, ball, box, make_chain, sub
 from oracles import folner_invariance_ratio, in_subgroup, translate
@@ -126,3 +131,54 @@ def test_subgroup_in_domain():
 def test_box_requires_positive_side():
     with pytest.raises(ValueError):
         box(1, 0)
+
+
+def test_domains_are_built_once_per_chain_and_level():
+    chain = make_chain(2, [2, 4, 8])
+    first = chain.domain(3)
+    assert chain.domain(3) is first
+    assert first == box(2, 8)
+    assert chain._domain_set(3) is chain._domain_set(3) == frozenset(first)
+    with pytest.raises(LevelOutOfRange):
+        chain.domain(4)
+
+
+def test_a_warm_chain_equals_a_cold_one():
+    warm, cold = make_chain(1, [2, 4, 8]), make_chain(1, [2, 4, 8])
+    for n in range(warm.depth + 1):
+        warm.domain(n)
+        warm._domain_set(n)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert repr(warm) == "SubgroupChain(rank=1, scales=(2, 4, 8))"
+    for chain in (warm, cold):
+        back = pickle.loads(pickle.dumps(chain))
+        assert back == cold and hash(back) == hash(cold) and repr(back) == repr(cold)
+        assert back.domain(3) == cold.domain(3)
+    assert {warm: "a"}[cold] == "a"
+
+
+def test_coset_sets_over_one_shared_chain_agree_across_threads():
+    # more threads than cores read and fill one chain's domains while building
+    # coset sets and complements, switching often; every thread must get the
+    # one stored domain (a lost update hands two threads two tuples), and a
+    # fresh chain per seed gives the serial results
+    def build(chain, seed):
+        rng = random.Random(seed)
+        out = []
+        for n in range(chain.depth + 1):
+            dom = chain.domain(n)
+            cs = CosetSet(chain, n, rng.sample(dom, rng.randrange(len(dom) + 1)))
+            out.append((dom, cs, cs.complement(), cs.complement().complement() == cs))
+        return out
+
+    seeds = range(16)
+    shared = make_chain(2, [2, 4, 8, 16])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(build, [shared] * len(seeds), seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(dom is shared.domain(n) for result in threaded for n, (dom, *_) in enumerate(result))
+    assert threaded == [build(make_chain(2, [2, 4, 8, 16]), s) for s in seeds]

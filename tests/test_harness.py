@@ -284,7 +284,7 @@ def verify_bytes(suite: str) -> bytes:
 
 
 def test_verify_reports_identical_from_a_thread_pool():
-    suites = ["psi", "regular", "entropy-counting"] * 2
+    suites = ["psi", "regular", "entropy-counting", "coset-density", "shearer"] * 2
     serial = [verify_bytes(s) for s in suites]
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert list(pool.map(verify_bytes, suites)) == serial

@@ -10,7 +10,6 @@ from amenshift.configs import (
     ToeplitzTable,
     block_alternating,
     champernowne_binary,
-    disagreement_set,
 )
 from amenshift.errors import NotAKCover
 from amenshift.groups import make_chain
@@ -22,6 +21,7 @@ from amenshift.metrics import (
     weyl_upper_bound,
 )
 from amenshift.toeplitz import psi_path, regular_table
+from oracles import disagreement_set
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)

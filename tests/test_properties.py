@@ -15,7 +15,6 @@ from amenshift.configs import (
     ToeplitzTable,
     block_alternating,
     champernowne_binary,
-    disagreement_set,
     evaluate,
     per_set,
     per_set_letter,
@@ -39,7 +38,7 @@ from amenshift.toeplitz import (
     toeplitz_interpolate,
     verify_skeleton,
 )
-from oracles import density_in, period_table_oracle, refine, translate
+from oracles import density_in, disagreement_set, period_table_oracle, refine, translate
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 

@@ -30,7 +30,7 @@ from amenshift.toeplitz import (
     toeplitz_interpolate,
     verify_skeleton,
 )
-from oracles import in_subgroup, psi_side_oracle
+from oracles import in_subgroup, psi_d_density_at, psi_e_repset, psi_side_oracle
 
 CHAIN8 = make_chain(1, [2, 4, 8, 16, 32, 64, 128, 256])
 CHAIN4 = make_chain(1, [2, 4, 8, 16])
@@ -116,7 +116,7 @@ def test_psi_budget_invariant_every_stage():
     for t in (Fraction(3, 7), Fraction(1, 5), Fraction(13, 17)):
         p = psi_path(t, CHAIN8)
         for n in range(1, 9):
-            dn = p.d_density_at(n)
+            dn = psi_d_density_at(p, n)
             assert dn <= t
             assert t - dn < Fraction(1, CHAIN8.domain_size(n))
 
@@ -141,7 +141,7 @@ def test_psi_sides_exhaust_up_to_one_residual_coset():
     for t in (Fraction(0), Fraction(1, 3), Fraction(5, 16), Fraction(9, 11), Fraction(1)):
         p = psi_path(t, CHAIN8)
         for n in range(1, 9):
-            d, e = p.d_repset(n), p.e_repset(n)
+            d, e = p.d_repset(n), psi_e_repset(p, n)
             assert not (d & e)
             missing = set(CHAIN8.domain(n)) - d - e
             if p.terminated and all(lvl <= n for lvl, _ in p.d_cosets + p.e_cosets):
@@ -149,7 +149,7 @@ def test_psi_sides_exhaust_up_to_one_residual_coset():
             else:
                 assert len(missing) == 1  # exactly the residual coset chain
         d_density = p.d_density
-        e_density = Fraction(len(p.e_repset(8)), 256)
+        e_density = Fraction(len(psi_e_repset(p, 8)), 256)
         assert d_density + e_density + Fraction(1, 256) >= 1
 
 
@@ -170,20 +170,20 @@ def test_psi_sides_are_per_sets_of_the_table(rank, scales):
         for n in range(1, depth + 2):
             d, e = psi_side_oracle(p, "1", n), psi_side_oracle(p, "0", n)
             assert p.d_repset(n) == d
-            assert p.e_repset(n) == e
-            assert p.d_density_at(n) == Fraction(len(d), chain.domain_size(n))
+            assert psi_e_repset(p, n) == e
+            assert psi_d_density_at(p, n) == Fraction(len(d), chain.domain_size(n))
 
 
 def test_psi_sides_at_level_zero():
     # level 0 answers like every other level: at t = 1 the one side is the
     # whole group F_0 (the expansion of level >= 1 cosets saw nothing there)
     one, zero = psi_path(Fraction(1), CHAIN8), psi_path(Fraction(0), CHAIN8)
-    assert psi_side_oracle(one, "1", 0) == frozenset() == one.e_repset(0)
-    assert one.d_repset(0) == frozenset({(0,)}) and one.d_density_at(0) == 1
-    assert zero.d_repset(0) == frozenset() and zero.d_density_at(0) == 0
-    assert zero.e_repset(0) == frozenset({(0,)})
+    assert psi_side_oracle(one, "1", 0) == frozenset() == psi_e_repset(one, 0)
+    assert one.d_repset(0) == frozenset({(0,)}) and psi_d_density_at(one, 0) == 1
+    assert zero.d_repset(0) == frozenset() and psi_d_density_at(zero, 0) == 0
+    assert psi_e_repset(zero, 0) == frozenset({(0,)})
     half = psi_path(Fraction(1, 2), CHAIN8)
-    assert half.d_repset(0) == half.e_repset(0) == frozenset()
+    assert half.d_repset(0) == psi_e_repset(half, 0) == frozenset()
 
 
 def test_psi_lipschitz_with_residual_slack():
