@@ -237,9 +237,12 @@ class Periodic(_CosetTable):
     alphabet: Alphabet
 
     def __post_init__(self):
-        dom = self.chain.domain(self.level)
-        normalized = {aselem(k, self.chain.rank): v for k, v in self.word.items()}
-        if normalized.keys() != self.chain._domain_set(self.level):
+        dom, cells = self.chain.domain(self.level), self.chain._domain_set(self.level)
+        if self.word.keys() == cells:  # keys equal to the int-tuple cells: store those
+            normalized = {f: self.word[f] for f in dom}
+        else:
+            normalized = {aselem(k, self.chain.rank): v for k, v in self.word.items()}
+        if normalized.keys() != cells:
             raise ValueError(f"word must be total on the level-{self.level} domain")
         bad = [v for v in normalized.values() if v not in self.alphabet]
         if bad:

@@ -4,8 +4,9 @@ The Prokhorov distance D_P(μ,ν) = inf{ε > 0 : μ(B) ≤ ν(B^ε) + ε for eve
 is attained with closed ε-expansions.  By Strassen's theorem the condition at
 ε holds iff a sub-coupling of mass ≥ 1 - ε lives on the atom pairs at distance
 ≤ ε, so D_P = min over atom distances t of max(t, 1 - maxflow_t): an exact
-integer max-flow (weights scaled by the lcm of their denominators), polynomial
-in the support size, with no support cap.
+integer max-flow in units of 1/lcm(weight denominators), polynomial in the
+support size, with no support cap.  The distances are ranked once per call (per
+Hausdorff matrix), so the flow reads int ranks and only thresholds are Fractions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby, product
 from math import lcm
 from typing import Callable, Hashable, Sequence
 
@@ -23,8 +25,11 @@ Atom = Hashable
 AtomMetric = Callable[[Atom, Atom], Fraction]
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def discrete_metric(a: Atom, b: Atom) -> Fraction:
-    return Fraction(0) if a == b else Fraction(1)
+    return _ZERO if a == b else _ONE
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,7 @@ class EmpiricalMeasure:
         return cls(((atom, Fraction(1)),))
 
     def weight(self, atom: Atom) -> Fraction:
-        for a, w in self.atoms:
-            if a == atom:
-                return w
-        return Fraction(0)
+        return next((w for a, w in self.atoms if a == atom), _ZERO)
 
     @property
     def support(self) -> tuple[Atom, ...]:
@@ -90,10 +92,30 @@ def empirical_measure(
     return EmpiricalMeasure.from_counts(Counter(atoms))
 
 
+def _units(measures: Sequence[EmpiricalMeasure]) -> tuple[int, list[list[int]]]:
+    """The lcm of all weight denominators, and each measure's weights in units of 1/scale."""
+    scale = lcm(*(w.denominator for m in measures for _, w in m.atoms))
+    return scale, [[w.numerator * (scale // w.denominator) for _, w in m.atoms] for m in measures]
+
+
 def total_variation(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Fraction:
     """max_B |μ(B) - ν(B)| = (1/2) Σ_a |μ(a) - ν(a)|, exact."""
-    support = set(mu.support) | set(nu.support)
-    return sum((abs(mu.weight(a) - nu.weight(a)) for a in support), Fraction(0)) / 2
+    scale, (plus, minus) = _units((mu, nu))
+    diff = Counter(dict(zip(mu.support, plus)))
+    diff.subtract(dict(zip(nu.support, minus)))
+    return Fraction(sum(map(abs, diff.values())), 2 * scale)
+
+
+def _ranked(rows: Sequence[Atom], cols: Sequence[Atom], metric: AtomMetric):
+    """The distinct distances over rows × cols as ascending Fractions, and the
+    rank among them of each row-major pair index: one metric call and hash per pair."""
+    groups = defaultdict(list)
+    for k, (a, b) in enumerate(product(rows, cols)):
+        groups[metric(a, b)].append(k)
+    # raw values that differ but convert to one Fraction (say "1/2" and "2/4")
+    # stay two equal thresholds; the first's partial flow only bounds from above
+    ranked = sorted(((Fraction(v), ks) for v, ks in groups.items()), key=lambda p: p[0])
+    return [t for t, _ in ranked], {k: r for r, (_, ks) in enumerate(ranked) for k in ks}
 
 
 def _augment(near, carried, supply, demand) -> int:
@@ -140,6 +162,21 @@ def _augment(near, carried, supply, demand) -> int:
         pushed += amount
 
 
+def _flow_distance(supply, demand, scale, thresholds, ranks) -> Fraction:
+    """min_t max(t, 1 - maxflow_t / scale), t over thresholds[ranks[i·|ν| + j]] for the
+    μ-ν atom pairs (i, j); ascending t only adds edges, so augmenting resumes."""
+    near, carried, n = [[] for _ in supply], [{} for _ in demand], len(demand)
+    flow, best = 0, _ONE
+    for r, cells in groupby(sorted(range(len(ranks)), key=ranks.__getitem__), ranks.__getitem__):
+        if thresholds[r] >= best:
+            break
+        for k in cells:
+            near[k // n].append(k % n)
+        flow += _augment(near, carried, supply, demand)
+        best = min(best, max(thresholds[r], Fraction(scale - flow, scale)))
+    return best
+
+
 def prokhorov_distance(
     mu: EmpiricalMeasure,
     nu: EmpiricalMeasure,
@@ -149,26 +186,10 @@ def prokhorov_distance(
 
     Strassen: μ(B) ≤ ν(B^t) + ε for every B iff maxflow_t ≥ 1 - ε, where
     maxflow_t couples μ to ν along the pairs at distance ≤ t; this is
-    symmetric, so one direction suffices.  Ascending thresholds only add
-    edges, so each flow stays feasible and augmenting resumes from it.
+    symmetric, so one direction suffices.
     """
-    scale = lcm(*(w.denominator for _, w in mu.atoms), *(w.denominator for _, w in nu.atoms))
-    supply = [int(w * scale) for _, w in mu.atoms]
-    demand = [int(w * scale) for _, w in nu.atoms]
-    edges = defaultdict(list)
-    for i, (a, _) in enumerate(mu.atoms):
-        for j, (b, _) in enumerate(nu.atoms):
-            edges[Fraction(metric(a, b))].append((i, j))
-    near, carried = [[] for _ in supply], [{} for _ in demand]
-    flow, best = 0, Fraction(1)
-    for t in sorted(edges):
-        if t >= best:
-            break
-        for i, j in edges[t]:
-            near[i].append(j)
-        flow += _augment(near, carried, supply, demand)
-        best = min(best, max(t, 1 - Fraction(flow, scale)))
-    return best
+    scale, (supply, demand) = _units((mu, nu))
+    return _flow_distance(supply, demand, scale, *_ranked(mu.support, nu.support, metric))
 
 
 def hausdorff_distance(
@@ -179,11 +200,21 @@ def hausdorff_distance(
     """max of the two directed sup-inf Prokhorov distances, exact on finite
     nonempty families of measures.
 
-    D_P is symmetric, so both directions read one |A|×|B| matrix.
+    D_P is symmetric, so both directions read one |A|×|B| matrix, whose entries
+    share one unit scale and one ranked distance table over ∪A × ∪B.
     """
     if not A or not B:
         raise ValueError("both families must be nonempty")
-    rows = [[prokhorov_distance(mu, nu, metric) for nu in B] for mu in A]
+    col_at = {b: y for y, b in enumerate(dict.fromkeys(b for nu in B for b in nu.support))}
+    row_at = {a: x * len(col_at) for x, a in enumerate(dict.fromkeys(a for mu in A for a in mu.support))}
+    thresholds, ranks = _ranked(list(row_at), list(col_at), metric)
+    scale, units = _units((*A, *B))
+
+    def entry(mu, supply, nu, demand) -> Fraction:
+        cells = [ranks[row_at[a] + col_at[b]] for a in mu.support for b in nu.support]
+        return _flow_distance(list(supply), list(demand), scale, thresholds, cells)
+
+    rows = [[entry(mu, s, nu, d) for nu, d in zip(B, units[len(A) :])] for mu, s in zip(A, units)]
     d_ab = max(min(row) for row in rows)
     d_ba = max(min(col) for col in zip(*rows))
     return max(d_ab, d_ba)
@@ -230,11 +261,6 @@ def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfil
         measures.append(EmpiricalMeasure.from_counts(counts))
         # counts over a set with repeated cells are not a base for the next set
         counted = cells if len(cells) == len(F) else None
-    steps = []
-    bounds = []
-    for prev, nxt, mp, mn in zip(sets, sets[1:], measures, measures[1:]):
-        steps.append(total_variation(mn, mp))
-        bounds.append(Fraction(len(nxt) - len(prev), len(nxt)))
-    return OmegaProfile(
-        tuple(len(F) for F in sets), tuple(measures), tuple(steps), tuple(bounds)
-    )
+    steps = tuple(total_variation(mn, mp) for mp, mn in zip(measures, measures[1:]))
+    bounds = tuple(Fraction(len(nxt) - len(prev), len(nxt)) for prev, nxt in zip(sets, sets[1:]))
+    return OmegaProfile(tuple(len(F) for F in sets), tuple(measures), steps, bounds)

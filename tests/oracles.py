@@ -107,7 +107,8 @@ def prokhorov_oracle(mu, nu, metric=discrete_metric):
         return True
 
     mu_values, nu_values = set(mu_mass.values()), set(nu_mass.values())
-    candidates = {Fraction(0)} | {metric(a, b) for a in atoms for b in atoms}
+    # exact candidates: a float ε would make the masses + ε above float sums
+    candidates = {Fraction(0)} | {Fraction(metric(a, b)) for a in atoms for b in atoms}
     candidates.update(a - b for a in mu_values for b in nu_values)
     candidates.update(b - a for a in mu_values for b in nu_values)
     ordered = sorted(c for c in candidates if c >= 0)
@@ -120,6 +121,14 @@ def prokhorov_oracle(mu, nu, metric=discrete_metric):
         else:
             lo = mid + 1
     return ordered[lo]
+
+
+def total_variation_oracle(mu, nu) -> Fraction:
+    """(1/2) Σ_a |μ(a) - ν(a)| over the joint support, summed in Fractions
+    with a linear weight lookup per atom; unlike the library's one sum of
+    signed integer units."""
+    support = set(mu.support) | set(nu.support)
+    return sum((abs(mu.weight(a) - nu.weight(a)) for a in support), Fraction(0)) / 2
 
 
 # --- Ψ's sides: the coset expansion the path kept before it read Per sets ----

@@ -88,6 +88,37 @@ def test_periodic_word_must_be_total():
         Periodic(CHAIN, 2, {(0,): "0", (1,): "0"}, BINARY)
 
 
+@pytest.mark.parametrize(
+    "word",
+    [
+        {0: "0", 1: "1", 2: "1", 3: "0"},
+        {(0.0,): "0", (1.0,): "1", (2.0,): "1", (3.0,): "0"},
+        {(False,): "0", (True,): "1", (2,): "1", (3,): "0"},
+        {(3,): "0", (1,): "1", (2,): "1", (0,): "0"},
+    ],
+)
+def test_periodic_word_keys_stored_as_int_tuples(word):
+    # bare ints, and keys that only compare equal to the cells, are stored as the cells
+    x = Periodic(CHAIN, 2, word, BINARY)
+    assert x.word == {(0,): "0", (1,): "1", (2,): "1", (3,): "0"}
+    assert all(type(c) is int for f in x.word for c in f)
+    assert x == Periodic(CHAIN, 2, {(0,): "0", (1,): "1", (2,): "1", (3,): "0"}, BINARY)
+    assert [evaluate(x, g) for g in range(-4, 4)] == list("01100110")
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        {(0,): "0", (1,): "0"},
+        {0: "0", 1: "0", 2: "0"},
+        {(0,): "0", (1,): "0", (2,): "0", (3,): "0", (4,): "0"},
+    ],
+)
+def test_periodic_non_total_word_refused_with_its_message(word):
+    with pytest.raises(ValueError, match=re.escape("word must be total on the level-2 domain")):
+        Periodic(CHAIN, 2, word, BINARY)
+
+
 def test_toeplitz_evaluate_deepest_assignment_and_unknown():
     table = ToeplitzTable(CHAIN, ((1, (0,), "c"),), Alphabet(("c",)))
     assert evaluate(table, 2) == "c"

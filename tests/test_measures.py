@@ -1,9 +1,13 @@
 import inspect
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from amenshift import measures
 from amenshift.configs import BINARY, Periodic, block_alternating, geometric_box_lengths
 from amenshift.errors import UnknownMembership
 from amenshift.groups import box, make_chain
@@ -17,7 +21,7 @@ from amenshift.measures import (
     total_variation,
 )
 from amenshift.metrics import dstar_distance
-from oracles import prokhorov_oracle
+from oracles import prokhorov_oracle, total_variation_oracle
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 EVENS = Periodic(CHAIN, 1, {(0,): "1", (1,): "0"}, BINARY)
@@ -86,6 +90,17 @@ def grid_metric(scale):
 
 def line_metric(points):
     return lambda a, b: abs(points[a] - points[b])
+
+
+def table_metric(atoms, table):
+    """The shortest-path closure of a symmetric table of distances between
+    distinct atoms: a pseudometric that keeps the table's ties and zeros."""
+    d = {(a, b): 0 if a == b else table[frozenset((a, b))] for a in atoms for b in atoms}
+    for m in atoms:
+        for a in atoms:
+            for b in atoms:
+                d[a, b] = min(d[a, b], d[a, m] + d[m, b])
+    return lambda a, b: d[a, b]
 
 
 def full_measure(rng, atoms):
@@ -249,6 +264,59 @@ def test_prokhorov_large_support_shifted_uniform():
         assert prokhorov_distance(nu, mu, metric) == min(h, Fraction(1, 40))
 
 
+# hypothesis: random pseudometric tables, ties and zeros, every return type
+
+TABLE_ATOMS = "abcdefg"
+QUARTERS = [Fraction(k, 4) for k in range(9)]  # 0 .. 2 in steps of 1/4: ties, zeros, > 1
+
+
+@st.composite
+def table_instances(draw, size):
+    """(μ, ν, metric) on a joint support of at most `size` atoms; the metric
+    returns ints, dyadic floats, Fractions or a mix of the three, one value
+    of its table possibly as several types."""
+    atoms = TABLE_ATOMS[:size]
+    mu_atoms = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=size, unique=True))
+    nu_atoms = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=size, unique=True))
+
+    def measure(support):
+        weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+        return EmpiricalMeasure(tuple((a, Fraction(w, sum(weights))) for a, w in zip(support, weights)))
+
+    kind = draw(st.sampled_from(["fraction", "int", "float", "mixed"]))
+    values = [Fraction(k) for k in range(3)] if kind == "int" else QUARTERS
+    pairs = [frozenset((a, b)) for i, a in enumerate(atoms) for b in atoms[i + 1 :]]
+    table = {p: draw(st.sampled_from(values)) for p in pairs}
+    closure = table_metric(atoms, table)
+    if kind == "fraction":
+        metric = closure
+    else:
+        cast = {"int": int, "float": float}.get(kind)
+        types = {(a, b): cast or draw(st.sampled_from([float, Fraction])) for a in atoms for b in atoms}
+        metric = lambda a, b: types[a, b](closure(a, b))
+    return measure(mu_atoms), measure(nu_atoms), metric
+
+
+def _check_against(oracle, instance):
+    mu, nu, metric = instance
+    d = prokhorov_distance(mu, nu, metric)
+    assert type(d) is Fraction
+    assert d == prokhorov_distance(nu, mu, metric) == oracle(mu, nu, metric)
+    assert 0 <= d <= total_variation(mu, nu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_instances(5))
+def test_prokhorov_matches_literal_oracle_on_pseudometric_tables(instance):
+    _check_against(prokhorov_oracle, instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_instances(7))
+def test_prokhorov_matches_subset_tables_on_pseudometric_tables(instance):
+    _check_against(subset_table_oracle, instance)
+
+
 # --- hausdorff ---------------------------------------------------------------
 
 
@@ -263,16 +331,36 @@ def test_hausdorff_examples():
 
 
 def test_hausdorff_matches_both_directed_passes():
-    # one matrix read both ways equals the two directed sup-inf passes
+    # one matrix read both ways equals the two directed sup-inf passes, under
+    # a line metric, the discrete metric and a pseudometric (0 on {0,1}, {2,3}, {4,5})
     rng = random.Random(41)
     atoms = list(range(6))
-    metric = line_metric({a: Fraction(a, 5) for a in atoms})
-    for _ in range(10):
-        A = [random_measure(rng, atoms) for _ in range(rng.randrange(1, 4))]
-        B = [random_measure(rng, atoms) for _ in range(rng.randrange(1, 4))]
-        d_ab = max(min(prokhorov_distance(mu, nu, metric) for nu in B) for mu in A)
-        d_ba = max(min(prokhorov_distance(nu, mu, metric) for mu in A) for nu in B)
-        assert hausdorff_distance(A, B, metric) == max(d_ab, d_ba) == hausdorff_distance(B, A, metric)
+    line = line_metric({a: Fraction(a, 5) for a in atoms})
+    pseudo = lambda a, b: Fraction(abs(a // 2 - b // 2), 3)
+    for metric in (line, discrete_metric, pseudo):
+        for _ in range(10):
+            A = [random_measure(rng, atoms) for _ in range(rng.randrange(1, 4))]
+            B = [random_measure(rng, atoms) for _ in range(rng.randrange(1, 4))]
+            d_ab = max(min(prokhorov_distance(mu, nu, metric) for nu in B) for mu in A)
+            d_ba = max(min(prokhorov_distance(nu, mu, metric) for mu in A) for nu in B)
+            assert hausdorff_distance(A, B, metric) == max(d_ab, d_ba) == hausdorff_distance(B, A, metric)
+
+
+def test_hausdorff_evaluates_each_atom_pair_once():
+    rng = random.Random(43)
+    for _ in range(20):
+        A = [random_measure(rng, list("abcdef")) for _ in range(rng.randrange(1, 4))]
+        B = [random_measure(rng, list("cdefgh")) for _ in range(rng.randrange(1, 4))]
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return Fraction(abs(ord(a) - ord(b)), 4)
+
+        hausdorff_distance(A, B, counting)
+        rows = {a for mu in A for a in mu.support}
+        cols = {b for nu in B for b in nu.support}
+        assert sorted(calls) == sorted((a, b) for a in rows for b in cols)
 
 
 def test_hausdorff_bounded_by_disagreement_density():
@@ -288,6 +376,60 @@ def test_hausdorff_bounded_by_disagreement_density():
         assert total_variation(mx, mz) <= delta
         assert prokhorov_distance(mx, mz) <= delta
     assert hausdorff_distance(prof_x.measures, prof_z.measures) <= delta
+
+
+# --- total variation and sharing -------------------------------------------
+
+
+def test_total_variation_matches_fraction_oracle():
+    rng = random.Random(47)
+    for trial in range(200):
+        atoms = rng.sample(range(12), rng.randrange(2, 10))
+        cut = rng.randrange(1, len(atoms))
+        # disjoint supports every third trial, otherwise any overlap
+        mu_atoms = atoms[:cut] if trial % 3 == 0 else rng.sample(atoms, rng.randrange(1, len(atoms) + 1))
+        nu_atoms = atoms[cut:] if trial % 3 == 0 else rng.sample(atoms, rng.randrange(1, len(atoms) + 1))
+        # unequal denominators: weights over different totals
+        mu, nu = full_measure(rng, mu_atoms), full_measure(random.Random(trial), nu_atoms)
+        tv = total_variation(mu, nu)
+        assert type(tv) is Fraction
+        assert tv == total_variation_oracle(mu, nu) == total_variation(nu, mu)
+        if trial % 3 == 0:
+            assert tv == 1
+
+
+def test_distances_are_thread_safe_on_shared_measures():
+    # every distance is pure: threads sharing measures and the discrete
+    # metric's constants read what a serial run reads
+    rng = random.Random(53)
+    atoms = list(range(8))
+    shared = [random_measure(rng, atoms) for _ in range(12)]
+    metric = line_metric({a: Fraction(a, 7) for a in atoms})
+
+    def work(k):
+        mu, nu = shared[k % 12], shared[(5 * k + 1) % 12]
+        fams = (shared[k % 12 : k % 12 + 3], shared[(k + 4) % 12 : (k + 4) % 12 + 2])
+        return (
+            prokhorov_distance(mu, nu),
+            prokhorov_distance(mu, nu, metric),
+            hausdorff_distance(*fams),
+            hausdorff_distance(*fams, metric),
+            total_variation(mu, nu),
+        )
+
+    zero, one = measures._ZERO, measures._ONE
+    serial = [work(k) for k in range(48)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(work, range(48), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert measures._ZERO is zero and measures._ONE is one
+    assert (zero.numerator, zero.denominator, one.numerator, one.denominator) == (0, 1, 1, 1)
+    assert discrete_metric("a", "a") is zero and discrete_metric("a", "b") is one
 
 
 # --- omega profiles ----------------------------------------------------------
