@@ -270,12 +270,17 @@ class ToeplitzTable(_CosetTable):
     alphabet: Alphabet
 
     def __post_init__(self):
-        distinct = set()
+        chain, letters, distinct = self.chain, self.alphabet.letters, set()
         for level, r, a in self.assignments:
-            if not 1 <= level <= self.chain.depth:
-                raise ValueError(f"assignment level {level} outside 1..{self.chain.depth}")
-            r = self.chain.coset_rep(r, level)
-            if a not in self.alphabet:
+            if not 1 <= level <= chain.depth:
+                raise ValueError(f"assignment level {level} outside 1..{chain.depth}")
+            # a rep that already is a cell of F_level as an int tuple,
+            # canonical reps above all, is stored as given; any other is
+            # reduced ((0.0,) and (True,) equal cells but are no int tuples)
+            q = chain.scales[level - 1]
+            if not (type(r) is tuple and len(r) == chain.rank and all(type(c) is int and 0 <= c < q for c in r)):
+                r = chain.coset_rep(r, level)
+            if a not in letters:
                 raise ValueError(f"letter {a!r} not in alphabet")
             distinct.add((level, r, a))
         self._fill(distinct)
@@ -293,7 +298,7 @@ class ToeplitzTable(_CosetTable):
         for n, r, a in self._assigned:
             b = cells[_index(r, Q)]
             if b is None:
-                q = chain.scale(n)
+                q = chain.scales[n - 1]
                 # the coset r + H_n meets each row of F_max_level it crosses
                 # in one stride-q_n slice of the row-major array
                 for row in product(*(range(c, Q, q) for c in r[:-1])):
@@ -536,8 +541,33 @@ def _constant_cosets(x: Configuration, n: int) -> Sequence[Letter | None]:
     q = _exact_chain(x).scale(n)
     if n >= x.max_level:
         return x._lift(n)
-    classes = _groups(x._cells, x._period, x.rank, lambda line: [line[r::q] for r in range(q)])
+    return _fold(x._cells, x._period, q, x.rank)
+
+
+def _fold(labels: Sequence[Letter | None], Q: int, q: int, rank: int) -> list[Letter | None]:
+    """The labels over [0, q)^rank, q | Q, of the row-major labelling
+    ``labels`` over [0, Q)^rank: the letter a where every cell ≡ f mod q is
+    labelled a, None elsewhere (in rank 1 the class of r is labels[r::q])."""
+    classes = _groups(labels, Q, rank, lambda line: [line[r::q] for r in range(q)])
     return [c[0] if c.count(c[0]) == len(c) else None for c in classes]
+
+
+def _level_labels(x: Configuration, N: int) -> list[Sequence[Letter | None]]:
+    """The labels of F_n (see :func:`_constant_cosets`) for n = 0..N, indexed
+    by level: F_N's once, then each coarser level's, finest first.  At and
+    above max_level the lifted array is the labelling; below it each level's
+    labels are folded from the next finer level's, since the H_n-coset of f
+    is the union of the H_{n+1}-cosets of the cells f' ≡ f mod q_n of
+    F_{n+1}.  A fold reads |F_{n+1}| labels, so all N + 1 levels cost about
+    one labelling of the finer of F_N and F_max_level."""
+    chain = _exact_chain(x)
+    labels = [_constant_cosets(x, N)]
+    for n in range(N, 0, -1):
+        if n > x.max_level:
+            labels.append(x._lift(n - 1))
+        else:
+            labels.append(_fold(labels[-1], chain.scale(n), chain.scale(n - 1), x.rank))
+    return labels[::-1]
 
 
 def per_set(x: Configuration, n: int) -> CosetSet:

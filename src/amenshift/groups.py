@@ -27,13 +27,17 @@ FiniteSubset = tuple[Element, ...]
 
 
 def aselem(g, rank: int) -> Element:
-    """Normalize an element: a bare int is accepted when rank is 1."""
-    if isinstance(g, int):
-        g = (g,)
-    g = tuple(int(c) for c in g)
-    if len(g) != rank:
-        raise ValueError(f"element {g} has rank {len(g)}, expected {rank}")
-    return g
+    """Normalize an element to an int tuple: a bare int is accepted when rank
+    is 1, and integral coordinates (``True``, ``2.0``) become ints; a
+    coordinate that is not integral (``0.5``) raises ValueError, as a wrong
+    rank does."""
+    g = (g,) if isinstance(g, int) else tuple(g)
+    e = tuple(map(int, g))
+    if e != g:
+        raise ValueError(f"element {g} has a non-integral coordinate")
+    if len(e) != rank:
+        raise ValueError(f"element {e} has rank {len(e)}, expected {rank}")
+    return e
 
 
 def identity(rank: int) -> Element:

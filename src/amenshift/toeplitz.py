@@ -19,6 +19,7 @@ D_m(s) ⊆ D_m(t) at every level.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -28,14 +29,13 @@ from .configs import (
     Letter,
     Periodic,
     ToeplitzTable,
-    _constant_cosets,
     _exact_chain,
     _groups,
     _index,
+    _level_labels,
     _nest,
     _rotation_equals,
     _tile,
-    per_set,
     per_set_letter,
 )
 from .entropy import EntropyEstimate, estimate_from_count
@@ -73,22 +73,51 @@ class SkeletonReport:
 
 
 def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
-    """Check the three skeleton conditions for levels 1..N, exactly."""
+    """Check the three skeleton conditions for levels 1..N, exactly.
+
+    The labels of F_N are computed once, and each coarser level's are
+    folded from the next finer one's, or lifted from the period array at
+    and above max_level (see ``configs._level_labels``); ``coverage`` is
+    read from F_N's.  A shift fixes every Per_{H_n}(·, a) iff it preserves
+    the labelling f ↦ letter (None off the periodic part), so it maps the
+    rarest label class C onto itself: only the |C| - 1 shifts of
+    :func:`_fixing_candidates` are compared, each with an early exit at the
+    first unequal row, rather than every g ∈ F_n \\ {0}.  The cost is about
+    one labelling of F_N and, per level, one count of its labels and at
+    most |C| - 1 compares: none where an undecided coset is a class of its
+    own, all |F_n| - 1 for a constant labelling.
+    """
     chain = _exact_chain(x)
     chain._check_level(N)
+    labels = _level_labels(x, N)
     nonempty = []
     failures: list[tuple[int, Element]] = []
     for n in range(1, N + 1):
-        label = _constant_cosets(x, n)
+        label = labels[n]
         nonempty.append(label.count(None) < len(label))
-        label = _nest(label, chain.scale(n), chain.rank)
-        # the shift by g fixes every Per_{H_n}(·, a) iff it preserves the
-        # labelling f ↦ letter (None off the periodic part): the shift is a
-        # bijection and the letter classes with the rest partition F_n;
-        # domain(n)[0] is the identity
-        failures.extend((n, g) for g in chain.domain(n)[1:] if _rotation_equals(label, label, g))
-    coverage = per_set(x, N).density()
+        shifts = _fixing_candidates(label, chain.domain(n), chain.scale(n))
+        if shifts:
+            label = _nest(label, chain.scale(n), chain.rank)
+            failures.extend((n, g) for g in shifts if _rotation_equals(label, label, g))
+    coverage = Fraction(len(labels[N]) - labels[N].count(None), len(labels[N]))
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
+
+
+def _fixing_candidates(label: Sequence[Letter | None], dom: Sequence[Element], q: int) -> list[Element]:
+    """The nonidentity shifts of F_n that may fix the row-major labelling
+    ``label`` of its domain ``dom``, in domain order.  A fixing shift g maps
+    the rarest label class C (on ties the one whose first cell comes first)
+    onto itself, so g ≡ f - f_0 mod q_n for some f ∈ C, f_0 the first cell
+    of C: |C| - 1 candidates, none when C is a single cell."""
+    counts = Counter(label)  # its keys in the order of their first cells
+    rare = min(counts, key=counts.get)
+    if counts[rare] == 1:
+        return []
+    at = [label.index(rare)]
+    for _ in range(counts[rare] - 1):
+        at.append(label.index(rare, at[-1] + 1))
+    f0 = dom[at[0]]
+    return sorted(tuple((c - c0) % q for c, c0 in zip(dom[i], f0)) for i in at[1:])
 
 
 # the default reading of "regular": the confirmed periodic part reaches 1 - this
@@ -109,8 +138,10 @@ def regularity_profile(x: Periodic | ToeplitzTable, N: int) -> RegularityProfile
     """D*(Per_{H_n}(x)) for n = 1..N; flagged regular when the profile
     reaches 1 - REGULARITY_TOLERANCE.  The raw profile is always returned:
     regularity at finite depth is a judgment call and the flag is only a
-    default reading."""
-    densities = tuple(per_set(x, n).density() for n in range(1, N + 1))
+    default reading.  The densities are read from the labels of every level
+    that ``configs._level_labels`` derives from those of F_N, not from one
+    Per set per level."""
+    densities = tuple(Fraction(len(a) - a.count(None), len(a)) for a in _level_labels(x, N)[1:])
     regular = bool(densities) and densities[-1] >= 1 - REGULARITY_TOLERANCE
     return RegularityProfile(tuple(range(1, N + 1)), densities, REGULARITY_TOLERANCE, regular)
 

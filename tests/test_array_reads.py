@@ -1,7 +1,8 @@
 """The exact coset paths read the period array whole: none of them reads a
 cell through ``_CosetTable._at``, ``lookup`` or ``evaluate``.  Each reader
 is replaced by a counting wrapper, so a return to the per-cell walk fails
-here; nothing is timed."""
+here; the skeleton check's rotation compares are counted the same way.
+Nothing is timed."""
 
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 import amenshift
 from amenshift import configs
-from amenshift.configs import BINARY, Periodic, per_set, per_set_letter
+from amenshift.configs import BINARY, Alphabet, Periodic, ToeplitzTable, per_set, per_set_letter
 from amenshift.groups import make_chain
 from amenshift.measures import empirical_measure
 from amenshift.metrics import delta_star_exact, dstar_distance, shearer_values, weyl_upper_bound
@@ -60,8 +61,9 @@ def test_exact_coset_paths_read_no_single_cell(cell_reads, chain):
         for n in range(chain.depth + 1):
             per_set(x, n)
             per_set_letter(x, n, "a")
-        verify_skeleton(x, chain.depth)
-        regularity_profile(x, chain.depth)
+        for N in range(chain.depth + 1):
+            verify_skeleton(x, N)
+            regularity_profile(x, N)
         disagreement_set(x, resolved)
         disagreement_set(word, x)
         dstar_distance(x, resolved)
@@ -125,3 +127,78 @@ def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
     amenshift.configs.evaluate(x, 3)
     x.lookup(5)
     assert [name for name, _ in cell_reads] == ["evaluate", "_at", "lookup", "_at"]
+
+
+@pytest.fixture
+def rotations(monkeypatch):
+    """The list of (a, b, g) of every ``_rotation_equals`` call made while it is live."""
+    calls = []
+    compare = configs._rotation_equals
+
+    def counting(a, b, g):
+        calls.append((a, b, g))
+        return compare(a, b, g)
+
+    # every module that imported it compares through its own binding;
+    # configs' binding is left alone, so the rows of one compare are not counted
+    for name, module in sys.modules.items():
+        if module is configs:
+            continue
+        if name.startswith("amenshift") and getattr(module, "_rotation_equals", None) is compare:
+            monkeypatch.setattr(module, "_rotation_equals", counting)
+    return calls
+
+
+def rarest_class_sizes(x, N):
+    """The size of the rarest label class of F_n for n = 1..N, counted from
+    per_set_letter and per_set: one class per letter, one for the cells off
+    the periodic part."""
+    sizes = []
+    for n in range(1, N + 1):
+        classes = [len(per_set_letter(x, n, a).reps) for a in x.alphabet.letters]
+        classes.append(x.chain.domain_size(n) - len(per_set(x, n).reps))
+        sizes.append(min(c for c in classes if c))
+    return sizes
+
+
+@pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
+def test_regular_tables_confirm_no_shift(rotations, chain):
+    # the one undecided cell of each level is a label class of its own, so no
+    # shift is left to compare; with the tail resolved, the last level gives
+    # the residual coset of the last level but one a single letter, so only
+    # the levels above those two keep an undecided cell
+    for tail, top in [(False, chain.depth), (True, chain.depth - 2)]:
+        x = regular_table(chain, ("a", "b"), resolve_tail=tail)
+        for N in range(top + 1):
+            assert rarest_class_sizes(x, N) == [1] * N
+            assert verify_skeleton(x, N).separation_ok
+    assert rotations == []
+
+
+@pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
+def test_skeleton_checks_compare_at_most_the_rarest_class_less_one_shift_per_level(rotations, chain):
+    e = (0,) * chain.rank
+    q = chain.scale(2)
+    tables = [
+        regular_table(chain, ("a", "b")),
+        psi_path(Fraction(1, 3), chain).table,
+        Periodic(chain, 0, {e: "a"}, Alphabet(("a",))),
+        Periodic(chain, 2, {f: "ab"[f[-1] % 2] for f in chain.domain(2)}, Alphabet(("a", "b"))),
+        Periodic(chain, 2, {f: "ab"[f[0] >= q // 2] for f in chain.domain(2)}, Alphabet(("a", "b"))),
+        ToeplitzTable(chain, ((1, e, "a"),), Alphabet(("a",))),
+    ]
+    for x in tables:
+        for N in range(chain.depth + 1):
+            del rotations[:]
+            report = verify_skeleton(x, N)
+            # a level's labels are nested rows of length q_n, one length per level
+            for n, size in enumerate(rarest_class_sizes(x, N), start=1):
+                assert sum(len(a) == chain.scale(n) for a, _, _ in rotations) <= size - 1
+            assert all(len(a) in chain.scales[:N] for a, _, _ in rotations)
+            # a shift is reported only once a compare has confirmed it
+            assert {g for _, g in report.separation_failures} <= {g for _, _, g in rotations}
+    # every shift of every level fixes the constant word
+    report = verify_skeleton(tables[2], chain.depth)
+    assert report.separation_failures == tuple(
+        (n, g) for n in range(1, chain.depth + 1) for g in chain.domain(n)[1:]
+    )

@@ -135,6 +135,54 @@ def test_toeplitz_nested_agreeing_assignments_allowed():
     assert evaluate(table, 2) == "a"
 
 
+# tables whose reps are given as (True,), (0.0,), [1], a bare 1 and (5,) at
+# level 1 (outside F_1), with what the reduction of every rep through
+# coset_rep stores for them: the assignments, the descriptor's triples and
+# the period array, "." for Unknown
+SQUARE = make_chain(2, [2, 4, 8])
+GIVEN_REPS = [
+    (
+        ToeplitzTable(CHAIN, ((1, (True,), "1"), (2, (0.0,), "0"), (3, [4], "0"), (2, 1, "1"), (1, (5,), "1")), BINARY),
+        "((1, (1,), '1'), (2, (0,), '0'), (2, (1,), '1'), (3, (4,), '0'))",
+        [[1, "1", "1"], [2, "0", "0"], [2, "1", "1"], [3, "4", "0"]],
+        "01.101.1",
+    ),
+    (
+        ToeplitzTable(CHAIN, ((1, (5,), "1"), (3, 1, "1"), (3, (2.0,), "0"), (2, [False], "0")), BINARY),
+        "((1, (1,), '1'), (2, (0,), '0'), (3, (1,), '1'), (3, (2,), '0'))",
+        [[1, "1", "1"], [2, "0", "0"], [3, "1", "1"], [3, "2", "0"]],
+        "010101.1",
+    ),
+    (
+        ToeplitzTable(
+            SQUARE,
+            ((1, (True, 0), "1"), (2, (0.0, 1.0), "0"), (2, [2, 3], "0"), (1, (5, 4), "1"), (3, (5, 6), "1")),
+            BINARY,
+        ),
+        "((1, (1, 0), '1'), (2, (0, 1), '0'), (2, (2, 3), '0'), (3, (5, 6), '1'))",
+        [[1, "1,0", "1"], [2, "0,1", "0"], [2, "2,3", "0"], [3, "5,6", "1"]],
+        ".0...0..1.1.1.1....0...01.1.1.1..0...0..1.1.1.1....0...01.1.1.1.",
+    ),
+    (
+        ToeplitzTable(SQUARE, ((1, (5, 2), "0"), (2, (True, True), "1"), (2, [1, 3], "1"), (3, (0.0, 7), "0")), BINARY),
+        "((1, (1, 0), '0'), (2, (1, 1), '1'), (2, (1, 3), '1'), (3, (0, 7), '0'))",
+        [[1, "1,0", "0"], [2, "1,1", "1"], [2, "1,3", "1"], [3, "0,7", "0"]],
+        ".......001010101........0.0.0.0.........01010101........0.0.0.0.",
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(GIVEN_REPS)))
+def test_table_reps_are_stored_as_int_tuple_cells(case):
+    # a rep equal to a cell of its domain is stored as that cell, not as
+    # given, and every other rep as coset_rep reduces it
+    table, assignments, triples, cells = GIVEN_REPS[case]
+    assert repr(table.assignments) == assignments
+    assert all(type(c) is int for _, r, _ in table.assignments for c in r)
+    assert config_descriptor(table)["assignments"] == triples
+    assert "".join(a or "." for a in table._cells) == cells
+
+
 def test_oracle_outside_box_is_unknown():
     x = Oracle(1, (-4,), (4,), lambda g: "1" if g[0] % 2 == 0 else "0", BINARY, "parity")
     assert evaluate(x, 10) is None

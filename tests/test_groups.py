@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from amenshift.configs import CosetSet
+from amenshift.configs import BINARY, CosetSet, Periodic, ToeplitzTable
 from amenshift.errors import LevelOutOfRange, NonDividingScales
-from amenshift.groups import SubgroupChain, ball, box, make_chain, sub
+from amenshift.groups import SubgroupChain, aselem, ball, box, make_chain, sub
 from oracles import folner_invariance_ratio, in_subgroup, translate
 
 DYADIC = make_chain(1, [2, 4, 8])
@@ -91,6 +91,31 @@ def test_coset_rep_examples():
     assert DYADIC.coset_rep(-1, 1) == (1,)
     chain2 = make_chain(2, [4])
     assert chain2.coset_rep((5, 6), 1) == (1, 2)
+
+
+@pytest.mark.parametrize("g", [(0.5,), (2.7,), (Fraction(5, 2),), (1, 0.5)])
+def test_aselem_refuses_a_non_integral_coordinate(g):
+    with pytest.raises(ValueError, match="non-integral"):
+        aselem(g, len(g))
+
+
+def test_aselem_normalizes_integral_coordinates_to_ints():
+    for g, want in [((0.0,), (0,)), ((True,), (1,)), (3, (3,)), ([Fraction(4, 2), -1], (2, -1))]:
+        got = aselem(g, len(want))
+        assert got == want and all(type(c) is int for c in got)
+
+
+def test_non_integral_elements_are_refused_where_they_enter():
+    chain = make_chain(1, [2, 4, 8, 16])
+    word = {(0.5,): "0", (1,): "1", (2,): "1", (3,): "0"}
+    with pytest.raises(ValueError, match=r"\(0\.5,\)"):
+        Periodic(chain, 2, word, BINARY)
+    with pytest.raises(ValueError, match=r"\(2\.7,\)"):
+        ToeplitzTable(chain, ((1, (2.7,), "0"),), BINARY)
+    with pytest.raises(ValueError, match=r"\(0\.5,\)"):
+        CosetSet.make(chain, 1, [(0.5,)])
+    with pytest.raises(ValueError, match=r"\(2\.7,\)"):
+        chain.coset_rep((2.7,), 1)
 
 
 def test_coset_rep_level_out_of_range():

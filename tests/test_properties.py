@@ -34,6 +34,7 @@ from amenshift.toeplitz import (
     krieger_construct,
     psi_path,
     regular_table,
+    regularity_profile,
     toeplitz_from_table,
     toeplitz_interpolate,
     verify_skeleton,
@@ -407,6 +408,67 @@ def test_verify_skeleton_tells_a_diagonal_shift_from_its_mirror(level):
     )
     assert (level, (1, 1)) in report.separation_failures
     assert (level, (q - 1, 1)) not in report.separation_failures
+
+
+# words whose rarest label class is large, so the skeleton check confirms
+# many candidate shifts: stripes of period 2 and 3 along the first and the
+# last axis, diagonals and antidiagonals in rank 2, and two halves, whose
+# letters tie in count when q_level is even
+RARE_CLASS_LARGE = {
+    "stripes2": lambda f, q: "ab"[f[0] % 2],
+    "stripes3-last-axis": lambda f, q: "abc"[f[-1] % 3],
+    "halves": lambda f, q: "ab"[f[0] >= q // 2],
+    "diagonals2": lambda f, q: "ab"[(f[0] + f[-1]) % 2],
+    "antidiagonals3": lambda f, q: "abc"[(f[0] - f[-1]) % 3],
+}
+
+
+@pytest.mark.parametrize(
+    "chain, pattern",
+    [
+        pytest.param(chain, pattern, id=f"{pattern}-{name}")
+        for name, chain in [("CHAIN", CHAIN), ("CHAIN2", CHAIN2), ("CHAIN3", CHAIN3), ("SQUARE3", SQUARE3)]
+        for pattern in RARE_CLASS_LARGE
+        if chain.rank == 2 or "diagonals" not in pattern
+    ],
+)
+def test_verify_skeleton_matches_shifted_letter_sets_when_the_rarest_class_is_large(chain, pattern):
+    rule = RARE_CLASS_LARGE[pattern]
+    for level in range(1, chain.depth + 1):
+        q = chain.scale(level)
+        x = Periodic(chain, level, {f: rule(f, q) for f in chain.domain(level)}, LETTERS)
+        report = verify_skeleton(x, chain.depth)
+        assert (report.nonempty, report.coverage, report.separation_failures) == (
+            shifted_letter_set_report(x, chain.depth, lambda g: evaluate(x, g))
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_regularity_profile_is_each_levels_per_set_density(data):
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3, SQUARE3]))
+    x = data.draw(tables(chain).filter(lambda t: not t.fully_resolved()))
+    N = data.draw(st.integers(0, chain.depth))
+    profile = regularity_profile(x, N)
+    assert profile.levels == tuple(range(1, N + 1))
+    assert profile.densities == tuple(per_set(x, n).density() for n in range(1, N + 1))
+
+
+@pytest.mark.parametrize("chain", [CHAIN, CHAIN2, CHAIN3, SQUARE3], ids=["CHAIN", "CHAIN2", "CHAIN3", "SQUARE3"])
+def test_level_zero_checks_no_level_and_covers_as_per_set_at_zero(chain):
+    e = identity(chain.rank)
+    for x in (
+        regular_table(chain, ("a", "b")),
+        regular_table(chain, ("a", "b"), resolve_tail=False),
+        Periodic(chain, 0, {e: "a"}, LETTERS),
+        Periodic(chain, 1, {f: "ab"[f == e] for f in chain.domain(1)}, LETTERS),
+        ToeplitzTable(chain, (), LETTERS),
+    ):
+        report = verify_skeleton(x, 0)
+        assert (report.depth, report.nonempty, report.separation_failures) == (0, (), ())
+        assert report.coverage == per_set(x, 0).density()
+        profile = regularity_profile(x, 0)
+        assert (profile.levels, profile.densities, profile.regular) == ((), (), False)
 
 
 @settings(max_examples=40, deadline=None)
