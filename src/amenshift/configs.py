@@ -29,7 +29,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InconsistentCylinders, InexactVariant, UnknownMembership
-from .groups import Element, SubgroupChain, add, aselem, sub
+from .groups import Element, SubgroupChain, add, aselem, identity, sub
 
 Letter = str
 
@@ -128,7 +128,7 @@ class _CosetTable:
     def _lift(self, level: int) -> tuple[Letter | None, ...]:
         """The period array on F_level, row-major: ``_cells`` extended
         cyclically when level > max_level, cut down when it is smaller."""
-        return _tile(self._cells, self._period, self.chain.scale(level), self.rank)
+        return _window(self._cells, self._period, self.chain.scale(level), identity(self.rank))
 
     def lookup(self, g) -> Letter | None:
         """Letter at g, or None."""
@@ -165,65 +165,41 @@ def _index(g: Element, q: int) -> int:
     return i
 
 
-def _tile(cells: tuple, Q: int, q: int, rank: int) -> tuple:
-    """The row-major array over [0, q)^rank of g ↦ cells[g mod Q], for the
-    row-major array ``cells`` over [0, Q)^rank: each row repeated or cut to
-    length q, and the rows so, nested."""
-    if q == Q:
-        return cells
-    if rank == 1:
-        # q // Q is 0 when q < Q: the cut is the slice alone
-        return cells * (q // Q) + cells[: q % Q]
-    step = Q ** (rank - 1)
-    rows = [_tile(cells[i * step : (i + 1) * step], Q, q, rank - 1) for i in range(min(Q, q))]
-    return tuple(concat.from_iterable(rows[i % Q] for i in range(q)))
+def _cycle(line: Sequence, c: int, Q: int, q: int, i: int = 0) -> Sequence:
+    """k ↦ line[i + (k + c) mod Q] for k in [0, q): the run of Q cells of
+    ``line`` at i rotated by c, then repeated or cut to length q, by slices."""
+    c %= Q
+    line = line[i + c : i + Q] + line[i : i + c]
+    return line if q == Q else line * (q // Q) + line[: q % Q]  # q // Q is 0 when q < Q
 
 
-def _groups(cells: Sequence, Q: int, rank: int, split: Callable[[Sequence], list]) -> list[tuple]:
-    """The cells of the row-major array ``cells`` over [0, Q)^rank grouped
-    along every axis by ``split``, which maps a line (of cells, or of rows)
-    to its groups in order; each group row-major, the groups in row-major
-    order.  Residues mod q (strided slices) give the classes of H_q, chunks
-    of q the tiles of F_q."""
-    if rank == 1:
-        return split(cells)
-    step = Q ** (rank - 1)
-    rows = [_groups(cells[i * step : (i + 1) * step], Q, rank - 1, split) for i in range(Q)]
-    return [tuple(concat.from_iterable(t)) for group in split(rows) for t in zip(*group)]
+def _rows(cells: Sequence, Q: int, q: int, g: Element) -> Iterable[Sequence]:
+    """The window f ↦ cells[(f + g) mod Q] over [0, q)^d of the row-major
+    array ``cells`` over [0, Q)^d, for g of rank d, as its rows along the
+    last axis in row-major order.  Each row is one cyclic read of a row of
+    ``cells`` (:func:`_cycle`), and so is each outer axis's list of row
+    starts.  In rank 1 the window is one row, returned in a list; in rank d
+    the rows come lazily, so a compare can stop at the first unequal row."""
+    *outer, s = g
+    if not outer:
+        return [_cycle(cells, s, Q, q)]
+    starts: Sequence[int] = ()
+    for axis, c in enumerate(outer, 1):
+        stride = Q ** (len(g) - axis)  # the cells between the rows at f and f + e_axis
+        line = _cycle(tuple(range(0, Q * stride, stride)), c, Q, q)
+        starts = line if axis == 1 else [a + b for a in starts for b in line]
+    return (_cycle(cells, s, Q, q, i) for i in starts)
 
 
-def _nest(cells: Sequence, q: int, rank: int) -> tuple:
-    """The row-major array ``cells`` over [0, q)^rank as nested tuples, one
-    level per axis: a tuple of rows in rank 2."""
-    if rank == 1:
-        return tuple(cells)
-    step = len(cells) // q
-    return tuple(_nest(cells[i * step : (i + 1) * step], q, rank - 1) for i in range(q))
-
-
-def _rotation_equals(a: tuple, b: tuple, g: Element) -> bool:
-    """Whether a[f + g] == b[f] for every f, cyclically, for nested arrays a
-    and b (see :func:`_nest`): in rank 1 one slice-concatenation and one
-    compare, in rank d the rows rotated by g_0 and each compared with b's
-    row by the rest of g, stopping at the first row that differs."""
-    g0, rest = g[0], g[1:]
-    if not rest:
-        return a[g0:] + a[:g0] == b
-    return all(map(partial(_rotation_equals, g=rest), a[g0:] + a[:g0], b))
-
-
-def _rotate(cells: Sequence, q: int, g: Element) -> Sequence:
-    """The row-major array f ↦ cells[(f + g) mod q] over [0, q)^d, for the
-    row-major array ``cells`` over it and g of rank d: in rank 1 one
-    slice-concatenation, in rank d the rows rotated by g_0, then each row by
-    the rest of g."""
-    step = len(cells) // q
-    cut = g[0] % q * step
-    cells = cells[cut:] + cells[:cut]
+def _window(cells: Sequence, Q: int, q: int, g: Element) -> Sequence:
+    """The window of :func:`_rows` as one row-major array: in rank 1 the one
+    row, read by slices; ``cells`` itself for q = Q and g = 0; the rows
+    joined otherwise."""
     if len(g) == 1:
+        return _cycle(cells, g[0], Q, q)
+    if q == Q and not any(g):
         return cells
-    rows = (cells[i : i + step] for i in range(0, len(cells), step))
-    return list(concat.from_iterable(_rotate(row, q, g[1:]) for row in rows))
+    return tuple(concat.from_iterable(_rows(cells, Q, q, g)))
 
 
 @dataclass(frozen=True)
@@ -420,12 +396,14 @@ class _BoxScan:
     order: |bbox(S) + bbox(T)| calls, not |S|·|T|, so a sparse shape in a
     wide box pays for the whole box.  A set in canonical box order is read
     as a box: a box shape's windows are joined row slices, and two boxes
-    count windows by separable prefix sums (Crow's summed-area table).  Any
-    other set is read as offsets into ``values``, in its own order, repeats
-    kept.  A shape and translates of different ranks raise ValueError before
-    any cell is read.  Exact period scans of a fully resolved pair come here
-    only for a box shape; any other shape rotates the pair's disagreement
-    array instead (``metrics._period_scan``).  The configurations
+    count windows by separable prefix sums (Crow's summed-area table), one
+    :func:`_along` pass of sliding sums per axis.  Any other set is read as
+    offsets into ``values``, in its own order, repeats kept.  A shape and
+    translates of different ranks raise ValueError before any cell is read.
+    Exact period scans of a fully resolved pair come here only for a box
+    shape; any other shape sums windows of the pair's disagreement array at
+    its cells' offsets (:func:`_window`, ``metrics._period_scan``) instead.
+    The configurations
     ``checked``, which the point function reads unchecked, are checked once,
     at shape[0] + translates[0] (see :func:`_check_cell`), the corner of a
     box pair."""
@@ -443,14 +421,10 @@ class _BoxScan:
     def window_sums(self, cells: list) -> list[int]:
         """Σ cells over each window of the row-major array ``cells`` over the
         union box: one sliding pass per axis for two boxes, else one sum each."""
-        (_, s_sides, _, s_box), (_, t_sides, _, t_box) = self.shape, self.translates
+        (_, s_sides, _, s_box), (*_, t_box) = self.shape, self.translates
         if not (s_box and t_box):
             return list(map(sum, self.windows(cells)))
-        sides = self.sides
-        for axis, width in enumerate(s_sides):
-            cells = _along(cells, sides, axis, partial(_sliding_sums, width))
-            sides = sides[:axis] + (t_sides[axis],) + sides[axis + 1 :]
-        return cells
+        return _along(cells, self.sides, [partial(_sliding_sums, width) for width in s_sides])
 
     def windows(self, cells: list) -> Iterator[tuple]:
         """Each window of the row-major array ``cells`` over the union box, in
@@ -483,15 +457,20 @@ def _offset(g: Element, sides: tuple[int, ...]) -> int:
     return i
 
 
-def _along(cells: list, sides: tuple[int, ...], axis: int, f: Callable[[list], list]) -> list:
-    """Apply f to every line along one axis of the row-major array ``cells``
-    over [0, sides); f maps the sides[axis] cells of a line to its output line."""
-    n, inner = sides[axis], prod(sides[axis + 1 :])
-    out: list = []
-    for start in range(0, len(cells), n * inner):
-        block = cells[start : start + n * inner]
-        out += concat.from_iterable(zip(*[f(block[r::inner]) for r in range(inner)]))
-    return out
+def _along(cells: Sequence, sides: tuple[int, ...], lines: Sequence[Callable[[Sequence], list]]) -> list:
+    """Apply lines[axis] to every line along each axis of the row-major array
+    ``cells`` over [0, sides) in turn, axis 0 first; lines[axis] maps the
+    cells of a line to its output line, whose length is the axis's new side."""
+    for axis, f in enumerate(lines):
+        n, inner = sides[axis], prod(sides[axis + 1 :])
+        out: list = []
+        for start in range(0, len(cells), n * inner):
+            stop = start + n * inner
+            outs = [f(cells[r:stop:inner]) for r in range(start, start + inner)]
+            out += outs[0] if inner == 1 else concat.from_iterable(zip(*outs))
+        sides = sides[:axis] + (len(out) * n // len(cells),) + sides[axis + 1 :]
+        cells = out
+    return cells
 
 
 def _sliding_sums(width: int, line: list) -> list[int]:
@@ -547,9 +526,16 @@ def _constant_cosets(x: Configuration, n: int) -> Sequence[Letter | None]:
 def _fold(labels: Sequence[Letter | None], Q: int, q: int, rank: int) -> list[Letter | None]:
     """The labels over [0, q)^rank, q | Q, of the row-major labelling
     ``labels`` over [0, Q)^rank: the letter a where every cell ≡ f mod q is
-    labelled a, None elsewhere (in rank 1 the class of r is labels[r::q])."""
-    classes = _groups(labels, Q, rank, lambda line: [line[r::q] for r in range(q)])
-    return [c[0] if c.count(c[0]) == len(c) else None for c in classes]
+    labelled a, None elsewhere.  The class of f is the product of its
+    residue classes along the axes, so the fold runs axis by axis, the class
+    of r in a line being line[r::q]."""
+    k = Q // q
+
+    def fold(line: Sequence) -> list:
+        # the class of r holds k cells, line[r] first
+        return [a if line[r::q].count(a) == k else None for r, a in enumerate(line[:q])]
+
+    return _along(labels, (Q,) * rank, [fold] * rank)
 
 
 def _level_labels(x: Configuration, N: int) -> list[Sequence[Letter | None]]:

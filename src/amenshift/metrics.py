@@ -24,8 +24,7 @@ from .configs import (
     _differs,
     _index,
     _rank,
-    _rotate,
-    _tile,
+    _window,
     require_known,
 )
 from .densities import IntervalEstimate, banach_density_windowed
@@ -92,10 +91,11 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
     Σ_{f∈F} D[(f + g) mod q_p] is periodic in g, so the sup over the group is
     the max over g ∈ F_p.  A box F in canonical order takes the kernel over
     the union box bbox(F) + F_p, whose prefix sums cost about that many
-    cells; any other F is |F| rotations of D, summed cell by cell (|F|·|F_p|
-    additions, which the kernel's per-window sums cost as well).  Neither
-    reads a configuration cell, so neither checks one: a shape of another
-    rank is refused before any rotation or scan.
+    cells; any other F sums the |F| windows g ↦ D[(f + g) mod q_p], f ∈ F,
+    cell by cell (``configs._window`` with q = Q: |F|·|F_p| additions, which
+    the kernel's per-window sums cost as well).  Neither reads a
+    configuration cell, so neither checks one: a shape of another rank is
+    refused before any window or scan.
     """
     if (pair := _coset_pair(x, z)) is None or None in pair[1]:
         return None
@@ -109,7 +109,7 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
         cells = [aselem(f, _rank(F[0])) for f in F]
         if len(cells[0]) != chain.rank:
             raise ValueError(f"shape of rank {len(cells[0])} and translates of rank {chain.rank}")
-        return max(map(sum, zip(*(_rotate(D, q, f) for f in cells))))
+        return max(map(sum, zip(*(_window(D, q, q, f) for f in cells))))
 
     return sup
 
@@ -187,7 +187,7 @@ def besicovitch_estimate(
     values = tuple(map(_differs(x, z), chain.domain(n_hi)))
     averages = []
     for n in levels:
-        cut = _tile(values, chain.scale(n_hi), chain.scale(n), chain.rank)
+        cut = _window(values, chain.scale(n_hi), chain.scale(n), identity(chain.rank))
         if None in cut:
             require_known(None, chain.domain(n)[cut.index(None)])
         averages.append(Fraction(cut.count(True), len(cut)))

@@ -19,6 +19,7 @@ D_m(s) ⊆ D_m(t) at every level.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,12 +31,10 @@ from .configs import (
     Periodic,
     ToeplitzTable,
     _exact_chain,
-    _groups,
     _index,
     _level_labels,
-    _nest,
-    _rotation_equals,
-    _tile,
+    _rows,
+    _window,
     per_set_letter,
 )
 from .entropy import EntropyEstimate, estimate_from_count
@@ -81,11 +80,14 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     read from F_N's.  A shift fixes every Per_{H_n}(·, a) iff it preserves
     the labelling f ↦ letter (None off the periodic part), so it maps the
     rarest label class C onto itself: only the |C| - 1 shifts of
-    :func:`_fixing_candidates` are compared, each with an early exit at the
-    first unequal row, rather than every g ∈ F_n \\ {0}.  The cost is about
-    one labelling of F_N and, per level, one count of its labels and at
-    most |C| - 1 compares: none where an undecided coset is a class of its
-    own, all |F_n| - 1 for a constant labelling.
+    :func:`_fixing_candidates` are compared, rather than every
+    g ∈ F_n \\ {0}, each as the rows of the labels' window at offset g
+    (``configs._rows``) against their rows, stopping at the first unequal
+    row.  The cost is about one labelling of F_N and, per level, one count
+    of its labels and at most |C| - 1 compares: none where an undecided
+    coset is a class of its own, and none for a labelling of one class (a
+    constant word, or a level all Unknown), whose every shift fixes it and
+    is recorded unchecked.
     """
     chain = _exact_chain(x)
     chain._check_level(N)
@@ -93,12 +95,14 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     nonempty = []
     failures: list[tuple[int, Element]] = []
     for n in range(1, N + 1):
-        label = labels[n]
+        label, q = labels[n], chain.scale(n)
         nonempty.append(label.count(None) < len(label))
-        shifts = _fixing_candidates(label, chain.domain(n), chain.scale(n))
-        if shifts:
-            label = _nest(label, chain.scale(n), chain.rank)
-            failures.extend((n, g) for g in shifts if _rotation_equals(label, label, g))
+        shifts = _fixing_candidates(label, chain.domain(n), q)
+        # all |F_n| - 1 candidates: the labelling is one class, fixed by every shift
+        if 0 < len(shifts) < len(label) - 1:
+            rows = [label[i : i + q] for i in range(0, len(label), q)]
+            shifts = [g for g in shifts if all(map(operator.eq, _rows(label, q, q, g), rows))]
+        failures += [(n, g) for g in shifts]
     coverage = Fraction(len(labels[N]) - labels[N].count(None), len(labels[N]))
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
 
@@ -341,9 +345,12 @@ class BuilderStage:
     Round n reserves G_n (``claimed``, quota r_n = ⌊(1-γ)|F_{k_n}|/2^n⌋) as
     cosets of H_{k_n}, then realizes every letter pattern on the free part
     S_n of F_{k_n} inside F_{k_{n+1}} by planting it on a fresh tiling
-    translate.  ``window_count`` is the re-scanned number of distinct
-    complete windows of shape F_{k_n}, the exact certificate
-    window_count ≥ |𝒜|^{|S_n|} ≥ |𝒜|^{γ|F_{k_n}|}.
+    translate.  ``window_count`` is the number of distinct complete windows
+    of shape F_{k_n} at those translates, |𝒜|^{|S_n|}, read off the
+    construction rather than scanned: every tile carries the same claims,
+    and the planted patterns are distinct and differ from F_{k_n}'s own.
+    It is the exact certificate window_count ≥ |𝒜|^{γ|F_{k_n}|}, and the
+    tests count the windows of the built table by brute force.
     """
 
     index: int
@@ -457,31 +464,24 @@ def krieger_construct(
                 p for p in itertools.product(letters, repeat=s_n) if p != existing
             ]
             assert len(patterns) == needed_fresh <= len(fresh_translates)
-            # the built block on F_{k_next}, row-major: the claimed cosets'
-            # letters, the cells of F_{k_n} on its free cells, and each
-            # pattern on the free cells of a fresh tile v + F_{k_n}, where the
-            # free cell f of the tile sits at offset(v) + offset(f)
+            # each pattern goes on the free cells of a fresh tile v + F_{k_n}
+            # of F_{k_next}, where the free cell f of the tile sits at
+            # offset(v) + offset(f); the claims tile up to F_{k_next}
             dom_next, Q = chain.domain(k_next), chain.scale(k_next)
-            claims = list(_tile(claims, chain.scale(k_n), Q, rank))
-            block = list(claims)
+            claims = list(_window(claims, chain.scale(k_n), Q, identity(rank)))
             offsets = [_index(f, Q) for f in free]
-            for o, a in zip(offsets, existing):
-                block[o] = a
             for v, pattern in zip(fresh_translates, patterns):
                 base = _index(v, Q)
                 for o, letter in zip(offsets, pattern):
                     cell = dom_next[base + o]
                     assert cell not in cells, "planting would overwrite a defined cell"
-                    cells[cell] = block[base + o] = letter
+                    cells[cell] = letter
             planted = len(patterns)
-
-            # the windows at the translates are the tiles of F_{k_next}:
-            # chunks of q_{k_n} along every axis
-            q = chain.scale(k_n)
-            chunks = lambda line: [line[v : v + q] for v in range(0, Q, q)]
-            windows = {w for w in _groups(tuple(block), Q, rank, chunks) if None not in w}
-            window_count = len(windows)
-            assert window_count >= want_patterns
+            # every tile carries the same claims, and the planted patterns are
+            # distinct and differ from F_{k_n}'s own: the complete windows at
+            # the translates are those patterns, plus F_{k_n}'s when it is
+            # complete, so they number want_patterns
+            window_count = want_patterns
 
         records.append(
             BuilderStage(

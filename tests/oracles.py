@@ -206,6 +206,27 @@ def period_table_oracle(x, level) -> dict:
     return table
 
 
+def krieger_window_count_oracle(result, n) -> int:
+    """The distinct complete windows of shape F_{k_n} at the translates
+    H_{k_n} ∩ F_{k_{n+1}} of the built configuration, stage n planting: the
+    skeleton's letter where it has one, else ``result.cells``'s, else
+    Unknown.  One lookup per cell of every window; where both give a letter
+    they must agree."""
+    st, chain = result.stages[n], result.chain
+
+    def letter(g):
+        a, b = result.skeleton.lookup(g), result.cells.get(g)
+        assert a is None or b is None or a == b, f"skeleton and cells disagree at {g}"
+        return b if a is None else a
+
+    windows = set()
+    for v in chain.subgroup_in_domain(st.level, st.next_level):
+        window = tuple(letter(add(f, v)) for f in chain.domain(st.level))
+        if None not in window:
+            windows.add(window)
+    return len(windows)
+
+
 # --- window scans: the lazy walk the union-box kernel replaced -----------------
 
 

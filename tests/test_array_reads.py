@@ -1,11 +1,14 @@
 """The exact coset paths read the period array whole: none of them reads a
 cell through ``_CosetTable._at``, ``lookup`` or ``evaluate``.  Each reader
 is replaced by a counting wrapper, so a return to the per-cell walk fails
-here; the skeleton check's rotation compares are counted the same way.
+here; the skeleton check's row reads of a shifted window are counted the
+same way.
 Nothing is timed."""
 
+import ast
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,21 +134,22 @@ def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
 
 @pytest.fixture
 def rotations(monkeypatch):
-    """The list of (a, b, g) of every ``_rotation_equals`` call made while it is live."""
+    """The list of (Q, q, g) of every ``_rows`` read made while it is live."""
     calls = []
-    compare = configs._rotation_equals
+    read = configs._rows
 
-    def counting(a, b, g):
-        calls.append((a, b, g))
-        return compare(a, b, g)
+    def counting(cells, Q, q, g):
+        calls.append((Q, q, g))
+        return read(cells, Q, q, g)
 
-    # every module that imported it compares through its own binding;
-    # configs' binding is left alone, so the rows of one compare are not counted
+    # every module that imported it reads through its own binding; configs'
+    # binding is left alone, so the reads behind a lifted or cut array are
+    # not counted
     for name, module in sys.modules.items():
         if module is configs:
             continue
-        if name.startswith("amenshift") and getattr(module, "_rotation_equals", None) is compare:
-            monkeypatch.setattr(module, "_rotation_equals", counting)
+        if name.startswith("amenshift") and getattr(module, "_rows", None) is read:
+            monkeypatch.setattr(module, "_rows", counting)
     return calls
 
 
@@ -191,14 +195,62 @@ def test_skeleton_checks_compare_at_most_the_rarest_class_less_one_shift_per_lev
         for N in range(chain.depth + 1):
             del rotations[:]
             report = verify_skeleton(x, N)
-            # a level's labels are nested rows of length q_n, one length per level
-            for n, size in enumerate(rarest_class_sizes(x, N), start=1):
-                assert sum(len(a) == chain.scale(n) for a, _, _ in rotations) <= size - 1
-            assert all(len(a) in chain.scales[:N] for a, _, _ in rotations)
-            # a shift is reported only once a compare has confirmed it
-            assert {g for _, g in report.separation_failures} <= {g for _, _, g in rotations}
+            # a level's compares read its labels at their own side q_n
+            assert all(Q == q in chain.scales[:N] for Q, q, _ in rotations)
+            sizes = rarest_class_sizes(x, N)
+            for n, size in enumerate(sizes, start=1):
+                compared = [g for _, q, g in rotations if q == chain.scale(n)]
+                assert len(compared) <= size - 1
+                # a shift is reported only once a compare has confirmed it,
+                # or unchecked when the level's labelling is one class
+                reported = {g for m, g in report.separation_failures if m == n}
+                if size < chain.domain_size(n):
+                    assert reported <= set(compared)
+                else:
+                    assert compared == [] and reported == set(chain.domain(n)[1:])
     # every shift of every level fixes the constant word
     report = verify_skeleton(tables[2], chain.depth)
     assert report.separation_failures == tuple(
         (n, g) for n in range(1, chain.depth + 1) for g in chain.domain(n)[1:]
     )
+
+
+def test_a_constant_word_records_every_shift_without_a_compare(rotations):
+    # a labelling of one class is fixed by every shift: 3 + 15 + 63 shifts
+    # reported, none compared
+    chain = make_chain(2, [2, 4, 8])
+    word = Periodic(chain, 1, dict.fromkeys(chain.domain(1), "a"), Alphabet(("a",)))
+    report = verify_skeleton(word, 3)
+    assert rotations == []
+    assert len(report.separation_failures) == 3 + 15 + 63
+    assert report.separation_failures == tuple((n, g) for n in (1, 2, 3) for g in chain.domain(n)[1:])
+    assert report.nonempty == (True,) * 3 and report.coverage == 1
+
+
+def self_referring_functions(source: str) -> list[str]:
+    """The module-level functions of ``source`` whose body names the function
+    itself: a direct call, or the function passed on, e.g. to ``partial``."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            inner = (n for stmt in node.body for n in ast.walk(stmt))
+            if any(isinstance(n, ast.Name) and n.id == node.name for n in inner):
+                names.append(node.name)
+    return names
+
+
+def test_configs_array_readers_do_not_recurse_on_rank():
+    # every period-array reader in configs walks the axes in a loop
+    source = Path(configs.__file__).read_text(encoding="utf-8")
+    assert self_referring_functions(source) == []
+
+
+def test_the_recursion_check_sees_a_function_calling_itself():
+    source = (
+        "from functools import partial\n"
+        "def a(n):\n    return a(n - 1) if n else 0\n"
+        "def b(xs, g):\n    return list(map(partial(b, g=g), xs))\n"
+        "def c(n):\n    return n\n"
+        "class K:\n    def a(self):\n        return a(1)\n"
+    )
+    assert self_referring_functions(source) == ["a", "b"]

@@ -651,9 +651,10 @@ def test_empty_shapes_read_no_cell():
 
 @pytest.fixture
 def period_paths(monkeypatch):
-    """The list of the paths ("box" or "rotate") period scans take while it is live."""
+    """The list of the paths ("box" or "rotate") period scans take while it is
+    live: the kernel, or a window of the period array at an offset."""
     taken = []
-    for name, path in [("box", "_BoxScan"), ("rotate", "_rotate")]:
+    for name, path in [("box", "_BoxScan"), ("rotate", "_window")]:
         real = getattr(metrics, path)
         monkeypatch.setattr(metrics, path, lambda *a, name=name, real=real: taken.append(name) or real(*a))
     return taken

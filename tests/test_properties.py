@@ -1,6 +1,7 @@
 """Property tests for the structural invariants that hold for *every* input,
 not just the worked examples."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,10 @@ from hypothesis import given, settings, strategies as st
 from amenshift.configs import (
     BINARY,
     _differs,
+    _fold,
+    _index,
+    _rows,
+    _window,
     Alphabet,
     CosetSet,
     Periodic,
@@ -27,7 +32,7 @@ from amenshift.densities import (
 )
 from amenshift.entropy import pattern_set
 from amenshift.errors import InconsistentCylinders
-from amenshift.groups import identity, make_chain, sub
+from amenshift.groups import add, identity, make_chain, sub
 from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
 from amenshift.metrics import besicovitch_estimate, delta_star_exact, dstar_distance, weyl_upper_bound
 from amenshift.toeplitz import (
@@ -528,6 +533,52 @@ def test_per_sets_match_the_period_table_oracle(data):
         assert per_set(x, n).reps == {f for f, a in want.items() if a is not None}
         for a in x.alphabet.letters:
             assert per_set_letter(x, n, a).reps == {f for f, b in want.items() if b == a}
+
+
+def row_major_array(data, rank, side):
+    """A drawn row-major array over [0, side)^rank of letters and None, as a
+    tuple or a list (the library reads both)."""
+    n = side**rank
+    cells = data.draw(st.lists(st.sampled_from(["a", "b", None]), min_size=n, max_size=n))
+    return tuple(cells) if data.draw(st.booleans()) else cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_offset_reader_matches_the_cell_by_cell_read(data):
+    # the window f ↦ cells[(f + g) mod Q] over [0, q)^d: q | Q and Q | q,
+    # offsets negative or past Q
+    rank = data.draw(st.integers(1, 3))
+    sides = [(1, 1), (3, 3), (4, 2), (2, 4), (4, 1), (1, 3)] + [(3, 6), (6, 3)] * (rank < 3)
+    Q, q = data.draw(st.sampled_from(sides))
+    cells = row_major_array(data, rank, Q)
+    g = tuple(data.draw(st.integers(-3 * Q, 3 * Q)) for _ in range(rank))
+    want = tuple(cells[_index(add(f, g), Q)] for f in itertools.product(range(q), repeat=rank))
+    assert tuple(_window(cells, Q, q, g)) == want
+    rows = list(_rows(cells, Q, q, g))
+    assert len(rows) == q ** (rank - 1) and all(len(row) == q for row in rows)
+    assert tuple(itertools.chain.from_iterable(rows)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_axis_fold_matches_the_residue_classes(data):
+    # f ∈ [0, q)^d is labelled a iff every cell h ∈ [0, Q)^d with h ≡ f mod q is
+    rank = data.draw(st.integers(1, 3))
+    q = data.draw(st.integers(1, 3))
+    Q = q * data.draw(st.integers(1, 4 if rank < 3 else 2))
+    labels = row_major_array(data, rank, Q)
+    if data.draw(st.booleans()):  # mostly one letter, so some classes agree
+        labels = type(labels)(a if a is None else "a" for a in labels)
+    want = []
+    for f in itertools.product(range(q), repeat=rank):
+        cls = [
+            labels[_index(h, Q)]
+            for h in itertools.product(range(Q), repeat=rank)
+            if all((a - b) % q == 0 for a, b in zip(h, f))
+        ]
+        want.append(cls[0] if cls.count(cls[0]) == len(cls) else None)
+    assert _fold(labels, Q, q, rank) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,7 +30,7 @@ from amenshift.toeplitz import (
     toeplitz_interpolate,
     verify_skeleton,
 )
-from oracles import in_subgroup, psi_d_density_at, psi_e_repset, psi_side_oracle
+from oracles import in_subgroup, krieger_window_count_oracle, psi_d_density_at, psi_e_repset, psi_side_oracle
 
 CHAIN8 = make_chain(1, [2, 4, 8, 16, 32, 64, 128, 256])
 CHAIN4 = make_chain(1, [2, 4, 8, 16])
@@ -454,9 +454,32 @@ def test_krieger_three_stages_on_deep_chain():
     assert result.entropy_at(2).value >= 0.5 * math.log(2)
 
 
+@pytest.mark.parametrize(
+    "rank, scales, letters, stages",
+    [
+        (1, [2**k for k in range(1, 13)], ("0", "1"), 3),
+        (1, [2**k for k in range(1, 13)], ("a", "b", "c"), 2),
+        (1, [3, 6, 12, 24, 48], ("0", "1"), 2),
+        (2, [2, 4, 8, 16], ("0", "1"), 2),
+        (2, [2, 4, 8, 16, 32], ("a", "b", "c"), 2),
+    ],
+    ids=["rank1-2", "rank1-3", "rank1-3adic", "rank2-2", "rank2-3"],
+)
+def test_krieger_window_counts_hold_in_the_built_table(rank, scales, letters, stages):
+    # the builder reads its certificate off the construction; a brute-force
+    # count of the complete windows of the skeleton plus the planted cells
+    # finds at least that many at every planting stage
+    result = krieger_construct(Fraction(1, 2), make_chain(rank, scales), Alphabet(letters), stages)
+    planting = [st for st in result.stages if st.next_level is not None]
+    assert len(planting) == stages
+    for st in planting:
+        assert st.window_count == len(letters) ** st.free_cells
+        assert krieger_window_count_oracle(result, st.index) >= st.window_count
+
+
 def test_verify_skeleton_of_a_constant_word_records_every_shift():
     # every nonidentity shift fixes the one Per set at each level n ≤ 11:
-    # Σ_n (2^n - 1) = 4083 failures, one rotation compare each
+    # Σ_n (2^n - 1) = 4083 failures, recorded without a compare
     chain = make_chain(1, [2**k for k in range(1, 12)])
     x = Periodic(chain, 0, {(0,): "a"}, AB)
     report = verify_skeleton(x, 11)
