@@ -107,7 +107,8 @@ class _CosetTable:
     """The coset table of Periodic and ToeplitzTable: the distinct (level, rep,
     letter) triples ``_assigned``, coarsest first, the period array ``_cells`` on
     F_max_level, row-major, None where Unknown, and ``_period`` = q_max_level, set
-    from Periodic's word or by ToeplitzTable's ``_fill``; read on F_level by ``_lift``."""
+    from Periodic's word or by ToeplitzTable's ``_fill``; read on F_level by ``_lift``
+    and on any box by ``_read``."""
 
     _assigned: tuple[tuple[int, Element, Letter], ...]
     _cells: tuple[Letter | None, ...]
@@ -125,10 +126,15 @@ class _CosetTable:
         """Letter at g, or None, for g of the chain's rank (unchecked)."""
         return self._cells[_index(g, self._period)]
 
+    def _read(self, lo, sides: tuple[int, ...]) -> Sequence[Letter | None]:
+        """The letters on lo + [0, sides), row-major, None where Unknown: one
+        cyclic window of the period array, after evaluate's check of lo."""
+        return _window(self._cells, self._period, sides, aselem(lo, self.rank))
+
     def _lift(self, level: int) -> tuple[Letter | None, ...]:
         """The period array on F_level, row-major: ``_cells`` extended
         cyclically when level > max_level, cut down when it is smaller."""
-        return _window(self._cells, self._period, self.chain.scale(level), identity(self.rank))
+        return _window(self._cells, self._period, (self.chain.scale(level),) * self.rank, identity(self.rank))
 
     def lookup(self, g) -> Letter | None:
         """Letter at g, or None."""
@@ -173,33 +179,32 @@ def _cycle(line: Sequence, c: int, Q: int, q: int, i: int = 0) -> Sequence:
     return line if q == Q else line * (q // Q) + line[: q % Q]  # q // Q is 0 when q < Q
 
 
-def _rows(cells: Sequence, Q: int, q: int, g: Element) -> Iterable[Sequence]:
-    """The window f ↦ cells[(f + g) mod Q] over [0, q)^d of the row-major
-    array ``cells`` over [0, Q)^d, for g of rank d, as its rows along the
-    last axis in row-major order.  Each row is one cyclic read of a row of
-    ``cells`` (:func:`_cycle`), and so is each outer axis's list of row
-    starts.  In rank 1 the window is one row, returned in a list; in rank d
-    the rows come lazily, so a compare can stop at the first unequal row."""
+def _rows(cells: Sequence, Q: int, sides: tuple[int, ...], g: Element) -> Iterable[Sequence]:
+    """The window f ↦ cells[(f + g) mod Q] over [0, sides) of the row-major
+    array ``cells`` over [0, Q)^d, g and sides of rank d, as its rows along
+    the last axis in row-major order, each one cyclic read (:func:`_cycle`),
+    as is each outer axis's list of row starts.  In rank 1 the window is one
+    row, in a list; in rank d the rows come lazily, so a compare can stop early."""
     *outer, s = g
     if not outer:
-        return [_cycle(cells, s, Q, q)]
+        return [_cycle(cells, s, Q, sides[0])]
     starts: Sequence[int] = ()
-    for axis, c in enumerate(outer, 1):
+    for axis, (c, n) in enumerate(zip(outer, sides), 1):
         stride = Q ** (len(g) - axis)  # the cells between the rows at f and f + e_axis
-        line = _cycle(tuple(range(0, Q * stride, stride)), c, Q, q)
+        line = _cycle(tuple(range(0, Q * stride, stride)), c, Q, n)
         starts = line if axis == 1 else [a + b for a in starts for b in line]
-    return (_cycle(cells, s, Q, q, i) for i in starts)
+    return (_cycle(cells, s, Q, sides[-1], i) for i in starts)
 
 
-def _window(cells: Sequence, Q: int, q: int, g: Element) -> Sequence:
+def _window(cells: Sequence, Q: int, sides: tuple[int, ...], g: Element) -> Sequence:
     """The window of :func:`_rows` as one row-major array: in rank 1 the one
-    row, read by slices; ``cells`` itself for q = Q and g = 0; the rows
-    joined otherwise."""
+    row, read by slices; ``cells`` itself for sides [0, Q)^d and g = 0; the
+    rows joined otherwise."""
     if len(g) == 1:
-        return _cycle(cells, g[0], Q, q)
-    if q == Q and not any(g):
+        return _cycle(cells, g[0], Q, sides[0])
+    if not any(g) and all(n == Q for n in sides):
         return cells
-    return tuple(concat.from_iterable(_rows(cells, Q, q, g)))
+    return tuple(concat.from_iterable(_rows(cells, Q, sides, g)))
 
 
 @dataclass(frozen=True)
@@ -325,6 +330,10 @@ class Oracle:
             return self.rule(g)
         return None
 
+    def _read(self, lo, sides: tuple[int, ...]) -> list[Letter | None]:
+        """``_at`` over lo + [0, sides), row-major, after evaluate's check of lo."""
+        return _points(self._at)(aselem(lo, self.rank), sides)
+
 
 Configuration = Periodic | ToeplitzTable | Oracle
 
@@ -332,27 +341,26 @@ Configuration = Periodic | ToeplitzTable | Oracle
 def evaluate(x: Configuration, g) -> Letter | None:
     """Point evaluation; returns None (Unknown) where x is undetermined.
 
-    The one checked entry: g is normalized to x's rank (a bare int in rank
-    1), ValueError otherwise, before x's unchecked reader ``_at`` sees it.
+    g is normalized to x's rank (a bare int in rank 1), ValueError
+    otherwise, before x's unchecked reader ``_at`` sees it; a box read
+    ``x._read(lo, sides)`` makes the same check of its corner lo.
     """
     if not isinstance(x, (_CosetTable, Oracle)):
         raise TypeError(f"not a configuration: {x!r}")
     return x._at(aselem(g, x.rank))
 
 
-def _check_cell(g: Element, *xs: Configuration) -> None:
-    """evaluate's checks at g for each x in turn.  A scan whose cells all
-    share g's length makes them once, at its first cell, and reads every
-    cell through ``_at``: a mismatch raises what the per-cell check would."""
-    for x in xs:
-        evaluate(x, g)
+def _points(point: Callable[[Element], object]) -> Callable[[Element, tuple[int, ...]], list]:
+    """The box reader of a point function: one call per cell of lo + [0, sides), row-major."""
+    return lambda lo, sides: list(map(point, product(*(range(c, c + n) for c, n in zip(lo, sides)))))
 
 
 def _set_cells(S: Sequence, *xs: Configuration) -> Sequence[Element]:
     """The cells of S as a window scan frames them (see :func:`_frame`), to
-    read through each x's ``_at`` after one check at S[0] (:func:`_check_cell`)."""
+    read through each x's ``_at`` after evaluate's check at S[0]."""
     if S:
-        _check_cell(S[0], *xs)
+        for x in xs:
+            evaluate(x, S[0])
     return _frame(S)[2]
 
 
@@ -391,32 +399,23 @@ def _frame(S: Sequence) -> tuple[Element, tuple[int, ...], Sequence[Element], bo
 class _BoxScan:
     """The window-scan kernel: the windows shape + t, t over the translates
     in their order, for any finite nonempty shape and translate set.  The
-    point function is called once per cell of the union box bbox(shape) +
-    bbox(translates), row-major, and ``values`` keeps the results in that
-    order: |bbox(S) + bbox(T)| calls, not |S|·|T|, so a sparse shape in a
-    wide box pays for the whole box.  A set in canonical box order is read
-    as a box: a box shape's windows are joined row slices, and two boxes
-    count windows by separable prefix sums (Crow's summed-area table), one
-    :func:`_along` pass of sliding sums per axis.  Any other set is read as
-    offsets into ``values``, in its own order, repeats kept.  A shape and
-    translates of different ranks raise ValueError before any cell is read.
-    Exact period scans of a fully resolved pair come here only for a box
-    shape; any other shape sums windows of the pair's disagreement array at
-    its cells' offsets (:func:`_window`, ``metrics._period_scan``) instead.
-    The configurations
-    ``checked``, which the point function reads unchecked, are checked once,
-    at shape[0] + translates[0] (see :func:`_check_cell`), the corner of a
-    box pair."""
+    box reader ``read`` (a configuration's ``_read``, or :func:`_points`) is
+    called once, on the union box bbox(shape) + bbox(translates), and
+    ``values`` keeps its cells, row-major: a sparse shape in a wide box pays
+    for the whole box.  A set in canonical box order is read as a box: a box
+    shape's windows are joined row slices, and two boxes count windows by
+    separable prefix sums (Crow's summed-area table), one :func:`_along`
+    pass of sliding sums per axis.  Any other set is read as offsets into
+    ``values``, in its own order, repeats kept.  A shape and translates of
+    different ranks raise ValueError before the read."""
 
-    def __init__(self, point: Callable, shape: Sequence, translates: Sequence, *checked: Configuration):
+    def __init__(self, read: Callable, shape: Sequence, translates: Sequence):
         self.shape, self.translates = _frame(shape), _frame(translates)
-        (s_lo, s_sides, S, _), (t_lo, t_sides, T, _) = self.shape, self.translates
+        (s_lo, s_sides, *_), (t_lo, t_sides, *_) = self.shape, self.translates
         if len(s_lo) != len(t_lo):
             raise ValueError(f"shape of rank {len(s_lo)} and translates of rank {len(t_lo)}")
         self.sides = tuple(s + t - 1 for s, t in zip(s_sides, t_sides))
-        _check_cell(add(S[0], T[0]), *checked)
-        cells = product(*(range(c, c + n) for c, n in zip(add(s_lo, t_lo), self.sides)))
-        self.values = list(map(point, cells))
+        self.values = read(add(s_lo, t_lo), self.sides)
 
     def window_sums(self, cells: list) -> list[int]:
         """Σ cells over each window of the row-major array ``cells`` over the
@@ -588,14 +587,13 @@ def _coset_pair(x: Configuration, z: Configuration) -> tuple[int, list[bool | No
     return None
 
 
-def _differs(x: Configuration, z: Configuration) -> Callable[[Element], bool | None]:
-    """The point function g ↦ [x_g ≠ z_g], None where either side is Unknown,
-    read through ``_at``, for a scan that checks both sides once (:func:`_check_cell`)."""
-    at_x, at_z = x._at, z._at
+def _differs(x: Configuration, z: Configuration) -> Callable[[Element, tuple[int, ...]], list[bool | None]]:
+    """The box reader of [x_g ≠ z_g], None where either side is Unknown: one
+    ``_read`` of each side, zipped."""
 
-    def differs(g):
-        a, b = at_x(g), at_z(g)
-        return None if a is None or b is None else a != b
+    def differs(lo, sides):
+        pairs = zip(x._read(lo, sides), z._read(lo, sides))
+        return [None if a is None or b is None else a != b for a, b in pairs]
 
     return differs
 
@@ -784,7 +782,10 @@ def _oracle_rule(rule: str) -> Callable[[int], Oracle]:
     if rule == "champernowne_binary":
         return champernowne_binary
     if rule.startswith("block_alternating(") and rule.endswith(")"):
-        eps = Fraction(rule[len("block_alternating(") : -1])
+        try:
+            eps = Fraction(rule[len("block_alternating(") : -1])
+        except ZeroDivisionError:
+            raise ValueError(f"oracle rule {rule!r} has a zero denominator") from None
         return lambda radius: block_alternating(eps, radius)
     raise ValueError(f"unknown oracle rule {rule!r}")
 

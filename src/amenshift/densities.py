@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .configs import Configuration, CosetSet, _BoxScan
+from .configs import CosetSet, _BoxScan, _points
 from .groups import Element, SubgroupChain, ball
 
 MembershipPredicate = Callable[[Element], "bool | None"]
@@ -77,7 +77,6 @@ def banach_density_windowed(
     chain: SubgroupChain,
     n: int,
     radius: int,
-    *checked: Configuration,
 ) -> IntervalEstimate:
     """Windowed proxy for D*_{F_n}: max over translates g in ball(radius).
 
@@ -87,11 +86,15 @@ def banach_density_windowed(
 
     member is called once per cell of the union box F_n + ball(radius), in
     row-major order; the window counts come from prefix sums over those
-    values.  The configurations ``checked``, which member reads unchecked
-    (through ``_at``), pass evaluate's checks at the box's first cell first.
+    values.
     """
+    return _windowed(_points(member), chain, n, radius)
+
+
+def _windowed(read: Callable, chain: SubgroupChain, n: int, radius: int) -> IntervalEstimate:
+    """banach_density_windowed of the memberships ``read`` gives on a box (``configs._BoxScan``)."""
     F = chain.domain(n)
-    scan = _BoxScan(member, F, ball(chain.rank, radius), *checked)
+    scan = _BoxScan(read, F, ball(chain.rank, radius))
     lower = max(scan.window_sums(list(map(bool, scan.values))))
     upper = max(scan.window_sums([v is None or bool(v) for v in scan.values]))
     return IntervalEstimate(

@@ -81,7 +81,8 @@ def pattern_set(
 
     Periodic (fully resolved) configurations are scanned over one full
     period, giving the complete pattern set; otherwise translates range over
-    ball(radius) and the count is a certified lower bound only.
+    ball(radius) and the count is a certified lower bound only.  Either way
+    x is read once, on the union box of the windows (``x._read``).
     """
     ch = _resolve_chain(x, chain)
     exact = x.chain is not None and x.fully_resolved()
@@ -93,8 +94,7 @@ def pattern_set(
         raise ValueError("non-periodic configuration: supply a window radius")
     else:
         translates = ball(x.rank, radius)
-    # ch has x's rank (_resolve_chain checks an oracle's), so x is read unchecked
-    scan = _BoxScan(x._at, ch.domain(n), translates)
+    scan = _BoxScan(x._read, ch.domain(n), translates)
     scan.check_known()
     return PatternSet(n, frozenset(scan.windows(scan.values)), exact, None if exact else radius)
 

@@ -37,7 +37,7 @@ from .configs import (
     geometric_box_lengths,
     per_set,
 )
-from .densities import IntervalEstimate, banach_density_exact, banach_density_windowed
+from .densities import IntervalEstimate, _windowed, banach_density_exact
 from .entropy import entropy_estimate
 from .errors import SpecError
 from .groups import SubgroupChain, box, make_chain
@@ -337,12 +337,10 @@ def _run_density(spec: ExperimentSpec) -> list[dict]:
     level = spec.param("level")
     radius = spec.param("window", chain.scale(level))
 
-    def member(g):
-        v = x._at(g)
-        return None if v is None else v == letter
+    def read(lo, sides):
+        return [None if v is None else v == letter for v in x._read(lo, sides)]
 
-    est = banach_density_windowed(member, chain, level, radius, x)
-    return [interval_item(est)]
+    return [interval_item(_windowed(read, chain, level, radius))]
 
 
 def _run_distance(spec: ExperimentSpec) -> list[dict]:
@@ -402,13 +400,15 @@ def _run_omega(spec: ExperimentSpec) -> list[dict]:
     chain = spec.resolve_chain()
     [x] = _configs(spec, chain, "omega needs a configuration")
     levels = _level_range(spec)
+    # the boxes are built as the trace reads them, so it stops at the first
+    # Unknown cell before building a larger box
     if spec.param("boxes") == "chain":
-        sets = [chain.domain(n) for n in levels]
+        sets = (chain.domain(n) for n in levels)
     elif spec.param("boxes") == "linear":
-        sets = [box(1, n + 1) for n in levels]
+        sets = (box(1, n + 1) for n in levels)
     else:
         lengths = geometric_box_lengths(spec.param("eps"), max(levels))
-        sets = [box(1, lengths[n]) for n in levels]
+        sets = (box(1, lengths[n]) for n in levels)
     profile = omega_profile(x, sets)
     items = []
     for i, n in enumerate(levels):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby, product
 from math import lcm
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .configs import Configuration, _BoxScan, _set_cells, require_known
 from .groups import FiniteSubset
@@ -86,7 +86,7 @@ def empirical_measure(
     elif not shape:
         atoms = [()] * len(F)  # every window of the empty shape is the empty pattern
     else:
-        scan = _BoxScan(x._at, shape, F, x)
+        scan = _BoxScan(x._read, shape, F)
         scan.check_known()
         atoms = scan.windows(scan.values)
     return EmpiricalMeasure.from_counts(Counter(atoms))
@@ -238,21 +238,22 @@ class OmegaProfile:
     step_bounds: tuple[Fraction, ...]
 
 
-def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfile:
+def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfile:
     """Emp(x, F) along the given sets plus consecutive D_P (= TV) and their nesting bounds.
 
-    A set holding every cell of the previous one (and no cell twice) adds
+    The sets are read one at a time, in order, so a lazy iterable stops at
+    the first set holding an Unknown cell before the next one is built.  A
+    set holding every cell of the previous one (and no cell twice) adds
     only its new shell to the running letter counts, walking F in its own
     order; any other set starts a fresh count.  Cells counted before were
     known, so Unknown raises at the cell ``empirical_measure(x, F)`` names.
     """
-    if len(sets) < 1:
-        raise ValueError("need at least one set")
-    measures = []
+    sizes, measures = [], []
     counts, counted = Counter(), set()
     for F in sets:
         if not F:
             raise ValueError("F must be nonempty")
+        sizes.append(len(F))
         F = _set_cells(F, x)
         cells = set(F)
         if counted is None or len(cells) < len(F) or not counted <= cells:
@@ -261,6 +262,8 @@ def omega_profile(x: Configuration, sets: Sequence[FiniteSubset]) -> OmegaProfil
         measures.append(EmpiricalMeasure.from_counts(counts))
         # counts over a set with repeated cells are not a base for the next set
         counted = cells if len(cells) == len(F) else None
+    if not sizes:
+        raise ValueError("need at least one set")
     steps = tuple(total_variation(mn, mp) for mp, mn in zip(measures, measures[1:]))
-    bounds = tuple(Fraction(len(nxt) - len(prev), len(nxt)) for prev, nxt in zip(sets, sets[1:]))
-    return OmegaProfile(tuple(len(F) for F in sets), tuple(measures), steps, bounds)
+    bounds = tuple(Fraction(nxt - prev, nxt) for prev, nxt in zip(sizes, sizes[1:]))
+    return OmegaProfile(tuple(sizes), tuple(measures), steps, bounds)

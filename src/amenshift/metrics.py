@@ -19,15 +19,13 @@ from .configs import (
     Configuration,
     _BoxScan,
     _box,
-    _check_cell,
     _coset_pair,
     _differs,
-    _index,
     _rank,
     _window,
     require_known,
 )
-from .densities import IntervalEstimate, banach_density_windowed
+from .densities import IntervalEstimate, _windowed
 from .errors import NotAKCover
 from .groups import FiniteSubset, SubgroupChain, aselem, ball, identity
 
@@ -69,17 +67,18 @@ def dstar_distance(
     chain = chain or x.chain or z.chain
     if chain is None:
         raise ValueError("two boxed oracles: supply the chain for the window shape")
-    value = banach_density_windowed(_differs(x, z), chain, n, radius, x, z)
+    value = _windowed(_differs(x, z), chain, n, radius)
     return PseudometricReport(value, "window-bracket")
 
 
-def _delta_sup(F: FiniteSubset, point, translates, *checked: Configuration) -> int:
-    """max over the translates g of Σ_{f∈F} point(f + g), 0 for an empty F, by
-    one window scan (:class:`_BoxScan`) that checks ``checked`` once; Unknown
-    raises at the first Unknown cell, in F's order, of the first window holding one."""
+def _delta_sup(F: FiniteSubset, read, translates) -> int:
+    """max over the translates g of Σ_{f∈F} of the values the box reader
+    ``read`` gives at f + g, 0 for an empty F, by one window scan
+    (:class:`_BoxScan`); Unknown raises at the first Unknown cell, in F's
+    order, of the first window holding one."""
     if not F:
         return 0
-    scan = _BoxScan(point, F, translates, *checked)
+    scan = _BoxScan(read, F, translates)
     scan.check_known()
     return max(scan.window_sums(scan.values))
 
@@ -90,10 +89,10 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
 
     Σ_{f∈F} D[(f + g) mod q_p] is periodic in g, so the sup over the group is
     the max over g ∈ F_p.  A box F in canonical order takes the kernel over
-    the union box bbox(F) + F_p, whose prefix sums cost about that many
-    cells; any other F sums the |F| windows g ↦ D[(f + g) mod q_p], f ∈ F,
-    cell by cell (``configs._window`` with q = Q: |F|·|F_p| additions, which
-    the kernel's per-window sums cost as well).  Neither reads a
+    the union box bbox(F) + F_p, one window of D, whose prefix sums cost
+    about that many cells; any other F sums the |F| windows g ↦ D[(f + g)
+    mod q_p], f ∈ F, cell by cell (``configs._window`` over F_p: |F|·|F_p|
+    additions, which the kernel's per-window sums cost as well).  Neither reads a
     configuration cell, so neither checks one: a shape of another rank is
     refused before any window or scan.
     """
@@ -101,15 +100,14 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
         return None
     p, D = pair
     chain, q = x.chain, x.chain.scale(p)
-    point = lambda g: D[_index(g, q)]
 
     def sup(F: FiniteSubset) -> int:
         if not F or _box(F):
-            return _delta_sup(F, point, chain.domain(p))
+            return _delta_sup(F, lambda lo, sides: _window(D, q, sides, lo), chain.domain(p))
         cells = [aselem(f, _rank(F[0])) for f in F]
         if len(cells[0]) != chain.rank:
             raise ValueError(f"shape of rank {len(cells[0])} and translates of rank {chain.rank}")
-        return max(map(sum, zip(*(_window(D, q, q, f) for f in cells))))
+        return max(map(sum, zip(*(_window(D, q, (q,) * chain.rank, f) for f in cells))))
 
     return sup
 
@@ -151,7 +149,7 @@ def weyl_upper_bound(
     """Window proxy for H(F)/|F| with H(F) = Δ*_F, plus the exact value when periodic."""
     if not F:
         raise ValueError("F must be nonempty")
-    proxy_num = _delta_sup(F, _differs(x, z), ball(_rank(F[0]), radius), x, z)
+    proxy_num = _delta_sup(F, _differs(x, z), ball(_rank(F[0]), radius))
     sup = _period_scan(x, z)
     exact = None if sup is None else Fraction(sup(F), len(F))
     return WeylBound(Fraction(proxy_num, len(F)), exact)
@@ -182,12 +180,11 @@ def besicovitch_estimate(
     if not 0 <= n_lo <= n_hi <= chain.depth:
         raise ValueError("bad level range")
     levels = tuple(range(n_lo, n_hi + 1))
-    # F_{n_hi} starts at the identity; both sides are checked there once
-    _check_cell(identity(chain.rank), x, z)
-    values = tuple(map(_differs(x, z), chain.domain(n_hi)))
+    e, q = identity(chain.rank), chain.scale(n_hi)
+    values = _differs(x, z)(e, (q,) * chain.rank)
     averages = []
     for n in levels:
-        cut = _window(values, chain.scale(n_hi), chain.scale(n), identity(chain.rank))
+        cut = _window(values, q, (chain.scale(n),) * chain.rank, e)
         if None in cut:
             require_known(None, chain.domain(n)[cut.index(None)])
         averages.append(Fraction(cut.count(True), len(cut)))
@@ -219,8 +216,8 @@ def shearer_values(
     validate_k_cover(F, cover, k)
     # one full period of translates is exact; otherwise the shared window
     if (sup := _period_scan(x, z)) is None:
-        point, window = _differs(x, z), ball(x.rank, radius)
-        sup = lambda K: _delta_sup(K, point, window, x, z)
+        read, window = _differs(x, z), ball(x.rank, radius)
+        sup = lambda K: _delta_sup(K, read, window)
     hf = Fraction(sup(F))
     hks = [Fraction(sup(tuple(K))) for K in cover]
     return hf, hks

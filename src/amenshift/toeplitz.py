@@ -100,8 +100,8 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
         shifts = _fixing_candidates(label, chain.domain(n), q)
         # all |F_n| - 1 candidates: the labelling is one class, fixed by every shift
         if 0 < len(shifts) < len(label) - 1:
-            rows = [label[i : i + q] for i in range(0, len(label), q)]
-            shifts = [g for g in shifts if all(map(operator.eq, _rows(label, q, q, g), rows))]
+            rows, sides = [label[i : i + q] for i in range(0, len(label), q)], (q,) * chain.rank
+            shifts = [g for g in shifts if all(map(operator.eq, _rows(label, q, sides, g), rows))]
         failures += [(n, g) for g in shifts]
     coverage = Fraction(len(labels[N]) - labels[N].count(None), len(labels[N]))
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
@@ -468,7 +468,7 @@ def krieger_construct(
             # of F_{k_next}, where the free cell f of the tile sits at
             # offset(v) + offset(f); the claims tile up to F_{k_next}
             dom_next, Q = chain.domain(k_next), chain.scale(k_next)
-            claims = list(_window(claims, chain.scale(k_n), Q, identity(rank)))
+            claims = list(_window(claims, chain.scale(k_n), (Q,) * rank, identity(rank)))
             offsets = [_index(f, Q) for f in free]
             for v, pattern in zip(fresh_translates, patterns):
                 base = _index(v, Q)

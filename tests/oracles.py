@@ -13,7 +13,6 @@ from amenshift.configs import (
     ToeplitzTable,
     _coset_pair,
     _differs,
-    _set_cells,
     evaluate,
     per_set_letter,
     require_known,
@@ -325,5 +324,6 @@ def disagreement_set(x, z, window=None):
         raise ChainMismatch("coset tables use different chains")
     if window is None:
         raise ValueError("pair admits no exact disagreement set; supply a window")
-    cells, differs = _set_cells(window, x, z), _differs(x, z)
-    return SampledDisagreement(tuple(window), dict(zip(window, map(differs, cells))))
+    # each cell is a box of side 1, read on both sides
+    differs, cell = _differs(x, z), (1,) * x.rank
+    return SampledDisagreement(tuple(window), {g: differs(g, cell)[0] for g in window})

@@ -1,11 +1,13 @@
-"""The exact coset paths read the period array whole: none of them reads a
-cell through ``_CosetTable._at``, ``lookup`` or ``evaluate``.  Each reader
-is replaced by a counting wrapper, so a return to the per-cell walk fails
-here; the skeleton check's row reads of a shifted window are counted the
-same way.
+"""The exact coset paths read the period array whole, and window scans read
+a configuration's union box whole: none of them reads a coset table's cell
+through ``_CosetTable._at``, ``lookup`` or ``evaluate``.  Each reader is
+replaced by a counting wrapper, so a return to the per-cell walk fails here;
+box reads through ``_read`` and the skeleton check's row reads of a shifted
+window are counted the same way.
 Nothing is timed."""
 
 import ast
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -14,8 +16,20 @@ import pytest
 
 import amenshift
 from amenshift import configs
-from amenshift.configs import BINARY, Alphabet, Periodic, ToeplitzTable, per_set, per_set_letter
-from amenshift.groups import make_chain
+from amenshift.cli import main
+from amenshift.configs import (
+    BINARY,
+    Alphabet,
+    Oracle,
+    Periodic,
+    ToeplitzTable,
+    config_descriptor,
+    per_set,
+    per_set_letter,
+    shift,
+)
+from amenshift.entropy import pattern_set
+from amenshift.groups import add, make_chain
 from amenshift.measures import empirical_measure
 from amenshift.metrics import delta_star_exact, dstar_distance, shearer_values, weyl_upper_bound
 from amenshift.toeplitz import (
@@ -92,36 +106,81 @@ def test_krieger_builder_reads_no_single_cell(cell_reads):
     assert cell_reads == []
 
 
+@pytest.fixture
+def box_reads(monkeypatch):
+    """The list of (configuration, corner) of every box read made while it is live."""
+    reads = []
+    for cls in (configs._CosetTable, configs.Oracle):
+
+        def counting(x, lo, sides, read=cls._read):
+            reads.append((x, lo))
+            return read(x, lo, sides)
+
+        monkeypatch.setattr(cls, "_read", counting)
+    return reads
+
+
+def corner(K):
+    """The corner of K's bounding box."""
+    return tuple(map(min, zip(*K)))
+
+
 @pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
-def test_scans_of_sets_that_are_not_boxes_check_only_their_first_cell(cell_reads, chain):
+def test_a_scan_reads_each_configuration_once(box_reads, cell_reads, chain):
     # Shearer covers, a Weyl F and pattern translates that are not boxes go
-    # through the one window scan: a windowed scan checks each side once
-    # through evaluate, at its first cell S[0] + T[0], and _at reads every
-    # cell; a scan of a periodic pair's disagreement array checks nothing
+    # through the one window scan: it reads each side once, through _read,
+    # on the union box bbox(K) + bbox(translates), from that box's corner; a
+    # scan of a periodic pair's disagreement array reads no configuration
     resolved = regular_table(chain, ("a", "b"))
     # fully resolved too, but on another chain: the pair scans a window
     other = regular_table(make_chain(chain.rank, [3, 9]), ("b", "a"))
     dom = chain.domain(2)
     F, cover = dom[:0:-1], [dom[::2], dom[1::2], dom[:1]]
-    below = lambda g: tuple(c - 1 for c in g)  # g + (-1, ..., -1), the ball's first cell
+    below = lambda K: tuple(c - 1 for c in corner(K))  # plus the ball's corner (-1, ..., -1)
 
-    def checks(run):
-        del cell_reads[:]
+    def reads(run):
+        del box_reads[:]
         run()
-        return [g for name, g in cell_reads if name == "evaluate"]
+        return box_reads[:]
 
-    firsts = [K[0] for K in [F, *cover]]
-    # the periodic pair scans one period of translates of its disagreement
-    # array, which reads no configuration cell
-    assert checks(lambda: shearer_values(resolved, resolved, F, cover, 1)) == []
-    assert checks(lambda: shearer_values(other, resolved, F, cover, 1, 1)) == [
-        below(g) for g in firsts for _ in "xz"
+    assert reads(lambda: shearer_values(resolved, resolved, F, cover, 1)) == []
+    assert reads(lambda: shearer_values(other, resolved, F, cover, 1, 1)) == [
+        (y, below(K)) for K in [F, *cover] for y in (other, resolved)
     ]
     # only the window proxy reads the pair
-    assert checks(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == [below(F[0])] * 2
-    assert checks(lambda: empirical_measure(resolved, F)) == [F[0]]
-    assert checks(lambda: empirical_measure(resolved, F, dom[:2])) == [F[0]]
-    assert len(cell_reads) > 1  # the pattern scan read its cells through _at
+    assert reads(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == [(resolved, below(F))] * 2
+    shape = dom[:2]
+    assert reads(lambda: empirical_measure(resolved, F, shape)) == [(resolved, add(corner(shape), corner(F)))]
+    assert cell_reads == []
+    # the letter walk of a measure checks x at F[0] and reads each cell through _at
+    assert reads(lambda: empirical_measure(resolved, F)) == []
+    assert [g for name, g in cell_reads if name == "evaluate"] == [F[0]]
+    assert [g for name, g in cell_reads if name == "_at"] == [F[0], *F]  # evaluate's, then the walk's
+
+
+@pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
+def test_windowed_scans_read_no_single_table_cell(cell_reads, capsys, chain):
+    d, q = chain.rank, chain.scale(chain.depth)
+    table = regular_table(chain, ("0", "1"))
+    unresolved = regular_table(chain, ("0", "1"), resolve_tail=False)
+    # its one Unknown cell in F_depth moved from q - 1 to q/2 - 1 on each
+    # axis, outside the pattern windows below
+    moved = shift((q // 2,) * d, unresolved)
+    other = regular_table(make_chain(d, [3, 9]), ("1", "0"))
+    oracle = Oracle(d, (-40,) * d, (40,) * d, lambda g: "01"[sum(g) % 3 == 0], BINARY)
+    dom = chain.domain(2)
+    F, cover = dom[:0:-1], [dom[::2], dom[1::2], dom[:1]]
+    dstar_distance(table, oracle, 2, 3, chain)
+    dstar_distance(oracle, unresolved, 2, 3, chain)
+    weyl_upper_bound(table, other, F, 2)
+    shearer_values(other, table, F, cover, 1, 2)
+    assert not pattern_set(moved, 1, 1).exact
+    empirical_measure(moved, dom[:2], chain.domain(1))
+    scales = ",".join(map(str, chain.scales))
+    desc = json.dumps(config_descriptor(unresolved))
+    assert main(["density", "--rank", str(d), "--scales", scales, "--config", desc, "--letter", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["items"]
+    assert cell_reads == []
 
 
 def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
@@ -134,13 +193,13 @@ def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
 
 @pytest.fixture
 def rotations(monkeypatch):
-    """The list of (Q, q, g) of every ``_rows`` read made while it is live."""
+    """The list of (Q, sides, g) of every ``_rows`` read made while it is live."""
     calls = []
     read = configs._rows
 
-    def counting(cells, Q, q, g):
-        calls.append((Q, q, g))
-        return read(cells, Q, q, g)
+    def counting(cells, Q, sides, g):
+        calls.append((Q, sides, g))
+        return read(cells, Q, sides, g)
 
     # every module that imported it reads through its own binding; configs'
     # binding is left alone, so the reads behind a lifted or cut array are
@@ -196,10 +255,10 @@ def test_skeleton_checks_compare_at_most_the_rarest_class_less_one_shift_per_lev
             del rotations[:]
             report = verify_skeleton(x, N)
             # a level's compares read its labels at their own side q_n
-            assert all(Q == q in chain.scales[:N] for Q, q, _ in rotations)
+            assert all(sides == (Q,) * chain.rank and Q in chain.scales[:N] for Q, sides, _ in rotations)
             sizes = rarest_class_sizes(x, N)
             for n, size in enumerate(sizes, start=1):
-                compared = [g for _, q, g in rotations if q == chain.scale(n)]
+                compared = [g for Q, _, g in rotations if Q == chain.scale(n)]
                 assert len(compared) <= size - 1
                 # a shift is reported only once a compare has confirmed it,
                 # or unchecked when the level's labelling is one class

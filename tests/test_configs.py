@@ -449,6 +449,12 @@ def test_descriptor_refuses_oracles_it_cannot_rebuild():
         config_descriptor(custom)
 
 
+def test_descriptor_refuses_a_rule_with_a_zero_denominator():
+    desc = {"variant": "oracle", "box": 3, "rule": "block_alternating(1/0)"}
+    with pytest.raises(ValueError, match=re.escape("oracle rule 'block_alternating(1/0)' has a zero denominator")):
+        config_from_descriptor(desc, None)
+
+
 @pytest.mark.parametrize("name", ["champernowne_binary", "block_alternating(1/2)"])
 def test_descriptor_refuses_an_oracle_of_another_rank_than_its_rule(name):
     # the builtin rules are rank 1: a descriptor would rebuild a rank-1 oracle
@@ -596,8 +602,9 @@ CHAINS = st.sampled_from([CHAIN, CHAIN2])
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
-    # every scan reads x._at after one check; on cells of x's rank it must
-    # read what evaluate reads, Unknown cells included
+    # the letter walks of empirical measures and omega traces read x._at
+    # after one check; on cells of x's rank it must read what evaluate
+    # reads, Unknown cells included
     chain = data.draw(CHAINS)
     shifted = st.tuples(base_oracles(chain), elements(chain))
     x = data.draw(st.one_of(shifted, unresolved_tables(chain), resolved(chain)))
@@ -614,6 +621,48 @@ def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
         want = lambda g: table[tuple(c % q for c in g)]
     for g in rect(lo, tuple(c + side - 1 for c in lo)):
         assert x._at(g) == evaluate(x, g) == want(g)
+
+
+CHAIN3 = make_chain(3, [2, 4])
+
+
+def cubic_oracle(radius):
+    """An unshifted rank-3 oracle on [-radius, radius]^3."""
+    rule = lambda g: "1" if (g[0] + 2 * g[1] * g[2]) % 3 == 0 else "0"
+    return Oracle(3, (-radius,) * 3, (radius,) * 3, rule, BINARY, "cubic")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_box_reader_matches_evaluate_over_its_box(data):
+    # x._read(lo, sides) is evaluate over rect(lo, lo + sides - 1), row-major,
+    # Unknown cells included: ranks 1 to 3, negative corners, sides that are
+    # not a cube, below and above the period
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3]))
+    base = base_oracles(chain) if chain.rank < 3 else st.builds(cubic_oracle, st.integers(1, 3))
+    shifted = st.builds(shift, elements(chain), base)
+    x = data.draw(st.one_of(shifted, unresolved_tables(chain), resolved(chain)))
+    lo = data.draw(elements(chain, 12))
+    # up to twice the deepest period and more (9 > 2 · 4 in rank 3)
+    top = 2 * chain.scale(chain.depth) + 1
+    sides = tuple(data.draw(st.integers(1, top)) for _ in range(chain.rank))
+    hi = tuple(c + n - 1 for c, n in zip(lo, sides))
+    assert list(x._read(lo, sides)) == [evaluate(x, g) for g in rect(lo, hi)]
+
+
+def test_box_reader_checks_its_corner_before_reading_a_cell():
+    # a corner of the wrong rank raises what evaluate raises, and no cell is read
+    read = []
+    x = Oracle(1, (-4,), (4,), lambda g: read.append(g) or "0", BINARY)
+    message = r"^element \(0, 0\) has rank 2, expected 1$"
+    for y in (x, EVENS, regular_table(CHAIN, ("0", "1"), resolve_tail=False)):
+        with pytest.raises(ValueError, match=message):
+            evaluate(y, (0, 0))
+        with pytest.raises(ValueError, match=message):
+            y._read((0, 0), (2, 2))
+    assert read == []
+    # a bare int corner is normalized as evaluate normalizes a bare int
+    assert x._read(-2, (3,)) == [evaluate(x, g) for g in (-2, -1, 0)] and len(read) == 6
 
 
 def test_evaluate_is_the_checked_entry():
@@ -652,11 +701,28 @@ def test_empty_shapes_read_no_cell():
 @pytest.fixture
 def period_paths(monkeypatch):
     """The list of the paths ("box" or "rotate") period scans take while it is
-    live: the kernel, or a window of the period array at an offset."""
-    taken = []
-    for name, path in [("box", "_BoxScan"), ("rotate", "_window")]:
-        real = getattr(metrics, path)
-        monkeypatch.setattr(metrics, path, lambda *a, name=name, real=real: taken.append(name) or real(*a))
+    live: the kernel, or a window of the period array at an offset read
+    outside it."""
+    taken, scanning = [], []
+    real_scan, real_window = metrics._BoxScan, metrics._window
+
+    def scan(*args):
+        taken.append("box")
+        scanning.append(True)
+        try:
+            return real_scan(*args)
+        finally:
+            scanning.pop()
+
+    def window(*args):
+        # the kernel reads its union box as one window of the period array:
+        # that read is the kernel's, not a rotation
+        if not scanning:
+            taken.append("rotate")
+        return real_window(*args)
+
+    monkeypatch.setattr(metrics, "_BoxScan", scan)
+    monkeypatch.setattr(metrics, "_window", window)
     return taken
 
 
@@ -703,7 +769,7 @@ def test_pattern_measure_refuses_translates_of_another_rank():
         empirical_measure(champernowne_binary(40), ((0,), (1,)), ((0, 0),))
     read = []
     with pytest.raises(ValueError, match="rank"):
-        configs._BoxScan(read.append, ((0,), (1,)), ((0, 0),))
+        configs._BoxScan(lambda lo, sides: read.append(lo), ((0,), (1,)), ((0, 0),))
     assert read == []  # refused before any cell is read
 
 
@@ -880,10 +946,13 @@ def test_omega_profile_recounts_after_a_set_with_a_repeated_cell():
     x = regular_table(CHAIN, ("0", "1"))
     sets = [((0,), (1,), (1,)), ((0,), (1,), (2,)), ((0,), (1,), (2,), (3,))]
     assert omega_profile(x, sets).measures == tuple(empirical_measure(x, F) for F in sets)
+    # the sets may come one at a time
+    assert omega_profile(x, iter(sets)) == omega_profile(x, sets)
 
 
 # ---------------------------------------------------------------------------
-# cost guards: the union-box kernel calls its point function once per cell
+# cost guards: the union-box kernel reads its union box once, so a point
+# function read through _points is called once per cell
 # ---------------------------------------------------------------------------
 
 
@@ -913,7 +982,7 @@ def test_windowed_density_calls_member_once_per_union_cell(chain, n, radius):
     cover = F[1::3] + F[:1]
     for S, translates in [(cover, T), (F, T[::-1]), (F, T[:1] + T[3:]), (cover, T + T[:2]), (cover, T[::-2])]:
         calls.clear()
-        configs._BoxScan(member, S, translates)
+        configs._BoxScan(configs._points(member), S, translates)
         assert calls == bbox_sum(S, translates)
 
 

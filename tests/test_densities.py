@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,8 @@ def test_coset_set_refuses_bare_ints_that_make_normalizes():
     with pytest.raises(ValueError, match="fundamental domain"):
         CosetSet(chain, 2, [(4,)])
     assert CosetSet.make(chain, 2, [0, 3]).reps == {(0,), (3,)}
+
+
+def test_windowed_density_signature_binds_member_chain_n_radius():
+    # callers and tracing wrappers bind the arguments by these names
+    assert list(inspect.signature(banach_density_windowed).parameters) == ["member", "chain", "n", "radius"]

@@ -17,11 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import amenshift
-from amenshift import cli, suites
+from amenshift import cli, harness, suites
 from amenshift.cli import DEFAULT_SCALES, main
 from amenshift.configs import block_alternating, champernowne_binary
 from amenshift.errors import SpecError
-from amenshift.groups import make_chain
+from amenshift.groups import box, make_chain
 from amenshift.harness import (
     KINDS,
     PARAMS,
@@ -895,8 +895,9 @@ def test_cli_main_from_four_threads_writes_the_serial_bytes(monkeypatch, tmp_pat
     assert len(built) == 1
 
 
-# rank mismatches: each scan checks its configurations once, at its first
-# cell, and names that cell as the per-cell check named it
+# rank mismatches: a window scan reads each configuration once, checking the
+# corner of its union box, and a letter walk checks its first cell; either
+# names the cell as evaluate names it
 @pytest.mark.parametrize(
     "argv, cell",
     [
@@ -909,6 +910,31 @@ def test_cli_main_from_four_threads_writes_the_serial_bytes(monkeypatch, tmp_pat
 def test_cli_rank_mismatch_names_the_first_cell(capsys, argv, cell):
     assert main([*argv, "--rank", "2", "--scales", "2,4", "--config", CHAMP_DESC]) == 2
     assert capsys.readouterr().err == f"error: element {cell} has rank 2, expected 1\n"
+
+
+def test_cli_oracle_rule_with_a_zero_denominator_is_one_error_line(capsys):
+    desc = '{"variant":"oracle","box":3,"rule":"block_alternating(1/0)"}'
+    assert main(["density", "--config", desc]) == 2
+    assert capsys.readouterr() == ("", "error: oracle rule 'block_alternating(1/0)' has a zero denominator\n")
+
+
+def test_cli_omega_builds_each_box_only_when_the_trace_reads_it(monkeypatch, capsys):
+    # geometric boxes of 2^n cells up to n = 70: the trace stops at the first
+    # Unknown cell, (41,) in the box of 64 cells, before a larger box is built
+    built = []
+
+    def bounded_box(rank, side):
+        if side > 10**4:
+            raise AssertionError(f"a box of side {side} was built")
+        built.append(side)
+        return box(rank, side)
+
+    monkeypatch.setattr(harness, "box", bounded_box)
+    cfg = '{"variant":"oracle","box":40,"rule":"champernowne_binary"}'
+    argv = ["omega", "--config", cfg, "--boxes", "geometric", "--eps", "1/2", "--level-lo", "1", "--level-hi", "70"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: UnknownMembership: configuration is Unknown at (41,)\n")
+    assert built == [2, 4, 8, 16, 32, 64]
 
 
 # ---------------------------------------------------------------------------

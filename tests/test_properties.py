@@ -3,6 +3,7 @@ not just the worked examples."""
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from amenshift.configs import (
 )
 from amenshift.densities import (
     IntervalEstimate,
+    _windowed,
     banach_density_exact,
     banach_density_windowed,
 )
@@ -546,17 +548,22 @@ def row_major_array(data, rank, side):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_the_offset_reader_matches_the_cell_by_cell_read(data):
-    # the window f ↦ cells[(f + g) mod Q] over [0, q)^d: q | Q and Q | q,
-    # offsets negative or past Q
+    # the window f ↦ cells[(f + g) mod Q] over [0, sides): cubes and boxes
+    # that are not, sides dividing Q, multiples of it and neither, offsets
+    # negative or past Q
     rank = data.draw(st.integers(1, 3))
-    sides = [(1, 1), (3, 3), (4, 2), (2, 4), (4, 1), (1, 3)] + [(3, 6), (6, 3)] * (rank < 3)
-    Q, q = data.draw(st.sampled_from(sides))
+    Q = data.draw(st.sampled_from([1, 2, 3, 4] + [6] * (rank < 3)))
+    sides = tuple(data.draw(st.integers(1, 2 * Q if rank < 3 else Q + 1)) for _ in range(rank))
+    if data.draw(st.booleans()):
+        sides = (data.draw(st.sampled_from([1, Q, 2 * Q if rank < 3 else Q])),) * rank
     cells = row_major_array(data, rank, Q)
     g = tuple(data.draw(st.integers(-3 * Q, 3 * Q)) for _ in range(rank))
-    want = tuple(cells[_index(add(f, g), Q)] for f in itertools.product(range(q), repeat=rank))
-    assert tuple(_window(cells, Q, q, g)) == want
-    rows = list(_rows(cells, Q, q, g))
-    assert len(rows) == q ** (rank - 1) and all(len(row) == q for row in rows)
+    if data.draw(st.booleans()):
+        g = identity(rank)
+    want = tuple(cells[_index(add(f, g), Q)] for f in itertools.product(*map(range, sides)))
+    assert tuple(_window(cells, Q, sides, g)) == want
+    rows = list(_rows(cells, Q, sides, g))
+    assert len(rows) == prod(sides[:-1]) and all(len(row) == sides[-1] for row in rows)
     assert tuple(itertools.chain.from_iterable(rows)) == want
 
 
@@ -803,7 +810,7 @@ def test_windowed_dstar_collapses_to_exact_above_both_periods(data):
     n = data.draw(st.integers(max(1, x.max_level, z.max_level), chain.depth))
     radius = data.draw(st.integers(0, 3 if chain.rank == 1 else 1))
     # every translate of F_n is a union of whole periods of both sides
-    windowed = banach_density_windowed(_differs(x, z), chain, n, radius)
+    windowed = _windowed(_differs(x, z), chain, n, radius)
     exact = dstar_distance(x, z).value
     assert (windowed.lower, windowed.upper) == (exact.lower, exact.upper)
     if x.fully_resolved() and z.fully_resolved():
@@ -832,7 +839,7 @@ def test_windowed_dstar_brackets_exact_below_both_periods(chain, data):
         # a window of 2r + 1 >= q_p translates per axis meets every residue
         # mod q_p, so it sees the sup; a narrower one sees at most the sup
         for radius in (data.draw(st.integers(0, q // 2)), q // 2):
-            windowed = banach_density_windowed(_differs(x, z), chain, n, radius)
+            windowed = _windowed(_differs(x, z), chain, n, radius)
             # both sides are known everywhere, so the bracket is collapsed
             assert windowed.lower == windowed.upper <= exact
             if 2 * radius + 1 >= q:
@@ -869,7 +876,7 @@ def test_interval_estimates_are_sound_under_every_aggregate(data):
         exact = dstar_distance(x, z).value
         assert_sound(exact)
         assert exact.exact == (disagreement_set(x, z).unresolved.is_empty)
-        windowed = banach_density_windowed(_differs(x, z), chain, n, radius, x, z)
+        windowed = _windowed(_differs(x, z), chain, n, radius)
     else:
         windowed = dstar_distance(x, z, n, radius, chain).value
     assert_sound(windowed)
