@@ -74,13 +74,10 @@ from .toeplitz import (
     SkeletonReport,
     krieger_construct,
     meets_power_bound,
-    odometer_compatible,
-    odometer_phi,
     periodic_approximation,
     psi_path,
     regular_table,
     regularity_profile,
-    toeplitz_from_table,
     toeplitz_interpolate,
     verify_skeleton,
 )

@@ -84,10 +84,6 @@ class CosetSet:
     def make(cls, chain: SubgroupChain, level: int, reps) -> "CosetSet":
         return cls(chain, level, frozenset(aselem(r, chain.rank) for r in reps))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.reps
-
     def __contains__(self, g) -> bool:
         return self.chain.coset_rep(g, self.level) in self.reps
 
@@ -137,8 +133,8 @@ class _CosetTable:
         return _window(self._cells, self._period, (self.chain.scale(level),) * self.rank, identity(self.rank))
 
     def lookup(self, g) -> Letter | None:
-        """Letter at g, or None."""
-        return self._at(aselem(g, self.chain.rank))
+        """Letter at g, or None: :func:`evaluate`."""
+        return evaluate(self, g)
 
     def restrict(self, level: int, rep: Element) -> list[tuple[int, Element, Letter]]:
         """Assignments describing this table on the coset rep + H_level, rep in F_level.
@@ -355,15 +351,6 @@ def _points(point: Callable[[Element], object]) -> Callable[[Element, tuple[int,
     return lambda lo, sides: list(map(point, product(*(range(c, c + n) for c, n in zip(lo, sides)))))
 
 
-def _set_cells(S: Sequence, *xs: Configuration) -> Sequence[Element]:
-    """The cells of S as a window scan frames them (see :func:`_frame`), to
-    read through each x's ``_at`` after evaluate's check at S[0]."""
-    if S:
-        for x in xs:
-            evaluate(x, S[0])
-    return _frame(S)[2]
-
-
 def _rank(g) -> int:
     """The rank of the element g: a bare int is rank 1."""
     return 1 if isinstance(g, int) else len(g)
@@ -481,10 +468,11 @@ def _sliding_sums(width: int, line: list) -> list[int]:
 def shift(h, x: Configuration) -> Configuration:
     """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved.
 
-    An oracle's box moves by -h and its rule becomes g ↦ rule(g + h)."""
+    A periodic word is its period array's window at offset h, one box read;
+    an oracle's box moves by -h and its rule becomes g ↦ rule(g + h)."""
     if isinstance(x, Periodic):
-        h = aselem(h, x.rank)
-        return Periodic(x.chain, x.level, {f: x._at(add(f, h)) for f in x.word}, x.alphabet)
+        word = zip(x.chain.domain(x.level), x._read(h, (x._period,) * x.rank))
+        return Periodic(x.chain, x.level, dict(word), x.alphabet)
     if isinstance(x, ToeplitzTable):
         h = aselem(h, x.rank)
         # the table reduces each moved representative into its F_n
@@ -786,6 +774,8 @@ def _oracle_rule(rule: str) -> Callable[[int], Oracle]:
             eps = Fraction(rule[len("block_alternating(") : -1])
         except ZeroDivisionError:
             raise ValueError(f"oracle rule {rule!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"oracle rule {rule!r} needs a fraction, such as 1/2") from None
         return lambda radius: block_alternating(eps, radius)
     raise ValueError(f"unknown oracle rule {rule!r}")
 

@@ -18,7 +18,7 @@ from itertools import groupby, product
 from math import lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .configs import Configuration, _BoxScan, _set_cells, require_known
+from .configs import Configuration, _BoxScan, _frame, evaluate, require_known
 from .groups import FiniteSubset
 
 Atom = Hashable
@@ -75,15 +75,16 @@ def empirical_measure(
 ) -> EmpiricalMeasure:
     """Emp(x, F): frequency over g in F of the letter at g (or the pattern on shape+g).
 
-    Unknown raises at the first Unknown cell met walking F (for patterns, the
-    first window holding one, in shape order).  Patterns are the windows of
-    one window scan (:class:`_BoxScan`), for any shape and F, bare ints too.
+    Letters are the one-set walk of :func:`omega_profile`; Unknown raises at
+    the first Unknown cell met walking F (for patterns, the first window
+    holding one, in shape order).  Patterns are the windows of one window
+    scan (:class:`_BoxScan`), for any shape and F, bare ints too.
     """
+    if shape is None:
+        return omega_profile(x, (F,)).measures[0]
     if not F:
         raise ValueError("F must be nonempty")
-    if shape is None:
-        atoms = (require_known(x._at(g), g) for g in _set_cells(F, x))
-    elif not shape:
+    if not shape:
         atoms = [()] * len(F)  # every window of the empty shape is the empty pattern
     else:
         scan = _BoxScan(x._read, shape, F)
@@ -242,26 +243,26 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
     """Emp(x, F) along the given sets plus consecutive D_P (= TV) and their nesting bounds.
 
     The sets are read one at a time, in order, so a lazy iterable stops at
-    the first set holding an Unknown cell before the next one is built.  A
-    set holding every cell of the previous one (and no cell twice) adds
-    only its new shell to the running letter counts, walking F in its own
-    order; any other set starts a fresh count.  Cells counted before were
-    known, so Unknown raises at the cell ``empirical_measure(x, F)`` names.
+    the first set holding an Unknown cell before the next one is built.
+    Letters are counted over each set as a sequence (a repeat counts again):
+    a set that begins with the previous one, cell for cell, counts only its
+    cells after it, and any other set starts afresh, so Unknown raises at F's
+    first Unknown cell.  One evaluate checks F[0]; the cells, framed as a
+    window scan frames them (:func:`_frame`), are read through ``_at``.
     """
     sizes, measures = [], []
-    counts, counted = Counter(), set()
+    counts, prev = Counter(), ()
     for F in sets:
         if not F:
             raise ValueError("F must be nonempty")
         sizes.append(len(F))
-        F = _set_cells(F, x)
-        cells = set(F)
-        if counted is None or len(cells) < len(F) or not counted <= cells:
-            counts, counted = Counter(), set()
-        counts.update(require_known(x._at(g), g) for g in F if g not in counted)
+        evaluate(x, F[0])
+        F = _frame(F)[2]
+        if F[: len(prev)] != prev:
+            counts, prev = Counter(), ()
+        counts.update(require_known(x._at(g), g) for g in F[len(prev) :])
         measures.append(EmpiricalMeasure.from_counts(counts))
-        # counts over a set with repeated cells are not a base for the next set
-        counted = cells if len(cells) == len(F) else None
+        prev = F
     if not sizes:
         raise ValueError("need at least one set")
     steps = tuple(total_variation(mn, mp) for mp, mn in zip(measures, measures[1:]))

@@ -175,10 +175,13 @@ def besicovitch_estimate(
 
     The boxes F_n = [0, q_n)^d are nested, so ρ is read once on F_{n_hi} and
     each F_n is cut out of that array in row-major order; Unknown raises at
-    the first Unknown cell of the first F_n holding one.
+    the first Unknown cell of the first F_n holding one.  A level off the
+    chain raises LevelOutOfRange naming it; n_lo > n_hi, ValueError naming both.
     """
-    if not 0 <= n_lo <= n_hi <= chain.depth:
-        raise ValueError("bad level range")
+    if n_lo > n_hi:
+        raise ValueError(f"level range {n_lo}..{n_hi} is empty")
+    chain._check_level(n_lo)
+    chain._check_level(n_hi)
     levels = tuple(range(n_lo, n_hi + 1))
     e, q = identity(chain.rank), chain.scale(n_hi)
     values = _differs(x, z)(e, (q,) * chain.rank)

@@ -1,6 +1,6 @@
 """Toeplitz machinery: skeleton checks, regularity profiles, periodic
-approximation, odometer coordinates, the binary path Ψ, interpolation, and
-the positive-entropy builder.
+approximation, the binary path Ψ, interpolation, and the positive-entropy
+builder.
 
 The path Ψ(t) splits the group into a "one" side D(t) and a "zero" side
 E(t), built level by level: at stage m the single undecided coset of the
@@ -38,8 +38,8 @@ from .configs import (
     per_set_letter,
 )
 from .entropy import EntropyEstimate, estimate_from_count
-from .errors import ChainMismatch, ChainTooShallow, InconsistentCylinders, UnresolvedCells
-from .groups import Element, SubgroupChain, add, aselem, identity
+from .errors import ChainMismatch, ChainTooShallow, UnresolvedCells
+from .groups import Element, SubgroupChain, add, identity
 
 
 # ---------------------------------------------------------------------------
@@ -162,49 +162,6 @@ def periodic_approximation(x: Periodic | ToeplitzTable, n: int) -> Periodic:
         f = dom[cells.index(None)]
         raise UnresolvedCells(f"no value at {f}; cannot build a level-{n} word")
     return Periodic(chain, n, dict(zip(dom, cells)), x.alphabet)
-
-
-# ---------------------------------------------------------------------------
-# odometer coordinates
-# ---------------------------------------------------------------------------
-
-
-def odometer_phi(g, chain: SubgroupChain, N: int | None = None) -> tuple[Element, ...]:
-    """φ(g): the residue of g in each quotient G/H_n for n = 1..N."""
-    N = chain.depth if N is None else N
-    chain._check_level(N)
-    g = aselem(g, chain.rank)
-    return tuple(chain.coset_rep(g, n) for n in range(1, N + 1))
-
-
-def odometer_compatible(chain: SubgroupChain, residues: Sequence[Element]) -> bool:
-    """Projection consistency of an inverse-limit point: r_{n+1} ≡ r_n mod H_n."""
-    residues = [aselem(r, chain.rank) for r in residues]
-    for n, (r, r_next) in enumerate(zip(residues, residues[1:]), start=1):
-        if chain.coset_rep(r_next, n) != r:
-            return False
-    return all(
-        chain.coset_rep(r, n) == r for n, r in enumerate(residues, start=1)
-    )
-
-
-def toeplitz_from_table(
-    chain: SubgroupChain,
-    cylinder_letters: Mapping[tuple[int, Element], Letter],
-    alphabet: Alphabet,
-) -> ToeplitzTable:
-    """The configuration η(g) = f(φ(g)) for f constant on the given cylinders.
-
-    A cylinder is named by (level k, residue in F_k).  Nested cylinders must
-    agree; overlapping cylinders of the same name are deduplicated.  The
-    table raises InconsistentCylinders for conflicting letters.
-    """
-    for k, _ in cylinder_letters:
-        chain._check_level(k)
-        if k < 1:
-            raise InconsistentCylinders("cylinder levels start at 1")
-    assignments = tuple((k, r, a) for (k, r), a in cylinder_letters.items())
-    return ToeplitzTable(chain, assignments, alphabet)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from amenshift.configs import (
     require_known,
 )
 from amenshift.entropy import _check_params, _effective_counts
-from amenshift.errors import ChainMismatch
-from amenshift.groups import add
+from amenshift.errors import ChainMismatch, InconsistentCylinders
+from amenshift.groups import add, aselem
 from amenshift.measures import discrete_metric
 
 
@@ -226,6 +226,51 @@ def krieger_window_count_oracle(result, n) -> int:
     return len(windows)
 
 
+# --- odometer coordinates: the cylinder semantics of a coset table -------------
+
+
+def odometer_phi(g, chain, N=None) -> tuple:
+    """φ(g): the residue of g in each quotient G/H_n for n = 1..N."""
+    N = chain.depth if N is None else N
+    chain._check_level(N)
+    g = aselem(g, chain.rank)
+    return tuple(chain.coset_rep(g, n) for n in range(1, N + 1))
+
+
+def odometer_compatible(chain, residues) -> bool:
+    """Projection consistency of an inverse-limit point: r_{n+1} ≡ r_n mod H_n,
+    and each r_n a cell of F_n."""
+    residues = [aselem(r, chain.rank) for r in residues]
+    nested = all(chain.coset_rep(r_next, n) == r for n, (r, r_next) in enumerate(zip(residues, residues[1:]), 1))
+    return nested and all(chain.coset_rep(r, n) == r for n, r in enumerate(residues, 1))
+
+
+def toeplitz_from_table(chain, cylinder_letters, alphabet) -> ToeplitzTable:
+    """The configuration η(g) = f(φ(g)) for f constant on the given cylinders,
+    each named by (level k ≥ 1, residue in F_k): the table of those
+    assignments, which raises InconsistentCylinders for conflicting letters."""
+    for k, _ in cylinder_letters:
+        chain._check_level(k)
+        if k < 1:
+            raise InconsistentCylinders("cylinder levels start at 1")
+    return ToeplitzTable(chain, tuple((k, r, a) for (k, r), a in cylinder_letters.items()), alphabet)
+
+
+# --- letter measures: one evaluate per cell, no running count -----------------
+
+
+def letter_frequencies(x, F) -> dict:
+    """{letter: its frequency over F}, F read as a sequence (a repeated cell
+    counts each time), one evaluate per cell in F's order; UnknownMembership
+    at the first Unknown cell, written as a cell of x's rank."""
+    counts = {}
+    for g in F:
+        g = aselem(g, x.rank)
+        a = require_known(evaluate(x, g), g)
+        counts[a] = counts.get(a, 0) + 1
+    return {a: Fraction(c, len(F)) for a, c in counts.items()}
+
+
 # --- window scans: the lazy walk the union-box kernel replaced -----------------
 
 
@@ -297,7 +342,7 @@ class CosetDisagreement:
 
     @property
     def exact(self) -> bool:
-        return self.unresolved.is_empty
+        return not self.unresolved.reps
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,12 @@ def cell_reads(monkeypatch):
 
     monkeypatch.setattr(configs._CosetTable, "_at", counting("_at", configs._CosetTable._at))
     monkeypatch.setattr(configs._CosetTable, "lookup", counting("lookup", configs._CosetTable.lookup))
-    # every module that bound evaluate by name reads through its own binding
-    wrapped = counting("evaluate", configs.evaluate)
+    # every module that bound evaluate by name reads through its own binding:
+    # configs' and measures' alike, so the original is kept before any is set
+    evaluate = configs.evaluate
+    wrapped = counting("evaluate", evaluate)
     for name, module in sys.modules.items():
-        if name.startswith("amenshift") and getattr(module, "evaluate", None) is configs.evaluate:
+        if name.startswith("amenshift") and getattr(module, "evaluate", None) is evaluate:
             monkeypatch.setattr(module, "evaluate", wrapped)
     return reads
 
@@ -188,7 +190,11 @@ def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
     x = regular_table(CHAIN, ("a", "b"))
     amenshift.configs.evaluate(x, 3)
     x.lookup(5)
-    assert [name for name, _ in cell_reads] == ["evaluate", "_at", "lookup", "_at"]
+    assert [name for name, _ in cell_reads] == ["evaluate", "_at", "lookup", "evaluate", "_at"]
+    # the letter walk of measures reads through its own binding of evaluate
+    del cell_reads[:]
+    empirical_measure(x, [3, 5])
+    assert cell_reads == [("evaluate", 3), ("_at", (3,)), ("_at", (3,)), ("_at", (5,))]
 
 
 @pytest.fixture

@@ -57,6 +57,7 @@ from oracles import (
     geometric_box_lengths_oracle,
     known_difference,
     known_letter,
+    letter_frequencies,
     period_table_oracle,
     refine,
     window_walk,
@@ -225,6 +226,29 @@ def test_shift_oracle_moves_box():
         assert evaluate(shifted, g) == evaluate(x, g + 3)
 
 
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_periodic_shift_is_the_cellwise_shift(rank):
+    # (h·x)(f) = x(f + h) on F_level, read cell by cell through evaluate, for
+    # a word given in a shuffled key order (and with bare-int keys in rank 1)
+    # and for h negative and past the period
+    chain = make_chain(rank, [2, 4, 8])
+    level, dom = 2, chain.domain(2)
+    letters = {f: "ab"[(3 * sum(f) + f[0] * f[-1]) % 5 < 2] for f in dom}
+    order = dom[1::2] + dom[::2][::-1]
+    words = [{f: letters[f] for f in order}]
+    if rank == 1:
+        words.append({f[0]: letters[f] for f in order})
+    ab = Alphabet(("a", "b"))
+    shifts = [(-1,) * rank, (-13,) * rank, (4,) * rank, (9,) * rank, (-5, 6)[:rank]]
+    for word in words:
+        x = Periodic(chain, level, word, ab)
+        for h in shifts + ([-3, 7] if rank == 1 else []):
+            y = shift(h, x)
+            assert y.word == {f: evaluate(x, add(f, aselem(h, rank))) for f in dom}
+            for g in rect((-6,) * rank, (6,) * rank):
+                assert evaluate(y, g) == evaluate(x, add(g, aselem(h, rank)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_oracle_shifts_compose_and_invert(data):
@@ -254,7 +278,7 @@ def test_per_set_periodic_is_full_from_its_level():
 def test_per_set_toeplitz_single_coset():
     table = ToeplitzTable(CHAIN, ((1, (0,), "a"),), Alphabet(("a", "b")))
     assert per_set(table, 1).reps == {(0,)}
-    assert per_set_letter(table, 1, "b").is_empty
+    assert not per_set_letter(table, 1, "b").reps
     assert per_set_letter(table, 1, "a").reps == {(0,)}
 
 
@@ -295,7 +319,7 @@ def test_disagreement_periodic_pairs():
     assert half.confirmed.level == 1 and half.confirmed.reps == {(0,)}
 
     same = disagreement_set(EVENS, EVENS)
-    assert same.confirmed.is_empty and same.exact
+    assert not same.confirmed.reps and same.exact
 
 
 def test_disagreement_toeplitz_tracks_unresolved():
@@ -450,9 +474,11 @@ def test_descriptor_refuses_oracles_it_cannot_rebuild():
 
 
 def test_descriptor_refuses_a_rule_with_a_zero_denominator():
-    desc = {"variant": "oracle", "box": 3, "rule": "block_alternating(1/0)"}
-    with pytest.raises(ValueError, match=re.escape("oracle rule 'block_alternating(1/0)' has a zero denominator")):
-        config_from_descriptor(desc, None)
+    # and a rule whose argument is no fraction: each refusal names the rule
+    for rule, why in [("block_alternating(1/0)", "has a zero denominator"), ("block_alternating(x)", "needs a fraction")]:
+        desc = {"variant": "oracle", "box": 3, "rule": rule}
+        with pytest.raises(ValueError, match=re.escape(f"oracle rule {rule!r} {why}")):
+            config_from_descriptor(desc, None)
 
 
 @pytest.mark.parametrize("name", ["champernowne_binary", "block_alternating(1/2)"])
@@ -473,7 +499,7 @@ def test_descriptor_round_trip():
     ):
         desc = config_descriptor(x)
         back = config_from_descriptor(desc, CHAIN)
-        assert disagreement_set(x, back).confirmed.is_empty
+        assert not disagreement_set(x, back).confirmed.reps
 
     oracle_desc = {"variant": "oracle", "box": 8, "rule": "block_alternating(1/2)"}
     x = config_from_descriptor(oracle_desc, None)
@@ -602,7 +628,7 @@ CHAINS = st.sampled_from([CHAIN, CHAIN2])
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
-    # the letter walks of empirical measures and omega traces read x._at
+    # the one letter walk of empirical measures and omega traces reads x._at
     # after one check; on cells of x's rank it must read what evaluate
     # reads, Unknown cells included
     chain = data.draw(CHAINS)
@@ -919,35 +945,75 @@ def test_rotation_scans_match_the_lazy_walk(data):
     assert [hf, *hks] == [walks[0], *walks]
 
 
+def letter_trace(x, sets):
+    """The omega trace of x along sets from the brute-force letter count: each
+    set's measure, and each step as the max-flow Prokhorov distance, not its
+    closed form TV."""
+    measures = tuple(EmpiricalMeasure(tuple(letter_frequencies(x, F).items())) for F in sets)
+    return measures, tuple(prokhorov_distance(b, a) for a, b in zip(measures, measures[1:]))
+
+
+def omega_trace(x, sets):
+    p = omega_profile(x, sets)
+    return p.measures, p.steps
+
+
+def check_against_letter_count(x, sets):
+    """The omega trace along sets, and each set's letter measure, equal the
+    brute-force count, or both raise at the same first Unknown cell."""
+    assert outcome(lambda: omega_trace(x, sets)) == outcome(lambda: letter_trace(x, sets))
+    for F in sets:
+        assert outcome(lambda: empirical_measure(x, F)) == outcome(lambda: letter_trace(x, [F])[0][0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_omega_profile_matches_per_set_empirical_measures(data):
     chain = data.draw(CHAINS)
     x = data.draw(configurations(chain))
-    # nested boxes, interrupted now and then by a set that is not nested
-    sets = [
-        rect((0,) * chain.rank, (n,) * chain.rank) if data.draw(st.integers(0, 3)) else spans(data, chain)
-        for n in range(data.draw(st.integers(1, 6)))
-    ]
-
-    def profile():
-        p = omega_profile(x, sets)
-        return p.measures, p.steps
-
-    def reference():
-        measures = tuple(empirical_measure(x, F) for F in sets)
-        # the steps as the max-flow Prokhorov distance, not its closed form TV
-        return measures, tuple(prokhorov_distance(b, a) for a, b in zip(measures, measures[1:]))
-
-    assert outcome(profile) == outcome(reference)
+    # nested boxes, interrupted now and then by a set that is not nested or by
+    # the previous set with cells appended
+    sets = []
+    for n in range(data.draw(st.integers(1, 6))):
+        kind = data.draw(st.integers(0, 4))
+        if kind == 0:
+            sets.append(spans(data, chain))
+        elif kind == 1 and sets:
+            sets.append(sets[-1] + spans(data, chain))
+        else:
+            sets.append(rect((0,) * chain.rank, (n,) * chain.rank))
+    check_against_letter_count(x, sets)
 
 
 def test_omega_profile_recounts_after_a_set_with_a_repeated_cell():
     x = regular_table(CHAIN, ("0", "1"))
     sets = [((0,), (1,), (1,)), ((0,), (1,), (2,)), ((0,), (1,), (2,), (3,))]
-    assert omega_profile(x, sets).measures == tuple(empirical_measure(x, F) for F in sets)
+    check_against_letter_count(x, sets)
     # the sets may come one at a time
     assert omega_profile(x, iter(sets)) == omega_profile(x, sets)
+
+
+@pytest.mark.parametrize(
+    "x, sets",
+    [
+        # rank-2 chain domains: nested, but no one begins with the one before
+        (regular_table(CHAIN2, ("0", "1")), [CHAIN2.domain(n) for n in range(4)]),
+        (regular_table(CHAIN2, ("0", "1"), resolve_tail=False), [CHAIN2.domain(n) for n in range(4)]),
+        # a superset that reorders the previous set
+        (EVENS, [((0,), (1,), (2,)), ((2,), (1,), (0,), (3,)), ((2,), (1,), (0,), (3,), (4,))]),
+        # a set that begins with the previous one and repeats a cell
+        (EVENS, [((0,), (1,), (1,)), ((0,), (1,), (1,), (2,), (2,), (2,)), ((0,), (1,), (1,), (2,), (2,), (2,), (3,))]),
+        # bare ints, then int-tuple cells that begin with the same cells
+        (EVENS, [[0, 1], [0, 1, 2, 3, 3], ((0,), (1,), (2,), (3,), (3,), (5,))]),
+        # Unknown: at (15,) in F_4, and (5,) met before (4,) outside the box
+        (TABLE, [CHAIN.domain(n) for n in range(5)]),
+        (TABLE, [tuple(reversed(CHAIN.domain(4)))]),
+        (champernowne_binary(3), [rect((0,), (3,)), rect((0,), (3,)) + ((5,), (4,))]),
+    ],
+    ids=["rank2", "rank2-unknown", "reordered", "repeated", "bare-ints", "unknown", "unknown-reversed", "unknown-order"],
+)
+def test_omega_profile_matches_a_brute_force_letter_count(x, sets):
+    check_against_letter_count(x, sets)
 
 
 # ---------------------------------------------------------------------------

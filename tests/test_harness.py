@@ -724,6 +724,13 @@ def test_an_empty_level_range_is_refused_at_level_hi(capsys, argv, hi):
     )
 
 
+def test_a_besicovitch_level_past_the_chain_is_named(capsys):
+    # the default chain has depth 8
+    argv = ["distance", "--metric", "besicovitch", *PERIODIC_PAIR, "--level-lo", "3", "--level-hi", "9"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: LevelOutOfRange: level 9 outside 0..8\n")
+
+
 def test_a_one_level_range_runs():
     assert main(["entropy", *BOXED, "--window", "3", "--level-lo", "2", "--level-hi", "2"]) == 0
     assert main(["omega", *BOXED, "--level-lo", "1"]) == 0
@@ -913,9 +920,11 @@ def test_cli_rank_mismatch_names_the_first_cell(capsys, argv, cell):
 
 
 def test_cli_oracle_rule_with_a_zero_denominator_is_one_error_line(capsys):
-    desc = '{"variant":"oracle","box":3,"rule":"block_alternating(1/0)"}'
-    assert main(["density", "--config", desc]) == 2
-    assert capsys.readouterr() == ("", "error: oracle rule 'block_alternating(1/0)' has a zero denominator\n")
+    # so is a rule whose argument is no fraction
+    for arg, why in [("1/0", "has a zero denominator"), ("x", "needs a fraction, such as 1/2")]:
+        desc = f'{{"variant":"oracle","box":3,"rule":"block_alternating({arg})"}}'
+        assert main(["density", "--config", desc]) == 2
+        assert capsys.readouterr() == ("", f"error: oracle rule 'block_alternating({arg})' {why}\n")
 
 
 def test_cli_omega_builds_each_box_only_when_the_trace_reads_it(monkeypatch, capsys):

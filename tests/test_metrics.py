@@ -11,7 +11,7 @@ from amenshift.configs import (
     block_alternating,
     champernowne_binary,
 )
-from amenshift.errors import NotAKCover
+from amenshift.errors import LevelOutOfRange, NotAKCover
 from amenshift.groups import make_chain
 from amenshift.metrics import (
     besicovitch_estimate,
@@ -115,6 +115,16 @@ def test_besicovitch_examples():
     assert all(a == Fraction(1, 2) for a in half.averages)
     full = besicovitch_estimate(ZEROS, ONES, CHAIN, 1, 4)
     assert all(a == 1 for a in full.averages)
+
+
+def test_besicovitch_names_the_levels_it_refuses():
+    # CHAIN has depth 4
+    with pytest.raises(LevelOutOfRange, match=r"^level 5 outside 0\.\.4$"):
+        besicovitch_estimate(EVENS, ZEROS, CHAIN, 1, 5)
+    with pytest.raises(LevelOutOfRange, match=r"^level -1 outside 0\.\.4$"):
+        besicovitch_estimate(EVENS, ZEROS, CHAIN, -1, 2)
+    with pytest.raises(ValueError, match=r"^level range 3\.\.2 is empty$"):
+        besicovitch_estimate(EVENS, ZEROS, CHAIN, 3, 2)
 
 
 def test_besicovitch_equals_folner_disagreement_average():

@@ -20,17 +20,23 @@ from amenshift.metrics import dstar_distance
 from amenshift.toeplitz import (
     krieger_construct,
     meets_power_bound,
-    odometer_compatible,
-    odometer_phi,
     periodic_approximation,
     psi_path,
     regular_table,
     regularity_profile,
-    toeplitz_from_table,
     toeplitz_interpolate,
     verify_skeleton,
 )
-from oracles import in_subgroup, krieger_window_count_oracle, psi_d_density_at, psi_e_repset, psi_side_oracle
+from oracles import (
+    in_subgroup,
+    krieger_window_count_oracle,
+    odometer_compatible,
+    odometer_phi,
+    psi_d_density_at,
+    psi_e_repset,
+    psi_side_oracle,
+    toeplitz_from_table,
+)
 
 CHAIN8 = make_chain(1, [2, 4, 8, 16, 32, 64, 128, 256])
 CHAIN4 = make_chain(1, [2, 4, 8, 16])
