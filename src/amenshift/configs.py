@@ -356,9 +356,16 @@ def _rank(g) -> int:
     return 1 if isinstance(g, int) else len(g)
 
 
+def _cells(S: Sequence) -> Sequence[Element]:
+    """S's cells as int tuples of one rank: S itself when they are (``(1.0,)``
+    is not one), else normalized through aselem to S[0]'s rank."""
+    ints = set(map(type, S)) == {tuple} and set(map(type, concat.from_iterable(S))) == {int}
+    return S if ints and len(set(map(len, S))) == 1 else [aselem(g, _rank(S[0])) for g in S]
+
+
 def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
-    """(corner, sides) when S is a box of int tuples listed in canonical
-    order, else None."""
+    """(corner, sides) when S equals a box of int tuples listed in canonical
+    order, else None; only S[0] and S[-1] must be int tuples (see :func:`_cells`)."""
     if not S or not all(isinstance(g, tuple) and all(map(_is_int, g)) for g in (S[0], S[-1])):
         return None
     lo, hi = S[0], S[-1]
@@ -374,11 +381,10 @@ def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
 
 def _frame(S: Sequence) -> tuple[Element, tuple[int, ...], Sequence[Element], bool]:
     """(corner, sides) of S's bounding box, S's cells (S itself when S is that
-    box in canonical order, else normalized through aselem) and whether it is."""
-    box = _box(S)
-    if box:
+    box in canonical order, else :func:`_cells`) and whether it is."""
+    if box := _box(S):
         return (*box, S, True)
-    cells = [aselem(g, _rank(S[0])) for g in S]
+    cells = _cells(S)
     lo, hi = tuple(map(min, zip(*cells))), tuple(map(max, zip(*cells)))
     return lo, tuple(b - a + 1 for a, b in zip(lo, hi)), cells, False
 
@@ -428,11 +434,11 @@ class _BoxScan:
 
     def check_known(self) -> None:
         """Raise UnknownMembership at the first None, in shape order, of the
-        first window holding one; union-box cells in no window never raise."""
+        first window holding one, at its int cell; cells in no window never raise."""
         if None in self.values:
-            for t, window in zip(self.translates[2], self.windows(self.values)):
+            for t, window in zip(_cells(self.translates[2]), self.windows(self.values)):
                 if None in window:
-                    require_known(None, add(self.shape[2][window.index(None)], t))
+                    require_known(None, add(_cells(self.shape[2])[window.index(None)], t))
 
 
 def _offset(g: Element, sides: tuple[int, ...]) -> int:

@@ -2,10 +2,12 @@
 density-relaxed separated/spanning numbers of small sampled systems.
 
 The separated and spanning numbers come from branch-and-bound searches over
-bitmask graphs of at most ``SYSTEM_CAP`` points: a maximum clique bounded by
-size plus remaining candidates, and a minimum dominating set that branches on
-the uncovered point with the fewest covers, bounded by chosen points plus
-⌈uncovered / widest cover⌉.
+bitmask graphs of at most ``SYSTEM_CAP`` points, one row per point read
+straight off the diff table: a maximum clique bounded by size plus remaining
+candidates, and a minimum dominating set that branches on the uncovered point
+with the fewest covers, bounded by chosen points plus ⌈uncovered / widest
+cover⌉.  For ε ≥ 1 both are 1 in closed form: the discrete letter metric never
+exceeds ε, so no two points are ε-apart anywhere and any one point spans.
 
 Log conventions: topological entropy estimates are reported in nats
 (natural log of the pattern count over the window size), while the binary
@@ -215,6 +217,8 @@ class SampledSystem:
 
     def __post_init__(self):
         m = len(self.diff_counts)
+        if not m:
+            raise ValueError("need at least one point")
         for i in range(m):
             if len(self.diff_counts[i]) != m or self.diff_counts[i][i] != 0:
                 raise ValueError("diff table must be square with zero diagonal")
@@ -230,9 +234,7 @@ class SampledSystem:
     @classmethod
     def from_points(cls, points: Sequence[Sequence[str]]) -> "SampledSystem":
         pts = [tuple(p) for p in points]
-        if not pts:
-            raise ValueError("need at least one point")
-        size = len(pts[0])
+        size = len(pts[0]) if pts else 0
         if any(len(p) != size for p in pts):
             raise ValueError("points must share a common window")
         table = tuple(
@@ -241,22 +243,13 @@ class SampledSystem:
         return cls(size, table)
 
 
-def _effective_counts(sys: SampledSystem, eps) -> tuple[tuple[int, ...], ...]:
-    # positions with pointwise distance > eps: all differing positions when
-    # eps < 1, none at all once eps >= 1 (discrete metric).
-    if Fraction(eps) >= 1:
-        m = len(sys)
-        return tuple((0,) * m for _ in range(m))
-    return sys.diff_counts
-
-
-def _check_params(sys: SampledSystem, eps, delta) -> Fraction:
+def _check_params(sys: SampledSystem, eps, delta) -> tuple[Fraction, Fraction]:
     if len(sys) > SYSTEM_CAP:
         raise SystemTooLarge(f"{len(sys)} points exceed the cap {SYSTEM_CAP}")
     eps, delta = Fraction(eps), Fraction(delta)
     if eps <= 0 or not 0 < delta <= 1:
         raise ValueError("need eps > 0 and delta in (0, 1]")
-    return delta
+    return eps, delta
 
 
 def separated_max(sys: SampledSystem, eps, delta) -> int:
@@ -267,17 +260,13 @@ def separated_max(sys: SampledSystem, eps, delta) -> int:
     stops once its size plus every remaining candidate cannot beat the best
     clique so far (Carraghan and Pardalos, Oper. Res. Lett. 1990).
     """
-    delta = _check_params(sys, eps, delta)
-    counts = _effective_counts(sys, eps)
-    # an integer count c exceeds δ|F| iff it exceeds ⌊δ|F|⌋
+    eps, delta = _check_params(sys, eps, delta)
+    if eps >= 1:
+        return 1  # no pair is ε-apart at any position
+    # an integer count c exceeds δ|F| iff it exceeds ⌊δ|F|⌋, which the zero
+    # diagonal never does
     threshold = math.floor(delta * sys.window_size)
-    m = len(sys)
-    adj = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and counts[i][j] > threshold:
-                adj[i] |= 1 << j
-
+    adj = [sum(1 << j for j, c in enumerate(row) if c > threshold) for row in sys.diff_counts]
     best = 1  # a singleton is vacuously separated
 
     def grow(size: int, cand: int) -> None:
@@ -292,7 +281,7 @@ def separated_max(sys: SampledSystem, eps, delta) -> int:
             cand ^= low
             grow(size + 1, cand & adj[low.bit_length() - 1])
 
-    grow(0, (1 << m) - 1)
+    grow(0, (1 << len(sys)) - 1)
     return best
 
 
@@ -307,21 +296,18 @@ def spanning_min(sys: SampledSystem, eps, delta) -> int:
     branch stops once its size plus ⌈|uncovered| / widest cover⌉ cannot beat
     the best so far.
     """
-    delta = _check_params(sys, eps, delta)
-    counts = _effective_counts(sys, eps)
+    eps, delta = _check_params(sys, eps, delta)
     # an integer count c is below δ|F| iff it is below ⌈δ|F|⌉, which is 0
-    # only for an empty window
+    # only for an empty window; the zero diagonal is below any other
     threshold = math.ceil(delta * sys.window_size)
     if threshold == 0:
         raise ValueError("an empty window admits no spanning set")
-    m = len(sys)
+    if eps >= 1:
+        return 1  # every point is ε-close to every other at every position
     # the diff table is symmetric, so covers[i] is both the set of points
     # that i covers and the set of points covering i
-    covers = [0] * m
-    for z in range(m):
-        for i in range(m):
-            if counts[z][i] < threshold:
-                covers[z] |= 1 << i
+    covers = [sum(1 << j for j, c in enumerate(row) if c < threshold) for row in sys.diff_counts]
+    m = len(sys)
     fewest = sorted(range(m), key=lambda i: covers[i].bit_count())
     widest = max(c.bit_count() for c in covers)
     best = m

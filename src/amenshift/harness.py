@@ -327,6 +327,8 @@ def _run_density(spec: ExperimentSpec) -> list[dict]:
     """Banach density of a coset set or a letter set"""
     chain = spec.resolve_chain()
     if "cosets" in spec.params:
+        if spec.configs:
+            raise _fail("/configs", "density reads a coset set or a configuration, not both")
         cosets = CosetSet.make(chain, spec.params["cosets"]["level"], spec.params["cosets"]["reps"])
         return [interval_item(banach_density_exact(cosets))]
     [x] = _configs(spec, chain, "density needs a configuration or a coset set")

@@ -18,7 +18,7 @@ from itertools import groupby, product
 from math import lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .configs import Configuration, _BoxScan, _frame, evaluate, require_known
+from .configs import Configuration, _BoxScan, _cells, evaluate, require_known
 from .groups import FiniteSubset
 
 Atom = Hashable
@@ -247,8 +247,8 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
     Letters are counted over each set as a sequence (a repeat counts again):
     a set that begins with the previous one, cell for cell, counts only its
     cells after it, and any other set starts afresh, so Unknown raises at F's
-    first Unknown cell.  One evaluate checks F[0]; the cells, framed as a
-    window scan frames them (:func:`_frame`), are read through ``_at``.
+    first Unknown cell.  One evaluate checks F[0]; the cells, normalized as a
+    window scan normalizes them (:func:`_cells`), are read through ``_at``.
     """
     sizes, measures = [], []
     counts, prev = Counter(), ()
@@ -257,7 +257,7 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
             raise ValueError("F must be nonempty")
         sizes.append(len(F))
         evaluate(x, F[0])
-        F = _frame(F)[2]
+        F = _cells(F)
         if F[: len(prev)] != prev:
             counts, prev = Counter(), ()
         counts.update(require_known(x._at(g), g) for g in F[len(prev) :])

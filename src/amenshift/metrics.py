@@ -19,6 +19,7 @@ from .configs import (
     Configuration,
     _BoxScan,
     _box,
+    _cells,
     _coset_pair,
     _differs,
     _rank,
@@ -27,7 +28,7 @@ from .configs import (
 )
 from .densities import IntervalEstimate, _windowed
 from .errors import NotAKCover
-from .groups import FiniteSubset, SubgroupChain, aselem, ball, identity
+from .groups import FiniteSubset, SubgroupChain, ball, identity
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ def _delta_sup(F: FiniteSubset, read, translates) -> int:
 
 
 def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset], int] | None:
-    """F ↦ Δ*_F for a fully resolved pair, read off its disagreement array D on
-    F_p (:func:`_coset_pair`), else None.
+    """F ↦ Δ*_F for a fully resolved pair over one chain, read off its
+    disagreement array D on F_p (:func:`_coset_pair`), else None, with no D built.
 
     Σ_{f∈F} D[(f + g) mod q_p] is periodic in g, so the sup over the group is
     the max over g ∈ F_p.  A box F in canonical order takes the kernel over
@@ -96,15 +97,15 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
     configuration cell, so neither checks one: a shape of another rank is
     refused before any window or scan.
     """
-    if (pair := _coset_pair(x, z)) is None or None in pair[1]:
+    if not (x.chain is not None and x.chain == z.chain and x.fully_resolved() and z.fully_resolved()):
         return None
-    p, D = pair
+    p, D = _coset_pair(x, z)
     chain, q = x.chain, x.chain.scale(p)
 
     def sup(F: FiniteSubset) -> int:
         if not F or _box(F):
             return _delta_sup(F, lambda lo, sides: _window(D, q, sides, lo), chain.domain(p))
-        cells = [aselem(f, _rank(F[0])) for f in F]
+        cells = _cells(F)
         if len(cells[0]) != chain.rank:
             raise ValueError(f"shape of rank {len(cells[0])} and translates of rank {chain.rank}")
         return max(map(sum, zip(*(_window(D, q, (q,) * chain.rank, f) for f in cells))))
@@ -195,10 +196,12 @@ def besicovitch_estimate(
 
 
 def validate_k_cover(F: FiniteSubset, cover: Sequence[FiniteSubset], k: int) -> None:
+    """NotAKCover unless k sets of the cover hold each cell of F, as :func:`_cells` reads them."""
     if k < 1:
         raise NotAKCover("k must be at least 1")
-    for g in F:
-        hits = sum(1 for K in cover if g in K)
+    sets = [set(_cells(K)) for K in cover]
+    for g in _cells(F):
+        hits = sum(g in K for K in sets)
         if hits < k:
             raise NotAKCover(f"{g} covered {hits} < {k} times")
 

@@ -17,7 +17,7 @@ from amenshift.configs import (
     per_set_letter,
     require_known,
 )
-from amenshift.entropy import _check_params, _effective_counts
+from amenshift.entropy import _check_params
 from amenshift.errors import ChainMismatch, InconsistentCylinders
 from amenshift.groups import add, aselem
 from amenshift.measures import discrete_metric
@@ -26,11 +26,17 @@ from amenshift.measures import discrete_metric
 # --- separated / spanning sets: plain 2^m enumeration -------------------------
 
 
+def _far_counts(sys, eps) -> list[list[int]]:
+    """For each pair of points, the positions where their letters lie more
+    than ε apart in the discrete metric: where they differ, once ε < 1."""
+    return [[c if eps < 1 else 0 for c in row] for row in sys.diff_counts]
+
+
 def separated_max_oracle(sys, eps, delta) -> int:
     """Largest subset in which every pair differs on more than δ|F| positions,
     by growing every clique of the separation graph with no bound."""
-    delta = _check_params(sys, eps, delta)
-    counts = _effective_counts(sys, eps)
+    eps, delta = _check_params(sys, eps, delta)
+    counts = _far_counts(sys, eps)
     threshold = delta * sys.window_size
     m = len(sys)
     adj = [0] * m
@@ -59,8 +65,8 @@ def separated_max_oracle(sys, eps, delta) -> int:
 def spanning_min_oracle(sys, eps, delta) -> int:
     """Smallest subset Z such that every point agrees with some z ∈ Z on more
     than (1-δ)|F| positions, by trying every subset in size order."""
-    delta = _check_params(sys, eps, delta)
-    counts = _effective_counts(sys, eps)
+    eps, delta = _check_params(sys, eps, delta)
+    counts = _far_counts(sys, eps)
     threshold = delta * sys.window_size
     m = len(sys)
     covers = [0] * m

@@ -25,7 +25,7 @@ from amenshift.configs import (
 )
 from amenshift.densities import banach_density_windowed
 from amenshift.entropy import pattern_set
-from amenshift.errors import ChainMismatch, InexactVariant, UnknownMembership
+from amenshift.errors import ChainMismatch, InexactVariant, NotAKCover, UnknownMembership
 from amenshift.groups import add, aselem, ball, make_chain, rect
 from amenshift.measures import (
     EmpiricalMeasure,
@@ -713,6 +713,51 @@ def test_sets_of_bare_ints_are_read_through_evaluate():
     assert empirical_measure(x, rect((0,), (3,)), shape=(0, 1)) == pairs
     z = shift(1, x)
     assert weyl_upper_bound(x, z, (0, 1), 1) == weyl_upper_bound(x, z, rect((0,), (1,)), 1)
+
+
+def test_respelled_cells_read_as_their_int_tuples():
+    # bare ints, lists, integral floats and True name the cells their int
+    # tuples name, also inside a box listed in canonical order, and a k-cover
+    # is counted on those cells
+    chain = make_chain(1, [2, 4, 8])
+    x, z = regular_table(chain), regular_table(chain, ("b", "a"))
+    canon = ((0,), (1,), (2,))
+    spellings = [(0, 1, 2), ([0], [1], [2]), ((0,), (1.0,), (2,)), ((0,), (True,), (2,)), ((0.0,), [1], (2.0,))]
+    for c in (x, champernowne_binary(10)):
+        letters = empirical_measure(c, canon)
+        prefix_walk = omega_profile(c, [canon[:2], canon]).measures
+        for F in spellings:
+            assert empirical_measure(c, F) == letters, F
+            assert omega_profile(c, [canon[:2], F]).measures == prefix_walk, F
+            assert empirical_measure(c, F, shape=((0,), (1,))) == empirical_measure(c, canon, shape=((0,), (1,)))
+    values = delta_star_exact(x, z, canon), shearer_values(x, z, canon, [canon], 1)
+    for F in spellings:
+        assert delta_star_exact(x, z, F) == values[0], F
+        assert shearer_values(x, z, F, [canon], 1) == shearer_values(x, z, canon, [F], 1) == values[1], F
+    assert shearer_values(x, z, [0, 1], [[(0,), (1,)]], 1) == shearer_values(x, z, [(0,), (1,)], [[0, 1]], 1)
+    # an Unknown window cell is named as an int cell
+    bounded = Oracle(1, (0,), (1,), lambda g: "0", BINARY)
+    with pytest.raises(UnknownMembership, match=r"at \(2,\)$"):
+        empirical_measure(bounded, [(0,), (1.0,), (2,)], shape=[(0,), (True,)])
+    # a set that lists a cell twice covers it once
+    with pytest.raises(NotAKCover, match=r"^\(0,\) covered 1 < 2 times$"):
+        shearer_values(x, z, [0], [[0, (0,), [0]]], 2)
+
+
+def test_an_unresolved_pair_builds_no_disagreement_array(monkeypatch):
+    chain = make_chain(1, [2, 4, 8])
+    resolved, unresolved = regular_table(chain), regular_table(chain, resolve_tail=False)
+    assert not unresolved.fully_resolved()
+    built = []
+    real = metrics._coset_pair
+    monkeypatch.setattr(metrics, "_coset_pair", lambda *pair: built.append(pair) or real(*pair))
+    for x, z in [(resolved, unresolved), (unresolved, resolved), (unresolved, unresolved)]:
+        with pytest.raises(ValueError, match="fully resolved"):
+            delta_star_exact(x, z, ((0,), (1,)))
+        assert weyl_upper_bound(x, z, ((0,), (1,))).exact is None
+    assert built == []
+    assert delta_star_exact(resolved, shift(1, resolved), ((0,),)) == 1
+    assert len(built) == 1
 
 
 def test_empty_shapes_read_no_cell():

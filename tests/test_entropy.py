@@ -193,10 +193,12 @@ def test_monotonicity_in_eps_and_delta():
 def test_system_cap():
     pts = [tuple("01"[i % 2] for _ in range(3)) for i in range(21)]
     sys = SampledSystem.from_points(pts)
-    with pytest.raises(SystemTooLarge):
-        separated_max(sys, Fraction(1, 2), Fraction(1, 3))
-    with pytest.raises(SystemTooLarge):
-        spanning_min(sys, Fraction(1, 2), Fraction(1, 3))
+    # the cap is checked before ε ≥ 1 settles either number
+    for eps in (Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(SystemTooLarge):
+            separated_max(sys, eps, Fraction(1, 3))
+        with pytest.raises(SystemTooLarge):
+            spanning_min(sys, eps, Fraction(1, 3))
     # the cap itself still runs: two classes, each within itself identical
     at_cap = SampledSystem.from_points(pts[:20])
     assert separated_max(at_cap, Fraction(1, 2), Fraction(1, 3)) == 2
@@ -206,9 +208,26 @@ def test_system_cap():
 def test_spanning_empty_window_has_no_spanning_set():
     # no point agrees with any other on more than (1 - δ)·0 = 0 positions
     sys = SampledSystem.from_points([(), ()])
-    assert separated_max(sys, Fraction(1, 2), Fraction(1, 2)) == 1
-    with pytest.raises(ValueError):
-        spanning_min(sys, Fraction(1, 2), Fraction(1, 2))
+    for eps in (Fraction(1, 2), Fraction(3, 2)):
+        assert separated_max(sys, eps, Fraction(1, 2)) == 1
+        with pytest.raises(ValueError, match="empty window"):
+            spanning_min(sys, eps, Fraction(1, 2))
+
+
+def test_a_system_has_at_least_one_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        SampledSystem(3, ())
+    with pytest.raises(ValueError, match="at least one point"):
+        SampledSystem.from_points([])
+
+
+def test_eps_at_least_one_is_one_at_the_cap():
+    # the letter metric never exceeds 1: no pair is ε-apart, any point spans
+    far = SampledSystem.from_points([format(w, "06b") for w in range(0, 60, 3)])
+    for eps in (1, Fraction(3, 2)):
+        for delta in (Fraction(1, 12), Fraction(1, 2), 1):
+            assert separated_max(far, eps, delta) == separated_max_oracle(far, eps, delta) == 1
+            assert spanning_min(far, eps, delta) == spanning_min_oracle(far, eps, delta) == 1
 
 
 def _search_cases():
@@ -240,7 +259,7 @@ def test_searches_match_exhaustive_oracles():
         size = sys.window_size
         # the half-integer grid (2j+1)/(2|F|), the integer grid j/|F| and δ = 1
         deltas = [Fraction(k, 2 * size) for k in range(1, 2 * size + 1)]
-        for eps in (Fraction(1, 2), Fraction(3, 2)):
+        for eps in (Fraction(1, 2), 1, Fraction(3, 2)):
             for delta in deltas:
                 case = (label, eps, delta)
                 assert separated_max(sys, eps, delta) == separated_max_oracle(sys, eps, delta), case

@@ -875,6 +875,14 @@ def test_cli_call_after_one_with_config_behaves_like_a_fresh_process(capsys):
     assert fresh.stderr == "spec error: /configs: density needs a configuration or a coset set\n"
 
 
+def test_cli_density_refuses_a_coset_set_beside_a_configuration(capsys):
+    periodic = '{"variant":"periodic","level":1,"word":{"0":"1","1":"0"}}'
+    assert main(["density", "--reps", "0", "--level", "1", "--config", periodic]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "spec error: /configs: density reads a coset set or a configuration, not both\n"
+
+
 def test_cli_main_from_four_threads_writes_the_serial_bytes(monkeypatch, tmp_path):
     argvs = [
         ["density", "--config", CHAMP_DESC, "--level", "2", "--window", "8"],
