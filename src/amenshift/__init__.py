@@ -43,6 +43,7 @@ from .entropy import (
     spanning_min,
 )
 from .groups import (
+    Box,
     SubgroupChain,
     ball,
     box,

@@ -97,7 +97,11 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             value = value.split(",")
         elif row.type == "cosets":
             level = params.get("level", PARAMS["level"].default)
-            value = {"level": level, "reps": [int(r) for r in value.split(",")]}
+            try:
+                reps = [int(r) for r in value.split(",")]
+            except ValueError:  # kept as text, for the spec check to refuse at /params/cosets/reps
+                reps = value.split(",")
+            value = {"level": level, "reps": reps}
         params[key] = value
     if args.seed is not None:
         doc["seed"] = args.seed

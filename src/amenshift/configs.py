@@ -23,13 +23,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, product, repeat
+from itertools import accumulate, product
 from itertools import chain as concat
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InconsistentCylinders, InexactVariant, UnknownMembership
-from .groups import Element, SubgroupChain, add, aselem, identity, sub
+from .groups import Box, Element, SubgroupChain, add, aselem, identity, sub
 
 Letter = str
 
@@ -103,8 +103,8 @@ class _CosetTable:
     """The coset table of Periodic and ToeplitzTable: the distinct (level, rep,
     letter) triples ``_assigned``, coarsest first, the period array ``_cells`` on
     F_max_level, row-major, None where Unknown, and ``_period`` = q_max_level, set
-    from Periodic's word or by ToeplitzTable's ``_fill``; read on F_level by ``_lift``
-    and on any box by ``_read``."""
+    from Periodic's word or by ToeplitzTable's ``_fill``; read on any box, F_level
+    too, by ``_read``."""
 
     _assigned: tuple[tuple[int, Element, Letter], ...]
     _cells: tuple[Letter | None, ...]
@@ -126,11 +126,6 @@ class _CosetTable:
         """The letters on lo + [0, sides), row-major, None where Unknown: one
         cyclic window of the period array, after evaluate's check of lo."""
         return _window(self._cells, self._period, sides, aselem(lo, self.rank))
-
-    def _lift(self, level: int) -> tuple[Letter | None, ...]:
-        """The period array on F_level, row-major: ``_cells`` extended
-        cyclically when level > max_level, cut down when it is smaller."""
-        return _window(self._cells, self._period, (self.chain.scale(level),) * self.rank, identity(self.rank))
 
     def lookup(self, g) -> Letter | None:
         """Letter at g, or None: :func:`evaluate`."""
@@ -357,36 +352,22 @@ def _rank(g) -> int:
 
 
 def _cells(S: Sequence) -> Sequence[Element]:
-    """S's cells as int tuples of one rank: S itself when they are (``(1.0,)``
-    is not one), else normalized through aselem to S[0]'s rank."""
+    """S's cells as int tuples of one rank: S itself when S is a Box or they are
+    (``(1.0,)`` is not one), else normalized through aselem to S[0]'s rank."""
+    if isinstance(S, Box):
+        return S
     ints = set(map(type, S)) == {tuple} and set(map(type, concat.from_iterable(S))) == {int}
     return S if ints and len(set(map(len, S))) == 1 else [aselem(g, _rank(S[0])) for g in S]
 
 
-def _box(S: Sequence[Element]) -> tuple[Element, tuple[int, ...]] | None:
-    """(corner, sides) when S equals a box of int tuples listed in canonical
-    order, else None; only S[0] and S[-1] must be int tuples (see :func:`_cells`)."""
-    if not S or not all(isinstance(g, tuple) and all(map(_is_int, g)) for g in (S[0], S[-1])):
-        return None
-    lo, hi = S[0], S[-1]
-    sides = tuple(b - a + 1 for a, b in zip(lo, hi))
-    if min(sides) < 1 or prod(sides) != len(S):
-        return None
-    # compared cell by cell, row by row, with no copy of S, of the box or of a row
-    *outer, (a, b) = zip(lo, hi)
-    rows = product(*(range(c, d + 1) for c, d in outer))
-    cells = concat.from_iterable(map(operator.add, repeat(row), zip(range(a, b + 1))) for row in rows)
-    return (lo, sides) if all(map(operator.eq, S, cells)) else None
-
-
-def _frame(S: Sequence) -> tuple[Element, tuple[int, ...], Sequence[Element], bool]:
-    """(corner, sides) of S's bounding box, S's cells (S itself when S is that
-    box in canonical order, else :func:`_cells`) and whether it is."""
-    if box := _box(S):
-        return (*box, S, True)
+def _frame(S: Sequence) -> tuple[Element, tuple[int, ...], Sequence[Element]]:
+    """(corner, sides) of S's bounding box and S's cells: a :class:`Box` as
+    it is, any other S through :func:`_cells`."""
+    if isinstance(S, Box):
+        return S.lo, S.sides, S
     cells = _cells(S)
     lo, hi = tuple(map(min, zip(*cells))), tuple(map(max, zip(*cells)))
-    return lo, tuple(b - a + 1 for a, b in zip(lo, hi)), cells, False
+    return lo, tuple(b - a + 1 for a, b in zip(lo, hi)), cells
 
 
 class _BoxScan:
@@ -395,7 +376,7 @@ class _BoxScan:
     box reader ``read`` (a configuration's ``_read``, or :func:`_points`) is
     called once, on the union box bbox(shape) + bbox(translates), and
     ``values`` keeps its cells, row-major: a sparse shape in a wide box pays
-    for the whole box.  A set in canonical box order is read as a box: a box
+    for the whole box.  A :class:`Box` is read as a box: a box
     shape's windows are joined row slices, and two boxes count windows by
     separable prefix sums (Crow's summed-area table), one :func:`_along`
     pass of sliding sums per axis.  Any other set is read as offsets into
@@ -413,22 +394,22 @@ class _BoxScan:
     def window_sums(self, cells: list) -> list[int]:
         """Σ cells over each window of the row-major array ``cells`` over the
         union box: one sliding pass per axis for two boxes, else one sum each."""
-        (_, s_sides, _, s_box), (*_, t_box) = self.shape, self.translates
-        if not (s_box and t_box):
+        (_, s_sides, S), (*_, T) = self.shape, self.translates
+        if not (isinstance(S, Box) and isinstance(T, Box)):
             return list(map(sum, self.windows(cells)))
         return _along(cells, self.sides, [partial(_sliding_sums, width) for width in s_sides])
 
     def windows(self, cells: list) -> Iterator[tuple]:
         """Each window of the row-major array ``cells`` over the union box, in
         shape order: joined runs, a box shape's rows or another shape's cells."""
-        (s_lo, s_sides, S, s_box), (t_lo, t_sides, T, t_box) = self.shape, self.translates
+        (s_lo, s_sides, S), (t_lo, t_sides, T) = self.shape, self.translates
         sides = self.sides
-        if s_box:
+        if isinstance(S, Box):
             rows = [_offset(r + (0,), sides) for r in product(*map(range, s_sides[:-1]))]
             width = s_sides[-1]
         else:
             rows, width = [_offset(sub(f, s_lo), sides) for f in S], 1
-        places = product(*map(range, t_sides)) if t_box else (sub(t, t_lo) for t in T)
+        places = product(*map(range, t_sides)) if isinstance(T, Box) else (sub(t, t_lo) for t in T)
         for o in (_offset(t, sides) for t in places):
             yield tuple(concat.from_iterable(cells[o + r : o + r + width] for r in rows))
 
@@ -436,9 +417,9 @@ class _BoxScan:
         """Raise UnknownMembership at the first None, in shape order, of the
         first window holding one, at its int cell; cells in no window never raise."""
         if None in self.values:
-            for t, window in zip(_cells(self.translates[2]), self.windows(self.values)):
+            for t, window in zip(self.translates[2], self.windows(self.values)):
                 if None in window:
-                    require_known(None, add(_cells(self.shape[2])[window.index(None)], t))
+                    require_known(None, add(self.shape[2][window.index(None)], t))
 
 
 def _offset(g: Element, sides: tuple[int, ...]) -> int:
@@ -512,7 +493,7 @@ def _constant_cosets(x: Configuration, n: int) -> Sequence[Letter | None]:
     """
     q = _exact_chain(x).scale(n)
     if n >= x.max_level:
-        return x._lift(n)
+        return x._read(identity(x.rank), (q,) * x.rank)
     return _fold(x._cells, x._period, q, x.rank)
 
 
@@ -543,7 +524,7 @@ def _level_labels(x: Configuration, N: int) -> list[Sequence[Letter | None]]:
     labels = [_constant_cosets(x, N)]
     for n in range(N, 0, -1):
         if n > x.max_level:
-            labels.append(x._lift(n - 1))
+            labels.append(x._read(identity(x.rank), (chain.scale(n - 1),) * x.rank))
         else:
             labels.append(_fold(labels[-1], chain.scale(n), chain.scale(n - 1), x.rank))
     return labels[::-1]
@@ -574,10 +555,10 @@ def per_set_letter(x: Configuration, n: int, a: Letter) -> CosetSet:
 
 def _coset_pair(x: Configuration, z: Configuration) -> tuple[int, list[bool | None]] | None:
     """(p, D) for coset tables over one chain, the one exact-pair test, else None:
-    p = max(max_level), D the row-major array on F_p of [x_g ≠ z_g] (None if Unknown)."""
+    p = max(max_level), D = [x_g ≠ z_g] on F_p, None if Unknown (:func:`_differs`)."""
     if x.chain is not None and x.chain == z.chain:
         p = max(x.max_level, z.max_level)
-        return p, [None if a is None or b is None else a != b for a, b in zip(x._lift(p), z._lift(p))]
+        return p, _differs(x, z)(identity(x.rank), (x.chain.scale(p),) * x.rank)
     return None
 
 
@@ -756,8 +737,9 @@ def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Config
             _parse_element(k, chain.rank): v
             for k, v in _descriptor_field(desc, variant, "word").items()
         }
+        # an empty word has no alphabet: Periodic refuses it as not total
         letters = tuple(sorted(set(word.values())))
-        return Periodic(chain, level, word, Alphabet(letters))
+        return Periodic(chain, level, word, Alphabet(letters) if letters else None)
     if variant == "toeplitz":
         assignments = tuple(
             (n, _parse_element(rep, chain.rank), a)
@@ -782,6 +764,8 @@ def _oracle_rule(rule: str) -> Callable[[int], Oracle]:
             raise ValueError(f"oracle rule {rule!r} has a zero denominator") from None
         except ValueError:
             raise ValueError(f"oracle rule {rule!r} needs a fraction, such as 1/2") from None
+        if not 0 < eps < 1:
+            raise ValueError(f"oracle rule {rule!r} needs eps in (0,1), such as 1/2")
         return lambda radius: block_alternating(eps, radius)
     raise ValueError(f"unknown oracle rule {rule!r}")
 

@@ -3,7 +3,8 @@
 Elements of Z^d are plain int tuples; the group operation is componentwise
 addition and the identity is the zero vector.  Finite subsets are kept in the
 canonical enumeration (lexicographic on coordinates), so every scan in the
-package is deterministic.
+package is deterministic; a box is a :class:`Box`, which keeps its corner and
+sides, so no scan compares its cells to know it is one.
 
 A chain with scales q_1 | q_2 | ... | q_N describes the nested finite-index
 subgroups H_n = (q_n Z)^d with fundamental domains F_n = [0, q_n)^d.  Level 0
@@ -52,24 +53,35 @@ def sub(g: Element, h: Element) -> Element:
     return tuple(map(operator.sub, g, h))
 
 
-def box(rank: int, side: int) -> FiniteSubset:
+class Box(tuple):
+    """The cells of lo + [0, sides) in canonical order: a tuple, equal to and
+    hashed as that tuple, that keeps its corner ``lo`` and ``sides``.  A corner
+    or side that is no int raises TypeError, never truncated."""
+
+    def __new__(cls, lo, sides):
+        lo, sides = tuple(map(operator.index, lo)), tuple(map(operator.index, sides))
+        if len(lo) != len(sides) or any(n < 1 for n in sides):
+            raise ValueError(f"box at {lo} needs one positive side per axis, not {sides}")
+        cells = super().__new__(cls, itertools.product(*map(range, lo, map(operator.add, lo, sides))))
+        cells.lo, cells.sides = lo, sides
+        return cells
+
+    def __getnewargs__(self):
+        return self.lo, self.sides
+
+
+def box(rank: int, side: int) -> Box:
     """The box [0, side)^rank in canonical order."""
-    if side <= 0:
-        raise ValueError("box side must be positive")
-    return tuple(itertools.product(range(side), repeat=rank))
+    return Box((0,) * rank, (side,) * rank)
 
 
-def rect(lo: Element, hi: Element) -> FiniteSubset:
+def rect(lo: Element, hi: Element) -> Box:
     """Product of the inclusive intervals [lo_i, hi_i], canonical order."""
-    if any(a > b for a, b in zip(lo, hi)):
-        raise ValueError(f"empty rectangle {lo}..{hi}")
-    return tuple(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    return Box(lo, [b - a + 1 for a, b in zip(lo, hi)])
 
 
-def ball(rank: int, radius: int) -> FiniteSubset:
+def ball(rank: int, radius: int) -> Box:
     """The centered box [-radius, radius]^rank; contains e, closed under negation."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     return rect((-radius,) * rank, (radius,) * rank)
 
 
@@ -115,7 +127,7 @@ class SubgroupChain:
         self._check_level(n)
         return 1 if n == 0 else self.scales[n - 1]
 
-    def domain(self, n: int) -> FiniteSubset:
+    def domain(self, n: int) -> Box:
         """The fundamental domain F_n = [0, q_n)^d in canonical order.
 
         Built once per chain and level, then shared: the tuple is immutable,

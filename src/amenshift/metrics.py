@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .configs import (
     Configuration,
     _BoxScan,
-    _box,
     _cells,
     _coset_pair,
     _differs,
@@ -28,7 +27,7 @@ from .configs import (
 )
 from .densities import IntervalEstimate, _windowed
 from .errors import NotAKCover
-from .groups import FiniteSubset, SubgroupChain, ball, identity
+from .groups import Box, Element, FiniteSubset, SubgroupChain, ball, identity
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
     disagreement array D on F_p (:func:`_coset_pair`), else None, with no D built.
 
     Σ_{f∈F} D[(f + g) mod q_p] is periodic in g, so the sup over the group is
-    the max over g ∈ F_p.  A box F in canonical order takes the kernel over
+    the max over g ∈ F_p.  A :class:`Box` F takes the kernel over
     the union box bbox(F) + F_p, one window of D, whose prefix sums cost
     about that many cells; any other F sums the |F| windows g ↦ D[(f + g)
     mod q_p], f ∈ F, cell by cell (``configs._window`` over F_p: |F|·|F_p|
@@ -103,7 +102,7 @@ def _period_scan(x: Configuration, z: Configuration) -> Callable[[FiniteSubset],
     chain, q = x.chain, x.chain.scale(p)
 
     def sup(F: FiniteSubset) -> int:
-        if not F or _box(F):
+        if not F or isinstance(F, Box):
             return _delta_sup(F, lambda lo, sides: _window(D, q, sides, lo), chain.domain(p))
         cells = _cells(F)
         if len(cells[0]) != chain.rank:
@@ -118,7 +117,7 @@ def delta_star_exact(x: Configuration, z: Configuration, F: FiniteSubset) -> int
 
     Both sides must be fully resolved over one chain (every Periodic is); the
     summand is then periodic in g with period q_p, so the sup over the whole
-    group is attained on F_p.  A box F is scanned over bbox(F) + F_p; any
+    group is attained on F_p.  A Box F is scanned over bbox(F) + F_p; any
     other F sums |F| rotations of the disagreement array on F_p
     (:func:`_period_scan`).
     """
@@ -134,7 +133,7 @@ class WeylBound:
     ``window_proxy`` is a lower bound for sup_g Δ_{F+g}/|F| (which itself
     bounds the Weyl pseudometric from above); ``exact`` is the true sup, for
     same-chain fully resolved pairs read off their disagreement array on one
-    period (:func:`_period_scan`: a box F by the kernel, any other F by rotation).
+    period (:func:`_period_scan`: a Box F by the kernel, any other F by rotation).
     """
 
     window_proxy: Fraction
@@ -195,13 +194,17 @@ def besicovitch_estimate(
     return BesicovitchTrace(levels, tuple(averages), max(averages))
 
 
+def _cover_counts(F: FiniteSubset, cover: Sequence[FiniteSubset]) -> Iterator[tuple[Element, int]]:
+    """(g, how many sets of the cover hold g) for each cell g of F, as :func:`_cells` reads them."""
+    sets = [set(_cells(K)) for K in cover]
+    return ((g, sum(g in K for K in sets)) for g in _cells(F))
+
+
 def validate_k_cover(F: FiniteSubset, cover: Sequence[FiniteSubset], k: int) -> None:
-    """NotAKCover unless k sets of the cover hold each cell of F, as :func:`_cells` reads them."""
+    """NotAKCover unless k sets of the cover hold each cell of F (:func:`_cover_counts`)."""
     if k < 1:
         raise NotAKCover("k must be at least 1")
-    sets = [set(_cells(K)) for K in cover]
-    for g in _cells(F):
-        hits = sum(g in K for K in sets)
+    for g, hits in _cover_counts(F, cover):
         if hits < k:
             raise NotAKCover(f"{g} covered {hits} < {k} times")
 
@@ -216,7 +219,7 @@ def shearer_values(
 ) -> tuple[Fraction, list[Fraction]]:
     """H(F) and the H(K_i) for a k-cover of F, the two sides of Shearer's
     inequality H(F) ≤ (1/k) Σ H(K_i): exact for fully resolved pairs, read
-    off their disagreement array on one period (a box by the kernel, a
+    off their disagreement array on one period (a Box by the kernel, a
     sparse cover by |K| rotations of the array; :func:`_period_scan`), else
     window proxies at one shared radius."""
     validate_k_cover(F, cover, k)

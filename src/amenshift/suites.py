@@ -43,7 +43,7 @@ from .measures import (
     prokhorov_distance,
     total_variation,
 )
-from .metrics import dstar_distance, shearer_values
+from .metrics import _cover_counts, dstar_distance, shearer_values
 from .toeplitz import (
     krieger_construct,
     meets_power_bound,
@@ -339,8 +339,7 @@ def suite_shearer(seed: int = 7) -> list[dict]:
             tuple(sorted(rng.sample(dom, rng.randrange(1, 9))))
             for _ in range(rng.randrange(1, 5))
         ]
-        counts = [sum(1 for K in cover if g in K) for g in F]
-        k = min(counts)
+        k = min(hits for _, hits in _cover_counts(F, cover))
         if k == 0:
             cover.append(F)
             k = 1

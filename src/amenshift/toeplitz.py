@@ -157,7 +157,7 @@ def periodic_approximation(x: Periodic | ToeplitzTable, n: int) -> Periodic:
     so D*(x^{(n)}, x) ≤ 1 - D*(Per_{H_n}(x)) with both sides exact.
     """
     chain = _exact_chain(x)
-    cells, dom = x._lift(n), chain.domain(n)
+    cells, dom = x._read(identity(chain.rank), (chain.scale(n),) * chain.rank), chain.domain(n)
     if None in cells:
         f = dom[cells.index(None)]
         raise UnresolvedCells(f"no value at {f}; cannot build a level-{n} word")

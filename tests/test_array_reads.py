@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import amenshift
-from amenshift import configs
+from amenshift import configs, suites
 from amenshift.cli import main
 from amenshift.configs import (
     BINARY,
@@ -29,7 +29,7 @@ from amenshift.configs import (
     shift,
 )
 from amenshift.entropy import pattern_set
-from amenshift.groups import add, make_chain
+from amenshift.groups import Box, add, make_chain
 from amenshift.measures import empirical_measure
 from amenshift.metrics import delta_star_exact, dstar_distance, shearer_values, weyl_upper_bound
 from amenshift.toeplitz import (
@@ -41,6 +41,7 @@ from amenshift.toeplitz import (
     verify_skeleton,
 )
 from oracles import disagreement_set
+from test_harness import COLUMN_TYPE_PINS, README_EXAMPLES_SHA256
 
 CHAIN = make_chain(1, [2, 4, 8, 16, 32])
 SQUARE = make_chain(2, [2, 4, 8])
@@ -132,7 +133,8 @@ def test_a_scan_reads_each_configuration_once(box_reads, cell_reads, chain):
     # Shearer covers, a Weyl F and pattern translates that are not boxes go
     # through the one window scan: it reads each side once, through _read,
     # on the union box bbox(K) + bbox(translates), from that box's corner; a
-    # scan of a periodic pair's disagreement array reads no configuration
+    # scan of a periodic pair's disagreement array reads no configuration, and
+    # building that array reads each side once, on F_p from its corner e
     resolved = regular_table(chain, ("a", "b"))
     # fully resolved too, but on another chain: the pair scans a window
     other = regular_table(make_chain(chain.rank, [3, 9]), ("b", "a"))
@@ -145,12 +147,14 @@ def test_a_scan_reads_each_configuration_once(box_reads, cell_reads, chain):
         run()
         return box_reads[:]
 
-    assert reads(lambda: shearer_values(resolved, resolved, F, cover, 1)) == []
+    e = (0,) * chain.rank
+    assert reads(lambda: shearer_values(resolved, resolved, F, cover, 1)) == [(resolved, e)] * 2
     assert reads(lambda: shearer_values(other, resolved, F, cover, 1, 1)) == [
         (y, below(K)) for K in [F, *cover] for y in (other, resolved)
     ]
-    # only the window proxy reads the pair
-    assert reads(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == [(resolved, below(F))] * 2
+    # the window proxy reads the pair around F, the exact value builds D
+    proxy, exact = [(resolved, below(F))] * 2, [(resolved, e)] * 2
+    assert reads(lambda: weyl_upper_bound(resolved, resolved, F, 1)) == proxy + exact
     shape = dom[:2]
     assert reads(lambda: empirical_measure(resolved, F, shape)) == [(resolved, add(corner(shape), corner(F)))]
     assert cell_reads == []
@@ -183,6 +187,38 @@ def test_windowed_scans_read_no_single_table_cell(cell_reads, capsys, chain):
     assert main(["density", "--rank", str(d), "--scales", scales, "--config", desc, "--letter", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["items"]
     assert cell_reads == []
+
+
+def test_the_anchor_and_the_readme_commands_scan_boxes_only(monkeypatch, capsys):
+    # a window scan reads a Box by its corner and sides and any other set cell
+    # by cell, so a box built as a plain tuple would silently take the slow
+    # path: every set the kernel frames while `verify --suite all --seed 7`
+    # and the README and column-type commands run is a Box, but for the
+    # shearer suite's sampled shapes
+    framed, source = [], ["cli"]
+    frame = configs._frame
+    monkeypatch.setattr(configs, "_frame", lambda S: framed.append((source[0], S)) or frame(S))
+
+    def tagged(name, suite):
+        def run(seed):
+            source[0] = name
+            return suite(seed=seed)
+
+        return run
+
+    for name, suite in list(suites.SUITES.items()):
+        monkeypatch.setitem(suites.SUITES, name, tagged(name, suite))
+    assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
+    verify = len(framed)
+    source[0] = "cli"
+    for argv, *_ in [*README_EXAMPLES_SHA256.values(), *COLUMN_TYPE_PINS.values()]:
+        main(argv)
+    capsys.readouterr()
+    # _BoxScan frames its shape, then its translates
+    assert len(framed) % 2 == 0 and 0 < verify < len(framed)
+    for (name, shape), (_, translates) in zip(framed[::2], framed[1::2]):
+        assert type(translates) is Box, name
+        assert type(shape) is Box or name == "shearer", name
 
 
 def test_the_counting_wrappers_see_a_cell_walk(cell_reads):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from amenshift.configs import (
 from amenshift.densities import banach_density_windowed
 from amenshift.entropy import pattern_set
 from amenshift.errors import ChainMismatch, InexactVariant, NotAKCover, UnknownMembership
-from amenshift.groups import add, aselem, ball, make_chain, rect
+from amenshift.groups import Box, add, aselem, ball, make_chain, rect
 from amenshift.measures import (
     EmpiricalMeasure,
     discrete_metric,
@@ -742,6 +743,48 @@ def test_respelled_cells_read_as_their_int_tuples():
     # a set that lists a cell twice covers it once
     with pytest.raises(NotAKCover, match=r"^\(0,\) covered 1 < 2 times$"):
         shearer_values(x, z, [0], [[0, (0,), [0]]], 2)
+    # a respelled box is normalized cell by cell, not read by its corner and sides
+    assert configs._frame([(0,), (1.0,), (2,)]) == ((0,), (3,), [(0,), (1,), (2,)])
+    assert configs._frame(canon)[2] is canon and configs._frame(rect((0,), (2,)))[:2] == ((0,), (3,))
+
+
+def outcome(run):
+    """run()'s value, or the type and message of the error it raises."""
+    try:
+        return run()
+    except (UnknownMembership, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_box_and_its_respellings_agree(data):
+    # a Box is read by its corner and sides; its cells as a plain tuple or a
+    # list take the general path, to the same values and the same Unknown
+    # message: ranks 1 to 3, oracles and tables with Unknown cells included
+    chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3]))
+    base = base_oracles(chain) if chain.rank < 3 else st.builds(cubic_oracle, st.integers(1, 3))
+    unknown = st.one_of(st.builds(shift, elements(chain), base), unresolved_tables(chain))
+    x, z = data.draw(unknown | resolved(chain)), data.draw(unknown | resolved(chain))
+    F, shape = (
+        Box(data.draw(elements(chain, 4)), data.draw(st.tuples(*[st.integers(1, 3)] * chain.rank)))
+        for _ in range(2)
+    )
+    radius = data.draw(st.integers(0, 2))
+
+    def results(F, shape):
+        return [
+            outcome(lambda: empirical_measure(x, F)),
+            outcome(lambda: empirical_measure(x, F, shape)),
+            outcome(lambda: omega_profile(x, [shape, F])),
+            outcome(lambda: weyl_upper_bound(x, z, F, radius)),
+            outcome(lambda: delta_star_exact(x, z, F)),
+            outcome(lambda: shearer_values(x, z, F, [shape, F], 1, radius)),
+        ]
+
+    want = results(F, shape)
+    for spell_F, spell_shape in itertools.product([lambda B: B, tuple, list], repeat=2):
+        assert results(spell_F(F), spell_shape(shape)) == want
 
 
 def test_an_unresolved_pair_builds_no_disagreement_array(monkeypatch):
@@ -814,7 +857,7 @@ def test_shearer_refuses_a_cover_of_another_rank(period_paths):
     # with rank-1 sides: a box one by the kernel, a sparse one before any rotation
     chain = make_chain(1, [2, 4, 8])
     x, z = regular_table(chain), regular_table(chain, ("b", "a"))
-    for F in [((0, 0), (0, 1)), ((1, 3), (0, 0))]:
+    for F in [rect((0, 0), (0, 1)), ((1, 3), (0, 0))]:
         with pytest.raises(ValueError, match="rank"):
             shearer_values(x, z, F, [F], 1)
     assert period_paths == ["box"]

@@ -1,3 +1,5 @@
+import copy
+import itertools
 import pickle
 import random
 import sys
@@ -9,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from amenshift.configs import BINARY, CosetSet, Periodic, ToeplitzTable
 from amenshift.errors import LevelOutOfRange, NonDividingScales
-from amenshift.groups import SubgroupChain, aselem, ball, box, make_chain, sub
+from amenshift.groups import Box, SubgroupChain, aselem, ball, box, make_chain, rect, sub
 from oracles import folner_invariance_ratio, in_subgroup, translate
 
 DYADIC = make_chain(1, [2, 4, 8])
@@ -156,6 +158,48 @@ def test_subgroup_in_domain():
 def test_box_requires_positive_side():
     with pytest.raises(ValueError):
         box(1, 0)
+    # rect and ball refuse an empty box through Box itself
+    for build in (lambda: rect((0, 2), (1, 1)), lambda: ball(2, -1), lambda: Box((0, 0), (1,))):
+        with pytest.raises(ValueError, match="needs one positive side per axis"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "build, lo, sides",
+    [
+        (lambda: box(2, 3), (0, 0), (3, 3)),
+        (lambda: rect((-1, 2), (0, 4)), (-1, 2), (2, 3)),
+        (lambda: ball(1, 2), (-2,), (5,)),
+        (lambda: ball(3, 0), (0, 0, 0), (1, 1, 1)),
+        (lambda: make_chain(2, [2, 4]).domain(2), (0, 0), (4, 4)),
+        (lambda: DYADIC.domain(0), (0,), (1,)),
+    ],
+)
+def test_boxes_know_their_corner_and_sides(build, lo, sides):
+    B = build()
+    cells = tuple(itertools.product(*(range(c, c + n) for c, n in zip(lo, sides))))
+    assert type(B) is Box and (B.lo, B.sides) == (lo, sides)
+    # equal to and hashed as the tuple of its cells in canonical order
+    assert B == cells and hash(B) == hash(cells) and {B: 1}[cells] == 1
+    assert repr(B) == repr(cells)
+    for twin in (pickle.loads(pickle.dumps(B)), pickle.loads(pickle.dumps(B, 0)), copy.copy(B), copy.deepcopy(B)):
+        assert type(twin) is Box and twin == B and (twin.lo, twin.sides) == (lo, sides)
+    # a slice or a sum is a plain tuple, read as any other set
+    assert type(B[:]) is tuple and type(B + ()) is tuple
+
+
+def test_a_box_corner_or_side_that_is_not_an_int_is_refused_not_truncated():
+    for build in (
+        lambda: Box((0.5,), (2,)),
+        lambda: Box((0,), (2.0,)),
+        lambda: box(1, 2.5),
+        lambda: rect((0,), (1.0,)),
+        lambda: rect((0.5, 0), (2, 1)),
+        lambda: ball(1, 1.5),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert Box((True,), (2,)) == ((1,), (2,))
 
 
 def test_domains_are_built_once_per_chain_and_level():

@@ -928,11 +928,32 @@ def test_cli_rank_mismatch_names_the_first_cell(capsys, argv, cell):
 
 
 def test_cli_oracle_rule_with_a_zero_denominator_is_one_error_line(capsys):
-    # so is a rule whose argument is no fraction
-    for arg, why in [("1/0", "has a zero denominator"), ("x", "needs a fraction, such as 1/2")]:
+    # so is a rule whose argument is no fraction, or one outside (0,1)
+    outside = "needs eps in (0,1), such as 1/2"
+    for arg, why in [
+        ("1/0", "has a zero denominator"),
+        ("x", "needs a fraction, such as 1/2"),
+        *((eps, outside) for eps in ("2", "0", "1", "-1/2")),
+    ]:
         desc = f'{{"variant":"oracle","box":3,"rule":"block_alternating({arg})"}}'
         assert main(["density", "--config", desc]) == 2
         assert capsys.readouterr() == ("", f"error: oracle rule 'block_alternating({arg})' {why}\n")
+
+
+def test_cli_reps_that_are_not_integers_are_a_spec_error_at_their_field(capsys):
+    for reps in ("1,x", "0,1.5", "a"):
+        assert main(["density", "--reps", reps]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "spec error: /params/cosets/reps: must be an array of integers or integer arrays\n",
+        )
+
+
+def test_cli_empty_periodic_word_is_refused_as_not_total(capsys):
+    for level in (0, 1, 2):
+        desc = json.dumps({"variant": "periodic", "level": level, "word": {}})
+        assert main(["density", "--config", desc]) == 2
+        assert capsys.readouterr() == ("", f"error: word must be total on the level-{level} domain\n")
 
 
 def test_cli_omega_builds_each_box_only_when_the_trace_reads_it(monkeypatch, capsys):

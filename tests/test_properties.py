@@ -593,10 +593,11 @@ def test_lifted_array_matches_the_period_table_oracle(data):
     chain = data.draw(st.sampled_from([CHAIN, CHAIN2, CHAIN3, SQUARE3]))
     x = data.draw(configurations_or_empty(chain))
     # F_level lies in F_max_level below it, so both read the oracle's table at
-    # the deeper of the two levels
+    # the deeper of the two levels; the array on F_level is one box read at e
+    e = identity(chain.rank)
     for level in range(chain.depth + 1):
         table = period_table_oracle(x, max(level, x.max_level))
-        assert x._lift(level) == tuple(table[f] for f in chain.domain(level))
+        assert x._read(e, (chain.scale(level),) * chain.rank) == tuple(table[f] for f in chain.domain(level))
 
 
 @settings(max_examples=60, deadline=None)
