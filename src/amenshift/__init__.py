@@ -35,6 +35,7 @@ from .entropy import (
     binomial_tail,
     entropy_continuity_bound,
     entropy_estimate,
+    entropy_estimates,
     es_binomial_bound_holds,
     es_entropy,
     pattern_counting_bound_holds,

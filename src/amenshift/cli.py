@@ -57,6 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_or_text(item: str) -> int | str:
+    """A list flag's item as an int, or kept as text for the spec check to
+    refuse at its pointer."""
+    try:
+        return int(item)
+    except ValueError:
+        return item
+
+
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     doc: dict = {}
     if args.spec:
@@ -73,7 +82,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.rank is not None or args.scales is not None:
         rank = args.rank if args.rank is not None else (doc.get("chain") or {}).get("rank", 1)
         scales = (
-            [int(q) for q in args.scales.split(",")]
+            [_int_or_text(q) for q in args.scales.split(",")]
             if args.scales is not None
             else (doc.get("chain") or {}).get("scales", DEFAULT_SCALES)
         )
@@ -97,11 +106,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
             value = value.split(",")
         elif row.type == "cosets":
             level = params.get("level", PARAMS["level"].default)
-            try:
-                reps = [int(r) for r in value.split(",")]
-            except ValueError:  # kept as text, for the spec check to refuse at /params/cosets/reps
-                reps = value.split(",")
-            value = {"level": level, "reps": reps}
+            value = {"level": level, "reps": [_int_or_text(r) for r in value.split(",")]}
         params[key] = value
     if args.seed is not None:
         doc["seed"] = args.seed

@@ -745,6 +745,9 @@ def config_from_descriptor(desc: Mapping, chain: SubgroupChain | None) -> Config
             (n, _parse_element(rep, chain.rank), a)
             for n, rep, a in _descriptor_field(desc, variant, "assignments")
         )
+        # an empty table has no alphabet: refused here, at its field
+        if not assignments:
+            raise ValueError(f"{variant} descriptor: 'assignments' must be nonempty")
         letters = tuple(sorted({a for _, _, a in assignments}))
         return ToeplitzTable(chain, assignments, Alphabet(letters))
     if variant == "oracle":

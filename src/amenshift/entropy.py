@@ -1,6 +1,11 @@
 """Pattern-counting entropy, the binary-entropy tail bound, and exact
 density-relaxed separated/spanning numbers of small sampled systems.
 
+Entropy estimates of a level range count the windows of every level from
+one read of the configuration, by labels that name each F_{n+1}-window by
+the labels of its F_n tiles (:func:`_window_counts`); pattern sets keep one
+tuple per window, since they return the patterns themselves.
+
 The separated and spanning numbers come from branch-and-bound searches over
 bitmask graphs of at most ``SYSTEM_CAP`` points, one row per point read
 straight off the diff table: a maximum clique bounded by size plus remaining
@@ -20,14 +25,17 @@ big-integer comparators so tests never trust floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
-from .configs import Configuration, _BoxScan
+from .configs import Configuration, _along, _BoxScan, _offset
 from .errors import DeltaOutOfRange, SystemTooLarge
-from .groups import SubgroupChain, ball
+from .groups import Box, SubgroupChain, ball
 
 SYSTEM_CAP = 20
 
@@ -73,6 +81,17 @@ def _resolve_chain(x: Configuration, chain: SubgroupChain | None) -> SubgroupCha
     return chain
 
 
+def _translates(x: Configuration, ch: SubgroupChain, radius: int | None) -> tuple[bool, Box]:
+    """(exact, translates): a fully resolved coset table repeats with period
+    q_max_level, so the translates F_max_level see every window; any other
+    configuration is scanned over ball(radius), a lower bound only."""
+    if x.chain is not None and x.fully_resolved():
+        return True, ch.domain(x.max_level)
+    if radius is None:
+        raise ValueError("non-periodic configuration: supply a window radius")
+    return False, ball(x.rank, radius)
+
+
 def pattern_set(
     x: Configuration,
     n: int,
@@ -87,15 +106,7 @@ def pattern_set(
     x is read once, on the union box of the windows (``x._read``).
     """
     ch = _resolve_chain(x, chain)
-    exact = x.chain is not None and x.fully_resolved()
-    if exact:
-        # values repeat with period q_{max_level}, so one domain of
-        # translates sees every window
-        translates = ch.domain(x.max_level)
-    elif radius is None:
-        raise ValueError("non-periodic configuration: supply a window radius")
-    else:
-        translates = ball(x.rank, radius)
+    exact, translates = _translates(x, ch, radius)
     scan = _BoxScan(x._read, ch.domain(n), translates)
     scan.check_known()
     return PatternSet(n, frozenset(scan.windows(scan.values)), exact, None if exact else radius)
@@ -108,10 +119,86 @@ def entropy_estimate(
     chain: SubgroupChain | None = None,
 ) -> EntropyEstimate:
     """ln(pattern count) / |F_n| in nats; a lower bound unless the scan was exact."""
-    ps = pattern_set(x, n, radius, chain)
-    size = _resolve_chain(x, chain).domain_size(n)
-    est = estimate_from_count(len(ps), n, size, len(x.alphabet))
-    return replace(est, window_radius=ps.window_radius, exact=ps.exact)
+    return entropy_estimates(x, (n,), radius, chain)[0]
+
+
+def entropy_estimates(
+    x: Configuration,
+    levels: Iterable[int],
+    radius: int | None = None,
+    chain: SubgroupChain | None = None,
+) -> tuple[EntropyEstimate, ...]:
+    """:func:`entropy_estimate` at each of the levels, in their order, from
+    one read of x: the union box of F_top and the translates, top the deepest
+    of the levels the chain has (:func:`_window_counts`).  A level that holds
+    an Unknown window raises as a scan of that level alone does, and a level
+    past the chain as its domain does, each only after every level before it
+    has passed."""
+    levels = tuple(levels)
+    ch = _resolve_chain(x, chain)
+    exact, translates = _translates(x, ch, radius)
+    top = max((n for n in levels if 0 <= n <= ch.depth), default=None)
+    counts = () if top is None else _window_counts(x._read, ch, top, translates)
+    estimates = []
+    for n in levels:
+        if not 0 <= n <= ch.depth:
+            ch.domain(n)  # raises LevelOutOfRange
+        count, unknown = counts[n]
+        if unknown:
+            # the cold path: a scan of level n alone names the first Unknown cell
+            _BoxScan(x._read, ch.domain(n), translates).check_known()
+        est = estimate_from_count(count, n, ch.domain_size(n), len(x.alphabet))
+        estimates.append(replace(est, window_radius=None if exact else radius, exact=exact))
+    return tuple(estimates)
+
+
+def _window_counts(read: Callable, ch: SubgroupChain, top: int, translates: Box) -> list[tuple[int, bool]]:
+    """(distinct windows, whether one holds an Unknown cell) of F_n + t, t
+    over the translates, for n = 0..top, from one read of the union box
+    bbox(F_top) + bbox(translates).
+
+    Windows are counted by labels, Karp, Miller and Rosenberg's labelling
+    ("Rapid identification of repeated patterns in strings, trees and
+    arrays", STOC 1972) over the chain's own nesting: level 0's labels are
+    the cells, None included, and F_{n+1} is tiled by k^d translates of F_n,
+    k = q_{n+1}/q_n, so one :func:`_along` pass per axis labels position i
+    of a line by the id of its k tiles (line[i], line[i + q_n], ...,
+    line[i + (k-1)q_n]).  Each axis of a level has one dict of ids, shared
+    by every line of the pass, so equal labels are equal windows.  An id is
+    Unknown if one of its k parts is; that set is kept only when the read
+    holds a None.  Level n's count is over its labels at [0, translates' sides).
+    """
+    scan = _BoxScan(read, ch.domain(top), translates)
+    labels, sides, t_sides = scan.values, scan.sides, scan.translates[1]
+    unknown = {None} if None in labels else set()
+    counts = []
+    for n in range(top + 1):
+        seen = _distinct_in(labels, sides, t_sides)
+        counts.append((len(seen), not unknown.isdisjoint(seen)))
+        if n == top:
+            break
+        q, k = ch.scale(n), ch.scale(n + 1) // ch.scale(n)
+        stages = [defaultdict(itertools.count().__next__) for _ in sides]
+        labels = _along(labels, sides, [partial(_tiles, ids, q, k) for ids in stages])
+        sides = tuple(s - (k - 1) * q for s in sides)
+        if unknown:
+            for ids in stages:
+                unknown = {i for key, i in ids.items() if not unknown.isdisjoint(key)}
+    return counts
+
+
+def _tiles(ids: dict, q: int, k: int, line: Sequence) -> list[int]:
+    """The id of (line[i], line[i + q], ..., line[i + (k-1)q]) at each i
+    where the k tiles fit, from the shared dict ids."""
+    m = len(line) - (k - 1) * q
+    return list(map(ids.__getitem__, zip(*(line[j * q : j * q + m] for j in range(k)))))
+
+
+def _distinct_in(labels: Sequence, sides: tuple[int, ...], box: tuple[int, ...]) -> set:
+    """The distinct labels on [0, box) of the row-major array over [0, sides)."""
+    *outer, width = box
+    starts = (_offset(r + (0,), sides) for r in itertools.product(*map(range, outer)))
+    return set().union(*(labels[o : o + width] for o in starts))
 
 
 def estimate_from_count(

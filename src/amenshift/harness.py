@@ -38,7 +38,7 @@ from .configs import (
     per_set,
 )
 from .densities import IntervalEstimate, _windowed, banach_density_exact
-from .entropy import entropy_estimate
+from .entropy import entropy_estimate, entropy_estimates
 from .errors import SpecError
 from .groups import SubgroupChain, box, make_chain
 from .measures import omega_profile
@@ -225,7 +225,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         # its own copies: changing the caller's dicts leaves the spec as checked
         for key in ("chain", "configs", "params"):
-            object.__setattr__(self, key, copy.deepcopy(getattr(self, key)))
+            object.__setattr__(self, key, _own(getattr(self, key)))
         self.check()
         object.__setattr__(self, "configs", tuple(self.configs))
 
@@ -263,6 +263,21 @@ class ExperimentReport:
     wall_time_ms: float | None = None
 
 
+# the immutable JSON leaves, which a spec's copy shares
+_SHARED = (str, int, float, bool, type(None))
+
+
+def _own(value: Any) -> Any:
+    """A copy of a JSON tree: dicts, lists and tuples rebuilt, str, int,
+    float, bool and None shared, any other value deep-copied."""
+    t = type(value)
+    if t is dict:
+        return {k: _own(v) for k, v in value.items()}
+    if t is list or t is tuple:
+        return t(map(_own, value))
+    return value if t in _SHARED else copy.deepcopy(value)
+
+
 def spec_from_json(doc: Any) -> ExperimentSpec:
     """The spec of a JSON experiment document, which checks itself; a key
     that is no field of a spec is refused."""
@@ -288,6 +303,101 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, float):
         return float(f"{value:.12g}")
     return value
+
+
+_encode = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(v: float) -> str:
+    """json's rendering of a float (NaN, Infinity and -Infinity included)."""
+    if v != v:
+        return "NaN"
+    if v in (_INF, -_INF):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+# the text of each exact leaf type: jsonable's conversion, then json's
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    str: _encode,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    float: lambda v: _float_text(float(f"{v:.12g}")),
+    Fraction: lambda v: _encode(_RAT_FORMAT.format(v.numerator, v.denominator)),
+}
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json writes it: a string, or a float, bool, None or int spelled as one."""
+    if isinstance(key, str):
+        return _encode(key)
+    if isinstance(key, float):
+        return _encode(_float_text(key))
+    if key is True or key is False or key is None:
+        return _encode(_LEAVES[type(key)](key))
+    if isinstance(key, int):
+        return _encode(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value: Any, out: list, newline: str) -> None:
+    """Append the text of ``json.dumps(jsonable(value), indent=2)`` to out, in
+    one walk: an exact leaf type through _LEAVES, a dict or list item by item
+    at the next indent, and any other value as jsonable and then json take it."""
+    t = type(value)
+    if t is dict or t is list or t is tuple:
+        if not value:
+            out.append("{}" if t is dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if t is dict else "[") + inner
+        if t is dict:
+            for k, v in value.items():
+                out.append(sep)
+                out.append(_encode(k) if type(k) is str else _key_text(k))
+                out.append(": ")
+                leaf = _LEAVES.get(type(v))
+                if leaf is None:
+                    _write(v, out, inner)
+                else:
+                    out.append(leaf(v))
+                sep = "," + inner
+        else:
+            for v in value:
+                out.append(sep)
+                leaf = _LEAVES.get(type(v))
+                if leaf is None:
+                    _write(v, out, inner)
+                else:
+                    out.append(leaf(v))
+                sep = "," + inner
+        out.append(newline + ("}" if t is dict else "]"))
+    elif t in _LEAVES:
+        out.append(_LEAVES[t](value))
+    # subclasses, in jsonable's order and then json's
+    elif isinstance(value, Fraction):
+        out.append(_LEAVES[Fraction](value))
+    elif isinstance(value, (list, tuple)):
+        _write(list(value), out, newline)
+    elif isinstance(value, dict):
+        _write(dict(value.items()), out, newline)
+    elif isinstance(value, float):
+        out.append(_LEAVES[float](value))
+    elif isinstance(value, str):
+        out.append(_encode(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_text(value: Any) -> str:
+    """``json.dumps(jsonable(value), indent=2)``, written in one walk."""
+    out: list[str] = []
+    _write(value, out, "\n")
+    return "".join(out)
 
 
 def interval_item(estimate: IntervalEstimate) -> dict:
@@ -382,19 +492,16 @@ def _run_entropy(spec: ExperimentSpec) -> list[dict]:
     [x] = _configs(spec, chain, "entropy needs a configuration")
     # no window: a periodic configuration needs none, and another is refused
     radius = spec.params.get("window")
-    items = []
-    for n in _level_range(spec, spec.param("level")):
-        est = entropy_estimate(x, n, radius, chain)
-        items.append(
-            {
-                "level": n,
-                "pattern_count": est.pattern_count,
-                "estimate_nats": est.value,
-                "saturated": est.saturated,
-                "exactness": "exact" if est.exact else "window-lower-bound",
-            }
-        )
-    return items
+    return [
+        {
+            "level": est.level,
+            "pattern_count": est.pattern_count,
+            "estimate_nats": est.value,
+            "saturated": est.saturated,
+            "exactness": "exact" if est.exact else "window-lower-bound",
+        }
+        for est in entropy_estimates(x, _level_range(spec, spec.param("level")), radius, chain)
+    ]
 
 
 def _run_omega(spec: ExperimentSpec) -> list[dict]:
@@ -578,11 +685,11 @@ def emit(report: ExperimentReport, fmt: str = "json") -> bytes:
         doc = {
             "kind": report.kind,
             "spec": report.spec,
-            "items": jsonable(report.items),
+            "items": report.items,
             "passed": report.passed,
             "wall_time_ms": report.wall_time_ms,
         }
-        return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode()
+        return (_json_text(doc) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         columns = list(dict.fromkeys(key for item in report.items for key in item))

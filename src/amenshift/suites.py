@@ -28,7 +28,7 @@ from .densities import banach_density_exact, lower_banach_density
 from .entropy import (
     SampledSystem,
     binomial_tail,
-    entropy_estimate,
+    entropy_estimates,
     es_binomial_bound_holds,
     pattern_counting_bound_holds,
     pattern_set,
@@ -304,11 +304,10 @@ def suite_regular(seed: int = 0) -> list[dict]:
     x = regular_table(chain, ("a", "b"))
     items = []
     prev_count = prev_size = prev_measure = None
-    for n in range(1, 9):
+    for n, est in zip(range(1, 9), entropy_estimates(x, range(1, 9))):
         approx = periodic_approximation(x, n)
         d = dstar_distance(approx, x).value.upper
         bound = 1 - per_set(x, n).density()
-        est = entropy_estimate(x, n)
         count, size = est.pattern_count, chain.domain_size(n)
         mu = empirical_measure(x, chain.domain(n))
         # ln(c_n)/|F_n| ≤ ln(c_{n-1})/|F_{n-1}|, decided on integers

@@ -164,6 +164,31 @@ def test_a_scan_reads_each_configuration_once(box_reads, cell_reads, chain):
     assert [g for name, g in cell_reads if name == "_at"] == [F[0], *F]  # evaluate's, then the walk's
 
 
+def test_an_entropy_level_range_reads_its_configuration_once(box_reads, monkeypatch, capsys):
+    # every level of the range is counted from one read of the union box of
+    # the deepest level's windows, windowed or over one period
+    oracle = json.dumps({"variant": "oracle", "box": 64, "rule": "champernowne_binary"})
+    table = json.dumps(config_descriptor(regular_table(CHAIN, ("a", "b"))))
+    for config, window in [(oracle, ["--window", "3"]), (table, [])]:
+        del box_reads[:]
+        argv = ["entropy", "--scales", "2,4,8,16,32", "--config", config, "--level-lo", "1", "--level-hi", "5"]
+        assert main([*argv, *window]) == 0
+        assert len(json.loads(capsys.readouterr().out)["items"]) == 5
+        assert len(box_reads) == 1
+    # and so are the regular suite's eight levels
+    reads, estimates = [], suites.entropy_estimates
+
+    def counted(*args):
+        before = len(box_reads)
+        result = estimates(*args)
+        reads.append(len(box_reads) - before)
+        return result
+
+    monkeypatch.setattr(suites, "entropy_estimates", counted)
+    suites.suite_regular()
+    assert reads == [1]
+
+
 @pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
 def test_windowed_scans_read_no_single_table_cell(cell_reads, capsys, chain):
     d, q = chain.rank, chain.scale(chain.depth)

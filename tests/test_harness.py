@@ -956,6 +956,31 @@ def test_cli_empty_periodic_word_is_refused_as_not_total(capsys):
         assert capsys.readouterr() == ("", f"error: word must be total on the level-{level} domain\n")
 
 
+def test_cli_scales_that_are_not_integers_are_a_spec_error_at_their_item(capsys):
+    # an item that is no int is kept as text, so the spec check names it
+    for scales, i in (("2,x", 1), ("x", 0), ("2,4,1.5", 2), ("2,", 1)):
+        assert main(["density", "--scales", scales, "--reps", "0"]) == 2
+        assert capsys.readouterr() == ("", f"spec error: /chain/scales/{i}: must be a positive integer\n")
+
+
+def test_cli_empty_toeplitz_table_is_refused_at_its_field(capsys):
+    desc = json.dumps({"variant": "toeplitz", "assignments": []})
+    assert main(["density", "--config", desc]) == 2
+    assert capsys.readouterr() == ("", "error: toeplitz descriptor: 'assignments' must be nonempty\n")
+
+
+def test_cli_entropy_names_the_first_unknown_cell_before_a_level_past_the_chain(capsys):
+    # the default chain has 8 levels: level 9 is refused only after levels
+    # 1..8 pass, and the box of radius 40 fails one of them first
+    desc = json.dumps({"variant": "oracle", "box": 40, "rule": "champernowne_binary"})
+    argv = ["entropy", "--config", desc, "--level-lo", "1", "--level-hi", "9", "--window", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: UnknownMembership: configuration is Unknown at (41,)\n")
+    wide = json.dumps({"variant": "oracle", "box": 600, "rule": "champernowne_binary"})
+    assert main([argv[0], "--config", wide, *argv[3:]]) == 2
+    assert capsys.readouterr() == ("", "error: LevelOutOfRange: level 9 outside 0..8\n")
+
+
 def test_cli_omega_builds_each_box_only_when_the_trace_reads_it(monkeypatch, capsys):
     # geometric boxes of 2^n cells up to n = 70: the trace stops at the first
     # Unknown cell, (41,) in the box of 64 cells, before a larger box is built
@@ -1047,6 +1072,22 @@ def test_spec_changed_after_it_is_built_is_refused_or_unchanged():
     spec.chain["rank"] = "x"
     with pytest.raises(SpecError, match="^/chain/rank: must be a positive integer"):
         run(spec)
+
+
+def test_spec_owns_its_trees_non_json_leaves_included():
+    # a leaf that is no JSON value is deep-copied; tuples, lists and dicts
+    # are rebuilt, and the caller's changes to any of them stay outside
+    extra, nested = {1, 2}, [{"a": [1]}]
+    config = {"variant": "periodic", "level": 1, "word": {"0": "a", "1": "b"}, "extra": extra, "nested": nested}
+    chain = {"rank": 1, "scales": (2, 4)}
+    spec = ExperimentSpec("entropy", chain, configs=[config], params={"level": 1})
+    extra.add(3)
+    nested[0]["a"].append(2)
+    config["word"]["1"] = "a"
+    chain["scales"] = [3]
+    assert spec.configs[0]["extra"] == {1, 2} and spec.configs[0]["nested"] == [{"a": [1]}]
+    assert spec.configs[0]["word"] == {"0": "a", "1": "b"} and spec.chain == {"rank": 1, "scales": (2, 4)}
+    assert type(spec.chain["scales"]) is tuple and type(spec.configs) is tuple
 
 
 def test_spec_is_picklable():
@@ -1190,3 +1231,73 @@ def test_cli_writes_a_report_or_one_error_line_for_any_spec_document(tmp_path, k
     else:
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().endswith("\n") and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# emit's one walk writes json.dumps(jsonable(value), indent=2) byte for byte
+# ---------------------------------------------------------------------------
+
+JSON_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1 / 3])
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | JSON_FLOATS
+    | st.fractions()
+    | st.text()  # non-ASCII and control characters included
+    | st.sampled_from(["é\u2028\x00\n\t\"\\", "\ud800", ""])
+    | st.builds(box, st.integers(1, 2), st.integers(1, 3))
+)
+JSON_KEYS = st.text(max_size=4) | st.integers() | JSON_FLOATS | st.booleans() | st.none()
+
+
+def json_trees(leaves=JSON_LEAVES):
+    return st.recursive(
+        leaves,
+        lambda children: (
+            st.lists(children, max_size=4)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(JSON_KEYS, children, max_size=4)
+        ),
+        max_leaves=24,
+    )
+
+
+def old_render(value):
+    return json.dumps(harness.jsonable(value), indent=2)
+
+
+def rendered(render, value):
+    """render(value), or the type and message of the error it raises."""
+    try:
+        return render(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees())
+def test_one_walk_writes_the_bytes_of_jsonable_then_json(tree):
+    assert harness._json_text(tree) == old_render(tree)
+
+
+class Unserializable:
+    pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_trees(JSON_LEAVES | st.sampled_from([Unserializable(), {1, 2}, b"x", 1j])), st.data())
+def test_one_walk_raises_where_json_raises(tree, data):
+    # an unserializable leaf or a key that is no JSON key, anywhere in the tree
+    bad = data.draw(st.sampled_from([Unserializable(), {(1,): 2}, {Fraction(1, 2): 1}, frozenset()]))
+    for value in (tree, [tree, bad], {"a": tree, "b": [bad]}, {"x": bad, "y": tree}):
+        assert rendered(harness._json_text, value) == rendered(old_render, value)
+
+
+def test_emit_writes_the_old_document_bytes():
+    # bool beside int, as values and as keys, and a timed report
+    items = ({"t": (Fraction(1, 3), True, 1, False, 0, None, 2.5e-17), True: 1, 0: False, None: box(1, 2)},)
+    timed = ExperimentReport("x", {"a": 1 / 3}, items, True, 12.345678901234)
+    for r in (run(make_spec()), timed):
+        doc = {"kind": r.kind, "spec": r.spec, "items": r.items, "passed": r.passed, "wall_time_ms": r.wall_time_ms}
+        assert emit(r, "json") == (old_render(doc) + "\n").encode()

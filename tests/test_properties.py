@@ -17,6 +17,7 @@ from amenshift.configs import (
     _window,
     Alphabet,
     CosetSet,
+    Oracle,
     Periodic,
     ToeplitzTable,
     block_alternating,
@@ -32,8 +33,8 @@ from amenshift.densities import (
     banach_density_exact,
     banach_density_windowed,
 )
-from amenshift.entropy import pattern_set
-from amenshift.errors import InconsistentCylinders
+from amenshift.entropy import entropy_estimates, pattern_set
+from amenshift.errors import AmenshiftError, InconsistentCylinders
 from amenshift.groups import add, identity, make_chain, sub
 from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
 from amenshift.metrics import besicovitch_estimate, delta_star_exact, dstar_distance, weyl_upper_bound
@@ -897,3 +898,59 @@ def test_interval_estimates_are_sound_under_every_aggregate(data):
         block_sup = Fraction(delta_star_exact(x, z, chain.domain(n)), chain.domain_size(n))
         assert windowed.lower == windowed.upper <= block_sup
         assert exact.value <= block_sup
+
+
+# ---------------------------------------------------------------------------
+# a level range's entropy estimates, counted by window labels from one read,
+# against one tuple pattern set per level
+# ---------------------------------------------------------------------------
+
+# a first ratio of 3 or 2, then 2, in ranks 1-3 (rank 3 one level shorter)
+LABEL_CHAINS = [
+    make_chain(rank, scales[:depth])
+    for rank, depth in ((1, 3), (2, 3), (3, 2))
+    for scales in ([3, 6, 12], [2, 6, 12])
+]
+
+
+def boxed_oracles(chain):
+    """Oracles on a drawn box, off-centre, Unknown outside it."""
+    rule = lambda g: "ab"[(sum(c * c for c in g) + 2 * g[0]) % 3 == 0]
+    corners, extents = (st.tuples(*[st.sampled_from(range(a, b))] * chain.rank) for a, b in ((-12, 1), (0, 37)))
+    return st.builds(
+        lambda lo, ext: Oracle(chain.rank, lo, add(lo, ext), rule, Alphabet(("a", "b"))), corners, extents
+    )
+
+
+def outcome(run):
+    """run()'s value, or the type and message of the error it raises."""
+    try:
+        return run()
+    except (AmenshiftError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_entropy_estimates_count_the_pattern_sets_of_every_level(data):
+    # resolved and unresolved tables, words and boxed oracles; levels in any
+    # order, level 0 and a level past the chain included; a window radius or
+    # none, so errors are compared too, the first failing level's first
+    chain = data.draw(st.sampled_from(LABEL_CHAINS))
+    x = data.draw(boxed_oracles(chain) if data.draw(st.booleans()) else tables(chain) | words(chain))
+    levels = data.draw(st.lists(st.integers(0, chain.depth), min_size=1, max_size=4))
+    if data.draw(st.integers(0, 4)) == 4:
+        levels.insert(data.draw(st.integers(0, len(levels))), chain.depth + 1)
+    radius = data.draw(st.integers(0, {1: 6, 2: 2, 3: 1}[chain.rank]))
+    if data.draw(st.integers(0, 4)) == 4:
+        radius = None
+
+    def labels():
+        estimates = entropy_estimates(x, levels, radius, chain)
+        return [(e.level, e.pattern_count, e.exact, e.window_radius) for e in estimates]
+
+    def tuples():
+        sets = [pattern_set(x, n, radius, chain) for n in levels]
+        return [(n, len(ps), ps.exact, ps.window_radius) for n, ps in zip(levels, sets)]
+
+    assert outcome(labels) == outcome(tuples)
