@@ -294,7 +294,9 @@ class Oracle:
     sets and densities are undecidable from a bounded window, so the exact
     operations reject this variant.  Its ``chain`` is None: the one test by
     which every exact operation tells coset-structured configurations apart.
-    A shift moves the box and composes ``rule`` once (see ``shift``).
+    A shift moves the box and composes ``rule`` once (see ``shift``).  The
+    bounds pass ``operator.index``, as a Box's do: a bound that is no tuple
+    of ints raises TypeError naming it, never truncated.
     """
 
     rank: int
@@ -305,6 +307,12 @@ class Oracle:
     name: str = "custom"
 
     def __post_init__(self):
+        for key in ("lo", "hi"):
+            bound = getattr(self, key)
+            try:
+                object.__setattr__(self, key, tuple(map(operator.index, bound)))
+            except TypeError:
+                raise TypeError(f"oracle bound {key} must be a tuple of ints, not {bound!r}") from None
         if len(self.lo) != self.rank or len(self.hi) != self.rank:
             raise ValueError("box bounds must match rank")
         if any(a > b for a, b in zip(self.lo, self.hi)):
@@ -322,8 +330,42 @@ class Oracle:
         return None
 
     def _read(self, lo, sides: tuple[int, ...]) -> list[Letter | None]:
-        """``_at`` over lo + [0, sides), row-major, after evaluate's check of lo."""
-        return _points(self._at)(aselem(lo, self.rank), sides)
+        """``_at`` over lo + [0, sides), row-major, after evaluate's check of lo:
+        the box clipped to the declared one once, the inside read by the rule's
+        runs (:class:`_Runs`, rank 1) or one rule call per cell, then padded
+        with None axis by axis, last axis first."""
+        lo = aselem(lo, self.rank)
+        clip = [(max(c, a), min(c + n, b + 1)) for c, n, a, b in zip(lo, sides, self.lo, self.hi)]
+        if any(a >= b for a, b in clip):
+            return [None] * prod(sides)
+        if isinstance(self.rule, _Runs) and self.rank == 1:
+            cells = list(self.rule.letters(*clip[0]))
+        else:
+            cells = list(map(self.rule, product(*(range(a, b) for a, b in clip))))
+        inner = 1
+        for (a, b), c, n in zip(clip[::-1], lo[::-1], sides[::-1]):
+            if a > c or b < c + n:
+                pre, post, run = [None] * ((a - c) * inner), [None] * ((c + n - b) * inner), (b - a) * inner
+                padded: list = []
+                for i in range(0, len(cells), run):
+                    padded += pre
+                    padded += cells[i : i + run]
+                    padded += post
+                cells = padded
+            inner *= n
+        return cells
+
+
+@dataclass(frozen=True)
+class _Runs:
+    """A rank-1 rule written as its run reader: ``letters(a, b)`` is the
+    letters on [a, b), and the rule at (n,) reads the run of length one."""
+
+    letters: Callable[[int, int], Sequence[Letter]]
+
+    def __call__(self, g: Element) -> Letter:
+        (n,) = g
+        return self.letters(n, n + 1)[0]
 
 
 Configuration = Periodic | ToeplitzTable | Oracle
@@ -456,7 +498,8 @@ def shift(h, x: Configuration) -> Configuration:
     """The shifted configuration h·x with (h·x)(g) = x(g+h); variant preserved.
 
     A periodic word is its period array's window at offset h, one box read;
-    an oracle's box moves by -h and its rule becomes g ↦ rule(g + h)."""
+    an oracle's box moves by -h and its rule becomes g ↦ rule(g + h), a
+    run reader's runs [a, b) ↦ letters(a + h, b + h)."""
     if isinstance(x, Periodic):
         word = zip(x.chain.domain(x.level), x._read(h, (x._period,) * x.rank))
         return Periodic(x.chain, x.level, dict(word), x.alphabet)
@@ -467,7 +510,12 @@ def shift(h, x: Configuration) -> Configuration:
         return ToeplitzTable(x.chain, moved, x.alphabet)
     if isinstance(x, Oracle):
         h, rule = aselem(h, x.rank), x.rule
-        return replace(x, lo=sub(x.lo, h), hi=sub(x.hi, h), rule=lambda g: rule(add(g, h)))
+        if isinstance(rule, _Runs) and x.rank == 1:
+            (c,), letters = h, rule.letters
+            moved = _Runs(lambda a, b: letters(a + c, b + c))
+        else:
+            moved = lambda g: rule(add(g, h))
+        return replace(x, lo=sub(x.lo, h), hi=sub(x.hi, h), rule=moved)
     raise TypeError(f"not a configuration: {x!r}")
 
 
@@ -607,23 +655,30 @@ def block_alternating(eps, radius: int) -> Oracle:
     The boxes are [0, L_n), n ≤ 64, with geometric lengths of ratio 1/(1-eps); along
     that sequence the letter-1 frequency oscillates between 1/(2-eps) (odd
     levels) and (1-eps)/(2-eps) (even levels), so the distribution measures
-    split into two separated clusters.
+    split into two separated clusters.  The rule is a run reader: one
+    constant run per shell a window meets.
     """
     eps = Fraction(eps)
-    lengths = geometric_box_lengths(eps, 64)
+    # shell j is [edges[j], edges[j + 1]): F_1 for j = 0 and F_j \ F_{j-1}
+    # for 1 ≤ j < last, ones for j = 0 and odd j; 0 below 0 (j = -1) and
+    # past the last box (j = last)
+    edges = (0, *geometric_box_lengths(eps, 64))
+    last = len(edges) - 1
 
-    def rule(g: Element) -> Letter:
-        (n,) = g
-        # L_{i-1} ≤ n < L_i: F_1 for i ≤ 1, the shell F_i \ F_{i-1} for i ≥ 2
-        # (ones for odd i), and 0 past the last box (i = len)
-        i = bisect_right(lengths, n)
-        return "1" if n >= 0 and (i == 0 or (i % 2 == 1 and i < len(lengths))) else "0"
+    def letters(a: int, b: int) -> str:
+        runs = []
+        while a < b:
+            j = bisect_right(edges, a) - 1
+            end = b if j == last else min(edges[j + 1], b)
+            runs.append(("1" if 0 <= j < last and (j == 0 or j % 2) else "0") * (end - a))
+            a = end
+        return "".join(runs)
 
     return Oracle(
         rank=1,
         lo=(-radius,),
         hi=(radius,),
-        rule=rule,
+        rule=_Runs(letters),
         alphabet=BINARY,
         name=f"block_alternating({eps})",
     )
@@ -634,11 +689,23 @@ def block_alternating(eps, radius: int) -> Oracle:
 _BLOCK_STARTS = tuple(accumulate((j << (j - 1) for j in range(1, 64)), initial=0))
 
 
-def _champernowne_digit(n: int) -> str:
-    """Digit n (0-based) of the binary concatenation 1 10 11 100 101 ..."""
+def _champernowne_number(n: int) -> tuple[int, int]:
+    """The number holding digit n (0-based) of the binary concatenation
+    1 10 11 100 101 ..., and the place of digit n in it."""
     k = bisect_right(_BLOCK_STARTS, n)  # digit n lies among the k-bit numbers
     i, r = divmod(n - _BLOCK_STARTS[k - 1], k)
-    return bin((1 << (k - 1)) + i)[2 + r]
+    return (1 << (k - 1)) + i, r
+
+
+def _champernowne_letters(a: int, b: int) -> str:
+    """The letters on [a, b): 0 below 0, then the digits of the binary
+    numbers concatenated, sliced from the numbers holding digits a and b - 1."""
+    zeros = "0" * (min(b, 0) - a) if a < 0 else ""
+    a = max(a, 0)
+    if a >= b:
+        return zeros
+    (first, r), (last, _) = _champernowne_number(a), _champernowne_number(b - 1)
+    return zeros + "".join(map("{:b}".format, range(first, last + 1)))[r : r + b - a]
 
 
 def champernowne_binary(radius: int) -> Oracle:
@@ -647,16 +714,11 @@ def champernowne_binary(radius: int) -> Oracle:
     Contains every finite binary word, so its pattern counts saturate and
     its entropy estimates approach log 2.
     """
-
-    def rule(g: Element) -> Letter:
-        (n,) = g
-        return "0" if n < 0 else _champernowne_digit(n)
-
     return Oracle(
         rank=1,
         lo=(-radius,),
         hi=(radius,),
-        rule=rule,
+        rule=_Runs(_champernowne_letters),
         alphabet=BINARY,
         name="champernowne_binary",
     )

@@ -254,7 +254,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """A run's verdict, its runner's items as returned and its spec's JSON echo."""
+    """A run's verdict, its runner's items as returned and its spec's fields,
+    both converted to JSON only by :func:`emit`."""
 
     kind: str
     spec: dict
@@ -662,7 +663,7 @@ def run(spec: ExperimentSpec, timing: bool = False) -> ExperimentReport:
     elapsed = (time.monotonic() - start) * 1000.0
     return ExperimentReport(
         kind=spec.kind,
-        spec=jsonable(vars(spec)),
+        spec=dict(vars(spec)),
         items=items,
         passed=all(item[key] for item in items for key in VERDICTS if key in item),
         wall_time_ms=elapsed if timing else None,

@@ -19,7 +19,7 @@ from math import lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .configs import Configuration, _BoxScan, _cells, evaluate, require_known
-from .groups import FiniteSubset
+from .groups import Box, FiniteSubset
 
 Atom = Hashable
 AtomMetric = Callable[[Atom, Atom], Fraction]
@@ -53,8 +53,19 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_counts(cls, counts: dict[Atom, int]) -> "EmpiricalMeasure":
+        """The frequencies of a dict of counts, zero counts dropped.  Its atoms
+        are distinct and its weights sum to 1, so only a negative count
+        (``weights must be positive``) or a zero total (``measure needs at
+        least one atom``) is refused; atoms are sorted by repr."""
+        if any(c < 0 for c in counts.values()):
+            raise ValueError("weights must be positive")
         total = sum(counts.values())
-        return cls(tuple((a, Fraction(c, total)) for a, c in counts.items() if c))
+        if not total:
+            raise ValueError("measure needs at least one atom")
+        atoms = sorted(((a, Fraction(c, total)) for a, c in counts.items() if c), key=lambda p: repr(p[0]))
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "atoms", tuple(atoms))
+        return measure
 
     @classmethod
     def point_mass(cls, atom: Atom) -> "EmpiricalMeasure":
@@ -247,8 +258,10 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
     Letters are counted over each set as a sequence (a repeat counts again):
     a set that begins with the previous one, cell for cell, counts only its
     cells after it, and any other set starts afresh, so Unknown raises at F's
-    first Unknown cell.  One evaluate checks F[0]; the cells, normalized as a
-    window scan normalizes them (:func:`_cells`), are read through ``_at``.
+    first Unknown cell.  One evaluate checks F[0].  A :class:`Box` is counted
+    from one ``_read``: of the whole box, or of the rows it adds to a previous
+    Box with its corner and outer sides; any other set's cells, normalized as
+    a window scan normalizes them (:func:`_cells`), are read through ``_at``.
     """
     sizes, measures = [], []
     counts, prev = Counter(), ()
@@ -257,10 +270,22 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
             raise ValueError("F must be nonempty")
         sizes.append(len(F))
         evaluate(x, F[0])
-        F = _cells(F)
-        if F[: len(prev)] != prev:
-            counts, prev = Counter(), ()
-        counts.update(require_known(x._at(g), g) for g in F[len(prev) :])
+        if isinstance(F, Box):
+            lo, sides = F.lo, F.sides
+            if isinstance(prev, Box) and prev.lo == lo and prev.sides[1:] == sides[1:] and prev.sides[0] <= sides[0]:
+                # F begins with prev: its new cells are the rows past prev's
+                lo, sides = (lo[0] + prev.sides[0], *lo[1:]), (sides[0] - prev.sides[0], *sides[1:])
+            else:
+                counts = Counter()
+            letters = x._read(lo, sides)
+            if None in letters:
+                require_known(None, Box(lo, sides)[letters.index(None)])
+            counts.update(letters)
+        else:
+            F = _cells(F)
+            if F[: len(prev)] != prev:
+                counts, prev = Counter(), ()
+            counts.update(require_known(x._at(g), g) for g in F[len(prev) :])
         measures.append(EmpiricalMeasure.from_counts(counts))
         prev = F
     if not sizes:

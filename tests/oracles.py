@@ -193,6 +193,23 @@ def block_alternating_letter_oracle(lengths, n) -> str:
     return "0"
 
 
+# --- champernowne_binary: one digit by counting the k-bit blocks --------------
+
+
+def champernowne_letter_oracle(n) -> str:
+    """Letter n of champernowne_binary: 0 below 0, else digit n of the
+    concatenation 1 10 11 100 ..., found by skipping whole blocks of k-bit
+    numbers (2^(k-1) numbers of k digits each) in a loop."""
+    if n < 0:
+        return "0"
+    k = 1
+    while n >= k << (k - 1):
+        n -= k << (k - 1)
+        k += 1
+    number, place = divmod(n, k)
+    return format((1 << (k - 1)) + number, "b")[place]
+
+
 # --- coset tables: the per-level dict walk the period array replaced ----------
 
 

@@ -30,7 +30,7 @@ from amenshift.configs import (
 )
 from amenshift.entropy import pattern_set
 from amenshift.groups import Box, add, make_chain
-from amenshift.measures import empirical_measure
+from amenshift.measures import empirical_measure, omega_profile
 from amenshift.metrics import delta_star_exact, dstar_distance, shearer_values, weyl_upper_bound
 from amenshift.toeplitz import (
     krieger_construct,
@@ -162,6 +162,26 @@ def test_a_scan_reads_each_configuration_once(box_reads, cell_reads, chain):
     assert reads(lambda: empirical_measure(resolved, F)) == []
     assert [g for name, g in cell_reads if name == "evaluate"] == [F[0]]
     assert [g for name, g in cell_reads if name == "_at"] == [F[0], *F]  # evaluate's, then the walk's
+
+
+@pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
+def test_a_box_letter_walk_reads_its_configuration_once(box_reads, cell_reads, chain):
+    # a Box is counted from one _read: the whole box, or after a Box it
+    # begins with, the rows it adds; the walk reads no cell through _at, so
+    # the one _at per set is evaluate's check of the set's first cell
+    x = regular_table(chain, ("a", "b"))
+    dom = chain.domain(3)
+    assert empirical_measure(x, dom) == empirical_measure(x, list(dom))
+    del box_reads[:], cell_reads[:]
+    empirical_measure(x, dom)
+    assert box_reads == [(x, dom.lo)]
+    assert cell_reads == [("evaluate", dom.lo), ("_at", dom.lo)]
+    lo, width = (-1,) * chain.rank, (3,) * (chain.rank - 1)
+    rows = [Box(lo, (n, *width)) for n in (2, 5, 6)]
+    del box_reads[:], cell_reads[:]
+    omega_profile(x, rows)
+    assert box_reads == [(x, lo), (x, (1, *lo[1:])), (x, (4, *lo[1:]))]
+    assert [name for name, _ in cell_reads] == ["evaluate", "_at"] * 3
 
 
 def test_an_entropy_level_range_reads_its_configuration_once(box_reads, monkeypatch, capsys):

@@ -54,6 +54,7 @@ from oracles import (
     CosetDisagreement,
     SampledDisagreement,
     block_alternating_letter_oracle,
+    champernowne_letter_oracle,
     disagreement_set,
     geometric_box_lengths_oracle,
     known_difference,
@@ -451,15 +452,48 @@ def test_block_alternating_bisect_matches_shell_scan(eps):
 
 
 def test_champernowne_digits_are_stateless_and_match_concatenation():
-    from amenshift.configs import _champernowne_digit
+    from amenshift.configs import _champernowne_letters
 
-    # no default-argument cache: the digit is a pure function of its index
-    assert _champernowne_digit.__defaults__ is None
+    # no default-argument cache: a run is a pure function of its ends
+    assert _champernowne_letters.__defaults__ is None
     digits = "".join(bin(k)[2:] for k in range(1, 20000))[:200000]
     assert len(digits) == 200000
-    assert all(_champernowne_digit(n) == d for n, d in enumerate(digits))
+    assert _champernowne_letters(0, 200000) == digits
+    assert all(_champernowne_letters(n, n + 1) == d for n, d in enumerate(digits))
     x = champernowne_binary(64)
     assert [evaluate(x, g) for g in range(-2, 8)] == list("00" + digits[:8])
+
+
+EPS_GRID = ["1/10", "1/3", "1/2", "2/3", "9/10"]
+
+
+def builtin_edges(eps):
+    """Where a builtin's letters change pattern: 0, Champernowne's k-bit block
+    starts, or the geometric shell edges L_0..L_64 (the 64th box ends at L_64)."""
+    if eps is None:
+        return [0] + [sum(j << (j - 1) for j in range(1, k)) for k in range(1, 40)]
+    return [0, *geometric_box_lengths_oracle(Fraction(eps), 64)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([None, *EPS_GRID]), st.data())
+def test_builtin_runs_are_their_cell_letters(eps, data):
+    # each builtin rule is its run reader: the letters on [a, b) are the
+    # per-cell letters of the reference oracles, across negative n, the
+    # Champernowne block starts, the shell edges and past the 64th box, and
+    # the rule at (n,) is the run of length one; so are a shifted oracle's
+    if eps is None:
+        x, letter = champernowne_binary(1), champernowne_letter_oracle
+    else:
+        lengths = geometric_box_lengths_oracle(Fraction(eps), 64)
+        x, letter = block_alternating(Fraction(eps), 1), lambda n: block_alternating_letter_oracle(lengths, n)
+    a = data.draw(st.sampled_from(builtin_edges(eps))) + data.draw(st.integers(-70, 70))
+    b = a + data.draw(st.integers(0, 150))
+    want = "".join(map(letter, range(a, b)))
+    assert x.rule.letters(a, b) == want
+    assert [x.rule((n,)) for n in range(a, b)] == list(want)
+    h = data.draw(st.integers(-40, 40))
+    assert shift(h, x).rule.letters(a, b) == "".join(map(letter, range(a + h, b + h)))
 
 
 def test_descriptor_refuses_oracles_it_cannot_rebuild():
@@ -690,6 +724,74 @@ def test_box_reader_checks_its_corner_before_reading_a_cell():
     assert read == []
     # a bare int corner is normalized as evaluate normalizes a bare int
     assert x._read(-2, (3,)) == [evaluate(x, g) for g in (-2, -1, 0)] and len(read) == 6
+
+
+def rank_oracle(rank, lo, hi):
+    """An oracle of any rank on rect(lo, hi), its rule a plain function."""
+    return Oracle(rank, lo, hi, lambda g: "ab"[(sum(c * c for c in g) + g[0]) % 3 == 0], Alphabet(("a", "b")))
+
+
+@st.composite
+def clipped_oracles(draw, rank):
+    """A builtin run reader (rank 1) or a plain rule of the given rank, on a
+    declared box of sides 1..5, shifted or not."""
+    lo = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+    hi = tuple(c + draw(st.integers(0, 4)) for c in lo)
+    plain = rank_oracle(rank, lo, hi)
+    if rank == 1 and draw(st.booleans()):
+        make = draw(st.sampled_from([champernowne_binary, lambda r: block_alternating(Fraction(1, 3), r)]))
+        plain = dataclasses.replace(plain, rule=make(1).rule)
+    h = draw(st.tuples(*[st.integers(-6, 6)] * rank))
+    return shift(h, plain) if draw(st.booleans()) else plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(clipped_oracles(d), st.data())))
+def test_a_clipped_oracle_read_is_the_cell_walk(case):
+    # _read clips lo + [0, sides) to the declared box once and fills None
+    # runs outside it: it reads what one _at per cell reads, row-major, for
+    # boxes inside, across and outside the declared box, with zero sides
+    x, data = case
+    lo = tuple(data.draw(st.integers(a - 8, b + 2)) for a, b in zip(x.lo, x.hi))
+    sides = tuple(data.draw(st.integers(0, 10)) for _ in lo)
+    assert x._read(lo, sides) == configs._points(x._at)(lo, sides)
+
+
+def test_a_rule_is_never_called_outside_its_box():
+    # reads over, across and beside the box [lo, hi] never call the rule (or
+    # a run reader) outside it, in ranks 1 to 3, shifted oracles too
+    def inside(g, lo, hi):
+        if not all(a <= c <= b for a, c, b in zip(lo, g, hi)):
+            raise AssertionError(f"rule called at {g}")
+        return "a"
+
+    def runs(a, b):
+        if a < -2 or b > 4:
+            raise AssertionError(f"run [{a}, {b}) read")
+        return "a" * (b - a)
+
+    for rank in (1, 2, 3):
+        lo, hi = (-2,) * rank, (3,) * rank
+        x = Oracle(rank, lo, hi, lambda g: inside(g, lo, hi), Alphabet(("a",)))
+        run_reader = [dataclasses.replace(x, rule=configs._Runs(runs))] if rank == 1 else []
+        for y in (x, shift((2,) * rank, x), *run_reader):
+            for corner in itertools.product(range(-6, 6, 3), repeat=rank):
+                for side in (0, 1, 4, 12):
+                    letters = y._read(corner, (side,) * rank)
+                    assert letters == configs._points(y._at)(corner, (side,) * rank)
+
+
+def test_an_oracle_box_bound_that_is_not_an_int_is_refused_not_truncated():
+    # bounds pass operator.index, as a Box's corner does: a float bound once
+    # read cells 1..3 of (0.5,)..(3.5,), and a bare int failed on len()
+    rule = lambda g: "0"
+    for lo, hi, bad in [((0.5,), (3.5,), "lo"), ((0,), (3.5,), "hi"), (0, (3,), "lo"), ((0,), 3, "hi")]:
+        value = {"lo": lo, "hi": hi}[bad]
+        with pytest.raises(TypeError, match=re.escape(f"oracle bound {bad} must be a tuple of ints, not {value!r}")):
+            Oracle(1, lo, hi, rule, BINARY)
+    # integral bounds of other types are stored as int tuples
+    x = Oracle(2, [True, 0], range(3, 5), rule, BINARY)
+    assert (x.lo, x.hi) == ((1, 0), (3, 4)) and all(type(c) is int for c in x.lo + x.hi)
 
 
 def test_evaluate_is_the_checked_entry():
@@ -1102,6 +1204,45 @@ def test_omega_profile_recounts_after_a_set_with_a_repeated_cell():
 )
 def test_omega_profile_matches_a_brute_force_letter_count(x, sets):
     check_against_letter_count(x, sets)
+
+
+def box_sequences():
+    """(oracle of box radius R, its nested Box sequence), R = 0..12: linear,
+    geometric and rank-1 and rank-2 chain boxes, and rank-2 boxes that grow
+    by rows (each begins with the one before) from corners in and outside
+    the declared box."""
+    chain1 = make_chain(1, [2, 4, 8, 16, 32])
+    lengths = geometric_box_lengths(Fraction(1, 2), 6)
+    for R in range(13):
+        yield "linear", champernowne_binary(R), [Box((0,), (n + 1,)) for n in range(1, 30)]
+        yield "geometric", block_alternating(Fraction(1, 2), R), [Box((0,), (L,)) for L in lengths]
+        yield "chain", champernowne_binary(R), [chain1.domain(n) for n in range(6)]
+        yield "chain", quadratic_oracle(R), [CHAIN2.domain(n) for n in range(4)]
+        for lo, width in [((0, 0), 3), ((-2, -1), 4), ((-3, 0), 20)]:
+            yield "rows", quadratic_oracle(R), [Box(lo, (n, width)) for n in range(1, 20)]
+
+
+@pytest.mark.parametrize("boxes", ["linear", "geometric", "chain", "rows"])
+def test_omega_over_a_box_ending_inside_a_set_names_its_first_unknown_cell(boxes):
+    # each Box is counted from one read of the box or of the rows it adds;
+    # where the oracle's box ends inside a set the trace raises at the first
+    # Unknown cell the brute-force count meets, and a lazy iterable stops
+    # before it builds the next set
+    for kind, x, sets in box_sequences():
+        if kind != boxes:
+            continue
+        built = []
+
+        def lazy():
+            for F in sets:
+                built.append(F)
+                yield F
+
+        got = outcome(lambda: omega_trace(x, lazy()))
+        assert got == outcome(lambda: letter_trace(x, sets)), (x, sets)
+        unknown = [i for i, F in enumerate(sets) if None in map(x._at, F)]
+        assert len(built) == (unknown[0] + 1 if unknown else len(sets))
+        assert (got[0] is UnknownMembership) == bool(unknown)
 
 
 # ---------------------------------------------------------------------------

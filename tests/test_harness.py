@@ -1090,6 +1090,21 @@ def test_spec_owns_its_trees_non_json_leaves_included():
     assert type(spec.chain["scales"]) is tuple and type(spec.configs) is tuple
 
 
+def test_a_report_holds_its_spec_fields_for_emit_to_convert(monkeypatch):
+    # run stores the spec's fields as they are and never walks them; emit's
+    # one walk writes them as jsonable then json would
+    walked = []
+    monkeypatch.setattr(harness, "jsonable", lambda v: walked.append(v) or v)
+    oracle = {"variant": "oracle", "box": 9, "rule": "champernowne_binary"}
+    spec = ExperimentSpec("entropy", {"rank": 1, "scales": (2, 4)}, configs=[oracle], params={"window": 2})
+    report = run(spec)
+    assert walked == [] and report.spec == vars(spec) and report.spec is not vars(spec)
+    assert type(report.spec["configs"]) is tuple and type(report.spec["chain"]["scales"]) is tuple
+    doc = json.loads(emit(report, "json"))["spec"]
+    chain = {"rank": 1, "scales": [2, 4]}
+    assert doc == {"kind": "entropy", "chain": chain, "configs": [oracle], "params": {"window": 2}, "seed": 0}
+
+
 def test_spec_is_picklable():
     spec = make_spec()
     back = pickle.loads(pickle.dumps(spec))

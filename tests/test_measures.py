@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -148,6 +149,37 @@ def test_weights_sum_exactly_to_one():
     for _ in range(20):
         mu = random_measure(rng, list("abcde"))
         assert sum(w for _, w in mu.atoms) == 1
+
+
+def test_measures_from_counts_refuse_what_counts_can_break():
+    # a dict's atoms are distinct and its frequencies sum to 1, so from_counts
+    # checks only a zero total and a negative count (which is checked first:
+    # {"a": -1} once gave a measure of weight 1, {"a": 1, "b": -1} a
+    # ZeroDivisionError); atoms are sorted by repr, zero counts dropped
+    for counts in ({}, {"a": 0}, {"a": 0, "b": 0}):
+        with pytest.raises(ValueError, match="^measure needs at least one atom$"):
+            EmpiricalMeasure.from_counts(counts)
+    for counts in ({"a": -1}, {"a": 2, "b": -1}, {"a": 1, "b": -1}):
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            EmpiricalMeasure.from_counts(counts)
+    mu = EmpiricalMeasure.from_counts({"b": 3, 10: 2, "c": 0, "a": 1, (0,): 6})
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    assert mu.atoms == (("a", Fraction(1, 12)), ("b", Fraction(1, 4)), ((0,), Fraction(1, 2)), (10, sixth))
+    assert mu == EmpiricalMeasure(mu.atoms[::-1])
+    assert EmpiricalMeasure.from_counts({"x": 2, "y": 4}).atoms == (("x", third), ("y", 2 * third))
+
+
+def test_the_public_measure_constructor_keeps_every_check():
+    half = Fraction(1, 2)
+    for atoms, message in [
+        ((), "measure needs at least one atom"),
+        ((("a", half), ("a", half)), "atoms must be distinct"),
+        ((("a", Fraction(3, 2)), ("b", -half)), "weights must be positive"),
+        ((("a", half), ("b", Fraction(0))), "weights must be positive"),
+        ((("a", half), ("b", Fraction(1, 3))), "weights sum to 5/6, not 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmpiricalMeasure(atoms)
 
 
 # --- prokhorov ---------------------------------------------------------------
