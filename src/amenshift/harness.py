@@ -295,6 +295,9 @@ _RAT_FORMAT = "{}/{}"
 
 
 def jsonable(value: Any) -> Any:
+    """A report value as a JSON tree, exact: a Fraction becomes the string
+    "p/q", a float is rounded to 12 significant digits, a tuple becomes a
+    list, and dicts and lists are converted item by item (keys as they are)."""
     if isinstance(value, Fraction):
         return _RAT_FORMAT.format(value.numerator, value.denominator)
     if isinstance(value, (list, tuple)):
@@ -307,17 +310,6 @@ def jsonable(value: Any) -> Any:
 
 
 _encode = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _float_text(v: float) -> str:
-    """json's rendering of a float (NaN, Infinity and -Infinity included)."""
-    if v != v:
-        return "NaN"
-    if v in (_INF, -_INF):
-        return "Infinity" if v > 0 else "-Infinity"
-    return float.__repr__(v)
-
 
 # the text of each exact leaf type: jsonable's conversion, then json's
 _LEAVES: dict[type, Callable[[Any], str]] = {
@@ -325,22 +317,9 @@ _LEAVES: dict[type, Callable[[Any], str]] = {
     int: int.__repr__,
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
-    float: lambda v: _float_text(float(f"{v:.12g}")),
+    float: lambda v: json.dumps(float(f"{v:.12g}")),
     Fraction: lambda v: _encode(_RAT_FORMAT.format(v.numerator, v.denominator)),
 }
-
-
-def _key_text(key: Any) -> str:
-    """A dict key as json writes it: a string, or a float, bool, None or int spelled as one."""
-    if isinstance(key, str):
-        return _encode(key)
-    if isinstance(key, float):
-        return _encode(_float_text(key))
-    if key is True or key is False or key is None:
-        return _encode(_LEAVES[type(key)](key))
-    if isinstance(key, int):
-        return _encode(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _write(value: Any, out: list, newline: str) -> None:
@@ -357,7 +336,8 @@ def _write(value: Any, out: list, newline: str) -> None:
         if t is dict:
             for k, v in value.items():
                 out.append(sep)
-                out.append(_encode(k) if type(k) is str else _key_text(k))
+                # a key json writes as text, or json's own TypeError
+                out.append(_encode(k) if type(k) is str else json.dumps({k: 0})[1:-4])
                 out.append(": ")
                 leaf = _LEAVES.get(type(v))
                 if leaf is None:
@@ -377,21 +357,9 @@ def _write(value: Any, out: list, newline: str) -> None:
         out.append(newline + ("}" if t is dict else "]"))
     elif t in _LEAVES:
         out.append(_LEAVES[t](value))
-    # subclasses, in jsonable's order and then json's
-    elif isinstance(value, Fraction):
-        out.append(_LEAVES[Fraction](value))
-    elif isinstance(value, (list, tuple)):
-        _write(list(value), out, newline)
-    elif isinstance(value, dict):
-        _write(dict(value.items()), out, newline)
-    elif isinstance(value, float):
-        out.append(_LEAVES[float](value))
-    elif isinstance(value, str):
-        out.append(_encode(value))
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
     else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        # json escapes every newline inside a string, so each raw one is layout
+        out.append(json.dumps(jsonable(value), indent=2).replace("\n", newline))
 
 
 def _json_text(value: Any) -> str:

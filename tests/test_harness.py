@@ -1,5 +1,6 @@
 import ast
 import csv
+import enum
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -1252,6 +1254,27 @@ def test_cli_writes_a_report_or_one_error_line_for_any_spec_document(tmp_path, k
 # emit's one walk writes json.dumps(jsonable(value), indent=2) byte for byte
 # ---------------------------------------------------------------------------
 
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Text(str):
+    pass
+
+
+class Real(float):
+    pass
+
+
+class Ratio(Fraction):
+    pass
+
+
+class Row(list):
+    pass
+
+
 JSON_FLOATS = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1 / 3])
 JSON_LEAVES = (
     st.none()
@@ -1262,6 +1285,14 @@ JSON_LEAVES = (
     | st.text()  # non-ASCII and control characters included
     | st.sampled_from(["é\u2028\x00\n\t\"\\", "\ud800", ""])
     | st.builds(box, st.integers(1, 2), st.integers(1, 3))
+    # subclasses of the exact types, which emit hands to jsonable and json
+    | st.sampled_from(Level)
+    | st.text(max_size=4).map(Text)
+    | JSON_FLOATS.map(Real)
+    | st.fractions().map(Ratio)
+    | st.lists(JSON_FLOATS | st.fractions() | st.text(max_size=2), max_size=3).map(Row)
+    | st.dictionaries(st.integers() | st.text(max_size=2), JSON_FLOATS | st.fractions(), max_size=3).map(OrderedDict)
+    | st.lists(st.sampled_from("ab\n"), max_size=4).map(Counter)
 )
 JSON_KEYS = st.text(max_size=4) | st.integers() | JSON_FLOATS | st.booleans() | st.none()
 
