@@ -84,6 +84,13 @@ class CosetSet:
     def make(cls, chain: SubgroupChain, level: int, reps) -> "CosetSet":
         return cls(chain, level, frozenset(aselem(r, chain.rank) for r in reps))
 
+    @classmethod
+    def _of_domain(cls, chain: SubgroupChain, level: int, reps: frozenset[Element]) -> "CosetSet":
+        """A CosetSet of reps drawn from F_level itself, so with no subset check."""
+        cosets = object.__new__(cls)
+        vars(cosets).update(chain=chain, level=level, reps=reps)
+        return cosets
+
     def __contains__(self, g) -> bool:
         return self.chain.coset_rep(g, self.level) in self.reps
 
@@ -91,7 +98,7 @@ class CosetSet:
         return Fraction(len(self.reps), self.chain.domain_size(self.level))
 
     def complement(self) -> "CosetSet":
-        return CosetSet(self.chain, self.level, self.chain._domain_set(self.level) - self.reps)
+        return CosetSet._of_domain(self.chain, self.level, self.chain._domain_set(self.level) - self.reps)
 
 
 # ---------------------------------------------------------------------------
@@ -586,14 +593,14 @@ def per_set(x: Configuration, n: int) -> CosetSet:
     """
     labels = _constant_cosets(x, n)
     cells = zip(x.chain.domain(n), labels)
-    return CosetSet(x.chain, n, frozenset(f for f, a in cells if a is not None))
+    return CosetSet._of_domain(x.chain, n, frozenset(f for f, a in cells if a is not None))
 
 
 def per_set_letter(x: Configuration, n: int, a: Letter) -> CosetSet:
     """Per_{H_n}(x, a): positions whose whole H_n-coset is constantly a."""
     labels = _constant_cosets(x, n)
     cells = zip(x.chain.domain(n), labels)
-    return CosetSet(x.chain, n, frozenset(f for f, b in cells if b == a))
+    return CosetSet._of_domain(x.chain, n, frozenset(f for f, b in cells if b == a))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,23 @@ class IntervalEstimate:
     @staticmethod
     def of(value: Fraction, method: str) -> "IntervalEstimate":
         value = Fraction(value)
-        return IntervalEstimate(value, value, True, method)
+        return IntervalEstimate._counted(value.numerator, value.numerator, value.denominator, True, method)
+
+    @classmethod
+    def _counted(
+        cls, lower: int, upper: int, size: int, exact: bool, method: str, caveat: str | None = None
+    ) -> "IntervalEstimate":
+        """[lower/size, upper/size] from integer counts out of size > 0: the
+        constructor's checks made on the counts, and each Fraction built once."""
+        if not 0 <= lower <= upper <= size:
+            raise ValueError(f"bad interval [{Fraction(lower, size)}, {Fraction(upper, size)}]")
+        if exact and lower != upper:
+            raise ValueError("exact estimates must have lower == upper")
+        low = Fraction(lower, size)
+        high = low if upper == lower else Fraction(upper, size)
+        estimate = object.__new__(cls)
+        vars(estimate).update(lower=low, upper=high, exact=exact, method=method, caveat=caveat)
+        return estimate
 
 
 def banach_density_exact(B: CosetSet) -> IntervalEstimate:
@@ -63,13 +79,20 @@ def banach_density_exact(B: CosetSet) -> IntervalEstimate:
     Upper and lower Banach densities agree on such sets, so a single exact
     rational is the complete answer.
     """
-    return IntervalEstimate.of(B.density(), "exact-coset")
+    count = len(B.reps)
+    return IntervalEstimate._counted(count, count, B.chain.domain_size(B.level), True, "exact-coset")
 
 
 def lower_banach_density(B: CosetSet) -> IntervalEstimate:
-    """D_*(B) = 1 - D*(complement); the complement of a coset union is one too."""
-    comp = banach_density_exact(B.complement())
-    return IntervalEstimate.of(1 - comp.value, "exact-coset")
+    """D_*(B) = 1 - D*(complement); the complement of a coset union is one too.
+
+    Counted, not built: reps ⊆ F_n (checked when B was made), so the
+    complement holds |F_n| - |reps| cells and D_*(B) = (|F_n| - (|F_n| -
+    |reps|)) / |F_n| = |reps| / |F_n|.
+    """
+    size = B.chain.domain_size(B.level)
+    complement = size - len(B.reps)
+    return IntervalEstimate._counted(size - complement, size - complement, size, True, "exact-coset")
 
 
 def banach_density_windowed(
@@ -97,6 +120,4 @@ def _windowed(read: Callable, chain: SubgroupChain, n: int, radius: int) -> Inte
     scan = _BoxScan(read, F, ball(chain.rank, radius))
     lower = max(scan.window_sums(list(map(bool, scan.values))))
     upper = max(scan.window_sums([v is None or bool(v) for v in scan.values]))
-    return IntervalEstimate(
-        Fraction(lower, len(F)), Fraction(upper, len(F)), False, "windowed", WINDOW_CAVEAT
-    )
+    return IntervalEstimate._counted(lower, upper, len(F), False, "windowed", WINDOW_CAVEAT)

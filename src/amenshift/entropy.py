@@ -333,8 +333,10 @@ class SampledSystem:
 def _check_params(sys: SampledSystem, eps, delta) -> tuple[Fraction, Fraction]:
     if len(sys) > SYSTEM_CAP:
         raise SystemTooLarge(f"{len(sys)} points exceed the cap {SYSTEM_CAP}")
-    eps, delta = Fraction(eps), Fraction(delta)
-    if eps <= 0 or not 0 < delta <= 1:
+    eps = eps if isinstance(eps, Fraction) else Fraction(eps)
+    delta = delta if isinstance(delta, Fraction) else Fraction(delta)
+    # a Fraction's denominator is positive
+    if eps.numerator <= 0 or not 0 < delta.numerator <= delta.denominator:
         raise ValueError("need eps > 0 and delta in (0, 1]")
     return eps, delta
 
@@ -348,11 +350,11 @@ def separated_max(sys: SampledSystem, eps, delta) -> int:
     clique so far (Carraghan and Pardalos, Oper. Res. Lett. 1990).
     """
     eps, delta = _check_params(sys, eps, delta)
-    if eps >= 1:
+    if eps.numerator >= eps.denominator:
         return 1  # no pair is ε-apart at any position
     # an integer count c exceeds δ|F| iff it exceeds ⌊δ|F|⌋, which the zero
     # diagonal never does
-    threshold = math.floor(delta * sys.window_size)
+    threshold = delta.numerator * sys.window_size // delta.denominator
     adj = [sum(1 << j for j, c in enumerate(row) if c > threshold) for row in sys.diff_counts]
     best = 1  # a singleton is vacuously separated
 
@@ -386,10 +388,10 @@ def spanning_min(sys: SampledSystem, eps, delta) -> int:
     eps, delta = _check_params(sys, eps, delta)
     # an integer count c is below δ|F| iff it is below ⌈δ|F|⌉, which is 0
     # only for an empty window; the zero diagonal is below any other
-    threshold = math.ceil(delta * sys.window_size)
+    threshold = -(-delta.numerator * sys.window_size // delta.denominator)
     if threshold == 0:
         raise ValueError("an empty window admits no spanning set")
-    if eps >= 1:
+    if eps.numerator >= eps.denominator:
         return 1  # every point is ε-close to every other at every position
     # the diff table is symmetric, so covers[i] is both the set of points
     # that i covers and the set of points covering i

@@ -250,6 +250,12 @@ class OmegaProfile:
     step_bounds: tuple[Fraction, ...]
 
 
+def _step(c: dict[Atom, int], d: dict[Atom, int], n: int, m: int) -> Fraction:
+    """:func:`total_variation` of the frequencies of counts c out of n and d
+    out of m: Σ_a |c(a)·m - d(a)·n| / (2·n·m)."""
+    return Fraction(sum(abs(c.get(a, 0) * m - d.get(a, 0) * n) for a in c.keys() | d.keys()), 2 * n * m)
+
+
 def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfile:
     """Emp(x, F) along the given sets plus consecutive D_P (= TV) and their nesting bounds.
 
@@ -262,8 +268,9 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
     from one ``_read``: of the whole box, or of the rows it adds to a previous
     Box with its corner and outer sides; any other set's cells, normalized as
     a window scan normalizes them (:func:`_cells`), are read through ``_at``.
+    Each step is summed from the two sets' letter counts (:func:`_step`).
     """
-    sizes, measures = [], []
+    sizes, tallies, measures = [], [], []
     counts, prev = Counter(), ()
     for F in sets:
         if not F:
@@ -286,10 +293,11 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
             if F[: len(prev)] != prev:
                 counts, prev = Counter(), ()
             counts.update(require_known(x._at(g), g) for g in F[len(prev) :])
+        tallies.append(dict(counts))  # counts grows on with the next set
         measures.append(EmpiricalMeasure.from_counts(counts))
         prev = F
     if not sizes:
         raise ValueError("need at least one set")
-    steps = tuple(total_variation(mn, mp) for mp, mn in zip(measures, measures[1:]))
+    steps = tuple(_step(c, d, n, m) for c, d, n, m in zip(tallies, tallies[1:], sizes, sizes[1:]))
     bounds = tuple(Fraction(nxt - prev, nxt) for prev, nxt in zip(sizes, sizes[1:]))
     return OmegaProfile(tuple(sizes), tuple(measures), steps, bounds)

@@ -59,8 +59,8 @@ def dstar_distance(
     if pair := _coset_pair(x, z):
         # D counts the confirmed and the unresolved cosets of the disagreement set
         D = pair[1]
-        lower, unknown = Fraction(D.count(True), len(D)), D.count(None)
-        value = IntervalEstimate(lower, lower + Fraction(unknown, len(D)), not unknown, "exact-coset")
+        true, unknown = D.count(True), D.count(None)
+        value = IntervalEstimate._counted(true, true + unknown, len(D), not unknown, "exact-coset")
         return PseudometricReport(value, "exact-coset")
     if n is None or radius is None:
         raise ValueError("non-coset pair: supply level n and window radius")

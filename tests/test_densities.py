@@ -1,7 +1,10 @@
 import inspect
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amenshift.configs import CosetSet
 from amenshift.densities import (
@@ -96,6 +99,34 @@ def test_interval_estimate_invariants():
     assert est.value == Fraction(1, 3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-2, 10),
+    st.integers(-2, 10),
+    st.integers(1, 8),
+    st.booleans(),
+    st.sampled_from([None, "a caveat"]),
+)
+def test_counted_estimate_is_the_public_constructor_on_counts(lower, upper, size, exact, caveat):
+    # the counts are checked in ints, so they must refuse exactly where the
+    # Fraction checks of the public constructor refuse, with the same message
+    try:
+        public = IntervalEstimate(Fraction(lower, size), Fraction(upper, size), exact, "windowed", caveat)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
+            IntervalEstimate._counted(lower, upper, size, exact, "windowed", caveat)
+        return
+    counted = IntervalEstimate._counted(lower, upper, size, exact, "windowed", caveat)
+    assert counted == public and hash(counted) == hash(public)
+    assert type(counted.lower) is type(counted.upper) is Fraction
+
+
+def test_counted_estimate_survives_pickling():
+    est = IntervalEstimate._counted(1, 3, 4, False, "windowed", "window caveat")
+    back = pickle.loads(pickle.dumps(est))
+    assert back == est and (back.lower, back.upper, back.caveat) == (Fraction(1, 4), Fraction(3, 4), "window caveat")
+
+
 def test_coset_set_stores_its_reps_as_a_frozenset():
     # a repeated representative counts once, whatever iterable carries it
     chain = make_chain(1, [2, 4])
@@ -108,6 +139,15 @@ def test_coset_set_stores_its_reps_as_a_frozenset():
         assert hash(cs) == hash(CosetSet.make(chain, 2, [(0,), (3,)]))
         assert cs.complement().reps == {(1,), (2,)}
         assert lower_banach_density(cs).value == Fraction(1, 2)
+    # the complement is built without the subset check; it is still the
+    # checked CosetSet of its reps, and complementing twice gives B back
+    cs = CosetSet(chain, 2, [(0,), (3,)])
+    complement = cs.complement()
+    checked = CosetSet(chain, 2, [(1,), (2,)])
+    assert complement == checked and hash(complement) == hash(checked)
+    assert pickle.loads(pickle.dumps(complement)) == checked
+    assert complement.complement() == cs and hash(complement.complement()) == hash(cs)
+    assert CosetSet(chain, 2, []).complement() == CosetSet(chain, 2, chain.domain(2))
 
 
 def test_coset_set_refuses_bare_ints_that_make_normalizes():
@@ -116,6 +156,10 @@ def test_coset_set_refuses_bare_ints_that_make_normalizes():
         CosetSet(chain, 2, [0, 3])
     with pytest.raises(ValueError, match="fundamental domain"):
         CosetSet(chain, 2, [(4,)])
+    with pytest.raises(ValueError, match="fundamental domain"):
+        CosetSet(chain, 1, chain.domain(2))
+    with pytest.raises(ValueError, match="fundamental domain"):
+        CosetSet.make(chain, 2, [-1])
     assert CosetSet.make(chain, 2, [0, 3]).reps == {(0,), (3,)}
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,50 @@ def test_eps_at_least_one_is_one_at_the_cap():
         for delta in (Fraction(1, 12), Fraction(1, 2), 1):
             assert separated_max(far, eps, delta) == separated_max_oracle(far, eps, delta) == 1
             assert spanning_min(far, eps, delta) == spanning_min_oracle(far, eps, delta) == 1
+
+
+def test_search_parameters_read_alike_in_every_spelling():
+    # thresholds come from ⌊δ|F|⌋ and ⌈δ|F|⌉ on δ's numerator and denominator;
+    # δ|F| = 3, 4 and 8 are integral on |F| = 8, where the two meet
+    rng = random.Random(31)
+    systems = [
+        SampledSystem.from_points([tuple(rng.choice("01") for _ in range(8)) for _ in range(m)])
+        for m in (2, 5, 9)
+    ]
+    systems.append(SampledSystem.from_points(["00000000", "00001111", "11111111", "00111100"]))
+    spellings = {
+        Fraction(1, 2): (Fraction(1, 2), "1/2", 0.5),
+        Fraction(1): (1, "1", 1.0, Fraction(1)),
+        Fraction(3, 2): (Fraction(3, 2), "3/2", 1.5),
+    }
+    deltas = {
+        Fraction(3, 8): (Fraction(3, 8), "3/8", 0.375),
+        Fraction(1, 2): (Fraction(1, 2), "1/2", 0.5),
+        Fraction(5, 16): (Fraction(5, 16), "5/16", 0.3125),
+        Fraction(1): (1, "1", 1.0, Fraction(1)),
+    }
+    for sys in systems:
+        for eps, eps_forms in spellings.items():
+            for delta, delta_forms in deltas.items():
+                sep = separated_max_oracle(sys, eps, delta)
+                span = spanning_min_oracle(sys, eps, delta)
+                for e in eps_forms:
+                    for d in delta_forms:
+                        case = (sys.diff_counts, e, d)
+                        assert separated_max(sys, e, d) == sep, case
+                        assert spanning_min(sys, e, d) == span, case
+
+
+def test_search_parameters_out_of_range_are_refused():
+    sys = SampledSystem.from_points(["0101", "0011"])
+    bad = [(eps, Fraction(1, 2)) for eps in (0, "0", 0.0, -1, "-1/2", -0.5, Fraction(0))]
+    bad += [(Fraction(1, 2), delta) for delta in (0, "0", 0.0, Fraction(0), "-1/4")]
+    bad += [(Fraction(1, 2), delta) for delta in ("9/8", 1.5, 2, Fraction(5, 4))]
+    bad += [(Fraction(3, 2), 0), (Fraction(3, 2), 2)]  # refused before ε ≥ 1 settles either
+    for eps, delta in bad:
+        for search in (separated_max, spanning_min):
+            with pytest.raises(ValueError, match=re.escape("need eps > 0 and delta in (0, 1]")):
+                search(sys, eps, delta)
 
 
 def _search_cases():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amenshift import measures
-from amenshift.configs import BINARY, Periodic, block_alternating, geometric_box_lengths
+from amenshift.configs import BINARY, Alphabet, Periodic, block_alternating, geometric_box_lengths
 from amenshift.errors import UnknownMembership
 from amenshift.groups import box, make_chain
 from amenshift.measures import (
@@ -482,6 +482,30 @@ def test_omega_block_alternating_splits():
     w_odd = profile.measures[10].weight("1")  # level 11
     assert abs(w_even - Fraction(1, 3)) < Fraction(2, 100)
     assert abs(w_odd - Fraction(2, 3)) < Fraction(2, 100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_omega_steps_are_total_variation_of_consecutive_measures(data):
+    # each step is an integer sum over two sets' letter counts; total_variation
+    # of the two measures is its oracle, whether or not the sets nest
+    word = data.draw(st.lists(st.sampled_from("abc"), min_size=8, max_size=8))
+    x = Periodic(CHAIN, 3, {(i,): a for i, a in enumerate(word)}, Alphabet(("a", "b", "c")))
+    kind = data.draw(st.sampled_from(["nested", "free", "boxes"]))
+    count = data.draw(st.integers(1, 6))
+    if kind == "boxes":
+        sides = sorted(data.draw(st.lists(st.integers(1, 40), min_size=count, max_size=count)))
+        sets = [box(1, L) for L in sides]
+    else:
+        cells = st.lists(st.integers(-30, 30).map(lambda i: (i,)), min_size=1, max_size=12)
+        sets = []
+        for _ in range(count):
+            prefix = sets[-1] if kind == "nested" and sets else ()
+            sets.append(prefix + tuple(data.draw(cells)))
+    profile = omega_profile(x, sets)
+    pairs = zip(profile.measures, profile.measures[1:])
+    assert profile.steps == tuple(total_variation(nu, mu) for mu, nu in pairs)
+    assert all(type(step) is Fraction for step in profile.steps)
 
 
 def test_omega_consecutive_steps_respect_nesting_bound():

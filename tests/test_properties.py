@@ -2,6 +2,7 @@
 not just the worked examples."""
 
 import itertools
+import pickle
 from fractions import Fraction
 from math import prod
 
@@ -315,11 +316,19 @@ def test_per_set_is_disjoint_union_of_letter_sets_and_brute_force(data):
         x = Periodic(chain, level, word, Alphabet(("a", "b")))
         value = lambda g: x.word[chain.coset_rep(g, level)]
     n = data.draw(st.integers(1, chain.depth))
-    reps = per_set(x, n).reps
-    by_letter = [per_set_letter(x, n, a).reps for a in x.alphabet.letters]
+    per = per_set(x, n)
+    reps = per.reps
+    letter_sets = [per_set_letter(x, n, a) for a in x.alphabet.letters]
+    by_letter = [cs.reps for cs in letter_sets]
     assert sum(len(r) for r in by_letter) == len(reps)
     assert frozenset().union(*by_letter) == reps
     assert reps == brute_force_per_set(x, n, value)
+    # built without the subset check, each is the checked CosetSet of its reps
+    for cs in (per, per.complement(), *letter_sets):
+        checked = CosetSet(chain, n, cs.reps)
+        assert cs == checked and hash(cs) == hash(checked)
+        assert pickle.loads(pickle.dumps(cs)) == checked
+    assert per.complement().complement() == per
 
 
 # ---------------------------------------------------------------------------
