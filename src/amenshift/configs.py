@@ -265,6 +265,25 @@ class ToeplitzTable(_CosetTable):
         self._fill(distinct)
         object.__setattr__(self, "assignments", self._assigned)
 
+    @classmethod
+    def _of_claims(
+        cls,
+        chain: SubgroupChain,
+        assigned: tuple[tuple[int, Element, Letter], ...],
+        alphabet: Alphabet,
+        claims: Sequence[Letter | None],
+        Q: int,
+    ) -> "ToeplitzTable":
+        """The table of the sorted, distinct, valid triples ``assigned``, whose
+        cosets fill ``claims`` without conflict: a row-major array on F_k,
+        Q = q_k for some k ≥ max_level, None off them.  Cut to F_max_level it
+        is the period array, so no check of ``__post_init__`` runs."""
+        table = object.__new__(cls)
+        vars(table).update(chain=chain, assignments=assigned, alphabet=alphabet, _assigned=assigned)
+        q = chain.scale(table.max_level)
+        vars(table).update(_cells=tuple(_window(claims, Q, (q,) * chain.rank, identity(chain.rank))), _period=q)
+        return table
+
     def _fill(self, assigned: Iterable[tuple[int, Element, Letter]]) -> None:
         """Store the triples and fill the period array coarsest first: the one conflict check."""
         # cosets of nested subgroups are nested or disjoint, so a coset whose

@@ -1,12 +1,16 @@
 """Finitely supported empirical measures and exact Prokhorov/Hausdorff distances.
 
 The Prokhorov distance D_P(μ,ν) = inf{ε > 0 : μ(B) ≤ ν(B^ε) + ε for every B}
-is attained with closed ε-expansions.  By Strassen's theorem the condition at
-ε holds iff a sub-coupling of mass ≥ 1 - ε lives on the atom pairs at distance
-≤ ε, so D_P = min over atom distances t of max(t, 1 - maxflow_t): an exact
-integer max-flow in units of 1/lcm(weight denominators), polynomial in the
-support size, with no support cap.  The distances are ranked once per call (per
-Hausdorff matrix), so the flow reads int ranks and only thresholds are Fractions.
+is attained with closed ε-expansions.  Under the discrete letter metric
+(``discrete_metric`` itself) the closed ε-neighbourhood of B is B for ε < 1,
+so D_P is the total variation: a closed form, read from the weights in units
+of 1/lcm(weight denominators).  For any other metric, Strassen's theorem says
+the condition at ε holds iff a sub-coupling of mass ≥ 1 - ε lives on the atom
+pairs at distance ≤ ε, so D_P = min over atom distances t of
+max(t, 1 - maxflow_t): an exact integer max-flow in those units, polynomial in
+the support size, with no support cap.  The distances are ranked once per call
+(per Hausdorff matrix), so the flow reads int ranks and only thresholds are
+Fractions.
 """
 
 from __future__ import annotations
@@ -110,12 +114,15 @@ def _units(measures: Sequence[EmpiricalMeasure]) -> tuple[int, list[list[int]]]:
     return scale, [[w.numerator * (scale // w.denominator) for _, w in m.atoms] for m in measures]
 
 
+def _l1(p: dict[Atom, int], q: dict[Atom, int]) -> int:
+    """Σ_a |p(a) - q(a)| over the atoms of either weight dict, absent atoms 0."""
+    return sum(abs(w - q.get(a, 0)) for a, w in p.items()) + sum(w for a, w in q.items() if a not in p)
+
+
 def total_variation(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Fraction:
     """max_B |μ(B) - ν(B)| = (1/2) Σ_a |μ(a) - ν(a)|, exact."""
     scale, (plus, minus) = _units((mu, nu))
-    diff = Counter(dict(zip(mu.support, plus)))
-    diff.subtract(dict(zip(nu.support, minus)))
-    return Fraction(sum(map(abs, diff.values())), 2 * scale)
+    return Fraction(_l1(dict(zip(mu.support, plus)), dict(zip(nu.support, minus))), 2 * scale)
 
 
 def _ranked(rows: Sequence[Atom], cols: Sequence[Atom], metric: AtomMetric):
@@ -198,8 +205,13 @@ def prokhorov_distance(
 
     Strassen: μ(B) ≤ ν(B^t) + ε for every B iff maxflow_t ≥ 1 - ε, where
     maxflow_t couples μ to ν along the pairs at distance ≤ t; this is
-    symmetric, so one direction suffices.
+    symmetric, so one direction suffices.  With ``discrete_metric`` itself
+    the only thresholds are 0 and 1 and maxflow_0 = 1 - TV, so the distance
+    is :func:`total_variation` and no flow runs; any other metric, a wrapper
+    of the discrete one too, takes the flow.
     """
+    if metric is discrete_metric:
+        return total_variation(mu, nu)
     scale, (supply, demand) = _units((mu, nu))
     return _flow_distance(supply, demand, scale, *_ranked(mu.support, nu.support, metric))
 
@@ -213,23 +225,32 @@ def hausdorff_distance(
     nonempty families of measures.
 
     D_P is symmetric, so both directions read one |A|×|B| matrix, whose entries
-    share one unit scale and one ranked distance table over ∪A × ∪B.
+    share one unit scale 1/s.  Under ``discrete_metric`` itself an entry is
+    the total variation Σ_a |u_μ(a) - u_ν(a)| / (2s) of the two measures'
+    weights u in those units: the min and max are taken on the int sums and
+    one Fraction is made at the end.  Any other metric ranks one distance
+    table over ∪A × ∪B and runs the flow of :func:`prokhorov_distance` per entry.
     """
     if not A or not B:
         raise ValueError("both families must be nonempty")
+    scale, units = _units((*A, *B))
+    if metric is discrete_metric:
+        weights = [dict(zip(m.support, u)) for m, u in zip((*A, *B), units)]
+        return Fraction(_sup_inf([[_l1(p, q) for q in weights[len(A) :]] for p in weights[: len(A)]]), 2 * scale)
     col_at = {b: y for y, b in enumerate(dict.fromkeys(b for nu in B for b in nu.support))}
     row_at = {a: x * len(col_at) for x, a in enumerate(dict.fromkeys(a for mu in A for a in mu.support))}
     thresholds, ranks = _ranked(list(row_at), list(col_at), metric)
-    scale, units = _units((*A, *B))
 
     def entry(mu, supply, nu, demand) -> Fraction:
         cells = [ranks[row_at[a] + col_at[b]] for a in mu.support for b in nu.support]
         return _flow_distance(list(supply), list(demand), scale, thresholds, cells)
 
-    rows = [[entry(mu, s, nu, d) for nu, d in zip(B, units[len(A) :])] for mu, s in zip(A, units)]
-    d_ab = max(min(row) for row in rows)
-    d_ba = max(min(col) for col in zip(*rows))
-    return max(d_ab, d_ba)
+    return _sup_inf([[entry(mu, s, nu, d) for nu, d in zip(B, units[len(A) :])] for mu, s in zip(A, units)])
+
+
+def _sup_inf(rows):
+    """max of the two directed sup-inf values of an |A|×|B| matrix, by rows and by columns."""
+    return max(max(min(row) for row in rows), max(min(col) for col in zip(*rows)))
 
 
 @dataclass(frozen=True)

@@ -468,8 +468,11 @@ def krieger_construct(
         k_n, quota, claimed, arbitrary = k_next, r, tuple(reserved), tuple(unset)
         dom = dom_next
 
-    # the one table build, of every stage's claims: its fill is the one
-    # conflict check, and a claimed cell's letter never changes once set
+    # the skeleton is every stage's claims, and ``claims`` already is its
+    # array: each reserve took unclaimed cells only, so no two claims
+    # conflict, and a claimed cell's letter never changes once set.  The
+    # triples come sorted: levels rise stage by stage, and a stage's claims
+    # are picked in row-major order, which is the order of F_{k_n}'s cells
     assignments = tuple((st.level, f, cells[f]) for st in records for f in st.claimed)
     return KriegerResult(
         gamma=gamma,
@@ -477,7 +480,7 @@ def krieger_construct(
         alphabet=alphabet,
         levels=tuple(st.level for st in records),
         stages=tuple(records),
-        skeleton=ToeplitzTable(chain, assignments, alphabet),
+        skeleton=ToeplitzTable._of_claims(chain, assignments, alphabet, claims, chain.scale(k_n)),
         cells=dict(cells),
     )
 

@@ -432,7 +432,8 @@ def test_total_variation_matches_fraction_oracle():
 
 def test_distances_are_thread_safe_on_shared_measures():
     # every distance is pure: threads sharing measures and the discrete
-    # metric's constants read what a serial run reads
+    # metric's constants read what a serial run reads, through the discrete
+    # closed form (TV sums) and through the flow of the line metric
     rng = random.Random(53)
     atoms = list(range(8))
     shared = [random_measure(rng, atoms) for _ in range(12)]

@@ -37,7 +37,13 @@ from amenshift.densities import (
 from amenshift.entropy import entropy_estimates, pattern_set
 from amenshift.errors import AmenshiftError, InconsistentCylinders
 from amenshift.groups import add, identity, make_chain, sub
-from amenshift.measures import EmpiricalMeasure, prokhorov_distance, total_variation
+from amenshift.measures import (
+    EmpiricalMeasure,
+    discrete_metric,
+    hausdorff_distance,
+    prokhorov_distance,
+    total_variation,
+)
 from amenshift.metrics import besicovitch_estimate, delta_star_exact, dstar_distance, weyl_upper_bound
 from amenshift.toeplitz import (
     krieger_construct,
@@ -176,12 +182,54 @@ def measure_pairs(draw):
     return mu, draw(measures())
 
 
+def discrete_by_flow(a, b):
+    """discrete_metric under another name: the distances take their flow."""
+    return discrete_metric(a, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(measure_pairs())
 def test_prokhorov_discrete_collapses_to_tv(pair):
-    # the closed form omega_profile steps use: D_P = TV under the discrete metric
+    # the closed form prokhorov_distance and omega_profile steps take under
+    # the discrete metric, D_P = TV, against the flow, which a wrapper of the
+    # metric reaches (only discrete_metric itself takes the closed form)
     mu, nu = pair
-    assert prokhorov_distance(mu, nu) == prokhorov_distance(nu, mu) == total_variation(mu, nu)
+    closed = prokhorov_distance(mu, nu), prokhorov_distance(nu, mu)
+    assert all(type(d) is Fraction for d in closed)
+    assert closed == (prokhorov_distance(mu, nu, discrete_by_flow), prokhorov_distance(nu, mu, discrete_by_flow))
+    assert closed[0] == closed[1] == total_variation(mu, nu)
+
+
+@st.composite
+def measure_families(draw):
+    """(A, B), families of 1 to 3 measures: each of B random, equal to one of
+    A, on atoms disjoint from all of A's, or a point mass."""
+    A = draw(st.lists(measures(), min_size=1, max_size=3))
+    used = {a for mu in A for a in mu.support}
+    B = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["random", "equal", "disjoint", "point"]))
+        if kind == "equal":
+            B.append(draw(st.sampled_from(A)))
+        elif kind == "disjoint" and used != set(ATOMS):
+            B.append(draw(measures([a for a in ATOMS if a not in used])))
+        elif kind == "point":
+            B.append(EmpiricalMeasure.point_mass(draw(st.sampled_from(ATOMS))))
+        else:
+            B.append(draw(measures()))
+    return A, B
+
+
+@settings(max_examples=200, deadline=None)
+@given(measure_families())
+def test_hausdorff_discrete_closed_form_matches_the_flow(families):
+    # the TV sums on one unit scale against the per-entry flow of the
+    # wrapped metric, in both argument orders
+    A, B = families
+    closed = hausdorff_distance(A, B), hausdorff_distance(B, A)
+    assert all(type(d) is Fraction for d in closed)
+    assert closed == (hausdorff_distance(A, B, discrete_by_flow), hausdorff_distance(B, A, discrete_by_flow))
+    assert closed[0] == closed[1]
 
 
 # ---------------------------------------------------------------------------
@@ -773,15 +821,18 @@ def test_psi_sides_match_reference_recursion(chain, t, data):
 
 
 @pytest.mark.parametrize(
-    "gamma, scales, stages",
+    "gamma, rank, scales, stages",
     [
-        ("1/2", [2**k for k in range(1, 13)], 3),
-        ("1/3", [2**k for k in range(1, 13)], 2),
-        ("3/4", [3 * 2**k for k in range(0, 10)], 2),
+        ("1/2", 1, [2**k for k in range(1, 13)], 3),
+        ("1/3", 1, [2**k for k in range(1, 13)], 2),
+        ("3/4", 1, [3 * 2**k for k in range(0, 10)], 2),
+        ("1/2", 2, [2, 4, 8, 16], 2),
+        ("1/3", 2, [2, 4, 8, 16, 32], 2),
+        ("1/5", 2, [2, 6, 12, 24], 1),
     ],
 )
-def test_krieger_skeleton_is_every_stage_claim(gamma, scales, stages):
-    chain = make_chain(1, scales)
+def test_krieger_skeleton_is_every_stage_claim(gamma, rank, scales, stages):
+    chain = make_chain(rank, scales)
     result = krieger_construct(gamma, chain, Alphabet(("0", "1")), stages)
     want = sorted((st_.level, f, result.cells[f]) for st_ in result.stages for f in st_.claimed)
     assert list(result.skeleton.assignments) == want

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -522,13 +525,87 @@ def test_krieger_results_are_pinned(gamma, rank, scales, letters, stages, digest
 
 
 def test_krieger_builds_its_skeleton_table_once(monkeypatch):
-    # the claims grow as one array; the skeleton table is built once, at the
-    # end, and its fill is the one conflict check
-    builds = []
-    post_init = ToeplitzTable.__post_init__
-    monkeypatch.setattr(ToeplitzTable, "__post_init__", lambda self: builds.append(post_init(self)))
+    # the claims grow as one array; the skeleton table is made once, at the
+    # end, from that array, with no checked ToeplitzTable(...) fill
+    checked, made = [], []
+    post_init, of_claims = ToeplitzTable.__post_init__, ToeplitzTable._of_claims.__func__
+    monkeypatch.setattr(ToeplitzTable, "__post_init__", lambda self: checked.append(post_init(self)))
+
+    def counted(cls, *args):
+        made.append(of_claims(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(ToeplitzTable, "_of_claims", classmethod(counted))
     result = krieger_construct(Fraction(1, 2), make_chain(1, [2**k for k in range(1, 13)]), BINARY, stages=3)
-    assert len(builds) == 1 and len(result.stages) == 4
+    assert not checked and made == [result.skeleton] and len(result.stages) == 4
+
+
+KRIEGER_CHAINS = {
+    "dyadic": (1, [2**k for k in range(1, 13)]),
+    "3*2^k": (1, [3 * 2**k for k in range(10)]),
+    "3^k": (1, [3**k for k in range(1, 8)]),
+    "2-6-12-24": (1, [2, 6, 12, 24]),
+    "dyadic-rank2": (2, [2, 4, 8, 16]),
+    "3*2^k-rank2": (2, [3, 6, 12, 24]),
+    "3^k-rank2": (2, [3, 9, 27]),
+    "2-6-12-24-rank2": (2, [2, 6, 12, 24]),
+}
+
+
+@pytest.mark.parametrize("rank, scales", KRIEGER_CHAINS.values(), ids=KRIEGER_CHAINS.keys())
+def test_krieger_skeleton_equals_the_checked_table(rank, scales):
+    # the skeleton made from the builder's claims array is the table that
+    # ToeplitzTable(...) checks and fills from the same assignments, the
+    # all-quota-0 builds (an empty table, max_level 1) among them
+    chain, built = make_chain(rank, scales), 0
+    gammas = ["1/5", "1/3", "1/2", "2/3", "3/4", "9/10"]
+    for gamma, letters, stages in itertools.product(gammas, ["01", "abc"], [1, 2, 3]):
+        alphabet = Alphabet(tuple(letters))
+        try:
+            skeleton = krieger_construct(Fraction(gamma), chain, alphabet, stages).skeleton
+        except ChainTooShallow:
+            continue
+        built += 1
+        checked = ToeplitzTable(chain, skeleton.assignments, alphabet)
+        assert skeleton == checked and hash(skeleton) == hash(checked)
+        assert skeleton.max_level == checked.max_level
+        assert (skeleton._cells, skeleton._period) == (checked._cells, checked._period)
+        assert type(skeleton._cells) is tuple
+        copy = pickle.loads(pickle.dumps(skeleton))
+        assert copy == checked and (copy._cells, copy._period) == (checked._cells, checked._period)
+    assert built
+
+
+def test_krieger_skeleton_without_claims_is_the_empty_table():
+    # γ = 2/3 over two stages on dyadic-12 reserves nothing: every quota is
+    # 0, and the claims array on F_{k_2} is cut to the empty table's F_1
+    chain = make_chain(1, [2**k for k in range(1, 13)])
+    result = krieger_construct(Fraction(2, 3), chain, BINARY, stages=2)
+    assert all(st.quota == 0 for st in result.stages) and result.levels[-1] > 1
+    assert result.skeleton == ToeplitzTable(chain, (), BINARY)
+    assert (result.skeleton._cells, result.skeleton._period, result.skeleton.max_level) == ((None, None), 2, 1)
+
+
+def test_krieger_builds_agree_across_threads():
+    # the builder is pure: threads building on one shared chain, switching
+    # often, get what a serial run gets
+    chain = make_chain(1, [2**k for k in range(1, 13)])
+    jobs = list(itertools.product(map(Fraction, ("1/3", "1/2", "3/4")), (BINARY, Alphabet(("a", "b", "c"))), (1, 2))) * 4
+
+    def build(job):
+        gamma, alphabet, stages = job
+        result = krieger_construct(gamma, chain, alphabet, stages)
+        return krieger_digest(result), result.skeleton._cells
+
+    serial = [build(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(build, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_krieger_high_gamma_reserves_nothing_early():
