@@ -23,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from itertools import chain as concat
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -658,6 +658,18 @@ def require_known(value: Letter | None, g: Element) -> Letter:
 # ---------------------------------------------------------------------------
 
 
+def _geometric_lengths(eps) -> Iterator[int]:
+    """L_0 = 1, L_1, L_2, ... without end: the recurrence of :func:`geometric_box_lengths`."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0,1)")
+    p, q = eps.numerator, eps.denominator
+    length = 1
+    while True:
+        yield length
+        length = max((2 * length * q + q - p) // (2 * (q - p)), length + 1)
+
+
 def geometric_box_lengths(eps: Fraction, count: int) -> list[int]:
     """Box lengths L_0 = 1, L_n with L_n/L_{n+1} → 1-eps: L_{n+1} = round(L_n/(1-eps)).
 
@@ -665,14 +677,17 @@ def geometric_box_lengths(eps: Fraction, count: int) -> list[int]:
     the boxes stay strictly nested: for eps = p/q, in integers,
     L_{n+1} = max(⌊(2·L_n·q + q - p) / (2(q - p))⌋, L_n + 1).
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    p, q = eps.numerator, eps.denominator
-    lengths = [1]
-    for _ in range(count):
-        lengths.append(max((2 * lengths[-1] * q + q - p) // (2 * (q - p)), lengths[-1] + 1))
-    return lengths
+    return list(islice(_geometric_lengths(eps), max(count, 0) + 1))
+
+
+def _shell_edges(eps: Fraction, end: int) -> list[int]:
+    """0, then L_0, L_1, ... up to the first box length that reaches end, L_64 at most."""
+    edges = [0]
+    for length in islice(_geometric_lengths(eps), 65):
+        edges.append(length)
+        if length >= end:
+            break
+    return edges
 
 
 def block_alternating(eps, radius: int) -> Oracle:
@@ -682,16 +697,21 @@ def block_alternating(eps, radius: int) -> Oracle:
     that sequence the letter-1 frequency oscillates between 1/(2-eps) (odd
     levels) and (1-eps)/(2-eps) (even levels), so the distribution measures
     split into two separated clusters.  The rule is a run reader: one
-    constant run per shell a window meets.
+    constant run per shell a window meets.  Only the boxes up to the first
+    past the radius are built; a read beyond them, outside the declared box,
+    builds its own.
     """
     eps = Fraction(eps)
     # shell j is [edges[j], edges[j + 1]): F_1 for j = 0 and F_j \ F_{j-1}
     # for 1 ≤ j < last, ones for j = 0 and odd j; 0 below 0 (j = -1) and
-    # past the last box (j = last)
-    edges = (0, *geometric_box_lengths(eps, 64))
-    last = len(edges) - 1
+    # past the 64th box (j = last = 65, once all 66 edges are built).  near
+    # ends at the first box past the radius; a read beyond it, outside the
+    # declared box, builds its own edges unless near already has all 66
+    near = _shell_edges(eps, radius + 1)
 
     def letters(a: int, b: int) -> str:
+        edges = near if b <= near[-1] or len(near) == 66 else _shell_edges(eps, b)
+        last = len(edges) - 1
         runs = []
         while a < b:
             j = bisect_right(edges, a) - 1

@@ -118,6 +118,8 @@ def _windowed(read: Callable, chain: SubgroupChain, n: int, radius: int) -> Inte
     """banach_density_windowed of the memberships ``read`` gives on a box (``configs._BoxScan``)."""
     F = chain.domain(n)
     scan = _BoxScan(read, F, ball(chain.rank, radius))
-    lower = max(scan.window_sums(list(map(bool, scan.values))))
-    upper = max(scan.window_sums([v is None or bool(v) for v in scan.values]))
+    values = scan.values
+    lower = max(scan.window_sums(list(map(bool, values))))
+    # with no Unknown cell read, upper counts what lower counts
+    upper = max(scan.window_sums([v is None or bool(v) for v in values])) if None in values else lower
     return IntervalEstimate._counted(lower, upper, len(F), False, "windowed", WINDOW_CAVEAT)

@@ -8,9 +8,10 @@ of 1/lcm(weight denominators).  For any other metric, Strassen's theorem says
 the condition at ε holds iff a sub-coupling of mass ≥ 1 - ε lives on the atom
 pairs at distance ≤ ε, so D_P = min over atom distances t of
 max(t, 1 - maxflow_t): an exact integer max-flow in those units, polynomial in
-the support size, with no support cap.  The distances are ranked once per call
-(per Hausdorff matrix), so the flow reads int ranks and only thresholds are
-Fractions.
+the support size, with no support cap.  The distances are read once per call
+(per Hausdorff matrix) onto their own int scale 1/L, L the lcm of their
+denominators, so the flow compares ints only, t·s against (s - flow)·L, and
+each distance is one Fraction made at the end.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def discrete_metric(a: Atom, b: Atom) -> Fraction:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Finitely supported probability measure with exact rational weights."""
+    """Finitely supported probability measure with exact rational weights:
+    each an int or a Fraction, any other weight (a float too) refused."""
 
     atoms: tuple[tuple[Atom, Fraction], ...]
 
@@ -49,6 +51,9 @@ class EmpiricalMeasure:
         if len(set(support)) != len(support):
             raise ValueError("atoms must be distinct")
         weights = [w for _, w in self.atoms]
+        for w in weights:
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(f"weight {w!r} is not an int or a Fraction")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
         if sum(weights) != 1:
@@ -126,15 +131,29 @@ def total_variation(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Fraction:
 
 
 def _ranked(rows: Sequence[Atom], cols: Sequence[Atom], metric: AtomMetric):
-    """The distinct distances over rows × cols as ascending Fractions, and the
-    rank among them of each row-major pair index: one metric call and hash per pair."""
+    """The distances over rows × cols on one int scale: L, the lcm of their
+    denominators; the distinct distances as ascending ints in units of 1/L; and
+    the rank among them of each row-major pair index.  One metric call per
+    pair, keyed by its numerator and denominator; a value without them (a
+    float, a "p/q" string) is read through Fraction first."""
     groups = defaultdict(list)
     for k, (a, b) in enumerate(product(rows, cols)):
-        groups[metric(a, b)].append(k)
-    # raw values that differ but convert to one Fraction (say "1/2" and "2/4")
-    # stay two equal thresholds; the first's partial flow only bounds from above
-    ranked = sorted(((Fraction(v), ks) for v, ks in groups.items()), key=lambda p: p[0])
-    return [t for t, _ in ranked], {k: r for r, (_, ks) in enumerate(ranked) for k in ks}
+        v = metric(a, b)
+        try:
+            groups[v.numerator, v.denominator].append(k)
+        except AttributeError:
+            v = Fraction(v)
+            groups[v.numerator, v.denominator].append(k)
+    unit = lcm(*(d for _, d in groups))
+    ints = defaultdict(list)  # one value keyed twice (a Rational in lowest terms or not) meets here
+    for (p, d), ks in groups.items():
+        ints[p * (unit // d)] += ks
+    thresholds = sorted(ints)
+    ranks = [0] * (len(rows) * len(cols))
+    for r, t in enumerate(thresholds):
+        for k in ints[t]:
+            ranks[k] = r
+    return unit, thresholds, ranks
 
 
 def _augment(near, carried, supply, demand) -> int:
@@ -181,18 +200,21 @@ def _augment(near, carried, supply, demand) -> int:
         pushed += amount
 
 
-def _flow_distance(supply, demand, scale, thresholds, ranks) -> Fraction:
-    """min_t max(t, 1 - maxflow_t / scale), t over thresholds[ranks[i·|ν| + j]] for the
-    μ-ν atom pairs (i, j); ascending t only adds edges, so augmenting resumes."""
+def _flow_distance(supply, demand, scale, unit, thresholds, ranks) -> int:
+    """min_t max(t, 1 - maxflow_t / scale) in units of 1/(unit·scale), t over
+    thresholds[ranks[i·|ν| + j]] / unit for the μ-ν atom pairs (i, j); ascending
+    t only adds edges, so augmenting resumes.  Both sides compare as ints:
+    t·scale against (scale - maxflow_t)·unit."""
     near, carried, n = [[] for _ in supply], [{} for _ in demand], len(demand)
-    flow, best = 0, _ONE
+    flow, best = 0, unit * scale
     for r, cells in groupby(sorted(range(len(ranks)), key=ranks.__getitem__), ranks.__getitem__):
-        if thresholds[r] >= best:
+        t = thresholds[r] * scale
+        if t >= best:
             break
         for k in cells:
             near[k // n].append(k % n)
         flow += _augment(near, carried, supply, demand)
-        best = min(best, max(thresholds[r], Fraction(scale - flow, scale)))
+        best = min(best, max(t, (scale - flow) * unit))
     return best
 
 
@@ -208,12 +230,16 @@ def prokhorov_distance(
     symmetric, so one direction suffices.  With ``discrete_metric`` itself
     the only thresholds are 0 and 1 and maxflow_0 = 1 - TV, so the distance
     is :func:`total_variation` and no flow runs; any other metric, a wrapper
-    of the discrete one too, takes the flow.
+    of the discrete one too, takes the flow.  The metric is called once per
+    atom pair and may return an int, a Fraction, a float or a "p/q" string;
+    the flow runs on ints in units of 1/(L·s), L the lcm of the distances'
+    denominators and s of the weights', and the one Fraction is its minimum.
     """
     if metric is discrete_metric:
         return total_variation(mu, nu)
     scale, (supply, demand) = _units((mu, nu))
-    return _flow_distance(supply, demand, scale, *_ranked(mu.support, nu.support, metric))
+    unit, thresholds, ranks = _ranked(mu.support, nu.support, metric)
+    return Fraction(_flow_distance(supply, demand, scale, unit, thresholds, ranks), unit * scale)
 
 
 def hausdorff_distance(
@@ -228,8 +254,11 @@ def hausdorff_distance(
     share one unit scale 1/s.  Under ``discrete_metric`` itself an entry is
     the total variation Σ_a |u_μ(a) - u_ν(a)| / (2s) of the two measures'
     weights u in those units: the min and max are taken on the int sums and
-    one Fraction is made at the end.  Any other metric ranks one distance
-    table over ∪A × ∪B and runs the flow of :func:`prokhorov_distance` per entry.
+    one Fraction is made at the end.  Any other metric reads one distance
+    table over ∪A × ∪B, one call per atom pair, onto one int scale and runs
+    the flow of :func:`prokhorov_distance` per entry; the min and max are
+    taken on those int entries, in units of 1/(L·s), and one Fraction is
+    made at the end, as under the discrete metric.
     """
     if not A or not B:
         raise ValueError("both families must be nonempty")
@@ -239,13 +268,16 @@ def hausdorff_distance(
         return Fraction(_sup_inf([[_l1(p, q) for q in weights[len(A) :]] for p in weights[: len(A)]]), 2 * scale)
     col_at = {b: y for y, b in enumerate(dict.fromkeys(b for nu in B for b in nu.support))}
     row_at = {a: x * len(col_at) for x, a in enumerate(dict.fromkeys(a for mu in A for a in mu.support))}
-    thresholds, ranks = _ranked(list(row_at), list(col_at), metric)
+    unit, thresholds, ranks = _ranked(list(row_at), list(col_at), metric)
+    rows = [[row_at[a] for a in mu.support] for mu in A]
+    cols = [[col_at[b] for b in nu.support] for nu in B]
 
-    def entry(mu, supply, nu, demand) -> Fraction:
-        cells = [ranks[row_at[a] + col_at[b]] for a in mu.support for b in nu.support]
-        return _flow_distance(list(supply), list(demand), scale, thresholds, cells)
+    def entry(row, supply, col, demand) -> int:
+        cells = [ranks[x + y] for x in row for y in col]
+        return _flow_distance(list(supply), list(demand), scale, unit, thresholds, cells)
 
-    return _sup_inf([[entry(mu, s, nu, d) for nu, d in zip(B, units[len(A) :])] for mu, s in zip(A, units)])
+    matrix = [[entry(r, s, c, d) for c, d in zip(cols, units[len(A) :])] for r, s in zip(rows, units)]
+    return Fraction(_sup_inf(matrix), unit * scale)
 
 
 def _sup_inf(rows):

@@ -451,6 +451,27 @@ def test_block_alternating_bisect_matches_shell_scan(eps):
         assert x.rule((n,)) == block_alternating_letter_oracle(lengths, n), n
 
 
+@pytest.mark.parametrize("eps", ["1/10", "1/3", "1/2", "2/3", "9/10"])
+def test_block_alternating_at_radii_on_and_next_to_box_edges(eps):
+    # the oracle builds its shells only up to the first box past the radius:
+    # every cell of [-R, R] still reads as under all 64 boxes, with R on, just
+    # below and just past a box edge (L_64 + 1 too for 1/10, where L_64 = 3120
+    # and the cells past the 64th box read 0), Unknown just outside, and a read
+    # of the rule past R builds the shells it needs
+    lengths = geometric_box_lengths_oracle(Fraction(eps), 64)
+    edges = [L for L in lengths if L <= 4000]
+    for L in sorted({*edges[:6], *edges[-3:]}):
+        for radius in (L - 1, L, L + 1):
+            x = block_alternating(Fraction(eps), radius)
+            letter = lambda n: block_alternating_letter_oracle(lengths, n)
+            assert x.rule.letters(-radius, radius + 1) == "".join(map(letter, range(-radius, radius + 1)))
+            for n in (-radius, L - 1, radius):
+                assert evaluate(x, n) == letter(n), (radius, n)
+            assert evaluate(x, -radius - 1) is None and evaluate(x, radius + 1) is None
+            assert x.rule.letters(radius, radius + 300) == "".join(map(letter, range(radius, radius + 300)))
+            assert x.rule((lengths[-1],)) == x.rule((lengths[-1] + 1,)) == "0"
+
+
 def test_champernowne_digits_are_stateless_and_match_concatenation():
     from amenshift.configs import _champernowne_letters
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amenshift.configs import CosetSet
+from amenshift.configs import CosetSet, _BoxScan
 from amenshift.densities import (
+    WINDOW_CAVEAT,
     IntervalEstimate,
     banach_density_exact,
     banach_density_windowed,
@@ -63,6 +64,22 @@ def test_windowed_finite_set_sees_its_best_translate():
 def test_windowed_empty_set_is_zero():
     est = banach_density_windowed(lambda g: False, CHAIN, 3, 8)
     assert est.lower == est.upper == 0
+
+
+def test_windowed_bracket_sums_the_upper_bound_only_when_a_cell_is_unknown(monkeypatch):
+    # members {5, 6, 7}: the window [5, 9) of F_2 holds 3 of 4.  With every
+    # cell known the bracket collapses from one prefix-sum pass; an Unknown
+    # cell at 8 opens it to [3/4, 1] and takes a second pass for the upper bound
+    passes = []
+    window_sums = _BoxScan.window_sums
+    monkeypatch.setattr(_BoxScan, "window_sums", lambda scan, cells: passes.append(cells) or window_sums(scan, cells))
+    ones = {(5,), (6,), (7,)}
+    est = banach_density_windowed(ones.__contains__, CHAIN, 2, 8)
+    assert (est.lower, est.upper, est.exact, len(passes)) == (Fraction(3, 4), Fraction(3, 4), False, 1)
+    passes.clear()
+    est = banach_density_windowed(lambda g: None if g == (8,) else g in ones, CHAIN, 2, 8)
+    assert (est.lower, est.upper, est.exact, len(passes)) == (Fraction(3, 4), 1, False, 2)
+    assert est.caveat == WINDOW_CAVEAT
 
 
 def test_windowed_lower_monotone_in_radius():

@@ -177,9 +177,20 @@ def test_the_public_measure_constructor_keeps_every_check():
         ((("a", Fraction(3, 2)), ("b", -half)), "weights must be positive"),
         ((("a", half), ("b", Fraction(0))), "weights must be positive"),
         ((("a", half), ("b", Fraction(1, 3))), "weights sum to 5/6, not 1"),
+        # a float or a string weight never reaches the distances, which read
+        # numerator and denominator; a float that sums to 1.0 included
+        ((("a", 0.5), ("b", 0.5)), "weight 0.5 is not an int or a Fraction"),
+        ((("a", half), ("b", 0.5)), "weight 0.5 is not an int or a Fraction"),
+        ((("a", 1.0),), "weight 1.0 is not an int or a Fraction"),
+        ((("a", -0.5), ("b", Fraction(3, 2))), "weight -0.5 is not an int or a Fraction"),
+        ((("a", "1/2"), ("b", half)), "weight '1/2' is not an int or a Fraction"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmpiricalMeasure(atoms)
+    # int weights are exact and kept: a point mass of weight 1
+    delta = EmpiricalMeasure((("a", 1),))
+    assert prokhorov_distance(delta, EmpiricalMeasure.point_mass("a"), lambda a, b: 0) == 0
+    assert total_variation(delta, EmpiricalMeasure.point_mass("b")) == 1
 
 
 # --- prokhorov ---------------------------------------------------------------
@@ -300,40 +311,57 @@ def test_prokhorov_large_support_shifted_uniform():
 
 TABLE_ATOMS = "abcdefg"
 QUARTERS = [Fraction(k, 4) for k in range(9)]  # 0 .. 2 in steps of 1/4: ties, zeros, > 1
+TWELFTHS = sorted({*QUARTERS, *(Fraction(k, 3) for k in range(7))})  # coprime denominators too
+# the spellings of one distance a metric may return: each reads as the same
+# Fraction, so equal distances stay one threshold however they are written
+SPELLINGS = [Fraction, float, lambda v: f"{v.numerator}/{v.denominator}", lambda v: f"{2 * v.numerator}/{2 * v.denominator}"]
 
 
 @st.composite
-def table_instances(draw, size):
-    """(μ, ν, metric) on a joint support of at most `size` atoms; the metric
-    returns ints, dyadic floats, Fractions or a mix of the three, one value
-    of its table possibly as several types."""
-    atoms = TABLE_ATOMS[:size]
-    mu_atoms = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=size, unique=True))
-    nu_atoms = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=size, unique=True))
+def measures_on(draw, atoms):
+    """A measure with random positive weights on a nonempty subset of atoms."""
+    support = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=len(atoms), unique=True))
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
+    return EmpiricalMeasure(tuple((a, Fraction(w, sum(weights))) for a, w in zip(support, weights)))
 
-    def measure(support):
-        weights = draw(st.lists(st.integers(1, 6), min_size=len(support), max_size=len(support)))
-        return EmpiricalMeasure(tuple((a, Fraction(w, sum(weights))) for a, w in zip(support, weights)))
 
-    kind = draw(st.sampled_from(["fraction", "int", "float", "mixed"]))
-    values = [Fraction(k) for k in range(3)] if kind == "int" else QUARTERS
+@st.composite
+def table_metrics(draw, atoms):
+    """A pseudometric on atoms returning Fractions, ints, dyadic floats, "p/q"
+    strings, or per atom pair one of several types ("mixed": a float or a
+    Fraction; "spelled": a Fraction, a float, "p/q" or "2p/2q"), so one
+    distance of its table may come back spelled several ways."""
+    kind = draw(st.sampled_from(["fraction", "int", "float", "string", "mixed", "spelled"]))
+    # a float spells only the dyadic values exactly
+    values = [Fraction(k) for k in range(3)] if kind == "int" else TWELFTHS if kind in ("fraction", "string") else QUARTERS
     pairs = [frozenset((a, b)) for i, a in enumerate(atoms) for b in atoms[i + 1 :]]
     table = {p: draw(st.sampled_from(values)) for p in pairs}
     closure = table_metric(atoms, table)
     if kind == "fraction":
-        metric = closure
-    else:
-        cast = {"int": int, "float": float}.get(kind)
-        types = {(a, b): cast or draw(st.sampled_from([float, Fraction])) for a in atoms for b in atoms}
-        metric = lambda a, b: types[a, b](closure(a, b))
-    return measure(mu_atoms), measure(nu_atoms), metric
+        return closure
+    spellings = {"mixed": [float, Fraction], "spelled": SPELLINGS}.get(kind)
+    cast = {"int": int, "float": float, "string": SPELLINGS[2]}.get(kind)
+    types = {(a, b): cast or draw(st.sampled_from(spellings)) for a in atoms for b in atoms}
+    return lambda a, b: types[a, b](closure(a, b))
+
+
+@st.composite
+def table_instances(draw, size):
+    """(μ, ν, metric) on a joint support of at most `size` atoms."""
+    atoms = TABLE_ATOMS[:size]
+    return draw(measures_on(atoms)), draw(measures_on(atoms)), draw(table_metrics(atoms))
+
+
+def exactly(metric):
+    """metric read through Fraction: what the oracles compare ("p/q" strings do not order)."""
+    return lambda a, b: Fraction(metric(a, b))
 
 
 def _check_against(oracle, instance):
     mu, nu, metric = instance
     d = prokhorov_distance(mu, nu, metric)
     assert type(d) is Fraction
-    assert d == prokhorov_distance(nu, mu, metric) == oracle(mu, nu, metric)
+    assert d == prokhorov_distance(nu, mu, metric) == oracle(mu, nu, exactly(metric))
     assert 0 <= d <= total_variation(mu, nu)
 
 
@@ -347,6 +375,72 @@ def test_prokhorov_matches_literal_oracle_on_pseudometric_tables(instance):
 @given(table_instances(7))
 def test_prokhorov_matches_subset_tables_on_pseudometric_tables(instance):
     _check_against(subset_table_oracle, instance)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hausdorff_matches_directed_oracle_passes_on_pseudometric_tables(data):
+    # the library's one matrix against the literal oracle's, read by rows and by columns
+    atoms = TABLE_ATOMS[:4]
+    metric = data.draw(table_metrics(atoms))
+    A, B = (data.draw(st.lists(measures_on(atoms), min_size=1, max_size=3)) for _ in range(2))
+    matrix = [[prokhorov_oracle(mu, nu, exactly(metric)) for nu in B] for mu in A]
+    d_ab = max(min(row) for row in matrix)
+    d_ba = max(min(col) for col in zip(*matrix))
+    h = hausdorff_distance(A, B, metric)
+    assert type(h) is Fraction
+    assert h == max(d_ab, d_ba) == hausdorff_distance(B, A, metric)
+
+
+def test_one_distance_spelled_several_ways_is_one_distance():
+    # 1/2 as Fraction(1, 2), "2/4" and 0.5 on three pairs, 1/4 as "1/4", 0.25
+    # and "3/12", thirds and twelfths beside them: both distances read them
+    # as the Fraction-valued metric does
+    points = {"a": 0, "b": Fraction(1, 2), "c": 1, "d": Fraction(1, 4), "e": Fraction(1, 3), "f": Fraction(3, 4)}
+    spelled = {
+        frozenset("ab"): Fraction(1, 2),
+        frozenset("bc"): "2/4",
+        frozenset("df"): 0.5,
+        frozenset("bd"): "1/4",
+        frozenset("ad"): 0.25,
+        frozenset("cf"): "3/12",
+        frozenset("bf"): Fraction(1, 4),
+        frozenset("af"): 0.75,
+        frozenset("cd"): "3/4",
+        frozenset("ac"): 1,
+        frozenset("ae"): "1/3",
+        frozenset("be"): "2/12",
+        frozenset("ce"): Fraction(2, 3),
+        frozenset("de"): "1/12",
+        frozenset("ef"): "5/12",
+    }
+    metric = lambda x, y: 0 if x == y else spelled[frozenset((x, y))]
+    exact = line_metric(points)
+    assert all(Fraction(metric(x, y)) == exact(x, y) for x in points for y in points)
+    rng = random.Random(59)
+    for _ in range(30):
+        A = [random_measure(rng, list(points)) for _ in range(rng.randrange(1, 4))]
+        B = [random_measure(rng, list(points)) for _ in range(rng.randrange(1, 4))]
+        for mu in A:
+            for nu in B:
+                d = prokhorov_distance(mu, nu, metric)
+                assert type(d) is Fraction and d == prokhorov_distance(mu, nu, exact) == prokhorov_oracle(mu, nu, exact)
+        h = hausdorff_distance(A, B, metric)
+        assert type(h) is Fraction and h == hausdorff_distance(A, B, exact)
+
+
+def test_prokhorov_evaluates_each_atom_pair_once():
+    rng = random.Random(61)
+    for _ in range(20):
+        mu, nu = random_measure(rng, list("abcdef")), random_measure(rng, list("cdefgh"))
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return Fraction(abs(ord(a) - ord(b)), 4)
+
+        prokhorov_distance(mu, nu, counting)
+        assert sorted(calls) == sorted((a, b) for a in mu.support for b in nu.support)
 
 
 # --- hausdorff ---------------------------------------------------------------
