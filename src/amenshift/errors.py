@@ -26,7 +26,7 @@ class UnknownMembership(AmenshiftError):
 
 
 class SystemTooLarge(AmenshiftError):
-    """Sampled system exceeds the subset brute-force cap."""
+    """Sampled system has more points than SYSTEM_CAP, the branch-and-bound searches' cap."""
 
 
 class NotAKCover(AmenshiftError):
@@ -42,7 +42,7 @@ class UnresolvedCells(AmenshiftError):
 
 
 class InconsistentCylinders(AmenshiftError, ValueError):
-    """Overlapping cosets or odometer cylinders were assigned conflicting letters."""
+    """Overlapping cosets of a coset table were assigned conflicting letters."""
 
 
 class ChainTooShallow(AmenshiftError):

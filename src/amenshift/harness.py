@@ -30,11 +30,11 @@ from . import suites
 from .configs import (
     Alphabet,
     CosetSet,
+    _geometric_lengths,
     _is_element,
     _is_int,
     config_descriptor,
     config_from_descriptor,
-    geometric_box_lengths,
     per_set,
 )
 from .densities import IntervalEstimate, _windowed, banach_density_exact
@@ -485,8 +485,8 @@ def _run_omega(spec: ExperimentSpec) -> list[dict]:
     elif spec.param("boxes") == "linear":
         sets = (box(1, n + 1) for n in levels)
     else:
-        lengths = geometric_box_lengths(spec.param("eps"), max(levels))
-        sets = (box(1, lengths[n]) for n in levels)
+        lengths = zip(range(levels.stop), _geometric_lengths(spec.param("eps")))
+        sets = (box(1, length) for n, length in lengths if n in levels)
     profile = omega_profile(x, sets)
     items = []
     for i, n in enumerate(levels):

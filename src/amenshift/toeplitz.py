@@ -300,14 +300,13 @@ class BuilderStage:
     """One round of the positive-entropy construction.
 
     Round n reserves G_n (``claimed``, quota r_n = ⌊(1-γ)|F_{k_n}|/2^n⌋) as
-    cosets of H_{k_n}, then realizes every letter pattern on the free part
-    S_n of F_{k_n} inside F_{k_{n+1}} by planting it on a fresh tiling
-    translate.  ``window_count`` is the number of distinct complete windows
-    of shape F_{k_n} at those translates, |𝒜|^{|S_n|}, read off the
-    construction rather than scanned: every tile carries the same claims,
-    and the planted patterns are distinct and differ from F_{k_n}'s own.
-    It is the exact certificate window_count ≥ |𝒜|^{γ|F_{k_n}|}, and the
-    tests count the windows of the built table by brute force.
+    cosets of H_{k_n}, giving its ``arbitrary_cells`` a letter; S_n, the
+    ``free_cells`` of F_{k_n}, are those no stage claims.  Each round but
+    the last plants every pattern on S_n, bar F_{k_n}'s own when complete,
+    on a fresh tile of F_{k_{n+1}} (``planted``).  The tiles carry the same
+    claims, so their windows of shape F_{k_n} show ``window_count`` =
+    |𝒜|^{|S_n|} ≥ |𝒜|^{γ|F_{k_n}|} patterns, unscanned; the tests count them
+    by brute force.  The last round plants nothing and records both as 0.
     """
 
     index: int
@@ -333,6 +332,8 @@ class KriegerResult:
 
     def claimed_cells_within(self, n: int) -> int:
         """Σ_{i≤n} r_i · |F_{k_n}| / |F_{k_i}|: skeleton cells inside F_{k_n}."""
+        if not 0 <= n < len(self.stages):
+            raise ValueError(f"no stage {n}: the stages are 0..{len(self.stages) - 1}")
         size_n = self.chain.domain_size(self.levels[n])
         return sum(
             st.quota * size_n // self.chain.domain_size(st.level)
@@ -340,7 +341,9 @@ class KriegerResult:
         )
 
     def entropy_at(self, n: int) -> EntropyEstimate:
-        """Certified lower-bound entropy estimate at construction level k_n."""
+        """Certified lower-bound entropy estimate at planting stage n, level k_n."""
+        if not 0 <= n < len(self.stages) - 1:
+            raise ValueError(f"stage {n} has no window certificate: stages 0..{len(self.stages) - 2} plant")
         st = self.stages[n]
         return estimate_from_count(
             st.window_count,
@@ -368,9 +371,9 @@ def krieger_construct(
 
     Runs the reserve-and-plant loop for the requested number of rounds,
     starting from k_0 = 0 (so r_0 = ⌊(1-γ)·1⌋ = 0 and the reserved fraction
-    Σ r_i/|F_{k_i}| stays below (1-γ) — the i = 0 term vanishes, which is
-    exactly what keeps the free part of every F_{k_n} at least γ|F_{k_n}|).
-    Raises ChainTooShallow when no level offers enough tiling translates.
+    Σ r_i/|F_{k_i}| stays below (1-γ), which keeps |S_n| ≥ γ|F_{k_n}|).
+    Raises ChainTooShallow, before drawing any pattern, when no level holds
+    |𝒜|^{|F_{k_n}|} tiling copies of F_{k_n} and more than the round plants.
     """
     gamma = Fraction(gamma)
     if not 0 < gamma < 1:
@@ -391,54 +394,39 @@ def krieger_construct(
     claims: list[Letter | None] = [None]
     # the current stage's (level, quota, claimed, arbitrary); r_0 = 0 for gamma in (0,1)
     k_n, quota, claimed, arbitrary = 0, 0, (), ()
-    dom = chain.domain(k_n)
     records: list[BuilderStage] = []
 
     for n in range(stages + 1):
-        free = [f for f, v in zip(dom, claims) if v is None]
-        s_n = len(free)
+        free_cells = claims.count(None)
         # the last pass records the last reached level and plants nothing beyond it
         k_next, planted, window_count = None, 0, 0
         if n < stages:
-            want_patterns = nletters**s_n
-            existing = tuple(cells.get(f) for f in free)
-            have_existing = all(v is not None for v in existing)
-            needed_fresh = want_patterns - (1 if have_existing else 0)
-
-            for m in range(k_n + 1, chain.depth + 1):
-                copies = chain.domain_size(m) // chain.domain_size(k_n)
-                if copies >= nletters ** len(dom) and copies - 1 >= needed_fresh:
-                    k_next = m
-                    break
+            free = [f for f, v in zip(chain.domain(k_n), claims) if v is None]
+            own = tuple(cells.get(f) for f in free)
+            # every pattern on the free cells but F_{k_n}'s own, when that is complete
+            window_count = nletters**free_cells
+            planted = window_count - (None not in own)
+            # k_{n+1}: the first level with |𝒜|^{|F_{k_n}|} copies of F_{k_n}, more than it plants,
+            # found before any pattern is drawn
+            size = chain.domain_size(k_n)
+            least = max(nletters**size, planted + 1)
+            fits = (m for m in range(k_n + 1, chain.depth + 1) if chain.domain_size(m) // size >= least)
+            k_next = next(fits, None)
             if k_next is None:
-                raise ChainTooShallow(
-                    f"no level offers {nletters}^{len(dom)} tiling copies of F_{k_n}"
-                )
+                raise ChainTooShallow(f"no level offers {nletters}^{size} tiling copies of F_{k_n}")
 
-            translates = chain.subgroup_in_domain(k_n, k_next)
-            fresh_translates = translates[1:]  # translates[0] is the identity
-            patterns = [
-                p for p in itertools.product(letters, repeat=s_n) if p != existing
-            ]
-            assert len(patterns) == needed_fresh <= len(fresh_translates)
-            # each pattern goes on the free cells of a fresh tile v + F_{k_n}
-            # of F_{k_next}, where the free cell f of the tile sits at
-            # offset(v) + offset(f); the claims tile up to F_{k_next}
+            # the patterns go, as they are drawn, on the free cells of the
+            # fresh tiles v + F_{k_n}, v ≠ 0, of F_{k_next}, where the free
+            # cell f of the tile sits at offset(v) + offset(f); the claims
+            # tile up to F_{k_next}
             dom_next, Q = chain.domain(k_next), chain.scale(k_next)
             claims = list(_window(claims, chain.scale(k_n), (Q,) * rank, identity(rank)))
             offsets = [_index(f, Q) for f in free]
-            for v, pattern in zip(fresh_translates, patterns):
+            patterns = (p for p in itertools.product(letters, repeat=free_cells) if p != own)
+            for v, pattern in zip(chain.subgroup_in_domain(k_n, k_next)[1:], patterns):
                 base = _index(v, Q)
                 for o, letter in zip(offsets, pattern):
-                    cell = dom_next[base + o]
-                    assert cell not in cells, "planting would overwrite a defined cell"
-                    cells[cell] = letter
-            planted = len(patterns)
-            # every tile carries the same claims, and the planted patterns are
-            # distinct and differ from F_{k_n}'s own: the complete windows at
-            # the translates are those patterns, plus F_{k_n}'s when it is
-            # complete, so they number want_patterns
-            window_count = want_patterns
+                    cells[dom_next[base + o]] = letter
 
         records.append(
             BuilderStage(
@@ -447,7 +435,7 @@ def krieger_construct(
                 quota=quota,
                 claimed=claimed,
                 arbitrary_cells=arbitrary,
-                free_cells=s_n,
+                free_cells=free_cells,
                 next_level=k_next,
                 planted=planted,
                 window_count=window_count,
@@ -458,15 +446,14 @@ def krieger_construct(
 
         # reserve G_{n+1} inside F_{k_next}: the first r cells avoiding older
         # claims, each one H_{k_next} coset, marked in the claims array
-        r = int((1 - gamma) * chain.domain_size(k_next) / 2 ** (n + 1))
+        r = (gamma.denominator - gamma.numerator) * len(dom_next) // (gamma.denominator * 2 ** (n + 1))
         picked = list(itertools.islice((i for i, v in enumerate(claims) if v is None), r))
-        reserved = [dom_next[i] for i in picked]
-        unset = [f for f in reserved if f not in cells]
-        cells.update(dict.fromkeys(unset, letters[0]))
-        for i, f in zip(picked, reserved):
+        claimed = tuple(dom_next[i] for i in picked)
+        arbitrary = tuple(f for f in claimed if f not in cells)
+        cells.update(dict.fromkeys(arbitrary, letters[0]))
+        for i, f in zip(picked, claimed):
             claims[i] = cells[f]
-        k_n, quota, claimed, arbitrary = k_next, r, tuple(reserved), tuple(unset)
-        dom = dom_next
+        k_n, quota = k_next, r
 
     # the skeleton is every stage's claims, and ``claims`` already is its
     # array: each reserve took unclaimed cells only, so no two claims

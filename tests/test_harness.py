@@ -986,7 +986,8 @@ def test_cli_entropy_names_the_first_unknown_cell_before_a_level_past_the_chain(
 def test_cli_omega_builds_each_box_only_when_the_trace_reads_it(monkeypatch, capsys):
     # geometric boxes of 2^n cells up to n = 70: the trace stops at the first
     # Unknown cell, (41,) in the box of 64 cells, before a larger box is built
-    built = []
+    # or a box length past the next is drawn
+    built, drawn = [], []
 
     def bounded_box(rank, side):
         if side > 10**4:
@@ -994,12 +995,20 @@ def test_cli_omega_builds_each_box_only_when_the_trace_reads_it(monkeypatch, cap
         built.append(side)
         return box(rank, side)
 
+    def counted_lengths(eps):
+        for length in lengths(eps):
+            drawn.append(length)
+            yield length
+
+    lengths = harness._geometric_lengths
     monkeypatch.setattr(harness, "box", bounded_box)
+    monkeypatch.setattr(harness, "_geometric_lengths", counted_lengths)
     cfg = '{"variant":"oracle","box":40,"rule":"champernowne_binary"}'
     argv = ["omega", "--config", cfg, "--boxes", "geometric", "--eps", "1/2", "--level-lo", "1", "--level-hi", "70"]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: UnknownMembership: configuration is Unknown at (41,)\n")
     assert built == [2, 4, 8, 16, 32, 64]
+    assert drawn[:7] == [1, *built] and len(drawn) <= 8
 
 
 # ---------------------------------------------------------------------------

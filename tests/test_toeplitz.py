@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -522,6 +523,60 @@ def krieger_digest(result) -> str:
 def test_krieger_results_are_pinned(gamma, rank, scales, letters, stages, digest):
     result = krieger_construct(Fraction(gamma), make_chain(rank, scales), Alphabet(tuple(letters)), stages)
     assert krieger_digest(result) == digest
+
+
+# the grid of rank-1 and rank-2 chains, γ and alphabets that pins the builder
+# whole, ChainTooShallow messages included: 180 builds and 220 refusals
+KRIEGER_GRID_CHAINS = [
+    (1, [2**k for k in range(1, 13)]),
+    (1, [3, 9, 27, 81, 243]),
+    (1, [2] + [6 * 2**k for k in range(9)]),
+    (2, [2**k for k in range(1, 7)]),
+    (2, [3, 6, 12]),
+]
+KRIEGER_GRID_GAMMAS = [Fraction(k, 8) for k in range(1, 8)] + [Fraction(1, 3), Fraction(99, 100), Fraction(1, 100)]
+
+
+def test_krieger_grid_is_pinned_and_counts_the_unknown_cells():
+    # recorded from the builder that listed every pattern before planting it
+    # and asserted that no planted cell was defined; every stage's free cells
+    # are the cells of F_{k_n} outside the skeleton's confirmed periodic part
+    digest, outcomes = hashlib.sha256(), Counter()
+    grid = itertools.product(KRIEGER_GRID_CHAINS, KRIEGER_GRID_GAMMAS, ("ab", "abc"), (1, 2, 3, 4))
+    for (rank, scales), gamma, letters, stages in grid:
+        chain = make_chain(rank, scales)
+        try:
+            result = krieger_construct(gamma, chain, Alphabet(tuple(letters)), stages)
+        except ChainTooShallow as exc:
+            outcomes["too shallow"] += 1
+            digest.update(repr(str(exc)).encode())
+            continue
+        outcomes["built"] += 1
+        records = [dataclasses.asdict(st) for st in result.stages]
+        doc = (records, result.levels, result.skeleton.assignments, sorted(result.cells.items()))
+        digest.update(repr(doc).encode())
+        for st in result.stages:
+            outcomes["stages"] += 1
+            unknown = chain.domain_size(st.level) - len(per_set(result.skeleton, st.level).reps)
+            assert st.free_cells == unknown
+    assert outcomes == {"built": 180, "too shallow": 220, "stages": 450}
+    assert digest.hexdigest() == "93b47d40ad29db2e9581a105c1c2e9489065aa7bbb4509c73d0b3157e904aaa9"
+
+
+def test_krieger_result_refuses_stages_it_does_not_have():
+    # stages 0..3 on a 3-stage build; the last one plants nothing, so it
+    # has no window certificate
+    result = krieger_construct(Fraction(1, 2), make_chain(1, [2**k for k in range(1, 13)]), BINARY, stages=3)
+    assert len(result.stages) == 4 and result.stages[3].window_count == 0
+    assert result.entropy_at(2).pattern_count == 2**7
+    assert result.claimed_cells_within(3) == sum(st.quota * 2048 // 2**st.level for st in result.stages)
+    with pytest.raises(ValueError, match="stage 3 has no window certificate"):
+        result.entropy_at(3)
+    with pytest.raises(ValueError, match="stage -1 has no window certificate"):
+        result.entropy_at(-1)
+    for n in (-1, 4):
+        with pytest.raises(ValueError, match=f"no stage {n}: the stages are 0..3"):
+            result.claimed_cells_within(n)
 
 
 def test_krieger_builds_its_skeleton_table_once(monkeypatch):
