@@ -169,40 +169,28 @@ def _index(g: Element, q: int) -> int:
     return i
 
 
-def _cycle(line: Sequence, c: int, Q: int, q: int, i: int = 0) -> Sequence:
-    """k ↦ line[i + (k + c) mod Q] for k in [0, q): the run of Q cells of
-    ``line`` at i rotated by c, then repeated or cut to length q, by slices."""
+def _cycle(c: int, Q: int, q: int, line: Sequence) -> Sequence:
+    """k ↦ line[(k + c) mod Q] for k in [0, q): the line of Q cells rotated by
+    c, then repeated or cut to length q, by slices of only the cells returned."""
     c %= Q
-    line = line[i + c : i + Q] + line[i : i + c]
-    return line if q == Q else line * (q // Q) + line[: q % Q]  # q // Q is 0 when q < Q
-
-
-def _rows(cells: Sequence, Q: int, sides: tuple[int, ...], g: Element) -> Iterable[Sequence]:
-    """The window f ↦ cells[(f + g) mod Q] over [0, sides) of the row-major
-    array ``cells`` over [0, Q)^d, g and sides of rank d, as its rows along
-    the last axis in row-major order, each one cyclic read (:func:`_cycle`),
-    as is each outer axis's list of row starts.  In rank 1 the window is one
-    row, in a list; in rank d the rows come lazily, so a compare can stop early."""
-    *outer, s = g
-    if not outer:
-        return [_cycle(cells, s, Q, sides[0])]
-    starts: Sequence[int] = ()
-    for axis, (c, n) in enumerate(zip(outer, sides), 1):
-        stride = Q ** (len(g) - axis)  # the cells between the rows at f and f + e_axis
-        line = _cycle(tuple(range(0, Q * stride, stride)), c, Q, n)
-        starts = line if axis == 1 else [a + b for a in starts for b in line]
-    return (_cycle(cells, s, Q, sides[-1], i) for i in starts)
+    if c + q <= Q:
+        return line[c : c + q]
+    if q <= Q:
+        return line[c:] + line[: c + q - Q]
+    line = line[c:] + line[:c]
+    return line * (q // Q) + line[: q % Q]
 
 
 def _window(cells: Sequence, Q: int, sides: tuple[int, ...], g: Element) -> Sequence:
-    """The window of :func:`_rows` as one row-major array: in rank 1 the one
-    row, read by slices; ``cells`` itself for sides [0, Q)^d and g = 0; the
-    rows joined otherwise."""
+    """The window f ↦ cells[(f + g) mod Q] over [0, sides) of the row-major
+    array ``cells`` over [0, Q)^d, g and sides of rank d, row-major: in rank 1
+    one cyclic read (:func:`_cycle`); ``cells`` itself for sides [0, Q)^d and
+    g = 0; else one :func:`_along` pass of a cyclic read per axis."""
     if len(g) == 1:
-        return _cycle(cells, g[0], Q, sides[0])
+        return _cycle(g[0], Q, sides[0], cells)
     if not any(g) and all(n == Q for n in sides):
         return cells
-    return tuple(concat.from_iterable(_rows(cells, Q, sides, g)))
+    return tuple(_along(cells, (Q,) * len(g), [partial(_cycle, c, Q, n) for c, n in zip(g, sides)]))
 
 
 @dataclass(frozen=True)
@@ -359,27 +347,24 @@ class Oracle:
         """``_at`` over lo + [0, sides), row-major, after evaluate's check of lo:
         the box clipped to the declared one once, the inside read by the rule's
         runs (:class:`_Runs`, rank 1) or one rule call per cell, then padded
-        with None axis by axis, last axis first."""
+        with None by one :func:`_along` pass where the clip cut the box."""
         lo = aselem(lo, self.rank)
         clip = [(max(c, a), min(c + n, b + 1)) for c, n, a, b in zip(lo, sides, self.lo, self.hi)]
         if any(a >= b for a, b in clip):
             return [None] * prod(sides)
+        inner = tuple(b - a for a, b in clip)
         if isinstance(self.rule, _Runs) and self.rank == 1:
             cells = list(self.rule.letters(*clip[0]))
         else:
-            cells = list(map(self.rule, product(*(range(a, b) for a, b in clip))))
-        inner = 1
-        for (a, b), c, n in zip(clip[::-1], lo[::-1], sides[::-1]):
-            if a > c or b < c + n:
-                pre, post, run = [None] * ((a - c) * inner), [None] * ((c + n - b) * inner), (b - a) * inner
-                padded: list = []
-                for i in range(0, len(cells), run):
-                    padded += pre
-                    padded += cells[i : i + run]
-                    padded += post
-                cells = padded
-            inner *= n
-        return cells
+            cells = _points(self.rule)([a for a, _ in clip], inner)
+        if inner == sides:
+            return cells
+        return _along(cells, inner, [partial(_pad, a - c, c + n - b) for (a, b), c, n in zip(clip, lo, sides)])
+
+
+def _pad(before: int, after: int, line: list) -> list:
+    """line with ``before`` Nones in front and ``after`` behind."""
+    return [None] * before + line + [None] * after
 
 
 @dataclass(frozen=True)
@@ -501,7 +486,9 @@ def _offset(g: Element, sides: tuple[int, ...]) -> int:
 def _along(cells: Sequence, sides: tuple[int, ...], lines: Sequence[Callable[[Sequence], list]]) -> list:
     """Apply lines[axis] to every line along each axis of the row-major array
     ``cells`` over [0, sides) in turn, axis 0 first; lines[axis] maps the
-    cells of a line to its output line, whose length is the axis's new side."""
+    cells of a line to its output line, whose length is the axis's new side.
+    A pass reads only its own side and those after it, none of them changed
+    by an earlier pass, so an output of no cells needs no new side."""
     for axis, f in enumerate(lines):
         n, inner = sides[axis], prod(sides[axis + 1 :])
         out: list = []
@@ -509,7 +496,6 @@ def _along(cells: Sequence, sides: tuple[int, ...], lines: Sequence[Callable[[Se
             stop = start + n * inner
             outs = [f(cells[r:stop:inner]) for r in range(start, start + inner)]
             out += outs[0] if inner == 1 else concat.from_iterable(zip(*outs))
-        sides = sides[:axis] + (len(out) * n // len(cells),) + sides[axis + 1 :]
         cells = out
     return cells
 
@@ -730,16 +716,16 @@ def block_alternating(eps, radius: int) -> Oracle:
     )
 
 
-# _BLOCK_STARTS[k - 1] is the index of the first digit of the k-bit numbers,
-# k ≤ 64: the 2^(j-1) numbers of j bits contribute j·2^(j-1) digits
-_BLOCK_STARTS = tuple(accumulate((j << (j - 1) for j in range(1, 64)), initial=0))
-
-
 def _champernowne_number(n: int) -> tuple[int, int]:
     """The number holding digit n (0-based) of the binary concatenation
-    1 10 11 100 101 ..., and the place of digit n in it."""
-    k = bisect_right(_BLOCK_STARTS, n)  # digit n lies among the k-bit numbers
-    i, r = divmod(n - _BLOCK_STARTS[k - 1], k)
+    1 10 11 100 101 ..., and the place of digit n in it.  The k-bit numbers
+    start at digit (k - 2)·2^(k-1) + 1, and n < k·2^k, so k is at least
+    bit_length(n) - bit_length(k): a few steps up from there find it."""
+    b = n.bit_length()
+    k = max(b - (b + 1).bit_length(), 1)
+    while ((k - 1) << k) + 1 <= n:  # digit n lies past the k-bit numbers
+        k += 1
+    i, r = divmod(n - ((k - 2) << (k - 1)) - 1, k)
     return (1 << (k - 1)) + i, r
 
 

@@ -87,12 +87,10 @@ def lower_banach_density(B: CosetSet) -> IntervalEstimate:
     """D_*(B) = 1 - D*(complement); the complement of a coset union is one too.
 
     Counted, not built: reps ⊆ F_n (checked when B was made), so the
-    complement holds |F_n| - |reps| cells and D_*(B) = (|F_n| - (|F_n| -
-    |reps|)) / |F_n| = |reps| / |F_n|.
+    complement holds |F_n| - |reps| cells and D_*(B) = |reps| / |F_n|.
     """
-    size = B.chain.domain_size(B.level)
-    complement = size - len(B.reps)
-    return IntervalEstimate._counted(size - complement, size - complement, size, True, "exact-coset")
+    count = len(B.reps)
+    return IntervalEstimate._counted(count, count, B.chain.domain_size(B.level), True, "exact-coset")
 
 
 def banach_density_windowed(

@@ -28,12 +28,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .configs import Configuration, _along, _BoxScan, _offset
+from .configs import Configuration, _along, _BoxScan
 from .errors import DeltaOutOfRange, SystemTooLarge
 from .groups import Box, SubgroupChain, ball
 
@@ -147,8 +148,8 @@ def entropy_estimates(
         if unknown:
             # the cold path: a scan of level n alone names the first Unknown cell
             _BoxScan(x._read, ch.domain(n), translates).check_known()
-        est = estimate_from_count(count, n, ch.domain_size(n), len(x.alphabet))
-        estimates.append(replace(est, window_radius=None if exact else radius, exact=exact))
+        size, letters = ch.domain_size(n), len(x.alphabet)
+        estimates.append(estimate_from_count(count, n, size, letters, None if exact else radius, exact))
     return tuple(estimates)
 
 
@@ -195,22 +196,23 @@ def _tiles(ids: dict, q: int, k: int, line: Sequence) -> list[int]:
 
 
 def _distinct_in(labels: Sequence, sides: tuple[int, ...], box: tuple[int, ...]) -> set:
-    """The distinct labels on [0, box) of the row-major array over [0, sides)."""
-    *outer, width = box
-    starts = (_offset(r + (0,), sides) for r in itertools.product(*map(range, outer)))
-    return set().union(*(labels[o : o + width] for o in starts))
+    """The distinct labels on [0, box) of the row-major array over [0, sides):
+    one :func:`_along` pass cutting each axis to its first box cells."""
+    return set(_along(labels, sides, [itemgetter(slice(n)) for n in box]))
 
 
 def estimate_from_count(
-    count: int, level: int, domain_size: int, alphabet_size: int
+    count: int, level: int, domain_size: int, alphabet_size: int, window_radius: int | None = None, exact: bool = False
 ) -> EntropyEstimate:
+    """ln(count) / |F_level| for a pattern count: exact when the count is
+    complete, else a lower bound from a scan of window_radius or a certificate."""
     return EntropyEstimate(
         level=level,
-        window_radius=None,
+        window_radius=window_radius,
         pattern_count=count,
         value=math.log(count) / domain_size,
         saturated=count == alphabet_size**domain_size,
-        exact=False,
+        exact=exact,
     )
 
 

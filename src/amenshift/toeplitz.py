@@ -19,7 +19,6 @@ D_m(s) ⊆ D_m(t) at every level.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,10 +29,10 @@ from .configs import (
     Letter,
     Periodic,
     ToeplitzTable,
+    _cycle,
     _exact_chain,
     _index,
     _level_labels,
-    _rows,
     _window,
     per_set_letter,
 )
@@ -82,9 +81,9 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     rarest label class C onto itself: only the |C| - 1 shifts of
     :func:`_fixing_candidates` are compared, rather than every
     g ∈ F_n \\ {0}, each as the rows of the labels' window at offset g
-    (``configs._rows``) against their rows, stopping at the first unequal
-    row.  The cost is about one labelling of F_N and, per level, one count
-    of its labels and at most |C| - 1 compares: none where an undecided
+    against their rows, stopping at the first unequal row (:func:`_fixes`).
+    The cost is about one labelling of F_N and, per level, one count of
+    its labels and at most |C| - 1 compares: none where an undecided
     coset is a class of its own, and none for a labelling of one class (a
     constant word, or a level all Unknown), whose every shift fixes it and
     is recorded unchecked.
@@ -100,11 +99,21 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
         shifts = _fixing_candidates(label, chain.domain(n), q)
         # all |F_n| - 1 candidates: the labelling is one class, fixed by every shift
         if 0 < len(shifts) < len(label) - 1:
-            rows, sides = [label[i : i + q] for i in range(0, len(label), q)], (q,) * chain.rank
-            shifts = [g for g in shifts if all(map(operator.eq, _rows(label, q, sides, g), rows))]
+            rows = [label[i : i + q] for i in range(0, len(label), q)]
+            shifts = [g for g in shifts if _fixes(rows, q, g)]
         failures += [(n, g) for g in shifts]
     coverage = Fraction(len(labels[N]) - labels[N].count(None), len(labels[N]))
     return SkeletonReport(N, tuple(nonempty), coverage, tuple(failures))
+
+
+def _fixes(rows: Sequence[Sequence], q: int, g: Element) -> bool:
+    """Whether the shift g fixes the labelling of [0, q)^d with rows ``rows``
+    along the last axis: the rows at offset g, in the order of a rank-(d-1)
+    window of the row indices, each rotated by g's last coordinate, equal the
+    rows in place; the compare stops at the first unequal row."""
+    *outer, s = g
+    order = _window(tuple(range(len(rows))), q, (q,) * len(outer), tuple(outer))
+    return all(_cycle(s, q, q, rows[i]) == row for i, row in zip(order, rows))
 
 
 def _fixing_candidates(label: Sequence[Letter | None], dom: Sequence[Element], q: int) -> list[Element]:

@@ -2,7 +2,7 @@
 a configuration's union box whole: none of them reads a coset table's cell
 through ``_CosetTable._at``, ``lookup`` or ``evaluate``.  Each reader is
 replaced by a counting wrapper, so a return to the per-cell walk fails here;
-box reads through ``_read`` and the skeleton check's row reads of a shifted
+box reads through ``_read`` and the skeleton check's compares with a shifted
 window are counted the same way.
 Nothing is timed."""
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import amenshift
-from amenshift import configs, suites
+from amenshift import configs, suites, toeplitz
 from amenshift.cli import main
 from amenshift.configs import (
     BINARY,
@@ -280,22 +280,16 @@ def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
 
 @pytest.fixture
 def rotations(monkeypatch):
-    """The list of (Q, sides, g) of every ``_rows`` read made while it is live."""
+    """The list of (q, sides, g) of every skeleton compare (``toeplitz._fixes``)
+    made while it is live: the labels of [0, q)^d against their window at g."""
     calls = []
-    read = configs._rows
+    fixes = toeplitz._fixes
 
-    def counting(cells, Q, sides, g):
-        calls.append((Q, sides, g))
-        return read(cells, Q, sides, g)
+    def counting(rows, q, g):
+        calls.append((q, (q,) * len(g), g))
+        return fixes(rows, q, g)
 
-    # every module that imported it reads through its own binding; configs'
-    # binding is left alone, so the reads behind a lifted or cut array are
-    # not counted
-    for name, module in sys.modules.items():
-        if module is configs:
-            continue
-        if name.startswith("amenshift") and getattr(module, "_rows", None) is read:
-            monkeypatch.setattr(module, "_rows", counting)
+    monkeypatch.setattr(toeplitz, "_fixes", counting)
     return calls
 
 

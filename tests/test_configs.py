@@ -490,9 +490,10 @@ EPS_GRID = ["1/10", "1/3", "1/2", "2/3", "9/10"]
 
 def builtin_edges(eps):
     """Where a builtin's letters change pattern: 0, Champernowne's k-bit block
-    starts, or the geometric shell edges L_0..L_64 (the 64th box ends at L_64)."""
+    starts up to the 70-bit numbers', or the geometric shell edges L_0..L_64
+    (the 64th box ends at L_64)."""
     if eps is None:
-        return [0] + [sum(j << (j - 1) for j in range(1, k)) for k in range(1, 40)]
+        return [0] + [sum(j << (j - 1) for j in range(1, k)) for k in range(1, 71)]
     return [0, *geometric_box_lengths_oracle(Fraction(eps), 64)]
 
 
@@ -515,6 +516,16 @@ def test_builtin_runs_are_their_cell_letters(eps, data):
     assert [x.rule((n,)) for n in range(a, b)] == list(want)
     h = data.draw(st.integers(-40, 40))
     assert shift(h, x).rule.letters(a, b) == "".join(map(letter, range(a + h, b + h)))
+
+
+def test_champernowne_letters_past_the_64_bit_numbers():
+    # a run that starts inside the k-bit numbers, k up to 100, well past
+    # their first number, reads the digits of the reference oracle
+    x = champernowne_binary(10**23)
+    assert evaluate(x, 1162144876643701751873) == champernowne_letter_oracle(1162144876643701751873) == "0"
+    for k in range(60, 101):
+        a = ((k - 2) << (k - 1)) + 1 + 10 * k  # the digits of the 11th k-bit number
+        assert x.rule.letters(a, a + 300) == "".join(map(champernowne_letter_oracle, range(a, a + 300))), k
 
 
 def test_descriptor_refuses_oracles_it_cannot_rebuild():

@@ -4,7 +4,6 @@ not just the worked examples."""
 import itertools
 import pickle
 from fractions import Fraction
-from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,6 @@ from amenshift.configs import (
     _differs,
     _fold,
     _index,
-    _rows,
     _window,
     Alphabet,
     CosetSet,
@@ -46,6 +44,7 @@ from amenshift.measures import (
 )
 from amenshift.metrics import besicovitch_estimate, delta_star_exact, dstar_distance, weyl_upper_bound
 from amenshift.toeplitz import (
+    _fixes,
     krieger_construct,
     psi_path,
     regular_table,
@@ -619,9 +618,31 @@ def test_the_offset_reader_matches_the_cell_by_cell_read(data):
         g = identity(rank)
     want = tuple(cells[_index(add(f, g), Q)] for f in itertools.product(*map(range, sides)))
     assert tuple(_window(cells, Q, sides, g)) == want
-    rows = list(_rows(cells, Q, sides, g))
-    assert len(rows) == prod(sides[:-1]) and all(len(row) == sides[-1] for row in rows)
-    assert tuple(itertools.chain.from_iterable(rows)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_row_compare_agrees_with_the_full_window_equality(data):
+    # g fixes a labelling of [0, q)^d iff its window at offset g is the
+    # labelling itself; a labelling constant on the orbits of a drawn shift h
+    # is fixed by every multiple of h, so some compares succeed
+    rank = data.draw(st.integers(1, 3))
+    q = data.draw(st.sampled_from([1, 2, 3, 4] + [6] * (rank < 3)))
+    h = tuple(data.draw(st.integers(0, q - 1)) for _ in range(rank))
+    labels: list = [0] * q**rank
+    for f in itertools.product(range(q), repeat=rank):
+        if labels[_index(f, q)] == 0:
+            a = data.draw(st.sampled_from(["a", "b", None]))
+            for k in range(q):
+                labels[_index(tuple(c + k * d for c, d in zip(f, h)), q)] = a
+    k = data.draw(st.integers(0, q - 1))
+    g = tuple(data.draw(st.integers(0, q - 1)) for _ in range(rank))
+    if data.draw(st.booleans()):
+        g = tuple(k * d % q for d in h)
+    if data.draw(st.booleans()):
+        labels = tuple(labels)
+    rows = [labels[i : i + q] for i in range(0, len(labels), q)]
+    assert _fixes(rows, q, g) == (tuple(_window(labels, q, (q,) * rank, g)) == tuple(labels))
 
 
 @settings(max_examples=100, deadline=None)
