@@ -110,8 +110,8 @@ class _CosetTable:
     """The coset table of Periodic and ToeplitzTable: the distinct (level, rep,
     letter) triples ``_assigned``, coarsest first, the period array ``_cells`` on
     F_max_level, row-major, None where Unknown, and ``_period`` = q_max_level, set
-    from Periodic's word or by ToeplitzTable's ``_fill``; read on any box, F_level
-    too, by ``_read``."""
+    from Periodic's word or by ToeplitzTable's constructors; its letters are
+    read only by ``_read``, on any box, F_level too."""
 
     _assigned: tuple[tuple[int, Element, Letter], ...]
     _cells: tuple[Letter | None, ...]
@@ -125,13 +125,10 @@ class _CosetTable:
     def max_level(self) -> int:
         return self._assigned[-1][0] if self._assigned else 1
 
-    def _at(self, g: Element) -> Letter | None:
-        """Letter at g, or None, for g of the chain's rank (unchecked)."""
-        return self._cells[_index(g, self._period)]
-
     def _read(self, lo, sides: tuple[int, ...]) -> Sequence[Letter | None]:
-        """The letters on lo + [0, sides), row-major, None where Unknown: one
-        cyclic window of the period array, after evaluate's check of lo."""
+        """The letters on lo + [0, sides), row-major, None where Unknown, after
+        the check of lo that :func:`evaluate` describes: one cyclic window of
+        the period array."""
         return _window(self._cells, self._period, sides, aselem(lo, self.rank))
 
     def lookup(self, g) -> Letter | None:
@@ -159,14 +156,6 @@ class _CosetTable:
         """Whether every cell is known, so x repeats with period q_max_level:
         the one periodicity test."""
         return None not in self._cells
-
-
-def _index(g: Element, q: int) -> int:
-    """The row-major index in the box [0, q)^d of the cell of g mod q."""
-    i = 0
-    for c in g:
-        i = i * q + c % q
-    return i
 
 
 def _cycle(c: int, Q: int, q: int, line: Sequence) -> Sequence:
@@ -280,15 +269,16 @@ class ToeplitzTable(_CosetTable):
         object.__setattr__(self, "_assigned", tuple(sorted(assigned)))
         chain = self.chain
         Q = chain.scale(self.max_level)
+        sides = (Q,) * chain.rank
         cells: list[Letter | None] = [None] * Q**chain.rank
         for n, r, a in self._assigned:
-            b = cells[_index(r, Q)]
+            b = cells[_offset(r, sides)]
             if b is None:
                 q = chain.scales[n - 1]
                 # the coset r + H_n meets each row of F_max_level it crosses
                 # in one stride-q_n slice of the row-major array
                 for row in product(*(range(c, Q, q) for c in r[:-1])):
-                    start = _index(row, Q) * Q
+                    start = _offset((*row, 0), sides)
                     cells[start + r[-1] : start + Q : q] = [a] * (Q // q)
             elif b != a:
                 # the first triple covering r holds b: nested ones agree
@@ -337,15 +327,10 @@ class Oracle:
         """No subgroup chain: a property, so repr, eq, hash and fields skip it."""
         return None
 
-    def _at(self, g: Element) -> Letter | None:
-        """rule(g) inside the box, None outside, for g of this rank (unchecked)."""
-        if all(map(operator.le, self.lo, g)) and all(map(operator.le, g, self.hi)):
-            return self.rule(g)
-        return None
-
     def _read(self, lo, sides: tuple[int, ...]) -> list[Letter | None]:
-        """``_at`` over lo + [0, sides), row-major, after evaluate's check of lo:
-        the box clipped to the declared one once, the inside read by the rule's
+        """The rule on lo + [0, sides), None outside the declared box,
+        row-major, after the check of lo that :func:`evaluate` describes: the
+        box clipped to the declared one once, the inside read by the rule's
         runs (:class:`_Runs`, rank 1) or one rule call per cell, then padded
         with None by one :func:`_along` pass where the clip cut the box."""
         lo = aselem(lo, self.rank)
@@ -385,13 +370,13 @@ Configuration = Periodic | ToeplitzTable | Oracle
 def evaluate(x: Configuration, g) -> Letter | None:
     """Point evaluation; returns None (Unknown) where x is undetermined.
 
-    g is normalized to x's rank (a bare int in rank 1), ValueError
-    otherwise, before x's unchecked reader ``_at`` sees it; a box read
-    ``x._read(lo, sides)`` makes the same check of its corner lo.
+    The one-cell box read ``x._read(g, (1, ..., 1))``: x's reader of every
+    box normalizes its corner to x's rank (a bare int in rank 1), ValueError
+    otherwise.
     """
     if not isinstance(x, (_CosetTable, Oracle)):
         raise TypeError(f"not a configuration: {x!r}")
-    return x._at(aselem(g, x.rank))
+    return x._read(g, (1,) * x.rank)[0]
 
 
 def _points(point: Callable[[Element], object]) -> Callable[[Element, tuple[int, ...]], list]:
@@ -551,10 +536,10 @@ def _constant_cosets(x: Configuration, n: int) -> Sequence[Letter | None]:
     n ≥ max_level the lifted array is the labelling, below it the period
     array folds by residue (in rank 1 the class of r is cells[r::q_n]).
     """
-    q = _exact_chain(x).scale(n)
+    q, Q = _exact_chain(x).scale(n), x._period
     if n >= x.max_level:
         return x._read(identity(x.rank), (q,) * x.rank)
-    return _fold(x._cells, x._period, q, x.rank)
+    return _fold(x._read(identity(x.rank), (Q,) * x.rank), Q, q, x.rank)
 
 
 def _fold(labels: Sequence[Letter | None], Q: int, q: int, rank: int) -> list[Letter | None]:

@@ -31,6 +31,7 @@ class IntervalEstimate:
 
     ``exact`` implies lower == upper; the converse is deliberately not
     claimed (a collapsed window bracket still proves nothing globally).
+    Each bound is an int or a Fraction, any other (a float too) refused.
     """
 
     lower: Fraction
@@ -40,6 +41,9 @@ class IntervalEstimate:
     caveat: str | None = None
 
     def __post_init__(self):
+        for bound in (self.lower, self.upper):
+            if not isinstance(bound, (int, Fraction)):
+                raise ValueError(f"bound {bound!r} is not an int or a Fraction")
         if not 0 <= self.lower <= self.upper <= 1:
             raise ValueError(f"bad interval [{self.lower}, {self.upper}]")
         if self.exact and self.lower != self.upper:
@@ -87,10 +91,10 @@ def lower_banach_density(B: CosetSet) -> IntervalEstimate:
     """D_*(B) = 1 - D*(complement); the complement of a coset union is one too.
 
     Counted, not built: reps ⊆ F_n (checked when B was made), so the
-    complement holds |F_n| - |reps| cells and D_*(B) = |reps| / |F_n|.
+    complement holds |F_n| - |reps| cells and D_*(B) = |reps| / |F_n|, the
+    upper density :func:`banach_density_exact`.
     """
-    count = len(B.reps)
-    return IntervalEstimate._counted(count, count, B.chain.domain_size(B.level), True, "exact-coset")
+    return banach_density_exact(B)
 
 
 def banach_density_windowed(

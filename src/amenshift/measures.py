@@ -119,15 +119,17 @@ def _units(measures: Sequence[EmpiricalMeasure]) -> tuple[int, list[list[int]]]:
     return scale, [[w.numerator * (scale // w.denominator) for _, w in m.atoms] for m in measures]
 
 
-def _l1(p: dict[Atom, int], q: dict[Atom, int]) -> int:
-    """Σ_a |p(a) - q(a)| over the atoms of either weight dict, absent atoms 0."""
-    return sum(abs(w - q.get(a, 0)) for a, w in p.items()) + sum(w for a, w in q.items() if a not in p)
+def _l1(p: dict[Atom, int], q: dict[Atom, int], m: int, n: int) -> int:
+    """Σ_a |p(a)·m - q(a)·n| over the atoms of either dict, absent atoms 0: for
+    m = n = 1 the l1 distance of two weight dicts on one scale; for counts p
+    out of n and q out of m, 2·n·m times the TV of their frequencies."""
+    return sum(abs(p.get(a, 0) * m - q.get(a, 0) * n) for a in p.keys() | q.keys())
 
 
 def total_variation(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> Fraction:
     """max_B |μ(B) - ν(B)| = (1/2) Σ_a |μ(a) - ν(a)|, exact."""
     scale, (plus, minus) = _units((mu, nu))
-    return Fraction(_l1(dict(zip(mu.support, plus)), dict(zip(nu.support, minus))), 2 * scale)
+    return Fraction(_l1(dict(zip(mu.support, plus)), dict(zip(nu.support, minus)), 1, 1), 2 * scale)
 
 
 def _ranked(rows: Sequence[Atom], cols: Sequence[Atom], metric: AtomMetric):
@@ -265,7 +267,7 @@ def hausdorff_distance(
     scale, units = _units((*A, *B))
     if metric is discrete_metric:
         weights = [dict(zip(m.support, u)) for m, u in zip((*A, *B), units)]
-        return Fraction(_sup_inf([[_l1(p, q) for q in weights[len(A) :]] for p in weights[: len(A)]]), 2 * scale)
+        return Fraction(_sup_inf([[_l1(p, q, 1, 1) for q in weights[len(A) :]] for p in weights[: len(A)]]), 2 * scale)
     col_at = {b: y for y, b in enumerate(dict.fromkeys(b for nu in B for b in nu.support))}
     row_at = {a: x * len(col_at) for x, a in enumerate(dict.fromkeys(a for mu in A for a in mu.support))}
     unit, thresholds, ranks = _ranked(list(row_at), list(col_at), metric)
@@ -303,12 +305,6 @@ class OmegaProfile:
     step_bounds: tuple[Fraction, ...]
 
 
-def _step(c: dict[Atom, int], d: dict[Atom, int], n: int, m: int) -> Fraction:
-    """:func:`total_variation` of the frequencies of counts c out of n and d
-    out of m: Σ_a |c(a)·m - d(a)·n| / (2·n·m)."""
-    return Fraction(sum(abs(c.get(a, 0) * m - d.get(a, 0) * n) for a in c.keys() | d.keys()), 2 * n * m)
-
-
 def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfile:
     """Emp(x, F) along the given sets plus consecutive D_P (= TV) and their nesting bounds.
 
@@ -320,8 +316,9 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
     first Unknown cell.  One evaluate checks F[0].  A :class:`Box` is counted
     from one ``_read``: of the whole box, or of the rows it adds to a previous
     Box with its corner and outer sides; any other set's cells, normalized as
-    a window scan normalizes them (:func:`_cells`), are read through ``_at``.
-    Each step is summed from the two sets' letter counts (:func:`_step`).
+    a window scan normalizes them (:func:`_cells`), are read one by one
+    through :func:`evaluate`.  Each step is one integer sum over the two
+    sets' letter counts (:func:`_l1`) and one Fraction.
     """
     sizes, tallies, measures = [], [], []
     counts, prev = Counter(), ()
@@ -345,12 +342,12 @@ def omega_profile(x: Configuration, sets: Iterable[FiniteSubset]) -> OmegaProfil
             F = _cells(F)
             if F[: len(prev)] != prev:
                 counts, prev = Counter(), ()
-            counts.update(require_known(x._at(g), g) for g in F[len(prev) :])
+            counts.update(require_known(evaluate(x, g), g) for g in F[len(prev) :])
         tallies.append(dict(counts))  # counts grows on with the next set
         measures.append(EmpiricalMeasure.from_counts(counts))
         prev = F
     if not sizes:
         raise ValueError("need at least one set")
-    steps = tuple(_step(c, d, n, m) for c, d, n, m in zip(tallies, tallies[1:], sizes, sizes[1:]))
+    steps = tuple(Fraction(_l1(c, d, m, n), 2 * n * m) for c, d, n, m in zip(tallies, tallies[1:], sizes, sizes[1:]))
     bounds = tuple(Fraction(nxt - prev, nxt) for prev, nxt in zip(sizes, sizes[1:]))
     return OmegaProfile(tuple(sizes), tuple(measures), steps, bounds)

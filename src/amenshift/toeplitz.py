@@ -31,9 +31,10 @@ from .configs import (
     ToeplitzTable,
     _cycle,
     _exact_chain,
-    _index,
     _level_labels,
+    _offset,
     _window,
+    evaluate,
     per_set_letter,
 )
 from .entropy import EntropyEstimate, estimate_from_count
@@ -292,8 +293,8 @@ def toeplitz_interpolate(
         level = max(path.depth, z.max_level, z_prime.max_level)
         for v in chain.subgroup_in_domain(path.depth, level):
             f = add(path.residual, v)
-            a = z._at(f)
-            if a is not None and a == z_prime._at(f):
+            a = evaluate(z, f)
+            if a is not None and a == evaluate(z_prime, f):
                 pieces.append((level, f, a))
     letters = tuple(dict.fromkeys(z.alphabet.letters + z_prime.alphabet.letters))
     return ToeplitzTable(chain, tuple(pieces), Alphabet(letters))
@@ -429,11 +430,12 @@ def krieger_construct(
             # cell f of the tile sits at offset(v) + offset(f); the claims
             # tile up to F_{k_next}
             dom_next, Q = chain.domain(k_next), chain.scale(k_next)
-            claims = list(_window(claims, chain.scale(k_n), (Q,) * rank, identity(rank)))
-            offsets = [_index(f, Q) for f in free]
+            sides = (Q,) * rank
+            claims = list(_window(claims, chain.scale(k_n), sides, identity(rank)))
+            offsets = [_offset(f, sides) for f in free]
             patterns = (p for p in itertools.product(letters, repeat=free_cells) if p != own)
             for v, pattern in zip(chain.subgroup_in_domain(k_n, k_next)[1:], patterns):
-                base = _index(v, Q)
+                base = _offset(v, sides)
                 for o, letter in zip(offsets, pattern):
                     cells[dom_next[base + o]] = letter
 

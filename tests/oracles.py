@@ -210,6 +210,23 @@ def champernowne_letter_oracle(n) -> str:
     return format((1 << (k - 1)) + number, "b")[place]
 
 
+# --- point reads: an oracle's bounds test and a row-major index, cell by cell --
+
+
+def oracle_letter(x, g):
+    """The letter of the Oracle x at the cell g of its rank: its rule inside
+    the declared box, None outside, by one bounds test per cell."""
+    return x.rule(g) if all(a <= c <= b for a, c, b in zip(x.lo, g, x.hi)) else None
+
+
+def row_major_index(g, q) -> int:
+    """The row-major index in the box [0, q)^d of the cell of g mod q."""
+    i = 0
+    for c in g:
+        i = i * q + c % q
+    return i
+
+
 # --- coset tables: the per-level dict walk the period array replaced ----------
 
 

@@ -1,6 +1,6 @@
 """The exact coset paths read the period array whole, and window scans read
 a configuration's union box whole: none of them reads a coset table's cell
-through ``_CosetTable._at``, ``lookup`` or ``evaluate``.  Each reader is
+through ``evaluate`` (a one-cell ``_read``) or ``lookup``.  Each reader is
 replaced by a counting wrapper, so a return to the per-cell walk fails here;
 box reads through ``_read`` and the skeleton check's compares with a shifted
 window are counted the same way.
@@ -59,7 +59,6 @@ def cell_reads(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(configs._CosetTable, "_at", counting("_at", configs._CosetTable._at))
     monkeypatch.setattr(configs._CosetTable, "lookup", counting("lookup", configs._CosetTable.lookup))
     # every module that bound evaluate by name reads through its own binding:
     # configs' and measures' alike, so the original is kept before any is set
@@ -158,30 +157,32 @@ def test_a_scan_reads_each_configuration_once(box_reads, cell_reads, chain):
     shape = dom[:2]
     assert reads(lambda: empirical_measure(resolved, F, shape)) == [(resolved, add(corner(shape), corner(F)))]
     assert cell_reads == []
-    # the letter walk of a measure checks x at F[0] and reads each cell through _at
-    assert reads(lambda: empirical_measure(resolved, F)) == []
-    assert [g for name, g in cell_reads if name == "evaluate"] == [F[0]]
-    assert [g for name, g in cell_reads if name == "_at"] == [F[0], *F]  # evaluate's, then the walk's
+    # the letter walk of a measure checks x at F[0], then reads each cell
+    # through evaluate, a one-cell _read
+    assert reads(lambda: empirical_measure(resolved, F)) == [(resolved, g) for g in [F[0], *F]]
+    assert cell_reads == [("evaluate", g) for g in [F[0], *F]]
 
 
 @pytest.mark.parametrize("chain", [CHAIN, SQUARE], ids=["rank1", "rank2"])
 def test_a_box_letter_walk_reads_its_configuration_once(box_reads, cell_reads, chain):
     # a Box is counted from one _read: the whole box, or after a Box it
-    # begins with, the rows it adds; the walk reads no cell through _at, so
-    # the one _at per set is evaluate's check of the set's first cell
+    # begins with, the rows it adds; the walk reads no cell through
+    # evaluate, so the one evaluate per set, a one-cell _read, checks the
+    # set's first cell
     x = regular_table(chain, ("a", "b"))
     dom = chain.domain(3)
     assert empirical_measure(x, dom) == empirical_measure(x, list(dom))
     del box_reads[:], cell_reads[:]
     empirical_measure(x, dom)
-    assert box_reads == [(x, dom.lo)]
-    assert cell_reads == [("evaluate", dom.lo), ("_at", dom.lo)]
+    assert box_reads == [(x, dom.lo)] * 2  # evaluate's, then the box's
+    assert cell_reads == [("evaluate", dom.lo)]
     lo, width = (-1,) * chain.rank, (3,) * (chain.rank - 1)
     rows = [Box(lo, (n, *width)) for n in (2, 5, 6)]
     del box_reads[:], cell_reads[:]
     omega_profile(x, rows)
-    assert box_reads == [(x, lo), (x, (1, *lo[1:])), (x, (4, *lo[1:]))]
-    assert [name for name, _ in cell_reads] == ["evaluate", "_at"] * 3
+    assert box_reads[::2] == [(x, lo)] * 3  # evaluate's, at each set's first cell
+    assert box_reads[1::2] == [(x, lo), (x, (1, *lo[1:])), (x, (4, *lo[1:]))]
+    assert cell_reads == [("evaluate", lo)] * 3
 
 
 def test_an_entropy_level_range_reads_its_configuration_once(box_reads, monkeypatch, capsys):
@@ -271,11 +272,11 @@ def test_the_counting_wrappers_see_a_cell_walk(cell_reads):
     x = regular_table(CHAIN, ("a", "b"))
     amenshift.configs.evaluate(x, 3)
     x.lookup(5)
-    assert [name for name, _ in cell_reads] == ["evaluate", "_at", "lookup", "evaluate", "_at"]
+    assert [name for name, _ in cell_reads] == ["evaluate", "lookup", "evaluate"]
     # the letter walk of measures reads through its own binding of evaluate
     del cell_reads[:]
     empirical_measure(x, [3, 5])
-    assert cell_reads == [("evaluate", 3), ("_at", (3,)), ("_at", (3,)), ("_at", (5,))]
+    assert cell_reads == [("evaluate", 3), ("evaluate", (3,)), ("evaluate", (5,))]
 
 
 @pytest.fixture

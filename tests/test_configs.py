@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,7 @@ from oracles import (
     known_difference,
     known_letter,
     letter_frequencies,
+    oracle_letter,
     period_table_oracle,
     refine,
     window_walk,
@@ -518,6 +520,29 @@ def test_builtin_runs_are_their_cell_letters(eps, data):
     assert shift(h, x).rule.letters(a, b) == "".join(map(letter, range(a + h, b + h)))
 
 
+@pytest.mark.parametrize("eps", [None, *EPS_GRID])
+def test_builtin_runs_are_their_cell_letters_at_every_edge(eps):
+    # the sampled test above meets a given edge in a few of its examples;
+    # here every edge is read on every run: the run from 70 cells before to
+    # 150 cells after each Champernowne block start, k = 1..100, or each
+    # shell edge L_0..L_64, against the reference oracles, cell by cell
+    # through the rule too, and so are the runs of oracles shifted across it
+    if eps is None:
+        x, letter = champernowne_binary(1), champernowne_letter_oracle
+        edges = [sum(j << (j - 1) for j in range(1, k)) for k in range(1, 101)]
+    else:
+        lengths = geometric_box_lengths_oracle(Fraction(eps), 64)
+        x, letter = block_alternating(Fraction(eps), 1), lambda n: block_alternating_letter_oracle(lengths, n)
+        edges = [0, *lengths]
+    for edge in edges:
+        a, b, h = edge - 70, edge + 150, 40
+        want = "".join(map(letter, range(a - h, b + h)))
+        assert x.rule.letters(a, b) == want[h:-h], edge
+        assert "".join(x.rule((n,)) for n in range(a, b)) == want[h:-h], edge
+        for c in (-h, -1, 1, h):
+            assert shift(c, x).rule.letters(a, b) == want[h + c : len(want) - h + c], (edge, c)
+
+
 def test_champernowne_letters_past_the_64_bit_numbers():
     # a run that starts inside the k-bit numbers, k up to 100, well past
     # their first number, reads the digits of the reference oracle
@@ -694,10 +719,11 @@ CHAINS = st.sampled_from([CHAIN, CHAIN2])
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
-    # the one letter walk of empirical measures and omega traces reads x._at
-    # after one check; on cells of x's rank it must read what evaluate
-    # reads, Unknown cells included
+def test_evaluate_matches_the_reference_on_every_cell_of_a_box(data):
+    # the one letter walk of empirical measures and omega traces over a set
+    # that is no Box reads evaluate, a one-cell _read, per cell; on every
+    # cell of a box it must read the period table or the shifted rule,
+    # Unknown cells included
     chain = data.draw(CHAINS)
     shifted = st.tuples(base_oracles(chain), elements(chain))
     x = data.draw(st.one_of(shifted, unresolved_tables(chain), resolved(chain)))
@@ -713,7 +739,7 @@ def test_unchecked_reader_matches_evaluate_on_every_cell_of_a_box(data):
         table, q = period_table_oracle(x, x.max_level), chain.scale(x.max_level)
         want = lambda g: table[tuple(c % q for c in g)]
     for g in rect(lo, tuple(c + side - 1 for c in lo)):
-        assert x._at(g) == evaluate(x, g) == want(g)
+        assert evaluate(x, g) == want(g)
 
 
 CHAIN3 = make_chain(3, [2, 4])
@@ -781,12 +807,13 @@ def clipped_oracles(draw, rank):
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(clipped_oracles(d), st.data())))
 def test_a_clipped_oracle_read_is_the_cell_walk(case):
     # _read clips lo + [0, sides) to the declared box once and fills None
-    # runs outside it: it reads what one _at per cell reads, row-major, for
-    # boxes inside, across and outside the declared box, with zero sides
+    # runs outside it: it reads what one bounds test per cell reads,
+    # row-major, for boxes inside, across and outside the declared box, with
+    # zero sides
     x, data = case
     lo = tuple(data.draw(st.integers(a - 8, b + 2)) for a, b in zip(x.lo, x.hi))
     sides = tuple(data.draw(st.integers(0, 10)) for _ in lo)
-    assert x._read(lo, sides) == configs._points(x._at)(lo, sides)
+    assert x._read(lo, sides) == configs._points(partial(oracle_letter, x))(lo, sides)
 
 
 def test_a_rule_is_never_called_outside_its_box():
@@ -810,7 +837,7 @@ def test_a_rule_is_never_called_outside_its_box():
             for corner in itertools.product(range(-6, 6, 3), repeat=rank):
                 for side in (0, 1, 4, 12):
                     letters = y._read(corner, (side,) * rank)
-                    assert letters == configs._points(y._at)(corner, (side,) * rank)
+                    assert letters == configs._points(partial(oracle_letter, y))(corner, (side,) * rank)
 
 
 def test_an_oracle_box_bound_that_is_not_an_int_is_refused_not_truncated():
@@ -828,7 +855,7 @@ def test_an_oracle_box_bound_that_is_not_an_int_is_refused_not_truncated():
 
 def test_evaluate_is_the_checked_entry():
     x = champernowne_binary(4)
-    assert evaluate(x, 3) == evaluate(x, [3]) == x._at((3,))
+    assert evaluate(x, 3) == evaluate(x, [3]) == x.rule((3,))
     with pytest.raises(ValueError, match=r"^element \(0, 0\) has rank 2, expected 1$"):
         evaluate(x, (0, 0))
     with pytest.raises(ValueError, match="rank 2, expected 1"):
@@ -1272,7 +1299,7 @@ def test_omega_over_a_box_ending_inside_a_set_names_its_first_unknown_cell(boxes
 
         got = outcome(lambda: omega_trace(x, lazy()))
         assert got == outcome(lambda: letter_trace(x, sets)), (x, sets)
-        unknown = [i for i, F in enumerate(sets) if None in map(x._at, F)]
+        unknown = [i for i, F in enumerate(sets) if None in map(partial(evaluate, x), F)]
         assert len(built) == (unknown[0] + 1 if unknown else len(sets))
         assert (got[0] is UnknownMembership) == bool(unknown)
 

@@ -112,6 +112,12 @@ def test_interval_estimate_invariants():
         IntervalEstimate(Fraction(1, 2), Fraction(1, 4), False, "windowed")
     with pytest.raises(ValueError):
         IntervalEstimate(Fraction(1, 4), Fraction(1, 2), True, "exact-coset")
+    # a bound that is no int or Fraction is refused by name: a float would
+    # be emitted as a float, and a str failed the order check with TypeError
+    for lower, upper, bad in [(0.25, Fraction(1, 2), "0.25"), (0, 0.5, "0.5"), ("1/4", 1, "'1/4'")]:
+        with pytest.raises(ValueError, match=re.escape(f"bound {bad} is not an int or a Fraction")):
+            IntervalEstimate(lower, upper, False, "x")
+    assert IntervalEstimate(0, 1, False, "x").upper == 1
     est = IntervalEstimate.of(Fraction(1, 3), "exact-coset")
     assert est.value == Fraction(1, 3)
 

@@ -12,7 +12,6 @@ from amenshift.configs import (
     BINARY,
     _differs,
     _fold,
-    _index,
     _window,
     Alphabet,
     CosetSet,
@@ -52,7 +51,15 @@ from amenshift.toeplitz import (
     toeplitz_interpolate,
     verify_skeleton,
 )
-from oracles import density_in, disagreement_set, period_table_oracle, refine, toeplitz_from_table, translate
+from oracles import (
+    density_in,
+    disagreement_set,
+    period_table_oracle,
+    refine,
+    row_major_index,
+    toeplitz_from_table,
+    translate,
+)
 
 CHAIN = make_chain(1, [2, 4, 8, 16])
 
@@ -616,7 +623,7 @@ def test_the_offset_reader_matches_the_cell_by_cell_read(data):
     g = tuple(data.draw(st.integers(-3 * Q, 3 * Q)) for _ in range(rank))
     if data.draw(st.booleans()):
         g = identity(rank)
-    want = tuple(cells[_index(add(f, g), Q)] for f in itertools.product(*map(range, sides)))
+    want = tuple(cells[row_major_index(add(f, g), Q)] for f in itertools.product(*map(range, sides)))
     assert tuple(_window(cells, Q, sides, g)) == want
 
 
@@ -631,10 +638,10 @@ def test_the_row_compare_agrees_with_the_full_window_equality(data):
     h = tuple(data.draw(st.integers(0, q - 1)) for _ in range(rank))
     labels: list = [0] * q**rank
     for f in itertools.product(range(q), repeat=rank):
-        if labels[_index(f, q)] == 0:
+        if labels[row_major_index(f, q)] == 0:
             a = data.draw(st.sampled_from(["a", "b", None]))
             for k in range(q):
-                labels[_index(tuple(c + k * d for c, d in zip(f, h)), q)] = a
+                labels[row_major_index(tuple(c + k * d for c, d in zip(f, h)), q)] = a
     k = data.draw(st.integers(0, q - 1))
     g = tuple(data.draw(st.integers(0, q - 1)) for _ in range(rank))
     if data.draw(st.booleans()):
@@ -658,7 +665,7 @@ def test_the_axis_fold_matches_the_residue_classes(data):
     want = []
     for f in itertools.product(range(q), repeat=rank):
         cls = [
-            labels[_index(h, Q)]
+            labels[row_major_index(h, Q)]
             for h in itertools.product(range(Q), repeat=rank)
             if all((a - b) % q == 0 for a, b in zip(h, f))
         ]
