@@ -26,7 +26,6 @@ from .densities import (
     IntervalEstimate,
     banach_density_exact,
     banach_density_windowed,
-    lower_banach_density,
 )
 from .entropy import (
     EntropyEstimate,
@@ -34,7 +33,6 @@ from .entropy import (
     SampledSystem,
     binomial_tail,
     entropy_continuity_bound,
-    entropy_estimate,
     entropy_estimates,
     es_binomial_bound_holds,
     es_entropy,

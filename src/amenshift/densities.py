@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .configs import CosetSet, _BoxScan, _points
+from .configs import CosetSet, _BoxScan, _is_int, _points
 from .groups import Element, SubgroupChain, ball
 
 MembershipPredicate = Callable[[Element], "bool | None"]
@@ -31,7 +31,8 @@ class IntervalEstimate:
 
     ``exact`` implies lower == upper; the converse is deliberately not
     claimed (a collapsed window bracket still proves nothing globally).
-    Each bound is an int or a Fraction, any other (a float too) refused.
+    Each bound is an int or a Fraction, any other (a float or a bool too)
+    refused.
     """
 
     lower: Fraction
@@ -42,7 +43,7 @@ class IntervalEstimate:
 
     def __post_init__(self):
         for bound in (self.lower, self.upper):
-            if not isinstance(bound, (int, Fraction)):
+            if not (_is_int(bound) or isinstance(bound, Fraction)):
                 raise ValueError(f"bound {bound!r} is not an int or a Fraction")
         if not 0 <= self.lower <= self.upper <= 1:
             raise ValueError(f"bad interval [{self.lower}, {self.upper}]")
@@ -54,11 +55,6 @@ class IntervalEstimate:
         if not self.exact:
             raise ValueError("no single value for an inexact interval")
         return self.lower
-
-    @staticmethod
-    def of(value: Fraction, method: str) -> "IntervalEstimate":
-        value = Fraction(value)
-        return IntervalEstimate._counted(value.numerator, value.numerator, value.denominator, True, method)
 
     @classmethod
     def _counted(
@@ -80,21 +76,12 @@ class IntervalEstimate:
 def banach_density_exact(B: CosetSet) -> IntervalEstimate:
     """Banach density of a union of cosets: |reps| / |F_n|, exact.
 
-    Upper and lower Banach densities agree on such sets, so a single exact
-    rational is the complete answer.
+    Upper and lower Banach densities agree on such sets: the complement of a
+    coset union is one too, so D_*(B) = 1 - D*(complement) = |reps| / |F_n|,
+    and a single exact rational is the complete answer.
     """
     count = len(B.reps)
     return IntervalEstimate._counted(count, count, B.chain.domain_size(B.level), True, "exact-coset")
-
-
-def lower_banach_density(B: CosetSet) -> IntervalEstimate:
-    """D_*(B) = 1 - D*(complement); the complement of a coset union is one too.
-
-    Counted, not built: reps ⊆ F_n (checked when B was made), so the
-    complement holds |F_n| - |reps| cells and D_*(B) = |reps| / |F_n|, the
-    upper density :func:`banach_density_exact`.
-    """
-    return banach_density_exact(B)
 
 
 def banach_density_windowed(

@@ -113,24 +113,15 @@ def pattern_set(
     return PatternSet(n, frozenset(scan.windows(scan.values)), exact, None if exact else radius)
 
 
-def entropy_estimate(
-    x: Configuration,
-    n: int,
-    radius: int | None = None,
-    chain: SubgroupChain | None = None,
-) -> EntropyEstimate:
-    """ln(pattern count) / |F_n| in nats; a lower bound unless the scan was exact."""
-    return entropy_estimates(x, (n,), radius, chain)[0]
-
-
 def entropy_estimates(
     x: Configuration,
     levels: Iterable[int],
     radius: int | None = None,
     chain: SubgroupChain | None = None,
 ) -> tuple[EntropyEstimate, ...]:
-    """:func:`entropy_estimate` at each of the levels, in their order, from
-    one read of x: the union box of F_top and the translates, top the deepest
+    """ln(pattern count) / |F_n| in nats at each level n of the levels, in
+    their order: a lower bound unless the scan was exact.  All from one read
+    of x: the union box of F_top and the translates, top the deepest
     of the levels the chain has (:func:`_window_counts`).  A level that holds
     an Unknown window raises as a scan of that level alone does, and a level
     past the chain as its domain does, each only after every level before it

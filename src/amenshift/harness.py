@@ -38,7 +38,7 @@ from .configs import (
     per_set,
 )
 from .densities import IntervalEstimate, _windowed, banach_density_exact
-from .entropy import entropy_estimate, entropy_estimates
+from .entropy import entropy_estimates
 from .errors import SpecError
 from .groups import SubgroupChain, box, make_chain
 from .measures import omega_profile
@@ -509,7 +509,7 @@ def _run_path(spec: ExperimentSpec) -> list[dict]:
     paths = [psi_path(t, chain, depth) for t in grid]
     items = []
     for t, p in zip(grid, paths):
-        est = entropy_estimate(p.table, 1) if p.table.fully_resolved() else None
+        est = entropy_estimates(p.table, (1,))[0] if p.table.fully_resolved() else None
         item = {"t": t, "d_density": p.d_density, "terminated": p.terminated}
         if est is not None:
             item["entropy_nats_level1"] = est.value

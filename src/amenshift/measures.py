@@ -23,7 +23,7 @@ from itertools import groupby, product
 from math import lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .configs import Configuration, _BoxScan, _cells, evaluate, require_known
+from .configs import Configuration, _BoxScan, _cells, _is_int, evaluate, require_known
 from .groups import Box, FiniteSubset
 
 Atom = Hashable
@@ -40,7 +40,8 @@ def discrete_metric(a: Atom, b: Atom) -> Fraction:
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Finitely supported probability measure with exact rational weights:
-    each an int or a Fraction, any other weight (a float too) refused."""
+    each an int or a Fraction, any other weight (a float or a bool too)
+    refused."""
 
     atoms: tuple[tuple[Atom, Fraction], ...]
 
@@ -52,7 +53,7 @@ class EmpiricalMeasure:
             raise ValueError("atoms must be distinct")
         weights = [w for _, w in self.atoms]
         for w in weights:
-            if not isinstance(w, (int, Fraction)):
+            if not (_is_int(w) or isinstance(w, Fraction)):
                 raise ValueError(f"weight {w!r} is not an int or a Fraction")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")

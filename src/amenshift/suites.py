@@ -24,7 +24,7 @@ from .configs import (
     geometric_box_lengths,
     per_set,
 )
-from .densities import banach_density_exact, lower_banach_density
+from .densities import banach_density_exact
 from .entropy import (
     SampledSystem,
     binomial_tail,
@@ -88,7 +88,6 @@ def suite_coset_density(seed: int = 0) -> list[dict]:
         return (
             d == Fraction(size, len(dom))
             and d + banach_density_exact(cs.complement()).value == 1
-            and lower_banach_density(cs).value == d
         )
 
     items = []

