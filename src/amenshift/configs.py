@@ -29,7 +29,7 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InconsistentCylinders, InexactVariant, UnknownMembership
-from .groups import Box, Element, SubgroupChain, add, aselem, identity, sub
+from .groups import Box, Element, SubgroupChain, _is_int, add, aselem, identity, sub
 
 Letter = str
 
@@ -527,21 +527,6 @@ def _exact_chain(x: Configuration) -> SubgroupChain:
     return x.chain
 
 
-def _constant_cosets(x: Configuration, n: int) -> Sequence[Letter | None]:
-    """The labels of F_n, row-major: the letter a where the whole H_n-coset
-    of the cell is known and constantly a, None elsewhere.
-
-    x is coset-constant at level max(n, max_level), so the coset f + H_n is
-    sampled by the cells of the lifted array congruent to f mod q_n: at
-    n ≥ max_level the lifted array is the labelling, below it the period
-    array folds by residue (in rank 1 the class of r is cells[r::q_n]).
-    """
-    q, Q = _exact_chain(x).scale(n), x._period
-    if n >= x.max_level:
-        return x._read(identity(x.rank), (q,) * x.rank)
-    return _fold(x._read(identity(x.rank), (Q,) * x.rank), Q, q, x.rank)
-
-
 def _fold(labels: Sequence[Letter | None], Q: int, q: int, rank: int) -> list[Letter | None]:
     """The labels over [0, q)^rank, q | Q, of the row-major labelling
     ``labels`` over [0, Q)^rank: the letter a where every cell ≡ f mod q is
@@ -557,22 +542,32 @@ def _fold(labels: Sequence[Letter | None], Q: int, q: int, rank: int) -> list[Le
     return _along(labels, (Q,) * rank, [fold] * rank)
 
 
-def _level_labels(x: Configuration, N: int) -> list[Sequence[Letter | None]]:
-    """The labels of F_n (see :func:`_constant_cosets`) for n = 0..N, indexed
-    by level: F_N's once, then each coarser level's, finest first.  At and
-    above max_level the lifted array is the labelling; below it each level's
-    labels are folded from the next finer level's, since the H_n-coset of f
-    is the union of the H_{n+1}-cosets of the cells f' ≡ f mod q_n of
-    F_{n+1}.  A fold reads |F_{n+1}| labels, so all N + 1 levels cost about
-    one labelling of the finer of F_N and F_max_level."""
+def _labels(x: Configuration, N: int) -> Iterator[Sequence[Letter | None]]:
+    """The labels of F_N, F_{N-1}, ..., F_0, row-major: the letter a where
+    the whole H_n-coset of the cell is known and constantly a, None elsewhere.
+
+    x is coset-constant at level max(n, max_level), so the coset f + H_n is
+    sampled by the cells of the lifted array congruent to f mod q_n: at
+    n ≥ max_level the lifted array is the labelling, below it the labels of
+    the next finer level fold by residue (:func:`_fold`), the H_n-coset of f
+    being the union of the finer cosets of the cells f' ≡ f mod q_n.  Those
+    labels are the previous yield, or, when N < max_level, the period array
+    (the labels of F_max_level), read only when the first fold needs it.  So
+    the walk costs about one labelling of the finer of F_N and F_max_level.
+    """
     chain = _exact_chain(x)
-    labels = [_constant_cosets(x, N)]
-    for n in range(N, 0, -1):
-        if n > x.max_level:
-            labels.append(x._read(identity(x.rank), (chain.scale(n - 1),) * x.rank))
+    chain._check_level(N)
+    labels, p = None, x._period
+    for n in range(N, -1, -1):
+        q = chain.scale(n)
+        if n >= x.max_level:
+            labels = x._read(identity(x.rank), (q,) * x.rank)
         else:
-            labels.append(_fold(labels[-1], chain.scale(n), chain.scale(n - 1), x.rank))
-    return labels[::-1]
+            if labels is None:
+                labels = x._read(identity(x.rank), (p,) * x.rank)
+            labels = _fold(labels, p, q, x.rank)
+        p = q
+        yield labels
 
 
 def per_set(x: Configuration, n: int) -> CosetSet:
@@ -581,14 +576,14 @@ def per_set(x: Configuration, n: int) -> CosetSet:
     For a partial coset table a coset with Unknown cells is never counted;
     the result is the confirmed periodic part.
     """
-    labels = _constant_cosets(x, n)
+    labels = next(_labels(x, n))
     cells = zip(x.chain.domain(n), labels)
     return CosetSet._of_domain(x.chain, n, frozenset(f for f, a in cells if a is not None))
 
 
 def per_set_letter(x: Configuration, n: int, a: Letter) -> CosetSet:
     """Per_{H_n}(x, a): positions whose whole H_n-coset is constantly a."""
-    labels = _constant_cosets(x, n)
+    labels = next(_labels(x, n))
     cells = zip(x.chain.domain(n), labels)
     return CosetSet._of_domain(x.chain, n, frozenset(f for f, b in cells if b == a))
 
@@ -754,11 +749,6 @@ def _parse_element(raw, rank: int) -> Element:
 
 def _element_key(g: Element) -> str:
     return ",".join(str(c) for c in g)
-
-
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_element(value) -> bool:

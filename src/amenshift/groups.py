@@ -41,6 +41,11 @@ def aselem(g, rank: int) -> Element:
     return e
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def identity(rank: int) -> Element:
     return (0,) * rank
 
@@ -98,10 +103,10 @@ class SubgroupChain:
     scales: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
+        if not _is_int(self.rank) or self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        scales = tuple(int(q) for q in self.scales)
-        if not scales or any(q < 1 for q in scales):
+        scales = tuple(self.scales)
+        if not scales or not all(_is_int(q) and q >= 1 for q in scales):
             raise ValueError("scales must be positive integers")
         if any(b <= a for a, b in zip(scales, scales[1:])):
             raise ValueError(f"scales must be strictly increasing: {scales}")

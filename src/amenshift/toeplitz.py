@@ -31,7 +31,7 @@ from .configs import (
     ToeplitzTable,
     _cycle,
     _exact_chain,
-    _level_labels,
+    _labels,
     _offset,
     _window,
     evaluate,
@@ -74,10 +74,10 @@ class SkeletonReport:
 def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     """Check the three skeleton conditions for levels 1..N, exactly.
 
-    The labels of F_N are computed once, and each coarser level's are
-    folded from the next finer one's, or lifted from the period array at
-    and above max_level (see ``configs._level_labels``); ``coverage`` is
-    read from F_N's.  A shift fixes every Per_{H_n}(·, a) iff it preserves
+    The labels of every level come from one walk down from F_N, each
+    coarser level's lifted from the period array at and above max_level or
+    folded from the next finer one's (see ``configs._labels``); ``coverage``
+    is read from F_N's.  A shift fixes every Per_{H_n}(·, a) iff it preserves
     the labelling f ↦ letter (None off the periodic part), so it maps the
     rarest label class C onto itself: only the |C| - 1 shifts of
     :func:`_fixing_candidates` are compared, rather than every
@@ -90,8 +90,7 @@ def verify_skeleton(x: Periodic | ToeplitzTable, N: int) -> SkeletonReport:
     is recorded unchecked.
     """
     chain = _exact_chain(x)
-    chain._check_level(N)
-    labels = _level_labels(x, N)
+    labels = list(_labels(x, N))[::-1]
     nonempty = []
     failures: list[tuple[int, Element]] = []
     for n in range(1, N + 1):
@@ -153,9 +152,10 @@ def regularity_profile(x: Periodic | ToeplitzTable, N: int) -> RegularityProfile
     reaches 1 - REGULARITY_TOLERANCE.  The raw profile is always returned:
     regularity at finite depth is a judgment call and the flag is only a
     default reading.  The densities are read from the labels of every level
-    that ``configs._level_labels`` derives from those of F_N, not from one
-    Per set per level."""
-    densities = tuple(Fraction(len(a) - a.count(None), len(a)) for a in _level_labels(x, N)[1:])
+    that the one walk ``configs._labels`` derives from those of F_N, not
+    from one Per set per level."""
+    # the walk runs F_N down to F_0; the profile reads F_1..F_N
+    densities = tuple(Fraction(len(a) - a.count(None), len(a)) for a in list(_labels(x, N))[-2::-1])
     regular = bool(densities) and densities[-1] >= 1 - REGULARITY_TOLERANCE
     return RegularityProfile(tuple(range(1, N + 1)), densities, REGULARITY_TOLERANCE, regular)
 

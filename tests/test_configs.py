@@ -303,6 +303,7 @@ def test_per_set_rejects_oracle():
     x = champernowne_binary(16)
     calls = [
         lambda: per_set(x, 1),
+        lambda: per_set_letter(x, 1, "1"),
         lambda: verify_skeleton(x, 1),
         lambda: regularity_profile(x, 1),
         lambda: periodic_approximation(x, 1),

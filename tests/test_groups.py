@@ -49,6 +49,13 @@ def test_directly_built_chain_is_checked():
         SubgroupChain(0, (2,))
     with pytest.raises(ValueError, match="^scales must be positive integers$"):
         SubgroupChain(1, ())
+    # a rank or scale that is no int is refused, never truncated or coerced
+    for scales in ([2.5, 5], ["2", "4"], [True, 2]):
+        with pytest.raises(ValueError, match="^scales must be positive integers$"):
+            make_chain(1, scales)
+    for rank, scales in ((True, [2, 4]), (1.5, [2])):
+        with pytest.raises(ValueError, match="^rank must be a positive integer$"):
+            make_chain(rank, scales)
     assert SubgroupChain(1, [2, 4]) == make_chain(1, (2, 4))
     assert SubgroupChain(1, [2, 4]).scales == (2, 4)
 
